@@ -1,6 +1,6 @@
 // Faultcampaign: run a scaled-down version of the paper's Section 4
 // experiment on one benchmark — randomized single-bit decode-signal faults,
-// golden lockstep comparison, outcome classification — and print the
+// golden-stream comparison, outcome classification — and print the
 // Figure 8-style breakdown together with the per-field tally.
 package main
 

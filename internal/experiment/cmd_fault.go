@@ -30,7 +30,7 @@ func bindFault(fs *flag.FlagSet, s *Spec) {
 	fs.IntVar(&s.Campaign.CacheFaults, "cache", s.Campaign.CacheFaults, "run a Section 2.4 ITR-cache fault study with this many injections per benchmark")
 	fs.IntVar(&s.Campaign.RenameFaults, "rename", s.Campaign.RenameFaults, "run the rename-protection study with this many injections per benchmark")
 	fs.StringVar(&s.JSONPath, "json", s.JSONPath, "also write the Figure 8 campaign results to this JSON file")
-	fs.IntVar(&s.Workers, "workers", s.Workers, "injection worker-pool width per campaign (0 = GOMAXPROCS); results are identical at any width")
+	fs.IntVar(&s.Workers, "workers", s.Workers, "Figure 8 injection worker-pool width per campaign (0 = GOMAXPROCS); the -pc, -cache and -rename studies always run GOMAXPROCS-wide; results are identical at any width")
 	fs.Int64Var(&s.Campaign.SnapshotInterval, "snapshot-interval", s.Campaign.SnapshotInterval,
 		fmt.Sprintf("decode events between pilot snapshots for campaign fast-forward (0 = default %d, negative = disabled); results are identical either way", fault.DefaultSnapshotInterval))
 	fs.BoolVar(&s.Campaign.LatencyHist, "latency-hist", s.Campaign.LatencyHist,
@@ -63,7 +63,7 @@ func printLatencyHist(w io.Writer, title string, h *obs.Hist) {
 
 // runFault reproduces the paper's Section 4 fault-injection study
 // (Figure 8): random single-bit flips on the decode signals of Table 2,
-// classified against a golden lockstep simulator into the ten outcome
+// classified against a shared golden commit stream into the ten outcome
 // categories, plus the optional PC-fault, cache-fault and rename studies.
 func runFault(e *Engine) error {
 	s := e.Spec

@@ -37,7 +37,8 @@ type Spec struct {
 	// Warmup primes the ITR cache before measurement (coverage only).
 	Warmup int64 `json:"warmup,omitempty"`
 	// Workers is the worker-pool width (0 = GOMAXPROCS). Results are
-	// identical at any width. For fault it sizes the per-injection pool;
+	// identical at any width. For fault it sizes the Figure 8 per-injection
+	// pool (the PC, cache and rename studies always run GOMAXPROCS-wide);
 	// for sim it caps runtime parallelism.
 	Workers int `json:"workers,omitempty"`
 	// Seed makes fault-injection sampling reproducible (fault only;

@@ -135,8 +135,6 @@ func RunCampaign(name string, prog *program.Program, cfg CampaignConfig) (Campai
 	// free machine's trajectory is mode-independent — the checker modes
 	// differ only in how detections are handled — so the decode-event space
 	// matches what any injection run sees up to its fault point.
-	window := cfg.Experiment.WindowCycles
-	interval := cfg.Experiment.EffectiveSnapshotInterval()
 	pilotCfg := cfg.Experiment
 	if cfg.Tracer != nil {
 		pilotCfg.Pipeline.Trace = cfg.Tracer.Ring("fault-pilot")
@@ -145,20 +143,7 @@ func RunCampaign(name string, prog *program.Program, cfg CampaignConfig) (Campai
 	if err != nil {
 		return res, fmt.Errorf("campaign pilot: %w", err)
 	}
-	var snaps []*pipeline.Snapshot
-	if interval > 0 {
-		next := interval
-		for pilot.CycleCount() < window {
-			pres := pilot.RunUntilDecode(window-pilot.CycleCount(), next)
-			if pres.Termination != pipeline.TermBudget || pilot.CycleCount() >= window {
-				break // machine terminated or window exhausted: pilot done
-			}
-			snaps = append(snaps, pilot.Snapshot())
-			next = pilot.DecodeEvents() + interval
-		}
-	} else {
-		pilot.Run(window)
-	}
+	snaps := pilotSeries(pilot, cfg.Experiment.WindowCycles, cfg.Experiment.EffectiveSnapshotInterval())
 	decodeSpace := pilot.DecodeEvents()
 	if decodeSpace < 100 {
 		return res, fmt.Errorf("campaign: window too small (%d decode events)", decodeSpace)
@@ -171,112 +156,64 @@ func RunCampaign(name string, prog *program.Program, cfg CampaignConfig) (Campai
 	lo := decodeSpace / 20
 	hi := decodeSpace / 2
 	injections := make([]Injection, cfg.Faults)
+	points := make([]int64, cfg.Faults)
 	for i := range injections {
 		injections[i] = Injection{
 			DecodeIndex: lo + int64(rng.Uint64n(uint64(hi-lo))),
 			Bit:         rng.Intn(isa.SignalBits),
 		}
+		points[i] = injections[i].DecodeIndex
 	}
 
-	// Keep only the snapshots some injection actually resumes from, and
-	// precompute the shared golden commit log covering the pilot's window so
-	// workers rarely contend on extending it.
-	var rc *replayContext
-	if len(snaps) > 0 {
-		used := make([]bool, len(snaps))
-		for _, inj := range injections {
-			if i := nearestSnapshotIdx(snaps, inj.DecodeIndex); i >= 0 {
-				used[i] = true
-			}
-		}
-		kept := make([]*pipeline.Snapshot, 0, len(snaps))
-		for i, s := range snaps {
-			if used[i] {
-				kept = append(kept, s)
-			}
-		}
-		if len(kept) > 0 {
-			stream := NewGoldenStream(prog)
-			if n := pilot.CommittedInsts(); n > 0 {
-				stream.ensure(int(n) - 1)
-			}
-			rc = &replayContext{snaps: kept, stream: stream}
-			res.Snapshots = len(kept)
-			distinct := make(map[uint64]struct{})
-			for _, s := range kept {
-				res.SnapshotPages += s.MemPages()
-				s.VisitMemPages(func(id uint64) { distinct[id] = struct{}{} })
-			}
-			res.SnapshotOwnedPages = len(distinct)
-		}
+	rc := &replayContext{snaps: prune(snaps, points), stream: pilotStream(prog, pilot)}
+	res.Snapshots = len(rc.snaps)
+	distinct := make(map[uint64]struct{})
+	for _, s := range rc.snaps {
+		res.SnapshotPages += s.MemPages()
+		s.VisitMemPages(func(id uint64) { distinct[id] = struct{}{} })
 	}
+	res.SnapshotOwnedPages = len(distinct)
 
 	oracle := NewSigOracle(prog)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Faults {
-		workers = cfg.Faults
-	}
-
-	details := make([]Detail, cfg.Faults)
 	budgets := make([]runBudget, cfg.Faults)
-	errs := make([]error, cfg.Faults)
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// One arena per worker: the observe and verify machines are
-			// built once and recycled via Restore across every injection
-			// this worker runs. The worker's ring is single-writer — the
-			// arena machines run on this goroutine, so their pipeline
-			// events interleave with the injection markers safely.
-			wcfg := cfg.Experiment
-			var ring *obs.Ring
-			if cfg.Tracer != nil {
-				ring = cfg.Tracer.Ring(fmt.Sprintf("fault-worker-%d", w))
-				wcfg.Pipeline.Trace = ring
-			}
-			ar := newRunArena(prog, wcfg)
-			for i := range work {
-				inj := injections[i]
-				ring.Emit(obs.EvInjectStart, inj.DecodeIndex, int64(inj.Bit))
-				details[i], errs[i] = runOne(prog, oracle, wcfg, inj, rc, ar, &budgets[i])
-				d := details[i]
-				detected := int64(0)
-				if errs[i] == nil && d.Detected {
-					detected = 1
-					if d.LatencyCycles >= 0 {
-						if cfg.LatencyCycles != nil {
-							cfg.LatencyCycles.Observe(d.LatencyCycles)
-						}
-						if cfg.LatencyInsts != nil {
-							cfg.LatencyInsts.Observe(d.LatencyInsts)
-						}
-					}
+	details, err := runPool(prog, cfg.Workers, cfg.Faults, func(a *arena, i int) (Detail, error) {
+		// A worker's ring is single-writer: its arena machines run on the
+		// worker's goroutine, so their pipeline events interleave with the
+		// injection markers safely.
+		wcfg := cfg.Experiment
+		var ring *obs.Ring
+		if cfg.Tracer != nil {
+			ring = cfg.Tracer.Ring(fmt.Sprintf("fault-worker-%d", a.worker))
+			wcfg.Pipeline.Trace = ring
+		}
+		inj := injections[i]
+		ring.Emit(obs.EvInjectStart, inj.DecodeIndex, int64(inj.Bit))
+		d, err := runOne(oracle, wcfg, inj, rc, a, &budgets[i])
+		detected := int64(0)
+		if err == nil && d.Detected {
+			detected = 1
+			if d.LatencyCycles >= 0 {
+				if cfg.LatencyCycles != nil {
+					cfg.LatencyCycles.Observe(d.LatencyCycles)
 				}
-				ring.Emit(obs.EvInjectClassify, inj.DecodeIndex, detected)
-				if cfg.Progress != nil {
-					cfg.Progress.Injections.AddAt(uint32(w), 1)
-					cfg.Progress.CyclesSimulated.AddAt(uint32(w), budgets[i].simulated)
-					cfg.Progress.CyclesSaved.AddAt(uint32(w), budgets[i].saved)
+				if cfg.LatencyInsts != nil {
+					cfg.LatencyInsts.Observe(d.LatencyInsts)
 				}
 			}
-		}(w)
+		}
+		ring.Emit(obs.EvInjectClassify, inj.DecodeIndex, detected)
+		if cfg.Progress != nil {
+			cfg.Progress.Injections.AddAt(uint32(a.worker), 1)
+			cfg.Progress.CyclesSimulated.AddAt(uint32(a.worker), budgets[i].simulated)
+			cfg.Progress.CyclesSaved.AddAt(uint32(a.worker), budgets[i].saved)
+		}
+		return d, err
+	})
+	if err != nil {
+		return res, err
 	}
-	for i := range injections {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 
 	for i, d := range details {
-		if errs[i] != nil {
-			return res, fmt.Errorf("fault %d: %w", i, errs[i])
-		}
 		res.Total++
 		res.Counts[d.Category]++
 		res.ByField[d.Injection.Field()]++
@@ -293,4 +230,38 @@ func RunCampaign(name string, prog *program.Program, cfg CampaignConfig) (Campai
 	}
 	res.Details = details
 	return res, nil
+}
+
+// runPool runs job(a, i) for i in [0, n) on up to workers goroutines (0
+// means GOMAXPROCS): the one worker pool every fault study shares. Each
+// worker recycles machines through its own arena, and results land by
+// index, so they are identical at any width; the lowest-index error wins.
+func runPool[T any](prog *program.Program, workers, n int, job func(a *arena, i int) (T, error)) ([]T, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	outs := make([]T, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	work := make(chan int)
+	for w := range min(workers, n) {
+		wg.Add(1)
+		go func(a *arena) {
+			defer wg.Done()
+			for i := range work {
+				outs[i], errs[i] = job(a, i)
+			}
+		}(&arena{prog: prog, worker: w})
+	}
+	for i := range n {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return outs, fmt.Errorf("fault %d: %w", i, err)
+		}
+	}
+	return outs, nil
 }

@@ -226,9 +226,9 @@ func convergedWithGolden(cpu *pipeline.CPU, stream *GoldenStream, snap *pipeline
 		return false
 	}
 	st, mem := snap.ArchFork()
-	entries := stream.ensure(int(committed) - 1)
+	r := &goldenCursor{s: stream}
 	for i := snap.Committed; i < committed; i++ {
-		st.ApplyRef(&entries[i].out)
+		st.ApplyRef(&r.at(int(i)).out)
 	}
 	machine := cpu.Committed()
 	if st.R != machine.R || st.F != machine.F || st.PC != machine.PC {

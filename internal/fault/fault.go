@@ -1,8 +1,8 @@
 // Package fault implements the paper's Section 4 fault-injection
 // methodology: random single-bit flips on the decode signals of one dynamic
-// instruction, a golden (fault-free) simulator run in lockstep with the
-// faulty simulator, and classification of each injection into the ten
-// outcome categories of Figure 8.
+// instruction, comparison of the faulty simulator's commits against a shared
+// fault-free golden commit stream, and classification of each injection into
+// the ten outcome categories of Figure 8.
 //
 // Each injection is evaluated with two pipeline runs:
 //
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sync"
 
-	"itr/internal/cache"
 	"itr/internal/core"
 	"itr/internal/detect"
 	"itr/internal/isa"
@@ -133,73 +132,6 @@ func (o *SigOracle) TrueSig(pc uint64) uint64 {
 	return acc.Value()
 }
 
-// golden is the lockstep fault-free reference execution attached to a
-// pipeline's commit stream. It supports snapshot/restore so checkpointed
-// pipelines can rewind the reference alongside the machine.
-type golden struct {
-	st       *isa.ArchState
-	mem      *isa.Memory
-	prog     *program.Program
-	tab      *program.DecodeTable
-	diverged bool
-
-	snapValid    bool
-	snapR        [isa.NumRegs]uint64
-	snapF        [isa.NumRegs]uint64
-	snapPC       uint64
-	snapMem      *isa.Memory
-	snapDiverged bool
-}
-
-func newGolden(prog *program.Program) *golden {
-	mem := isa.NewMemory()
-	g := &golden{st: &isa.ArchState{Mem: mem}, mem: mem, prog: prog, tab: prog.DecodeTable()}
-	g.st.PC = prog.Entry
-	return g
-}
-
-// checkpoint mirrors the pipeline's checkpoint lifecycle: snapshot the
-// reference on take, restore it on rollback. Both sides ride the memory's
-// copy-on-write machinery — capture shares pages by reference and rollback
-// reverts only pages the reference dirtied since — so checkpointed verify
-// runs no longer deep-copy the whole reference footprint per window.
-func (g *golden) checkpoint(taken bool) {
-	if taken {
-		g.snapValid = true
-		g.snapR = g.st.R
-		g.snapF = g.st.F
-		g.snapPC = g.st.PC
-		g.snapMem = g.mem.Snapshot()
-		g.snapDiverged = g.diverged
-		return
-	}
-	if !g.snapValid {
-		return
-	}
-	g.st.R = g.snapR
-	g.st.F = g.snapF
-	g.st.PC = g.snapPC
-	g.mem.CopyFrom(g.snapMem)
-	g.diverged = g.snapDiverged
-}
-
-// observe compares one committed instruction against the reference.
-func (g *golden) observe(pc uint64, o *isa.Outcome) {
-	if g.diverged {
-		return
-	}
-	if pc != g.st.PC {
-		g.diverged = true
-		return
-	}
-	var want isa.Outcome
-	g.st.ExecInto(&want, g.tab.Signals(pc), pc)
-	g.st.ApplyRef(&want)
-	if !o.SameArchEffect(&want) {
-		g.diverged = true
-	}
-}
-
 // DefaultSnapshotInterval is the decode-event spacing of pilot snapshots
 // when Config.SnapshotInterval is zero. Smaller intervals skip more of the
 // fault-free prefix per injection at the cost of more pilot snapshots held
@@ -281,126 +213,76 @@ func DefaultConfig() Config {
 // from cycle 0 (the cold path; campaigns use the snapshot fast path via
 // RunCampaign).
 func RunOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection) (Detail, error) {
-	return runOne(prog, oracle, cfg, inj, nil, nil, nil)
+	rc := &replayContext{stream: streamFor(prog)}
+	return runOne(oracle, cfg, inj, rc, &arena{prog: prog}, &runBudget{})
 }
 
-// runArena holds one campaign worker's reusable machines. Building a
-// pipeline allocates every component a run touches — slot columns, predictor
-// tables, ITR cache and ROB, fetch queue — so a campaign that built two
-// fresh machines per injection spent a visible slice of its time and almost
-// all of its allocations on setup that Restore makes redundant: restoring a
-// snapshot (a pilot resume point, or the machine's own cycle-0 image for a
-// cold start) rewrites the complete mutable state in place, bit-identically.
-// The arena keeps one observe-mode and one verify-mode CPU per worker and
-// recycles them across every injection the worker runs.
+// arena is one pool worker's reusable machines, one per configuration.
+// Building a pipeline allocates every component a run touches — slot
+// columns, predictor tables, ITR cache and ROB, fetch queue — so building
+// fresh machines per injection spent a visible slice of a study's time and
+// almost all of its allocations on setup that Restore makes redundant:
+// restoring a snapshot (a pilot resume point, or the machine's own cycle-0
+// image for a cold start) rewrites the complete mutable state in place,
+// bit-identically.
 //
-// An arena is single-threaded (each worker owns one); the machines it hands
-// out carry whatever hooks and observers the previous run installed, so
-// runOne (re)sets every hook it depends on at the start of each run.
-type runArena struct {
-	prog *program.Program
-	cfg  Config
-
-	observe  *pipeline.CPU
-	observe0 *pipeline.Snapshot // observe's pristine cycle-0 image
-	verify   *pipeline.CPU
-	verify0  *pipeline.Snapshot
+// An arena is single-threaded. Its CPUs carry whatever hooks and observers
+// the previous run installed, so every run (re)sets each hook it depends on.
+type arena struct {
+	prog   *program.Program
+	worker int
+	cpus   map[pipeline.Config]*arenaCPU
 }
 
-// newRunArena returns an empty arena for one worker; machines are built on
-// first use so a campaign whose injections never verify (or never run cold)
-// never pays for what it doesn't touch.
-func newRunArena(prog *program.Program, cfg Config) *runArena {
-	return &runArena{prog: prog, cfg: cfg}
+type arenaCPU struct {
+	cpu  *pipeline.CPU
+	zero *pipeline.Snapshot // the CPU's pristine cycle-0 image
 }
 
-// observeCPU returns the reusable observe-mode machine, reset to snap (or to
-// its cycle-0 image when snap is nil).
-func (a *runArena) observeCPU(snap *pipeline.Snapshot) (*pipeline.CPU, error) {
-	if a.observe == nil {
-		cpu, err := pipeline.New(a.prog, a.cfg.pipelineConfig(core.ModeObserve))
-		if err != nil {
-			return nil, err
-		}
-		a.observe = cpu
-		a.observe0 = cpu.Snapshot()
-	}
-	if snap == nil {
-		snap = a.observe0
-	}
-	if err := a.observe.Restore(snap); err != nil {
-		return nil, err
-	}
-	return a.observe, nil
-}
-
-// verifyCPU is observeCPU for the full-protocol machine (ModeFull, plus the
-// campaign's checkpointing setting).
-func (a *runArena) verifyCPU(snap *pipeline.Snapshot) (*pipeline.CPU, error) {
-	if a.verify == nil {
-		pcfg := a.cfg.pipelineConfig(core.ModeFull)
-		pcfg.CheckpointEnabled = a.cfg.Checkpoint
+// reset returns the arena's CPU for pcfg restored to snap, or to its cycle-0
+// image when snap is nil, building the CPU on first use.
+func (a *arena) reset(pcfg pipeline.Config, snap *pipeline.Snapshot) (*pipeline.CPU, error) {
+	m := a.cpus[pcfg]
+	if m == nil {
 		cpu, err := pipeline.New(a.prog, pcfg)
 		if err != nil {
 			return nil, err
 		}
-		a.verify = cpu
-		a.verify0 = cpu.Snapshot()
+		m = &arenaCPU{cpu, cpu.Snapshot()}
+		if a.cpus == nil {
+			a.cpus = make(map[pipeline.Config]*arenaCPU)
+		}
+		a.cpus[pcfg] = m
 	}
 	if snap == nil {
-		snap = a.verify0
+		snap = m.zero
 	}
-	if err := a.verify.Restore(snap); err != nil {
-		return nil, err
-	}
-	return a.verify, nil
+	return m.cpu, m.cpu.Restore(snap)
 }
 
-// runOne performs one injection experiment and classifies it. When rc is
-// non-nil and holds a snapshot taken before the injection's decode event,
-// both the observe and verify runs fast-forward: the machine resumes from
-// the snapshot and the golden reference is a cursor over the shared
-// precomputed commit log. The resumed trajectory is bit-identical to the
-// cold one — the snapshot captures the complete machine state and the fault
-// fires strictly after it.
+// runOne performs one injection experiment and classifies it. When rc holds
+// a snapshot taken before the injection's decode event, both the observe and
+// verify runs fast-forward: the machine resumes from the snapshot and its
+// golden cursor starts at the snapshot's commit count. The resumed
+// trajectory is bit-identical to the cold one — the snapshot captures the
+// complete machine state and the fault fires strictly after it.
 //
 // Snapshot-resumed runs additionally use the decided-outcome engine (see
 // decide.go) unless cfg.Exact is set: the observe run stops as soon as the
 // classification is settled, and the verify run forks from a pre-fault
 // capture of the observe machine instead of re-simulating the detect-free
-// prefix. bud, when non-nil, receives the run's simulated/saved cycle
-// accounting.
-func runOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection, rc *replayContext, ar *runArena, bud *runBudget) (Detail, error) {
+// prefix. bud receives the run's simulated/saved cycle accounting.
+func runOne(oracle *SigOracle, cfg Config, inj Injection, rc *replayContext, ar *arena, bud *runBudget) (Detail, error) {
 	det := Detail{Injection: inj, LatencyCycles: -1, LatencyInsts: -1}
-	snap := rc.nearest(inj.DecodeIndex)
+	snap := rc.before(byDecode, inj.DecodeIndex)
 
 	// ---- observe run: natural outcome + detection facts ----
-	var cpu *pipeline.CPU
-	var err error
-	if ar != nil {
-		cpu, err = ar.observeCPU(snap)
-	} else {
-		cpu, err = pipeline.New(prog, cfg.pipelineConfig(core.ModeObserve))
-		if err == nil && snap != nil {
-			err = cpu.Restore(snap)
-		}
-	}
+	cpu, err := ar.reset(cfg.pipelineConfig(core.ModeObserve), snap)
 	if err != nil {
 		return det, fmt.Errorf("observe run: %w", err)
 	}
-	budget := cfg.WindowCycles
-	var diverged func() bool
-	var cur *goldenCursor
-	if snap != nil {
-		cur = rc.stream.cursor(int(snap.Committed))
-		cpu.SetCommitObserver(cur.observe)
-		diverged = func() bool { return cur.diverged }
-		budget = cfg.WindowCycles - snap.Cycle
-	} else {
-		g := newGolden(prog)
-		cpu.SetCommitObserver(g.observe)
-		diverged = func() bool { return g.diverged }
-	}
+	start := cpu.CycleCount()
+	cur := rc.stream.attach(cpu)
 	fast := snap != nil && !cfg.Exact
 	var injPt injectionPoint
 	var presnap *pipeline.Snapshot
@@ -415,7 +297,7 @@ func runOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection,
 		cpu.SetFaultHook(nil)
 		if cfg.Verify && !cfg.Checkpoint {
 			if stop := inj.DecodeIndex - preFaultMargin; stop > snap.DecodeEvents {
-				pres := cpu.RunUntilDecode(budget, stop)
+				pres := cpu.RunUntilDecode(cfg.WindowCycles-start, stop)
 				if pres.Termination == pipeline.TermBudget && cpu.DecodeEvents() < inj.DecodeIndex {
 					presnap = cpu.Snapshot()
 				}
@@ -424,29 +306,18 @@ func runOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection,
 		cpu.SetFaultHook(hook(inj, cpu, &injPt))
 		var early, fellBack bool
 		res, early, fellBack = runDecided(cpu, cur, rc.stream, snap, oracle, inj, cfg.WindowCycles, false)
-		if bud != nil {
-			bud.simulated += cpu.CycleCount() - snap.Cycle
-			if early {
-				bud.saved += cfg.WindowCycles - cpu.CycleCount()
-				bud.decidedEarly = true
-			}
-			if fellBack {
-				bud.proofFallback = true
-			}
+		if early {
+			bud.saved += cfg.WindowCycles - cpu.CycleCount()
+			bud.decidedEarly = true
 		}
+		bud.proofFallback = bud.proofFallback || fellBack
 	} else {
 		cpu.SetFaultHook(hook(inj, cpu, &injPt))
-		res = cpu.Run(budget)
-		if bud != nil {
-			start := int64(0)
-			if snap != nil {
-				start = snap.Cycle
-			}
-			bud.simulated += cpu.CycleCount() - start
-		}
+		res = cpu.Run(cfg.WindowCycles - start)
 	}
+	bud.simulated += cpu.CycleCount() - start
 
-	det.NaturalSDC = diverged()
+	det.NaturalSDC = cur.diverged
 	det.Deadlock = res.Termination == pipeline.TermDeadlock
 	det.Halted = res.Termination == pipeline.TermHalt
 	det.SpcFired = res.SpcFired > 0
@@ -454,8 +325,8 @@ func runOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection,
 	detections := cpu.Detector().Detections()
 	det.Detected = len(detections) > 0
 	if stamps := cpu.DetectionStamps(); det.Detected && injPt.fired && len(stamps) > 0 {
-		// Stamps were reset at the fast-forward Restore and the snapshot's
-		// prefix is fault-free, so the first stamp is the first detection.
+		// Stamps were reset at the Restore and the snapshot's prefix is
+		// fault-free, so the first stamp is the first detection.
 		det.LatencyCycles = stamps[0].Cycle - injPt.cycle
 		det.LatencyInsts = stamps[0].Committed - injPt.committed
 	}
@@ -470,11 +341,7 @@ func runOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection,
 	// The category is ITR-specific — rival backends hold no signature cache,
 	// so an undetected fault of theirs classifies as plain Undet.
 	if ck := cpu.Checker(); ck != nil {
-		ck.Cache().Visit(func(ln *cache.Line) {
-			if ln.Value != oracle.TrueSig(ln.Key) {
-				det.FaultyResident = true
-			}
-		})
+		det.FaultyResident = faultyResident(ck, oracle)
 	}
 
 	det.Category = classify(det)
@@ -490,42 +357,19 @@ func runOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection,
 		vsnap := snap
 		if cfg.Checkpoint {
 			vsnap = nil
-		} else if fast && presnap != nil {
+		} else if presnap != nil {
 			vsnap = presnap
 		}
-		var vcpu *pipeline.CPU
-		if ar != nil {
-			vcpu, err = ar.verifyCPU(vsnap)
-		} else {
-			pcfg := cfg.pipelineConfig(core.ModeFull)
-			pcfg.CheckpointEnabled = cfg.Checkpoint
-			vcpu, err = pipeline.New(prog, pcfg)
-			if err == nil && vsnap != nil {
-				err = vcpu.Restore(vsnap)
-			}
-		}
+		vcfg := cfg.pipelineConfig(core.ModeFull)
+		vcfg.CheckpointEnabled = cfg.Checkpoint
+		vcpu, err := ar.reset(vcfg, vsnap)
 		if err != nil {
 			return det, fmt.Errorf("verify run: %w", err)
 		}
-		vbudget := cfg.WindowCycles
-		var vdiverged func() bool
-		var vcur *goldenCursor
-		// A reused machine carries the previous run's observers; every hook a
-		// verify run depends on is (re)set below, and the checkpoint observer
-		// is cleared unless this run installs its own.
-		vcpu.SetCheckpointObserver(nil)
-		if vsnap != nil {
-			vcur = rc.stream.cursor(int(vsnap.Committed))
-			vcpu.SetCommitObserver(vcur.observe)
-			vdiverged = func() bool { return vcur.diverged }
-			vbudget = cfg.WindowCycles - vsnap.Cycle
-		} else {
-			vg := newGolden(prog)
-			vcpu.SetCommitObserver(vg.observe)
-			if cfg.Checkpoint {
-				vcpu.SetCheckpointObserver(vg.checkpoint)
-			}
-			vdiverged = func() bool { return vg.diverged }
+		vstart := vcpu.CycleCount()
+		vcur := rc.stream.attach(vcpu)
+		if cfg.Checkpoint {
+			vcpu.SetCheckpointObserver(vcur.checkpoint)
 		}
 		var vinjPt injectionPoint
 		vcpu.SetFaultHook(hook(inj, vcpu, &vinjPt))
@@ -533,36 +377,25 @@ func runOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection,
 		if fast && vsnap != nil {
 			var vearly, vfell bool
 			vres, vearly, vfell = runDecided(vcpu, vcur, rc.stream, vsnap, oracle, inj, cfg.WindowCycles, true)
-			if bud != nil {
-				bud.simulated += vcpu.CycleCount() - vsnap.Cycle
-				if vearly {
-					bud.saved += cfg.WindowCycles - vcpu.CycleCount()
-				}
-				if vfell {
-					bud.proofFallback = true
-				}
-				if presnap != nil && vsnap == presnap {
-					// The fork skipped re-simulating snap.Cycle→presnap.Cycle.
-					bud.saved += presnap.Cycle - snap.Cycle
-					bud.verifyForked = true
-				}
+			if vearly {
+				bud.saved += cfg.WindowCycles - vcpu.CycleCount()
+			}
+			bud.proofFallback = bud.proofFallback || vfell
+			if vsnap == presnap {
+				// The fork skipped re-simulating snap.Cycle→presnap.Cycle.
+				bud.saved += presnap.Cycle - snap.Cycle
+				bud.verifyForked = true
 			}
 		} else {
-			vres = vcpu.Run(vbudget)
-			if bud != nil {
-				vstart := int64(0)
-				if vsnap != nil {
-					vstart = vsnap.Cycle
-				}
-				bud.simulated += vcpu.CycleCount() - vstart
-			}
+			vres = vcpu.Run(cfg.WindowCycles - vstart)
 		}
+		bud.simulated += vcpu.CycleCount() - vstart
 		det.Verified = true
 		det.RecoveredInFull = vcpu.Detector().Stats().Recoveries > 0
 		det.MachineCheck = vres.Termination == pipeline.TermMachineCheck
-		det.SDCUnderITR = vdiverged()
+		det.SDCUnderITR = vcur.diverged
 		det.CheckpointRecovered = cfg.Checkpoint && vres.CheckpointRollbacks > 0 &&
-			!det.MachineCheck && !vdiverged()
+			!det.MachineCheck && !vcur.diverged
 	}
 	return det, nil
 }
@@ -597,7 +430,6 @@ func hook(inj Injection, cpu *pipeline.CPU, at *injectionPoint) pipeline.FaultHo
 
 // classify maps observed facts to the Figure 8 category.
 func classify(d Detail) Category {
-	mask := !d.NaturalSDC && !d.Deadlock
 	switch {
 	case d.Detected && d.Deadlock:
 		return ITRWdogR
@@ -617,8 +449,6 @@ func classify(d Detail) Category {
 		return UndetSDC
 	case d.Deadlock:
 		return UndetWdog
-	case mask:
-		return UndetMask
 	default:
 		return UndetMask
 	}

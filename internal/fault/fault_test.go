@@ -260,22 +260,22 @@ func TestCampaignPctHelpers(t *testing.T) {
 
 func TestGoldenDetectsDivergence(t *testing.T) {
 	p := testProgram(t)
-	g := newGolden(p)
-	// Feed the true stream: no divergence.
+	cur := &goldenCursor{s: NewGoldenStream(p)}
+	// Feed an independently executed true stream: no divergence.
 	st := isa.NewArchState()
 	st.PC = p.Entry
 	for i := 0; i < 50; i++ {
 		pc := st.PC
 		o := st.Step(p.Fetch(pc))
-		g.observe(pc, &o)
+		cur.observe(pc, &o)
 	}
-	if g.diverged {
-		t.Fatal("golden diverged on the true stream")
+	if cur.diverged {
+		t.Fatal("cursor diverged on the true stream")
 	}
 	// A wrong PC diverges immediately.
-	g.observe(9999, &isa.Outcome{NextPC: 10000})
-	if !g.diverged {
-		t.Fatal("golden missed a PC divergence")
+	cur.observe(9999, &isa.Outcome{NextPC: 10000})
+	if !cur.diverged {
+		t.Fatal("cursor missed a PC divergence")
 	}
 }
 

@@ -74,50 +74,71 @@ func renameHook(inj RenameInjection) pipeline.RenameFaultHook {
 	}
 }
 
+// renamePass is one of the rename study's two passes: frontend ITR only in
+// observe mode (the paper's baseline), or the rename extension attached
+// under the full protocol. Restore requires matching configurations, so each
+// pass resumes from its own pilot's snapshots.
+type renamePass struct {
+	pcfg  pipeline.Config
+	snaps []*pipeline.Snapshot
+}
+
+// renamePasses returns the study's two passes, both starting cold.
+func renamePasses(cfg Config) [2]renamePass {
+	ext := cfg.pipelineConfig(core.ModeFull)
+	ext.RenameITREnabled = true
+	return [2]renamePass{{pcfg: cfg.pipelineConfig(core.ModeObserve)}, {pcfg: ext}}
+}
+
+// runRenameFault evaluates inj in both passes on a's machines, each run
+// resuming from its pass's latest snapshot before the injected decode event.
+func runRenameFault(a *arena, passes [2]renamePass, stream *GoldenStream, window int64, inj RenameInjection) (o renameOutcome, err error) {
+	var cpus [2]*pipeline.CPU
+	var curs [2]*goldenCursor
+	for i, p := range passes {
+		rc := replayContext{snaps: p.snaps}
+		if cpus[i], err = a.reset(p.pcfg, rc.before(byDecode, inj.DecodeIndex)); err != nil {
+			return o, fmt.Errorf("rename fault pass %d: %w", i+1, err)
+		}
+		curs[i] = stream.attach(cpus[i])
+		cpus[i].SetRenameFaultHook(renameHook(inj))
+		cpus[i].Run(window - cpus[i].CycleCount())
+	}
+	rst := cpus[1].RenameChecker().Stats()
+	return renameOutcome{
+		withoutSDC:       curs[0].diverged,
+		frontendDetected: len(cpus[0].Detector().Detections()) > 0,
+		detected:         rst.Mismatches > 0,
+		recovered:        rst.Recoveries > 0,
+		withSDC:          curs[1].diverged,
+	}, nil
+}
+
+// renameOutcome is one injection's verdicts from both passes.
+type renameOutcome struct {
+	withoutSDC, frontendDetected, detected, recovered, withSDC bool
+}
+
 // RunRenameFault evaluates one rename-index upset with and without the
 // rename-protection extension.
 func RunRenameFault(prog *program.Program, cfg Config, inj RenameInjection) (withoutSDC, frontendDetected, detected, recovered, withSDC bool, err error) {
-	// Pass 1: frontend ITR only, observe mode — the paper's baseline.
-	cpu, err := pipeline.New(prog, cfg.pipelineConfig(core.ModeObserve))
-	if err != nil {
-		return false, false, false, false, false, fmt.Errorf("rename fault baseline: %w", err)
-	}
-	g := newGolden(prog)
-	cpu.SetCommitObserver(g.observe)
-	cpu.SetRenameFaultHook(renameHook(inj))
-	cpu.Run(cfg.WindowCycles)
-	withoutSDC = g.diverged
-	frontendDetected = len(cpu.Detector().Detections()) > 0
-
-	// Pass 2: rename extension attached, full protocol.
-	pcfg := cfg.pipelineConfig(core.ModeFull)
-	pcfg.RenameITREnabled = true
-	vcpu, err := pipeline.New(prog, pcfg)
-	if err != nil {
-		return false, false, false, false, false, fmt.Errorf("rename fault extension: %w", err)
-	}
-	vg := newGolden(prog)
-	vcpu.SetCommitObserver(vg.observe)
-	vcpu.SetRenameFaultHook(renameHook(inj))
-	vcpu.Run(cfg.WindowCycles)
-	rst := vcpu.RenameChecker().Stats()
-	detected = rst.Mismatches > 0
-	recovered = rst.Recoveries > 0
-	withSDC = vg.diverged
-	return withoutSDC, frontendDetected, detected, recovered, withSDC, nil
+	o, err := runRenameFault(&arena{prog: prog}, renamePasses(cfg), streamFor(prog), cfg.WindowCycles, inj)
+	return o.withoutSDC, o.frontendDetected, o.detected, o.recovered, o.withSDC, err
 }
 
-// RunRenameCampaign injects n randomized rename-index faults.
+// RunRenameCampaign injects n randomized rename-index faults, drawn up front
+// and run on the worker pool.
 func RunRenameCampaign(prog *program.Program, cfg Config, n int, seed uint64) (RenameCampaignResult, error) {
 	var res RenameCampaignResult
 	if n <= 0 {
 		return res, fmt.Errorf("rename campaign: non-positive count %d", n)
 	}
-	// Profile the decode-event space (as the main campaign does). The
-	// fault-free profiling trajectory is mode-independent.
-	prof, err := pipeline.New(prog, cfg.pipelineConfig(cfg.Pipeline.ITRMode))
+	// A profiling run in pass 1's configuration measures the decode-event
+	// space, as the main campaign's pilot does.
+	passes := renamePasses(cfg)
+	prof, err := pipeline.New(prog, passes[0].pcfg)
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("rename profile: %w", err)
 	}
 	prof.Run(cfg.WindowCycles)
 	space := prof.DecodeEvents()
@@ -127,32 +148,56 @@ func RunRenameCampaign(prog *program.Program, cfg Config, n int, seed uint64) (R
 
 	rng := stats.NewRNG(seed)
 	lo, hi := space/20, space/2
-	for i := 0; i < n; i++ {
-		inj := RenameInjection{
+	injs := make([]RenameInjection, n)
+	points := make([]int64, n)
+	for i := range injs {
+		injs[i] = RenameInjection{
 			DecodeIndex: lo + int64(rng.Uint64n(uint64(hi-lo))),
 			Operand:     rng.Intn(3),
 			Mask:        uint8(1 + rng.Intn(31)),
 		}
-		withoutSDC, fed, det, rec, withSDC, err := RunRenameFault(prog, cfg, inj)
+		points[i] = injs[i].DecodeIndex
+	}
+	if cfg.EffectiveSnapshotInterval() > 0 {
+		// One pilot per pass captures that pass's resume points; the two
+		// run side by side on the pool.
+		snaps, err := runPool(prog, 0, len(passes), func(_ *arena, i int) ([]*pipeline.Snapshot, error) {
+			cpu, err := pipeline.New(prog, passes[i].pcfg)
+			if err != nil {
+				return nil, fmt.Errorf("rename pilot: %w", err)
+			}
+			return pilotAt(cpu, cfg.WindowCycles, points, false), nil
+		})
 		if err != nil {
 			return res, err
 		}
+		passes[0].snaps, passes[1].snaps = snaps[0], snaps[1]
+	}
+
+	stream := pilotStream(prog, prof)
+	outs, err := runPool(prog, 0, n, func(a *arena, i int) (renameOutcome, error) {
+		return runRenameFault(a, passes, stream, cfg.WindowCycles, injs[i])
+	})
+	if err != nil {
+		return res, err
+	}
+	for _, o := range outs {
 		res.Total++
-		if withoutSDC {
+		if o.withoutSDC {
 			res.SDCWithoutExtension++
 		} else {
 			res.MaskedWithout++
 		}
-		if fed {
+		if o.frontendDetected {
 			res.FrontendDetected++
 		}
-		if det {
+		if o.detected {
 			res.DetectedWithExtension++
 		}
-		if rec {
+		if o.recovered {
 			res.RecoveredWithExtension++
 		}
-		if withSDC {
+		if o.withSDC {
 			res.SDCWithExtension++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"itr/internal/isa"
 	"itr/internal/pipeline"
 )
 
@@ -83,36 +84,41 @@ func TestCampaignSnapshotFastPathBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGoldenStreamMatchesLiveGolden: a cursor over the precomputed stream
-// reaches the same divergence verdicts as the live lockstep golden model.
+// TestGoldenStreamMatchesLiveGolden: the precomputed stream is exactly a
+// live fault-free execution, and a cursor over it flags divergence.
 func TestGoldenStreamMatchesLiveGolden(t *testing.T) {
 	p := testProgram(t)
 	s := NewGoldenStream(p)
 
-	// Replay the stream's own entries through both observers: no divergence.
-	g := newGolden(p)
-	cur := s.cursor(0)
-	view := s.ensure(499)
-	for _, e := range view[:500] {
-		g.observe(e.pc, &e.out)
+	// Every entry matches an independent step-by-step execution, and
+	// replaying the entries through a cursor never diverges.
+	live := isa.NewArchState()
+	live.PC = p.Entry
+	cur := &goldenCursor{s: s}
+	view := s.chunk(0)
+	for i, e := range view[:500] {
+		pc := live.PC
+		o := live.Step(p.Fetch(pc))
+		if e.pc != pc || !o.SameArchEffect(&e.out) {
+			t.Fatalf("entry %d: stream (pc %d, %+v), live (pc %d, %+v)", i, e.pc, e.out, pc, o)
+		}
 		cur.observe(e.pc, &e.out)
 	}
-	if g.diverged || cur.diverged {
-		t.Fatalf("fault-free replay diverged: live=%v cursor=%v", g.diverged, cur.diverged)
+	if cur.diverged {
+		t.Fatal("fault-free replay diverged")
 	}
 
-	// A wrong PC diverges both, stickily.
-	g2 := newGolden(p)
-	cur2 := s.cursor(0)
+	// A wrong PC diverges, stickily.
+	cur2 := &goldenCursor{s: s}
 	e := view[0]
-	g2.observe(e.pc+1, &e.out)
 	cur2.observe(e.pc+1, &e.out)
-	if !g2.diverged || !cur2.diverged {
-		t.Fatalf("PC mismatch not flagged: live=%v cursor=%v", g2.diverged, cur2.diverged)
+	cur2.observe(e.pc, &e.out)
+	if !cur2.diverged {
+		t.Fatal("PC mismatch not flagged")
 	}
 
 	// A corrupted outcome diverges the cursor mid-stream.
-	cur3 := s.cursor(100)
+	cur3 := &goldenCursor{s: s, idx: 100}
 	bad := view[100].out
 	bad.NextPC ^= 1
 	cur3.observe(view[100].pc, &bad)
@@ -121,15 +127,67 @@ func TestGoldenStreamMatchesLiveGolden(t *testing.T) {
 	}
 }
 
+// TestGoldenCursorCheckpointRewind drives a checkpointing machine's
+// take → diverge → rollback → take lifecycle through a cursor. Each rollback
+// must restore the (position, verdict) pair recorded at the last take, so the
+// re-executed commits are compared against the same entries again; this is
+// the bookkeeping the lockstep reference model did by snapshotting its
+// architectural state.
+func TestGoldenCursorCheckpointRewind(t *testing.T) {
+	p := testProgram(t)
+	s := NewGoldenStream(p)
+	view := s.chunk(0)
+	feed := func(c *goldenCursor, from, to int) {
+		for i := from; i < to; i++ {
+			c.observe(view[i].pc, &view[i].out)
+		}
+	}
+	cur := &goldenCursor{s: s}
+	feed(cur, 0, 40)
+	cur.checkpoint(true) // take at commit 40
+	if cur.idx != 40 || cur.diverged {
+		t.Fatalf("after take: idx %d diverged %v, want 40 false", cur.idx, cur.diverged)
+	}
+
+	// Diverge past the checkpoint: a corrupted commit 60 sticks.
+	feed(cur, 40, 60)
+	bad := view[60].out
+	bad.NextPC ^= 1
+	cur.observe(view[60].pc, &bad)
+	feed(cur, 61, 70)
+	if !cur.diverged || cur.idx != 61 {
+		t.Fatalf("after divergence: idx %d diverged %v, want 61 true", cur.idx, cur.diverged)
+	}
+
+	// Roll back: the machine re-executes from commit 40, cleanly this time.
+	cur.checkpoint(false)
+	if cur.idx != 40 || cur.diverged {
+		t.Fatalf("after rollback: idx %d diverged %v, want 40 false", cur.idx, cur.diverged)
+	}
+	feed(cur, 40, 100)
+	cur.checkpoint(true) // take at commit 100
+	if cur.idx != 100 || cur.diverged {
+		t.Fatalf("after second take: idx %d diverged %v, want 100 false", cur.idx, cur.diverged)
+	}
+
+	// A take recorded after divergence keeps the divergence across rollback.
+	cur.observe(view[100].pc+1, &view[100].out)
+	cur.checkpoint(true)
+	cur.checkpoint(false)
+	if !cur.diverged || cur.idx != 100 {
+		t.Fatalf("diverged take: idx %d diverged %v, want 100 true", cur.idx, cur.diverged)
+	}
+}
+
 // TestNearestSnapshotIdx pins the strictly-before selection rule: the chosen
 // snapshot must predate the injected decode event (equality is too late —
-// that decode already happened in the snapshot), or the run starts cold.
+// that decode already happened in it), or the run starts cold.
 func TestNearestSnapshotIdx(t *testing.T) {
-	snaps := []*pipeline.Snapshot{
+	rc := &replayContext{snaps: []*pipeline.Snapshot{
 		{DecodeEvents: 100},
 		{DecodeEvents: 200},
 		{DecodeEvents: 300},
-	}
+	}}
 	cases := []struct {
 		decodeIndex int64
 		want        int
@@ -143,11 +201,15 @@ func TestNearestSnapshotIdx(t *testing.T) {
 		{9999, 2}, // far past the last
 	}
 	for _, c := range cases {
-		if got := nearestSnapshotIdx(snaps, c.decodeIndex); got != c.want {
-			t.Errorf("nearestSnapshotIdx(%d) = %d, want %d", c.decodeIndex, got, c.want)
+		var want *pipeline.Snapshot
+		if c.want >= 0 {
+			want = rc.snaps[c.want]
+		}
+		if got := rc.before(byDecode, c.decodeIndex); got != want {
+			t.Errorf("before(%d) = %+v, want snapshot %d", c.decodeIndex, got, c.want)
 		}
 	}
-	if got := nearestSnapshotIdx(nil, 10); got != -1 {
-		t.Fatalf("empty slice: got %d, want -1", got)
+	if got := (&replayContext{}).before(byDecode, 10); got != nil {
+		t.Fatalf("no snapshots: got %+v, want cold", got)
 	}
 }

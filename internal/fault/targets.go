@@ -57,50 +57,87 @@ func (r PCFaultResult) Pct(o PCOutcome) float64 {
 	return 100 * float64(r.Counts[o]) / float64(r.Total)
 }
 
-// RunPCFault injects one fetch-PC bit flip at the given cycle and classifies
-// the outcome. The ITR checker runs in observe mode so the natural
-// consequence is visible alongside every check that fires.
-func RunPCFault(prog *program.Program, cfg Config, atCycle int64, bit int) (PCOutcome, error) {
-	pcfg := cfg.pipelineConfig(core.ModeObserve)
-	cpu, err := pipeline.New(prog, pcfg)
+// pcFault is one fetch-PC upset: flip bit at the first fetch at or after
+// cycle.
+type pcFault struct {
+	cycle int64
+	bit   int
+}
+
+// pcStudy is a PC-fault campaign's shared state. Its observe-mode pilot is
+// also the clean reference run: a faulty run counts as branch-repaired only
+// with more mispredicts than the pilot's fault-free window.
+type pcStudy struct {
+	pcfg   pipeline.Config
+	rc     *replayContext
+	ref    pipeline.Result
+	window int64
+}
+
+// newPCStudy runs the pilot, capturing a resume point just before each
+// fault unless snapshots are disabled.
+func newPCStudy(prog *program.Program, cfg Config, faults []pcFault) (*pcStudy, error) {
+	st := &pcStudy{pcfg: cfg.pipelineConfig(core.ModeObserve), rc: &replayContext{}, window: cfg.WindowCycles}
+	pilot, err := pipeline.New(prog, st.pcfg)
+	if err != nil {
+		return nil, fmt.Errorf("pc fault pilot: %w", err)
+	}
+	if cfg.EffectiveSnapshotInterval() > 0 {
+		points := make([]int64, len(faults))
+		for i, f := range faults {
+			points[i] = f.cycle
+		}
+		st.rc.snaps = pilotAt(pilot, st.window, points, true)
+	}
+	st.ref = pilot.Run(st.window - pilot.CycleCount())
+	st.rc.stream = pilotStream(prog, pilot)
+	return st, nil
+}
+
+// run injects f, resuming from the latest snapshot before the fault cycle.
+// The fault is scheduled after the restore, which overwrites the machine's
+// PC-fault schedule.
+func (s *pcStudy) run(a *arena, f pcFault) (PCOutcome, error) {
+	cpu, err := a.reset(s.pcfg, s.rc.before(byCycle, f.cycle))
 	if err != nil {
 		return "", fmt.Errorf("pc fault run: %w", err)
 	}
-	g := newGolden(prog)
-	cpu.SetCommitObserver(g.observe)
-	cpu.SchedulePCFault(atCycle, bit)
-
-	// Baseline repair count up to the injection point must be excluded:
-	// run a clean reference for the same window to measure the expected
-	// mispredict count.
-	ref, err := pipeline.New(prog, pcfg)
-	if err != nil {
-		return "", err
-	}
-	refRes := ref.Run(cfg.WindowCycles)
-
-	res := cpu.Run(cfg.WindowCycles)
-	detections := cpu.Detector().Detections()
+	cur := s.rc.stream.attach(cpu)
+	cpu.SchedulePCFault(f.cycle, f.bit)
+	res := cpu.Run(s.window - cpu.CycleCount())
 
 	switch {
-	case len(detections) > 0:
+	case len(cpu.Detector().Detections()) > 0:
 		return PCDetectedITR, nil
 	case res.Termination == pipeline.TermDeadlock:
 		return PCDeadlock, nil
 	case res.SpcFired > 0:
 		return PCDetectedSpc, nil
-	case !g.diverged && res.Mispredicts > refRes.Mispredicts:
+	case !cur.diverged && res.Mispredicts > s.ref.Mispredicts:
 		// Extra repair events relative to the fault-free run: the branch
 		// unit redirected the corrupted path and no damage remains.
 		return PCDetectedBranch, nil
-	case g.diverged:
+	case cur.diverged:
 		return PCUndetectedSDC, nil
 	default:
 		return PCMasked, nil
 	}
 }
 
-// RunPCFaultCampaign injects n randomized PC faults.
+// RunPCFault injects one fetch-PC bit flip at the given cycle and classifies
+// the outcome. The ITR checker runs in observe mode so the natural
+// consequence is visible alongside every check that fires.
+func RunPCFault(prog *program.Program, cfg Config, atCycle int64, bit int) (PCOutcome, error) {
+	f := pcFault{cycle: atCycle, bit: bit}
+	st, err := newPCStudy(prog, cfg, []pcFault{f})
+	if err != nil {
+		return "", err
+	}
+	return st.run(&arena{prog: prog}, f)
+}
+
+// RunPCFaultCampaign injects n randomized PC faults, drawn up front and run
+// on the worker pool.
 func RunPCFaultCampaign(prog *program.Program, cfg Config, n int, seed uint64) (PCFaultResult, error) {
 	res := PCFaultResult{Counts: make(map[PCOutcome]int)}
 	if n <= 0 {
@@ -110,13 +147,20 @@ func RunPCFaultCampaign(prog *program.Program, cfg Config, n int, seed uint64) (
 	// Flips within the image dominate; one extra bit allows out-of-image
 	// excursions (fetching past the image returns halts).
 	bitRange := bits.Len64(uint64(prog.Len())) + 1
-	for i := 0; i < n; i++ {
-		bit := rng.Intn(bitRange)
-		cycle := 1 + int64(rng.Uint64n(uint64(cfg.WindowCycles/2)))
-		out, err := RunPCFault(prog, cfg, cycle, bit)
-		if err != nil {
-			return res, err
-		}
+	faults := make([]pcFault, n)
+	for i := range faults {
+		faults[i].bit = rng.Intn(bitRange)
+		faults[i].cycle = 1 + int64(rng.Uint64n(uint64(cfg.WindowCycles/2)))
+	}
+	st, err := newPCStudy(prog, cfg, faults)
+	if err != nil {
+		return res, err
+	}
+	outs, err := runPool(prog, 0, n, func(a *arena, i int) (PCOutcome, error) { return st.run(a, faults[i]) })
+	if err != nil {
+		return res, err
+	}
+	for _, out := range outs {
 		res.Total++
 		res.Counts[out]++
 	}
@@ -152,61 +196,116 @@ type CacheFaultResult struct {
 	SDC int
 }
 
-// RunCacheFault corrupts one resident ITR cache line mid-run and classifies
-// the consequence. parity selects whether the Section 2.4 protection is on.
-func RunCacheFault(prog *program.Program, cfg Config, parity bool, warmCycles int64, pick uint64, bit int) (CacheFaultOutcome, bool, error) {
-	if name := detect.Canonical(cfg.Pipeline.Detector); name != detect.NameITR {
-		return "", false, fmt.Errorf("cache fault study targets the ITR signature cache; detector backend %q has none", name)
-	}
-	pcfg := cfg.pipelineConfig(core.ModeFull)
-	pcfg.ITR.Parity = parity
-	cpu, err := pipeline.New(prog, pcfg)
-	if err != nil {
-		return "", false, fmt.Errorf("cache fault run: %w", err)
-	}
-	g := newGolden(prog)
-	cpu.SetCommitObserver(g.observe)
+// cacheStudy is an ITR-cache fault campaign's shared state: one parity
+// setting's machine configuration and, unless snapshots are disabled, the
+// warm machine every injection resumes from.
+type cacheStudy struct {
+	pcfg       pipeline.Config
+	warmCycles int64
+	warm       *pipeline.Snapshot
+	stream     *GoldenStream
+	window     int64
+}
 
-	// Warm the ITR cache, then flip one bit of one resident signature.
-	cpu.Run(warmCycles)
+func newCacheStudy(prog *program.Program, cfg Config, parity bool, warmCycles int64) (*cacheStudy, error) {
+	if name := detect.Canonical(cfg.Pipeline.Detector); name != detect.NameITR {
+		return nil, fmt.Errorf("cache fault study targets the ITR signature cache; detector backend %q has none", name)
+	}
+	st := &cacheStudy{pcfg: cfg.pipelineConfig(core.ModeFull), warmCycles: warmCycles, stream: streamFor(prog), window: cfg.WindowCycles}
+	st.pcfg.ITR.Parity = parity
+	if cfg.EffectiveSnapshotInterval() > 0 {
+		pilot, err := pipeline.New(prog, st.pcfg)
+		if err != nil {
+			return nil, fmt.Errorf("cache fault pilot: %w", err)
+		}
+		pilot.Run(warmCycles)
+		st.warm = pilot.Snapshot()
+	}
+	return st, nil
+}
+
+// cacheFault is one stored-signature upset: flip bit of the pick-th resident
+// line (mod the resident count) once the cache is warm.
+type cacheFault struct {
+	pick uint64
+	bit  int
+}
+
+// cacheOutcome is one cache fault's verdict; sdc reports whether
+// architectural state diverged.
+type cacheOutcome struct {
+	out CacheFaultOutcome
+	sdc bool
+}
+
+func (s *cacheStudy) run(a *arena, f cacheFault) (cacheOutcome, error) {
+	cpu, err := a.reset(s.pcfg, s.warm)
+	if err != nil {
+		return cacheOutcome{}, fmt.Errorf("cache fault run: %w", err)
+	}
+	cur := s.stream.attach(cpu)
+	if s.warm == nil {
+		cpu.Run(s.warmCycles)
+	}
 	var lines []*cache.Line
 	cpu.Checker().Cache().Visit(func(ln *cache.Line) { lines = append(lines, ln) })
 	if len(lines) == 0 {
-		return "", false, fmt.Errorf("cache fault: no resident lines after %d warm cycles", warmCycles)
+		return cacheOutcome{}, fmt.Errorf("cache fault: no resident lines after %d warm cycles", s.warmCycles)
 	}
-	victim := lines[pick%uint64(len(lines))]
-	victim.Value ^= 1 << uint(bit&63)
+	lines[f.pick%uint64(len(lines))].Value ^= 1 << uint(f.bit&63)
 
-	res := cpu.Run(cfg.WindowCycles)
-	st := cpu.Checker().Stats()
-
-	var out CacheFaultOutcome
+	res := cpu.Run(s.window)
+	out := CacheMasked
 	switch {
-	case st.ParityRecovers > 0:
+	case cpu.Checker().Stats().ParityRecovers > 0:
 		out = CacheParityRepaired
 	case res.Termination == pipeline.TermMachineCheck:
 		out = CacheFalseMachineCheck
-	default:
-		out = CacheMasked
 	}
-	return out, g.diverged, nil
+	return cacheOutcome{out, cur.diverged}, nil
 }
 
-// RunCacheFaultCampaign injects n randomized ITR-cache line faults.
+// RunCacheFault corrupts one resident ITR cache line after warmCycles and
+// classifies the consequence. parity selects whether the Section 2.4
+// protection is on.
+func RunCacheFault(prog *program.Program, cfg Config, parity bool, warmCycles int64, pick uint64, bit int) (CacheFaultOutcome, bool, error) {
+	st, err := newCacheStudy(prog, cfg, parity, warmCycles)
+	if err != nil {
+		return "", false, err
+	}
+	o, err := st.run(&arena{prog: prog}, cacheFault{pick, bit})
+	return o.out, o.sdc, err
+}
+
+// cacheWarmCycles is the warm-up before a randomized cache fault: a quarter
+// of the window, at least 1000 cycles.
+func cacheWarmCycles(cfg Config) int64 { return max(cfg.WindowCycles/4, 1000) }
+
+// RunCacheFaultCampaign injects n randomized ITR-cache line faults, drawn up
+// front and run on the worker pool.
 func RunCacheFaultCampaign(prog *program.Program, cfg Config, parity bool, n int, seed uint64) (CacheFaultResult, error) {
 	res := CacheFaultResult{Counts: make(map[CacheFaultOutcome]int)}
 	if n <= 0 {
 		return res, fmt.Errorf("cache fault campaign: non-positive count %d", n)
 	}
 	rng := stats.NewRNG(seed)
-	for i := 0; i < n; i++ {
-		out, sdc, err := RunCacheFaultCase(prog, cfg, parity, rng)
-		if err != nil {
-			return res, err
-		}
+	faults := make([]cacheFault, n)
+	for i := range faults {
+		faults[i].pick = rng.Uint64()
+		faults[i].bit = rng.Intn(64)
+	}
+	st, err := newCacheStudy(prog, cfg, parity, cacheWarmCycles(cfg))
+	if err != nil {
+		return res, err
+	}
+	outs, err := runPool(prog, 0, n, func(a *arena, i int) (cacheOutcome, error) { return st.run(a, faults[i]) })
+	if err != nil {
+		return res, err
+	}
+	for _, o := range outs {
 		res.Total++
-		res.Counts[out]++
-		if sdc {
+		res.Counts[o.out]++
+		if o.sdc {
 			res.SDC++
 		}
 	}
@@ -215,9 +314,5 @@ func RunCacheFaultCampaign(prog *program.Program, cfg Config, parity bool, n int
 
 // RunCacheFaultCase draws one randomized cache-fault experiment.
 func RunCacheFaultCase(prog *program.Program, cfg Config, parity bool, rng *stats.RNG) (CacheFaultOutcome, bool, error) {
-	warm := cfg.WindowCycles / 4
-	if warm < 1000 {
-		warm = 1000
-	}
-	return RunCacheFault(prog, cfg, parity, warm, rng.Uint64(), rng.Intn(64))
+	return RunCacheFault(prog, cfg, parity, cacheWarmCycles(cfg), rng.Uint64(), rng.Intn(64))
 }

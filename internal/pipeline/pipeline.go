@@ -213,7 +213,7 @@ func (c Config) normalize() Config {
 // (campaigns ignore wrongPath; targeted tests may gate on it).
 type FaultHook func(decodeIndex int64, pc uint64, wrongPath bool, d isa.DecodeSignals) isa.DecodeSignals
 
-// CommitObserver sees every committed instruction in order (golden lockstep
+// CommitObserver sees every committed instruction in order (golden-stream
 // comparison attaches here). The outcome pointer aliases pipeline-internal
 // storage and is valid only for the duration of the call: observers that
 // retain the outcome must copy it.
@@ -473,8 +473,8 @@ func (c *CPU) SetCommitObserver(o CommitObserver) { c.observer = o }
 
 // CheckpointObserver is notified of checkpoint lifecycle events:
 // taken == true when a checkpoint is established, taken == false when the
-// machine rolls back to it. Golden lockstep comparators use this to keep a
-// matching snapshot of the reference state.
+// machine rolls back to it. Golden-stream comparators use this to rewind
+// their position in the reference alongside the machine.
 type CheckpointObserver func(taken bool)
 
 // SetCheckpointObserver installs the checkpoint lifecycle observer.
