@@ -735,52 +735,17 @@ func BenchmarkTraceStream(b *testing.B) {
 	}
 }
 
-// sweepEngineBench runs the full 16-benchmark x 18-configuration design-space
-// sweep at the given worker-pool width through the per-cell reference path
-// (one stream traversal per cell) — the baseline the single-pass engine is
-// measured against.
-func sweepEngineBench(b *testing.B, workers int) {
-	eng := &report.Engine{Workers: workers}
-	// One untimed sweep first: event streams are memoized per benchmark, so
-	// this pins the measurement to the replay engine rather than charging
-	// whichever variant runs first for one-time event generation.
-	if _, err := eng.CoverageSweepWarmPerCell(workload.Suite(), core.DesignSpace(), benchBudget, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cells, err := eng.CoverageSweepWarmPerCell(workload.Suite(), core.DesignSpace(), benchBudget, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(cells) != len(workload.Suite())*len(core.DesignSpace()) {
-			b.Fatalf("sweep returned %d cells", len(cells))
-		}
-	}
-}
-
-// BenchmarkCoverageSweepSerial is the per-cell design-space sweep pinned to
-// one worker — the regression baseline for the single-core replay hot path
-// and the reference BenchmarkCoverageSweepSinglePass is compared against.
-func BenchmarkCoverageSweepSerial(b *testing.B) { sweepEngineBench(b, 1) }
-
-// BenchmarkCoverageSweepParallel is the same per-cell sweep on the default
-// pool (GOMAXPROCS workers); on a multi-core host the speedup over Serial is
-// the parallel engine's contribution, and results are bit-identical either
-// way.
-func BenchmarkCoverageSweepParallel(b *testing.B) { sweepEngineBench(b, 0) }
-
-// BenchmarkCoverageSweepSinglePass is the production sweep path: one stream
-// traversal per benchmark fanning out to all 18 configurations through a
-// core.SimBank, pinned to one worker so the win over
-// BenchmarkCoverageSweepSerial is pure traversal reduction, not parallelism.
-// Cells are bit-identical to the per-cell reference
+// BenchmarkCoverageSweepSinglePass is the production sweep path, pinned to
+// one worker: each benchmark's stream is generated block by block and fanned
+// out to all 18 configurations through a core.SimBank, so every op includes
+// stream generation. Cells are bit-identical to a per-cell replay
 // (TestSweepSinglePassMatchesPerCell).
 func BenchmarkCoverageSweepSinglePass(b *testing.B) {
 	eng := &report.Engine{Workers: 1}
-	if _, err := eng.CoverageSweepWarm(workload.Suite(), core.DesignSpace(), benchBudget, 0); err != nil {
-		b.Fatal(err)
+	for _, p := range workload.Suite() {
+		if _, err := workload.CachedProgram(p); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -110,14 +110,12 @@ func printBaselines(e *Engine, budget, scale int64) error {
 		if err != nil {
 			return err
 		}
-		info, err := workload.StreamEvents(p, p.ScaledBudget(budget), bank.Feed)
+		info, err := workload.StreamEventSlices(p, p.ScaledBudget(budget), bank.FeedBlock)
 		if err != nil {
 			return err
 		}
 		executed := info.Insts
-		if info.Generated {
-			e.sweep.StreamsGenerated.Add(1)
-		}
+		e.sweep.StreamsGenerated.Add(1)
 		e.sweep.EventsReplayed.Add(info.Events)
 		e.sweep.CellsCompleted.Add(int64(bank.Len()))
 		rescale := func(res core.Result) core.Result {

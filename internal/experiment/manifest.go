@@ -106,9 +106,10 @@ type Telemetry struct {
 	SnapshotPagesShared int64 `json:"snapshotPagesShared,omitempty"`
 	SnapshotPagesCopied int64 `json:"snapshotPagesCopied,omitempty"`
 	SnapshotBytesCopied int64 `json:"snapshotBytesCopied,omitempty"`
-	// StreamsGenerated counts functional event-stream generations (workload
-	// cache misses); EventsReplayed counts trace events traversed by the
-	// sweep engine (one count per stream pass, however many cache
+	// StreamsGenerated counts functional event-stream generations (one per
+	// benchmark per sweep or energy pass; a run's characterization figures
+	// share one per benchmark); EventsReplayed counts trace events traversed
+	// by the sweep engine (one count per stream pass, however many cache
 	// configurations fan out from it); SweepCells counts completed
 	// (benchmark, configuration) sweep cells.
 	StreamsGenerated int64 `json:"streamsGenerated,omitempty"`

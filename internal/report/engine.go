@@ -5,13 +5,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"itr/internal/trace"
 )
 
 // Engine runs report entry points on an explicitly configured worker pool.
 // The zero value is ready to use: a full-width pool (GOMAXPROCS) with no
-// observer. Engines carry no mutable state, so one engine may serve many
-// concurrent callers and two engines never interfere — worker width is
-// per-engine configuration, not process-global.
+// observer. Its only mutable state is the characterization memo, which is
+// safe for concurrent use, so one engine may serve many concurrent callers;
+// two engines never interfere — worker width is per-engine configuration,
+// not process-global. An Engine must not be copied after first use.
 type Engine struct {
 	// Workers bounds the pool width; <= 0 means GOMAXPROCS. Output is
 	// deterministic regardless of the width: results are written into
@@ -28,6 +31,40 @@ type Engine struct {
 	// events replayed, cells completed) across every entry point run on this
 	// engine. Updated concurrently from pool goroutines.
 	Probe *Probe
+
+	charMu sync.Mutex
+	chars  map[charKey]*charEntry // see Characterization
+}
+
+// charKey identifies one memoized characterization: a benchmark at a scaled
+// instruction budget.
+type charKey struct {
+	name   string
+	budget int64
+}
+
+// charEntry is one memoized characterization, computed once.
+type charEntry struct {
+	once sync.Once
+	c    *trace.Characterizer
+	err  error
+}
+
+// charMemo returns (creating if needed) the memo entry for k. The engine
+// lock covers only the lookup; the characterization itself runs under the
+// entry's once, so different benchmarks characterize in parallel.
+func (e *Engine) charMemo(k charKey) *charEntry {
+	e.charMu.Lock()
+	defer e.charMu.Unlock()
+	if e.chars == nil {
+		e.chars = make(map[charKey]*charEntry)
+	}
+	m := e.chars[k]
+	if m == nil {
+		m = &charEntry{}
+		e.chars[k] = m
+	}
+	return m
 }
 
 // workers resolves the effective pool width.
@@ -98,5 +135,5 @@ func (e *Engine) forEach(n int, fn func(i int) error) error {
 }
 
 // defaultEngine backs the package-level convenience wrappers: full-width
-// pool, no observer.
+// pool, no observer. Its characterization memo lives for the process.
 var defaultEngine = &Engine{}

@@ -13,9 +13,9 @@ import (
 // updated concurrently from pool goroutines and may be read while a run is
 // in flight.
 type Probe struct {
-	// StreamsGenerated counts functional event-stream generations (workload
-	// cache misses). Memoization working means this stays at one per
-	// (benchmark, covering budget) no matter how many sweeps replay it.
+	// StreamsGenerated counts functional event-stream generations: one per
+	// benchmark per sweep or energy run, and one per benchmark and budget
+	// for all of an engine's characterization figures together.
 	StreamsGenerated obs.Counter
 	// EventsReplayed counts trace events traversed (each event is counted
 	// once per stream pass, regardless of how many cache configurations the
@@ -32,9 +32,7 @@ func (e *Engine) observe(info workload.StreamInfo) {
 	if e.Probe == nil {
 		return
 	}
-	if info.Generated {
-		e.Probe.StreamsGenerated.Add(1)
-	}
+	e.Probe.StreamsGenerated.Add(1)
 	e.Probe.EventsReplayed.Add(info.Events)
 }
 

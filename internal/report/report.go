@@ -28,19 +28,31 @@ import (
 	"itr/internal/workload"
 )
 
-// Characterization runs one benchmark's trace characterization at the given
-// base budget (scaled per profile). The characterizer is driven from the
-// shared memoized event stream, so the four characterization figures,
-// Table 1 and the coverage sweeps at the same budget pay for functional
-// execution once between them.
+// Characterization returns one benchmark's trace characterization at the
+// given base budget (scaled per profile). The engine memoizes the result per
+// (benchmark, scaled budget): the first request streams the benchmark once,
+// and every later one — the other characterization figures and Table 1 —
+// shares the same read-only *trace.Characterizer instead of executing the
+// program again. A characterizer is small (one entry per static trace), so
+// it, not the event stream, is what gets reused.
 func (e *Engine) Characterization(p workload.Profile, budget int64) (*trace.Characterizer, error) {
-	c := trace.NewCharacterizer()
-	info, err := workload.StreamEvents(p, p.ScaledBudget(budget), func(ev trace.Event) { c.Add(ev) })
-	if err != nil {
-		return nil, err
-	}
-	e.observe(info)
-	return c, nil
+	budget = p.ScaledBudget(budget)
+	m := e.charMemo(charKey{p.Name, budget})
+	m.once.Do(func() {
+		c := trace.NewCharacterizer()
+		info, err := workload.StreamEventSlices(p, budget, func(evs []trace.Event) {
+			for _, ev := range evs {
+				c.Add(ev)
+			}
+		})
+		if err != nil {
+			m.err = err
+			return
+		}
+		e.observe(info)
+		m.c = c
+	})
+	return m.c, m.err
 }
 
 // Characterization runs on the default engine.
@@ -173,12 +185,12 @@ func CoverageSweep(profiles []workload.Profile, configs []core.Config, budget in
 //
 // Each benchmark is one unit of work on the report worker pool: a
 // core.SimBank holding every configuration is driven in lockstep from a
-// single traversal of the benchmark's event stream (straight from
-// trace.Stream on a workload-cache miss, replayed from the memo cache
-// otherwise), instead of one traversal per configuration. Results are
-// slotted by index, so the returned cell order (suite order, then config
-// order) and every value are bit-identical to the per-cell reference path
-// (CoverageSweepWarmPerCell) at any pool width.
+// single traversal of the benchmark's event stream, generated block by
+// block as the program executes (workload.StreamEventSlices), instead of one
+// traversal per configuration. Memory therefore stays flat as the budget
+// grows. Results are slotted by index, so the returned cell order (suite
+// order, then config order) and every value are bit-identical to one
+// coverage simulator per cell replaying the whole stream, at any pool width.
 func (e *Engine) CoverageSweepWarm(profiles []workload.Profile, configs []core.Config, budget, warmupInsts int64) ([]CoverageCell, error) {
 	cells := make([]CoverageCell, len(profiles)*len(configs))
 	err := e.forEach(len(profiles), func(pi int) error {
@@ -209,63 +221,6 @@ func (e *Engine) CoverageSweepWarm(profiles []workload.Profile, configs []core.C
 // CoverageSweepWarm runs on the default engine (full-width pool).
 func CoverageSweepWarm(profiles []workload.Profile, configs []core.Config, budget, warmupInsts int64) ([]CoverageCell, error) {
 	return defaultEngine.CoverageSweepWarm(profiles, configs, budget, warmupInsts)
-}
-
-// CoverageSweepWarmPerCell is the pre-bank reference implementation of the
-// sweep: event streams materialized per benchmark, then one full stream
-// traversal per (benchmark, configuration) cell. It is retained as the
-// oracle for the single-pass path's bit-identity property tests and as the
-// regression baseline (BenchmarkCoverageSweepSerial); CoverageSweepWarm
-// returns identical cells from one traversal per benchmark.
-func (e *Engine) CoverageSweepWarmPerCell(profiles []workload.Profile, configs []core.Config, budget, warmupInsts int64) ([]CoverageCell, error) {
-	streams := make([][]trace.Event, len(profiles))
-	err := e.forEach(len(profiles), func(pi int) error {
-		p := profiles[pi]
-		return e.item(p.Name, func() error {
-			events, err := workload.CachedEvents(p, p.ScaledBudget(budget)+warmupInsts)
-			if err != nil {
-				return fmt.Errorf("%s: %w", p.Name, err)
-			}
-			streams[pi] = events
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	cells := make([]CoverageCell, len(profiles)*len(configs))
-	err = e.forEach(len(cells), func(i int) error {
-		pi, ci := i/len(configs), i%len(configs)
-		p, cfg := profiles[pi], configs[ci]
-		return e.item(p.Name, func() error {
-			sim, err := core.NewCoverageSim(cfg)
-			if err != nil {
-				return fmt.Errorf("%s %s: %w", p.Name, cfg, err)
-			}
-			replayWarm(sim, streams[pi], warmupInsts)
-			cells[i] = CoverageCell{Benchmark: p.Name, Config: cfg, Result: sim.Result()}
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
-
-// replayWarm drives one coverage simulator over a shared (read-only) event
-// stream, delegating the warm-up boundary rule to the same core.WarmupLatch
-// that governs SimBank fan-out — the two replay paths cannot diverge.
-func replayWarm(sim *core.CoverageSim, events []trace.Event, warmupInsts int64) {
-	latch := core.NewWarmupLatch(warmupInsts)
-	for _, ev := range events {
-		if latch.Admit(ev.Len) {
-			sim.Warm(ev)
-		} else {
-			sim.Access(ev)
-		}
-	}
 }
 
 // CoverageTable renders a Figures 6/7-shaped table: one row per
@@ -445,10 +400,9 @@ type Figure9Row struct {
 // (pass 200e6 to match the paper's 200M-instruction windows; 0 disables
 // scaling).
 //
-// The access counts come from a default-configuration coverage sweep over
-// the shared memoized event streams — the same replay (and the same sweep
-// cell) the Figures 6-7 design space contains — instead of a private
-// re-simulation per benchmark. A trace event stream partitions every
+// The access counts come from a default-configuration coverage sweep — the
+// same replay (and the same sweep cell) the Figures 6-7 design space
+// contains — instead of a private re-simulation per benchmark. A trace event stream partitions every
 // executed instruction into exactly one event, so the measured dynamic
 // instruction count is the replay's TotalInsts.
 func (e *Engine) Figure9(profiles []workload.Profile, budget, scaleInsts int64) ([]Figure9Row, error) {

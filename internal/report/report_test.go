@@ -1,11 +1,14 @@
 package report
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"itr/internal/core"
 	"itr/internal/fault"
+	"itr/internal/trace"
 	"itr/internal/workload"
 )
 
@@ -205,5 +208,106 @@ func TestSortCellsByBenchmark(t *testing.T) {
 	}
 	if cells[2].Benchmark != "vpr" {
 		t.Fatalf("fa must sort last: %+v", cells)
+	}
+}
+
+// TestCharacterizationMemoSharedAcrossStages runs the five characterization
+// stages of `itr char` (Figures 1-4 and Table 1) on one engine: each
+// benchmark is streamed once in total, every stage is served the same
+// *trace.Characterizer the first one built, and that characterizer equals a
+// fresh characterization of the benchmark.
+func TestCharacterizationMemoSharedAcrossStages(t *testing.T) {
+	const budget = 50_000
+	probe := &Probe{}
+	eng := &Engine{Workers: 2, Probe: probe}
+	memo := func() map[charKey]*trace.Characterizer {
+		out := make(map[charKey]*trace.Characterizer)
+		for k, m := range eng.chars {
+			out[k] = m.c
+		}
+		return out
+	}
+
+	if _, err := eng.PopularityFigure(workload.IntSuite(), 100, 1000, budget); err != nil {
+		t.Fatal(err)
+	}
+	first := memo()
+	if len(first) != len(workload.IntSuite()) {
+		t.Fatalf("figure 1 memoized %d characterizations, want %d", len(first), len(workload.IntSuite()))
+	}
+	stages := []func() error{
+		func() error { _, err := eng.PopularityFigure(workload.FPSuite(), 50, 500, budget); return err },
+		func() error { _, err := eng.DistanceFigure(workload.IntSuite(), budget); return err },
+		func() error { _, err := eng.DistanceFigure(workload.FPSuite(), budget); return err },
+		func() error { _, err := eng.Table1(budget); return err },
+	}
+	for _, stage := range stages {
+		if err := stage(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	suite := workload.Suite()
+	if got := probe.StreamsGenerated.Load(); got != int64(len(suite)) {
+		t.Errorf("five stages generated %d streams, want one per benchmark (%d)", got, len(suite))
+	}
+	all := memo()
+	if len(all) != len(suite) {
+		t.Errorf("memo holds %d characterizations, want %d", len(all), len(suite))
+	}
+	for k, c := range first {
+		if all[k] != c {
+			t.Errorf("%s: a later stage replaced figure 1's characterizer", k.name)
+		}
+	}
+	for _, p := range suite {
+		c, err := eng.Characterization(p, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c != all[charKey{p.Name, p.ScaledBudget(budget)}] {
+			t.Errorf("%s: Characterization returned a characterizer outside the memo", p.Name)
+		}
+		prog, err := workload.CachedProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := trace.Characterize(prog, p.ScaledBudget(budget))
+		if !reflect.DeepEqual(c, fresh) {
+			t.Errorf("%s: memoized characterization differs from a fresh one", p.Name)
+		}
+	}
+	if got := probe.StreamsGenerated.Load(); got != int64(len(suite)) {
+		t.Errorf("repeat requests generated %d more streams", got-int64(len(suite)))
+	}
+}
+
+// TestCharacterizationMemoConcurrent: concurrent requests for one benchmark
+// and budget share a single stream pass and receive the same characterizer.
+func TestCharacterizationMemoConcurrent(t *testing.T) {
+	p := small(t, "vpr")[0]
+	probe := &Probe{}
+	eng := &Engine{Probe: probe}
+	const callers = 8
+	got := make([]*trace.Characterizer, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := eng.Characterization(p, 20_000)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = c
+		}(i)
+	}
+	wg.Wait()
+	for i, c := range got {
+		if c == nil || c != got[0] {
+			t.Fatalf("caller %d got characterizer %p, caller 0 got %p", i, c, got[0])
+		}
+	}
+	if n := probe.StreamsGenerated.Load(); n != 1 {
+		t.Errorf("%d concurrent callers generated %d streams, want 1", callers, n)
 	}
 }

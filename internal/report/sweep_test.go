@@ -1,14 +1,59 @@
 package report
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"itr/internal/core"
 	"itr/internal/energy"
+	"itr/internal/trace"
 	"itr/internal/workload"
 )
+
+// sweepPerCell is the reference sweep the single-pass engine must match:
+// each benchmark's event stream materialized whole, then one standalone
+// coverage simulator per (benchmark, configuration) cell replaying all of
+// it. Cells come back in CoverageSweepWarm's order (suite order, then config
+// order).
+func sweepPerCell(e *Engine, profiles []workload.Profile, configs []core.Config, budget, warmupInsts int64) ([]CoverageCell, error) {
+	cells := make([]CoverageCell, len(profiles)*len(configs))
+	err := e.forEach(len(profiles), func(pi int) error {
+		p := profiles[pi]
+		events, err := workload.CachedEvents(p, p.ScaledBudget(budget)+warmupInsts)
+		if err != nil {
+			return fmt.Errorf("%s: %w", p.Name, err)
+		}
+		for ci, cfg := range configs {
+			sim, err := core.NewCoverageSim(cfg)
+			if err != nil {
+				return fmt.Errorf("%s %s: %w", p.Name, cfg, err)
+			}
+			replayWarm(sim, events, warmupInsts)
+			cells[pi*len(configs)+ci] = CoverageCell{Benchmark: p.Name, Config: cfg, Result: sim.Result()}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cells, nil
+}
+
+// replayWarm drives one coverage simulator over an event stream, delegating
+// the warm-up boundary rule to the same core.WarmupLatch that governs
+// SimBank fan-out — the two replay paths cannot diverge.
+func replayWarm(sim *core.CoverageSim, events []trace.Event, warmupInsts int64) {
+	latch := core.NewWarmupLatch(warmupInsts)
+	for _, ev := range events {
+		if latch.Admit(ev.Len) {
+			sim.Warm(ev)
+		} else {
+			sim.Access(ev)
+		}
+	}
+}
 
 // TestSweepSinglePassMatchesPerCell is the sweep engine's bit-identity
 // property: the single-pass bank path returns exactly the cells the per-cell
@@ -33,7 +78,7 @@ func TestSweepSinglePassMatchesPerCell(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perCell, err := eng.CoverageSweepWarmPerCell(profiles, configs, testBudget, warmup)
+		perCell, err := sweepPerCell(eng, profiles, configs, testBudget, warmup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +116,7 @@ func TestSweepRenderingIdenticalAcrossPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := wide.CoverageSweepWarmPerCell(profiles, configs, testBudget, 5_000)
+	c, err := sweepPerCell(wide, profiles, configs, testBudget, 5_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +173,10 @@ func TestFigure9MatchesDirectSimulation(t *testing.T) {
 	}
 }
 
-// TestSweepProbeTelemetry verifies the probe accounting: streams generate at
-// most once per (benchmark, budget), every traversal counts its events, and
-// each (benchmark, config) cell is recorded.
+// TestSweepProbeTelemetry verifies the probe accounting: every sweep
+// generates each benchmark's stream exactly once (streams are not memoized,
+// so a repeat sweep generates them again), every traversal counts its events,
+// and each (benchmark, config) cell is recorded.
 func TestSweepProbeTelemetry(t *testing.T) {
 	profiles := small(t, "gap", "mgrid")
 	configs := core.DesignSpace()[:4]
@@ -143,21 +189,24 @@ func TestSweepProbeTelemetry(t *testing.T) {
 	if got, want := probe.CellsCompleted.Load(), int64(len(cells)); got != want {
 		t.Errorf("cells completed %d, want %d", got, want)
 	}
-	if probe.EventsReplayed.Load() <= 0 {
+	events := probe.EventsReplayed.Load()
+	if events <= 0 {
 		t.Error("no events accounted")
 	}
-	gens := probe.StreamsGenerated.Load()
-	if gens > int64(len(profiles)) {
-		t.Errorf("%d generations for %d benchmarks", gens, len(profiles))
+	if got := probe.StreamsGenerated.Load(); got != int64(len(profiles)) {
+		t.Errorf("%d generations for %d benchmarks", got, len(profiles))
 	}
 
-	// A second sweep at the same budget replays from cache: cells and events
-	// accrue, generations do not.
+	// A second sweep at the same budget generates and traverses each stream
+	// once more.
 	if _, err := eng.CoverageSweepWarm(profiles, configs, testBudget, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := probe.StreamsGenerated.Load(); got != gens {
-		t.Errorf("repeat sweep generated %d new streams", got-gens)
+	if got, want := probe.StreamsGenerated.Load(), int64(2*len(profiles)); got != want {
+		t.Errorf("%d generations after the repeat sweep, want %d", got, want)
+	}
+	if got := probe.EventsReplayed.Load(); got != 2*events {
+		t.Errorf("events replayed %d after the repeat sweep, want %d", got, 2*events)
 	}
 	if got, want := probe.CellsCompleted.Load(), int64(2*len(cells)); got != want {
 		t.Errorf("cells completed %d after second sweep, want %d", got, want)

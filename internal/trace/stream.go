@@ -5,26 +5,36 @@ import (
 	"itr/internal/program"
 )
 
-// Stream functionally executes p for at most limit dynamic instructions,
-// forming traces and invoking fn for each completed trace event (including a
-// final partial trace at program end). Returning false from fn stops the
-// run. It returns the number of dynamic instructions executed.
+// Stream functionally executes p from its entry for at most limit dynamic
+// instructions (limit <= 0 means until it halts), forming traces and invoking
+// fn for each completed trace event (including a final partial trace when
+// the run ends mid-trace). Returning false from fn stops the run. It returns
+// the number of dynamic instructions executed.
+//
+// Execution, trace formation and delivery share one loop: each instruction
+// executes into a reused Outcome straight from the decode table, and only a
+// trace-terminating instruction calls out, to fn.
 func Stream(p *program.Program, limit int64, fn func(Event) bool) int64 {
 	tab := p.DecodeTable()
+	st := isa.NewArchState()
+	st.PC = p.Entry
 	var former Former
-	stop := false
-	executed, _ := program.Run(p, limit, func(pc uint64, _ isa.Instruction, o isa.Outcome) bool {
-		ev, done := former.StepWord(pc, tab.Word(pc))
-		if done && !fn(ev) {
-			stop = true
-			return false
+	var o isa.Outcome
+	executed := int64(0)
+	for limit <= 0 || executed < limit {
+		pc := st.PC
+		st.ExecInto(&o, tab.Signals(pc), pc)
+		st.ApplyRef(&o)
+		executed++
+		if w := tab.Word(pc); former.StepTerm(pc, w) && !fn(former.Take(w)) {
+			return executed
 		}
-		return true
-	})
-	if !stop {
-		if ev, ok := former.Flush(); ok {
-			fn(ev)
+		if o.Halt {
+			break
 		}
+	}
+	if ev, ok := former.Flush(); ok {
+		fn(ev)
 	}
 	return executed
 }

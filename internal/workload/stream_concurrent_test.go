@@ -1,23 +1,27 @@
 package workload
 
 import (
+	"reflect"
 	"sync"
 	"testing"
+
+	"itr/internal/trace"
 )
 
-// TestCachedConcurrent hammers the memoization cache from many goroutines —
-// several benchmarks, each requested by several callers — the access pattern
-// of the parallel sweep engine. Run under -race (CI does): it must be free
-// of data races, every caller must observe the same memoized program and
-// event slice, and different benchmarks must not corrupt each other.
+// TestCachedConcurrent hammers the program cache and stream generation from
+// many goroutines — several benchmarks, each requested by several callers —
+// the access pattern of the parallel sweep engine. Run under -race (CI
+// does): it must be free of data races, every caller must observe the same
+// memoized program and an identical event stream, and different benchmarks
+// must not corrupt each other.
 func TestCachedConcurrent(t *testing.T) {
 	names := []string{"bzip", "art", "gap", "equake"}
 	const callers = 8
 	const budget = 50_000
 
 	type got struct {
-		prog interface{}
-		n    int
+		prog   interface{}
+		events []trace.Event
 	}
 	results := make([][]got, len(names))
 	for i := range results {
@@ -39,12 +43,19 @@ func TestCachedConcurrent(t *testing.T) {
 					t.Errorf("%s: CachedProgram: %v", p.Name, err)
 					return
 				}
-				events, err := CachedEvents(p, budget)
+				var events []trace.Event
+				if c%2 == 0 {
+					events, err = CachedEvents(p, budget)
+				} else {
+					_, err = StreamEventSlices(p, budget, func(evs []trace.Event) {
+						events = append(events, evs...)
+					})
+				}
 				if err != nil {
-					t.Errorf("%s: CachedEvents: %v", p.Name, err)
+					t.Errorf("%s: %v", p.Name, err)
 					return
 				}
-				results[ni][c] = got{prog: prog, n: len(events)}
+				results[ni][c] = got{prog: prog, events: events}
 			}(ni, c, p)
 		}
 	}
@@ -55,15 +66,15 @@ func TestCachedConcurrent(t *testing.T) {
 		if first.prog == nil {
 			t.Fatalf("%s: no result", name)
 		}
-		if first.n == 0 {
+		if len(first.events) == 0 {
 			t.Errorf("%s: empty event stream", name)
 		}
 		for c, r := range results[ni] {
 			if r.prog != first.prog {
 				t.Errorf("%s: caller %d observed a different program instance", name, c)
 			}
-			if r.n != first.n {
-				t.Errorf("%s: caller %d observed %d events, caller 0 observed %d", name, c, r.n, first.n)
+			if !reflect.DeepEqual(r.events, first.events) {
+				t.Errorf("%s: caller %d observed %d events, caller 0 observed %d", name, c, len(r.events), len(first.events))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"itr/internal/isa"
@@ -206,6 +207,9 @@ func TestEventsConsistentWithProgram(t *testing.T) {
 	}
 }
 
+// TestCachedEventsMemoization: CachedEvents memoizes the program, not the
+// events — each call executes the shared program afresh and returns a new
+// slice the caller owns, equal to EventsOf at that budget.
 func TestCachedEventsMemoization(t *testing.T) {
 	prof, _ := ByName("wupwise")
 	a, err := CachedEvents(prof, 50_000)
@@ -216,10 +220,23 @@ func TestCachedEventsMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("cached streams differ: %d vs %d", len(a), len(b))
+	if len(a) == 0 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("repeat calls differ: %d vs %d events", len(a), len(b))
 	}
-	// Different budget regenerates.
+	if &a[0] == &b[0] {
+		t.Fatal("repeat calls share a backing array")
+	}
+	prog, err := CachedProgram(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := CachedProgram(prof)
+	if err != nil || again != prog {
+		t.Fatalf("CachedProgram rebuilt the program (err %v)", err)
+	}
+	if want, _ := EventsOf(prog, 50_000); !reflect.DeepEqual(a, want) {
+		t.Fatal("CachedEvents differs from EventsOf on the cached program")
+	}
 	c, err := CachedEvents(prof, 25_000)
 	if err != nil {
 		t.Fatal(err)

@@ -89,7 +89,8 @@ func BenchmarkByName(name string) (Benchmark, error) { return workload.ByName(na
 func BuildBenchmark(b Benchmark) (*Program, error) { return workload.Build(b) }
 
 // Characterize runs trace characterization (Figures 1-4, Table 1 metrics)
-// for a benchmark at the given instruction budget.
+// for a benchmark at the given instruction budget. The result is memoized
+// per (benchmark, budget) and shared between callers: treat it as read-only.
 func Characterize(b Benchmark, budget int64) (*trace.Characterizer, error) {
 	return report.Characterization(b, budget)
 }
