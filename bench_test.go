@@ -196,9 +196,9 @@ func BenchmarkFigure8(b *testing.B) {
 }
 
 // figure8CampaignBench runs a small single-benchmark Figure 8 campaign at
-// the given snapshot interval with a serial worker pool, isolating the
-// per-injection simulation cost from parallelism.
-func figure8CampaignBench(b *testing.B, interval int64) {
+// the given snapshot interval, exact or not, with a serial worker pool,
+// isolating the per-injection simulation cost from parallelism.
+func figure8CampaignBench(b *testing.B, interval int64, exact bool) {
 	prof, err := workload.ByName("art")
 	if err != nil {
 		b.Fatal(err)
@@ -212,6 +212,7 @@ func figure8CampaignBench(b *testing.B, interval int64) {
 	cfg.Workers = 1
 	cfg.Experiment.WindowCycles = 50_000
 	cfg.Experiment.SnapshotInterval = interval
+	cfg.Experiment.Exact = exact
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := fault.RunCampaign("bench", prog, cfg)
@@ -226,12 +227,13 @@ func figure8CampaignBench(b *testing.B, interval int64) {
 // BenchmarkFigure8Campaign measures the fault campaign on the snapshot
 // fast path (default interval): injections resume from pilot snapshots and
 // compare against the precomputed golden stream.
-func BenchmarkFigure8Campaign(b *testing.B) { figure8CampaignBench(b, 0) }
+func BenchmarkFigure8Campaign(b *testing.B) { figure8CampaignBench(b, 0, false) }
 
 // BenchmarkFigure8CampaignCold is the same campaign with snapshots disabled
-// — the pre-snapshot cold path, kept as the speedup reference. Results are
-// bit-identical to the fast path.
-func BenchmarkFigure8CampaignCold(b *testing.B) { figure8CampaignBench(b, -1) }
+// on the exact path — every run simulates its whole window from cycle 0, as
+// before snapshots and decided outcomes — kept as the speedup reference.
+// Results are bit-identical to the fast path.
+func BenchmarkFigure8CampaignCold(b *testing.B) { figure8CampaignBench(b, -1, true) }
 
 // BenchmarkCampaignArenaReuse measures campaign allocation behavior: each
 // injection worker recycles its observe/verify machines through a run arena
@@ -478,9 +480,9 @@ func BenchmarkPipelineCycle(b *testing.B) {
 }
 
 // BenchmarkDetectorOverhead measures per-cycle pipeline cost under each
-// detection backend against a detector-off machine, so the price of the
-// rivals' replay work (and the ITR fast path's devirtualization) is visible
-// as ns/cycle side by side.
+// detection backend against a detector-off machine, so the price of each
+// backend's work behind the core.Detector interface is visible as ns/cycle
+// side by side.
 func BenchmarkDetectorOverhead(b *testing.B) {
 	prof, err := workload.ByName("gap")
 	if err != nil {

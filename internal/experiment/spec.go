@@ -163,9 +163,9 @@ type CampaignSpec struct {
 	// campaign: log2-bucket tables of cycles and trace length (committed
 	// instructions) from injection to first detection, with quantiles.
 	LatencyHist bool `json:"latencyHist,omitempty"`
-	// Exact disables the decided-outcome engine: every injection simulates
-	// its full observation window instead of stopping once its
-	// classification is settled. Categories and counts are identical either
+	// Exact switches off the decided-outcome engine's early exits: every
+	// injection simulates its full observation window instead of stopping
+	// once its classification is settled. Results are identical either
 	// way; exact mode exists as the reference path for identity checks.
 	Exact bool `json:"exact,omitempty"`
 }

@@ -35,7 +35,9 @@ import (
 //     signature cache against the oracle rules out future events.
 //
 // Anything the proof cannot establish falls back to simulating the rest of
-// the window, so the fast path is never less sound than the exact one.
+// the window, so the fast path is never less sound than the exact one. The
+// exact path (Config.Exact) is the same engine with its early exits switched
+// off: the run simulates its whole window.
 const (
 	// decideProbeCycles is the simulation chunk between decision probes.
 	// Small enough that a settled run stops within ~1% of the paper's
@@ -109,17 +111,29 @@ func (b *Budget) add(r runBudget, cat Category) {
 	b.ByClass[cat] = cb
 }
 
-// runDecided simulates cpu in probe-sized chunks until the injection's
-// classification facts are settled or the machine genuinely terminates.
-// It returns the final cumulative Result exactly as a single cpu.Run of the
-// whole window would (chunked stepping is trajectory-identical and the
-// Result counters are cumulative), plus whether the run exited early and
-// whether a convergence proof failed.
+// runDecided simulates cpu, restored to snap, in probe-sized chunks until
+// the injection's classification facts are settled or the machine genuinely
+// terminates. It returns the final cumulative Result exactly as a single
+// cpu.Run of the whole window would (chunked stepping is
+// trajectory-identical and the Result counters are cumulative), and whether
+// the run exited early. bud receives the cycles simulated since snap, the
+// window cycles an early exit skipped, and any failed convergence proof.
 //
 // full selects the verify-run rules: the full protocol's retry and
 // machine-check machinery means even already-detected runs must wait for the
-// backend to settle before their recovery facts are final.
-func runDecided(cpu *pipeline.CPU, cur *goldenCursor, stream *GoldenStream, snap *pipeline.Snapshot, oracle *SigOracle, inj Injection, window int64, full bool) (res pipeline.Result, early, fellBack bool) {
+// backend to settle before their recovery facts are final. exact switches
+// early exits off: the run simulates its whole window in one probe.
+func runDecided(cpu *pipeline.CPU, cur *goldenCursor, snap *pipeline.Snapshot, oracle *SigOracle, inj Injection, window int64, full, exact bool, bud *runBudget) (res pipeline.Result, early bool) {
+	defer func() {
+		bud.simulated += cpu.CycleCount() - snap.Cycle
+		if early {
+			bud.saved += window - cpu.CycleCount()
+		}
+	}()
+	probe := int64(decideProbeCycles)
+	if exact {
+		probe = window
+	}
 	// Everything decoded at or before taintHorizon may carry corrupted
 	// signals: the injected event itself, plus the trace former's open
 	// partial trace, which folds the corrupted signals into a trace event
@@ -128,16 +142,9 @@ func runDecided(cpu *pipeline.CPU, cur *goldenCursor, stream *GoldenStream, snap
 	cleanCommit := int64(-1)
 	sweepHold := 0
 	for {
-		chunk := window - cpu.CycleCount()
-		if chunk > decideProbeCycles {
-			chunk = decideProbeCycles
-		}
-		if chunk < 0 {
-			chunk = 0
-		}
-		res = cpu.Run(chunk)
+		res = cpu.Run(max(min(window-cpu.CycleCount(), probe), 0))
 		if res.Termination != pipeline.TermBudget || cpu.CycleCount() >= window {
-			return res, false, false
+			return res, false
 		}
 		// Phase 0 — drain: wait until no structure can still hold corrupted
 		// decode signals. A corrupted uop stalling forever keeps us here
@@ -189,15 +196,34 @@ func runDecided(cpu *pipeline.CPU, cur *goldenCursor, stream *GoldenStream, snap
 			// future commits must match it. A failed proof means the
 			// masked verdict is not yet safe: simulate the rest of the
 			// window exactly.
-			if !convergedWithGolden(cpu, stream, snap) {
+			if !convergedWithGolden(cpu, cur.s, snap) {
+				bud.proofFallback = true
 				if rest := window - cpu.CycleCount(); rest > 0 {
 					res = cpu.Run(rest)
 				}
-				return res, false, true
+				return res, false
 			}
 		}
-		return res, true, false
+		return res, true
 	}
+}
+
+// preFault advances the observe machine, restored to snap, hook-free to just
+// before the fault's decode event and captures the verify run's fork point
+// there. The prefix is fault-free, so splitting the run is
+// trajectory-invisible. It returns nil when the fault lands too close to
+// snap for the fork to skip anything, or when the machine stops first.
+func preFault(cpu *pipeline.CPU, snap *pipeline.Snapshot, inj Injection, window int64) *pipeline.Snapshot {
+	stop := inj.DecodeIndex - preFaultMargin
+	if stop <= snap.DecodeEvents {
+		return nil
+	}
+	cpu.SetFaultHook(nil)
+	res := cpu.RunUntilDecode(window-cpu.CycleCount(), stop)
+	if res.Termination != pipeline.TermBudget || cpu.DecodeEvents() >= inj.DecodeIndex {
+		return nil
+	}
+	return cpu.Snapshot()
 }
 
 // faultyResident reports whether any ITR cache line holds a signature that

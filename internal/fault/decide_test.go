@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,70 +10,57 @@ import (
 	"itr/internal/pipeline"
 )
 
-// normalizeDecided zeroes the Detail facts the decided-outcome engine is
-// documented to leave unsettled on early exit because no classification or
-// recovery verdict reads them: Halted (a run that stops mid-window never
-// sees a later halt) and FaultyResident on detected runs (the sweep happens
-// at exit, not window end, and classify ignores it once Detected).
-func normalizeDecided(d Detail) Detail {
-	d.Halted = false
-	if d.Detected {
-		d.FaultyResident = false
-	}
-	return d
-}
-
 // TestDecidedClassificationMatchesExact is the decided-outcome engine's
-// correctness bar: for fixed seeds, every injection's classification — and
-// every fact classification or recovery accounting reads — must be identical
+// correctness bar: for fixed seeds, every injection's Detail — its
+// classification and every observe- and verify-run fact — must be identical
 // between the fast path and the exact run-to-completion path, across all
-// three detector backends and several worker widths.
+// three detector backends, several worker widths, and runs started both from
+// pilot snapshots and from cycle 0.
 func TestDecidedClassificationMatchesExact(t *testing.T) {
 	p := testProgram(t)
 	for _, backend := range []string{"itr", "reptfd", "dme"} {
 		for _, workers := range []int{1, 4} {
 			for _, seed := range []uint64{0x17b, 0xdead} {
-				base := DefaultCampaignConfig()
-				base.Faults = 40
-				base.Seed = seed
-				base.Workers = workers
-				base.Experiment = quickConfig()
-				base.Experiment.Pipeline.Detector = backend
+				for _, interval := range []int64{0, -1} {
+					name := fmt.Sprintf("%s/w%d/seed %#x/interval %d", backend, workers, seed, interval)
+					base := DefaultCampaignConfig()
+					base.Faults = 40
+					base.Seed = seed
+					base.Workers = workers
+					base.Experiment = quickConfig()
+					base.Experiment.Pipeline.Detector = backend
+					base.Experiment.SnapshotInterval = interval
 
-				exact := base
-				exact.Experiment.Exact = true
-				fast := base
+					exact := base
+					exact.Experiment.Exact = true
+					fast := base
 
-				eres, err := RunCampaign("exact", p, exact)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fres, err := RunCampaign("fast", p, fast)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(fres.Counts, eres.Counts) {
-					t.Errorf("%s/w%d/seed %#x: counts %v != exact %v",
-						backend, workers, seed, fres.Counts, eres.Counts)
-				}
-				if fres.RecoveryAttempted != eres.RecoveryAttempted ||
-					fres.RecoveryConfirmed != eres.RecoveryConfirmed {
-					t.Errorf("%s/w%d/seed %#x: recovery %d/%d != exact %d/%d",
-						backend, workers, seed,
-						fres.RecoveryConfirmed, fres.RecoveryAttempted,
-						eres.RecoveryConfirmed, eres.RecoveryAttempted)
-				}
-				for i := range eres.Details {
-					got := normalizeDecided(fres.Details[i])
-					want := normalizeDecided(eres.Details[i])
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s/w%d/seed %#x: injection %d\n fast  %+v\n exact %+v",
-							backend, workers, seed, i, got, want)
+					eres, err := RunCampaign("exact", p, exact)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if eres.Budget.CyclesSaved != 0 {
-					t.Errorf("%s/w%d/seed %#x: exact path reported %d cycles saved",
-						backend, workers, seed, eres.Budget.CyclesSaved)
+					fres, err := RunCampaign("fast", p, fast)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(fres.Counts, eres.Counts) {
+						t.Errorf("%s: counts %v != exact %v", name, fres.Counts, eres.Counts)
+					}
+					if fres.RecoveryAttempted != eres.RecoveryAttempted ||
+						fres.RecoveryConfirmed != eres.RecoveryConfirmed {
+						t.Errorf("%s: recovery %d/%d != exact %d/%d", name,
+							fres.RecoveryConfirmed, fres.RecoveryAttempted,
+							eres.RecoveryConfirmed, eres.RecoveryAttempted)
+					}
+					for i := range eres.Details {
+						if fres.Details[i] != eres.Details[i] {
+							t.Errorf("%s: injection %d\n fast  %+v\n exact %+v",
+								name, i, fres.Details[i], eres.Details[i])
+						}
+					}
+					if eres.Budget.CyclesSaved != 0 {
+						t.Errorf("%s: exact path reported %d cycles saved", name, eres.Budget.CyclesSaved)
+					}
 				}
 			}
 		}

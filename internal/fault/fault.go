@@ -69,13 +69,15 @@ type Detail struct {
 	Category  Category
 
 	// Observe-run facts.
-	Detected       bool
-	Recoverable    bool // the mismatching access was the faulty instance
-	NaturalSDC     bool
-	Deadlock       bool
-	SpcFired       bool
-	Halted         bool
-	FaultyResident bool // faulty signature still in ITR cache at window end
+	Detected    bool
+	Recoverable bool // the mismatching access was the faulty instance
+	NaturalSDC  bool
+	Deadlock    bool
+	SpcFired    bool
+	// FaultyResident: a faulty signature is still in the ITR cache at
+	// window end. Only undetected runs record it, the only runs classify
+	// reads it for.
+	FaultyResident bool
 
 	// Detection latency (observe run): machine time from the injection's
 	// decode event to the backend's first detection, in pipeline cycles
@@ -158,13 +160,11 @@ type Config struct {
 	// fast path entirely (every run starts cold). Results are bit-identical
 	// either way. EffectiveSnapshotInterval resolves the semantics.
 	SnapshotInterval int64
-	// Exact disables the decided-outcome engine, forcing every injection
-	// run to simulate its full observation window — the byte-identical
-	// reference path. The default (false) lets snapshot-resumed runs stop
-	// as soon as their classification is settled; their Detail payloads may
-	// then differ in category-irrelevant facts (Halted, and FaultyResident
-	// on detected runs), but categories, counts, and recovery verdicts are
-	// identical — the invariant the classification-identity tests pin.
+	// Exact switches off the decided-outcome engine's early exits and its
+	// pre-fault verify fork, so every injection run simulates its full
+	// observation window — the reference path. The default (false) lets
+	// each run stop as soon as its classification is settled. Details are
+	// equal either way; only the campaign Budget's cycle accounting differs.
 	Exact bool
 }
 
@@ -210,7 +210,7 @@ func DefaultConfig() Config {
 }
 
 // RunOne performs one injection experiment and classifies it, simulating
-// from cycle 0 (the cold path; campaigns use the snapshot fast path via
+// from cycle 0 (the cold path; campaigns resume from pilot snapshots via
 // RunCampaign).
 func RunOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection) (Detail, error) {
 	rc := &replayContext{stream: streamFor(prog)}
@@ -240,13 +240,15 @@ type arenaCPU struct {
 }
 
 // reset returns the arena's CPU for pcfg restored to snap, or to its cycle-0
-// image when snap is nil, building the CPU on first use.
-func (a *arena) reset(pcfg pipeline.Config, snap *pipeline.Snapshot) (*pipeline.CPU, error) {
+// image when snap is nil, building the CPU on first use. It also returns the
+// snapshot it restored, so every run has a start point for the
+// decided-outcome engine.
+func (a *arena) reset(pcfg pipeline.Config, snap *pipeline.Snapshot) (*pipeline.CPU, *pipeline.Snapshot, error) {
 	m := a.cpus[pcfg]
 	if m == nil {
 		cpu, err := pipeline.New(a.prog, pcfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		m = &arenaCPU{cpu, cpu.Snapshot()}
 		if a.cpus == nil {
@@ -257,69 +259,43 @@ func (a *arena) reset(pcfg pipeline.Config, snap *pipeline.Snapshot) (*pipeline.
 	if snap == nil {
 		snap = m.zero
 	}
-	return m.cpu, m.cpu.Restore(snap)
+	return m.cpu, snap, m.cpu.Restore(snap)
 }
 
-// runOne performs one injection experiment and classifies it. When rc holds
-// a snapshot taken before the injection's decode event, both the observe and
-// verify runs fast-forward: the machine resumes from the snapshot and its
-// golden cursor starts at the snapshot's commit count. The resumed
-// trajectory is bit-identical to the cold one — the snapshot captures the
-// complete machine state and the fault fires strictly after it.
+// runOne performs one injection experiment and classifies it. Both the
+// observe and the verify run start from a snapshot taken before the
+// injection's decode event — the latest pilot snapshot in rc, or the
+// machine's cycle-0 image when none precedes it — and their golden cursors
+// start at the snapshot's commit count. The resumed trajectory is
+// bit-identical to a cold one: the snapshot captures the complete machine
+// state and the fault fires strictly after it.
 //
-// Snapshot-resumed runs additionally use the decided-outcome engine (see
-// decide.go) unless cfg.Exact is set: the observe run stops as soon as the
-// classification is settled, and the verify run forks from a pre-fault
-// capture of the observe machine instead of re-simulating the detect-free
-// prefix. bud receives the run's simulated/saved cycle accounting.
+// Each run is one call into the decided-outcome engine (see decide.go),
+// which stops it as soon as its classification is settled unless cfg.Exact
+// is set. Outside exact mode, a verify run forks from a pre-fault capture of
+// the observe machine instead of re-simulating the detect-free prefix. bud
+// receives the run's simulated/saved cycle accounting.
 func runOne(oracle *SigOracle, cfg Config, inj Injection, rc *replayContext, ar *arena, bud *runBudget) (Detail, error) {
 	det := Detail{Injection: inj, LatencyCycles: -1, LatencyInsts: -1}
-	snap := rc.before(byDecode, inj.DecodeIndex)
+	from := rc.before(byDecode, inj.DecodeIndex)
 
 	// ---- observe run: natural outcome + detection facts ----
-	cpu, err := ar.reset(cfg.pipelineConfig(core.ModeObserve), snap)
+	cpu, snap, err := ar.reset(cfg.pipelineConfig(core.ModeObserve), from)
 	if err != nil {
 		return det, fmt.Errorf("observe run: %w", err)
 	}
-	start := cpu.CycleCount()
 	cur := rc.stream.attach(cpu)
-	fast := snap != nil && !cfg.Exact
-	var injPt injectionPoint
 	var presnap *pipeline.Snapshot
-	var res pipeline.Result
-	if fast {
-		// Pre-fault leg: advance hook-free to just before the fault's
-		// decode event and capture the verify run's fork point. The prefix
-		// is fault-free, so splitting the run here is trajectory-invisible;
-		// the capture is skipped when checkpointing makes forked verify
-		// runs unsound, or when the fault lands too close to the snapshot
-		// for the fork to skip anything.
-		cpu.SetFaultHook(nil)
-		if cfg.Verify && !cfg.Checkpoint {
-			if stop := inj.DecodeIndex - preFaultMargin; stop > snap.DecodeEvents {
-				pres := cpu.RunUntilDecode(cfg.WindowCycles-start, stop)
-				if pres.Termination == pipeline.TermBudget && cpu.DecodeEvents() < inj.DecodeIndex {
-					presnap = cpu.Snapshot()
-				}
-			}
-		}
-		cpu.SetFaultHook(hook(inj, cpu, &injPt))
-		var early, fellBack bool
-		res, early, fellBack = runDecided(cpu, cur, rc.stream, snap, oracle, inj, cfg.WindowCycles, false)
-		if early {
-			bud.saved += cfg.WindowCycles - cpu.CycleCount()
-			bud.decidedEarly = true
-		}
-		bud.proofFallback = bud.proofFallback || fellBack
-	} else {
-		cpu.SetFaultHook(hook(inj, cpu, &injPt))
-		res = cpu.Run(cfg.WindowCycles - start)
+	if cfg.Verify && !cfg.Checkpoint && !cfg.Exact {
+		presnap = preFault(cpu, snap, inj, cfg.WindowCycles)
 	}
-	bud.simulated += cpu.CycleCount() - start
+	var injPt injectionPoint
+	cpu.SetFaultHook(hook(inj, cpu, &injPt))
+	res, early := runDecided(cpu, cur, snap, oracle, inj, cfg.WindowCycles, false, cfg.Exact, bud)
+	bud.decidedEarly = early
 
 	det.NaturalSDC = cur.diverged
 	det.Deadlock = res.Termination == pipeline.TermDeadlock
-	det.Halted = res.Termination == pipeline.TermHalt
 	det.SpcFired = res.SpcFired > 0
 
 	detections := cpu.Detector().Detections()
@@ -340,7 +316,7 @@ func runOne(oracle *SigOracle, cfg Config, inj Injection, rc *replayContext, ar 
 	// MayITR: a faulty signature resident at window end (paper footnote 1).
 	// The category is ITR-specific — rival backends hold no signature cache,
 	// so an undetected fault of theirs classifies as plain Undet.
-	if ck := cpu.Checker(); ck != nil {
+	if ck := cpu.Checker(); ck != nil && !det.Detected {
 		det.FaultyResident = faultyResident(ck, oracle)
 	}
 
@@ -348,48 +324,37 @@ func runOne(oracle *SigOracle, cfg Config, inj Injection, rc *replayContext, ar 
 
 	// ---- verify run: confirm the recovery story under the full protocol ----
 	if cfg.Verify && det.Detected {
-		// The fast path is invalid under checkpointing: a cold verify run
-		// takes coarse-grain checkpoints during the prefix, which the
-		// checkpoint-free pilot snapshot cannot reproduce. Otherwise the
-		// verify run resumes from the observe machine's pre-fault fork when
-		// one was captured, skipping the detect-free prefix between the
-		// pilot snapshot and the injection.
-		vsnap := snap
+		// Under checkpointing the verify run starts cold and simulates its
+		// whole window: a cold run takes coarse-grain checkpoints during the
+		// prefix, which the checkpoint-free pilot snapshot cannot reproduce,
+		// and the decided engine's exits are not validated against
+		// checkpoint rollbacks. Otherwise it resumes from the observe
+		// machine's pre-fault fork when one was captured, skipping the
+		// detect-free prefix between the pilot snapshot and the injection.
+		vfrom := from
 		if cfg.Checkpoint {
-			vsnap = nil
+			vfrom = nil
 		} else if presnap != nil {
-			vsnap = presnap
+			vfrom = presnap
 		}
 		vcfg := cfg.pipelineConfig(core.ModeFull)
 		vcfg.CheckpointEnabled = cfg.Checkpoint
-		vcpu, err := ar.reset(vcfg, vsnap)
+		vcpu, vsnap, err := ar.reset(vcfg, vfrom)
 		if err != nil {
 			return det, fmt.Errorf("verify run: %w", err)
 		}
-		vstart := vcpu.CycleCount()
 		vcur := rc.stream.attach(vcpu)
 		if cfg.Checkpoint {
 			vcpu.SetCheckpointObserver(vcur.checkpoint)
 		}
 		var vinjPt injectionPoint
 		vcpu.SetFaultHook(hook(inj, vcpu, &vinjPt))
-		var vres pipeline.Result
-		if fast && vsnap != nil {
-			var vearly, vfell bool
-			vres, vearly, vfell = runDecided(vcpu, vcur, rc.stream, vsnap, oracle, inj, cfg.WindowCycles, true)
-			if vearly {
-				bud.saved += cfg.WindowCycles - vcpu.CycleCount()
-			}
-			bud.proofFallback = bud.proofFallback || vfell
-			if vsnap == presnap {
-				// The fork skipped re-simulating snap.Cycle→presnap.Cycle.
-				bud.saved += presnap.Cycle - snap.Cycle
-				bud.verifyForked = true
-			}
-		} else {
-			vres = vcpu.Run(cfg.WindowCycles - vstart)
+		vres, _ := runDecided(vcpu, vcur, vsnap, oracle, inj, cfg.WindowCycles, true, cfg.Exact || cfg.Checkpoint, bud)
+		if presnap != nil {
+			// The fork skipped re-simulating snap.Cycle→presnap.Cycle.
+			bud.saved += presnap.Cycle - snap.Cycle
+			bud.verifyForked = true
 		}
-		bud.simulated += vcpu.CycleCount() - vstart
 		det.Verified = true
 		det.RecoveredInFull = vcpu.Detector().Stats().Recoveries > 0
 		det.MachineCheck = vres.Termination == pipeline.TermMachineCheck

@@ -97,7 +97,7 @@ func runRenameFault(a *arena, passes [2]renamePass, stream *GoldenStream, window
 	var curs [2]*goldenCursor
 	for i, p := range passes {
 		rc := replayContext{snaps: p.snaps}
-		if cpus[i], err = a.reset(p.pcfg, rc.before(byDecode, inj.DecodeIndex)); err != nil {
+		if cpus[i], _, err = a.reset(p.pcfg, rc.before(byDecode, inj.DecodeIndex)); err != nil {
 			return o, fmt.Errorf("rename fault pass %d: %w", i+1, err)
 		}
 		curs[i] = stream.attach(cpus[i])

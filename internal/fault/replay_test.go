@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,11 +9,12 @@ import (
 	"itr/internal/pipeline"
 )
 
-// TestCampaignSnapshotFastPathBitIdentical is the tentpole's correctness
-// bar: for a fixed seed, the snapshot fast-forward campaign must produce
-// Detail slices bit-identical to the cold path — same categories, same
-// observe- and verify-run facts, for every injection — so the Figure 8
-// percentages are unchanged by the optimization.
+// TestCampaignSnapshotFastPathBitIdentical is the snapshot layer's
+// correctness bar: for a fixed seed, the snapshot fast-forward campaign must
+// produce Detail slices bit-identical to the cold path — same categories,
+// same observe- and verify-run facts, for every injection — so the Figure 8
+// percentages are unchanged by the optimization. It holds both on the exact
+// path and with the decided-outcome engine's early exits.
 func TestCampaignSnapshotFastPathBitIdentical(t *testing.T) {
 	variants := []struct {
 		name     string
@@ -26,59 +28,59 @@ func TestCampaignSnapshotFastPathBitIdentical(t *testing.T) {
 	p := testProgram(t)
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			base := DefaultCampaignConfig()
-			base.Faults = 50
-			base.Workers = 4
-			base.Experiment = quickConfig()
-			base.Experiment.Checkpoint = v.ckpt
-			// Pin the exact (run-to-completion) path: this test is about
-			// snapshot-resume bit-identity, and only that path promises
-			// byte-identical Detail payloads. The decided-outcome fast
-			// path's classification identity has its own property test.
-			base.Experiment.Exact = true
+			for _, exact := range []bool{true, false} {
+				t.Run(fmt.Sprintf("exact=%v", exact), func(t *testing.T) {
+					base := DefaultCampaignConfig()
+					base.Faults = 50
+					base.Workers = 4
+					base.Experiment = quickConfig()
+					base.Experiment.Checkpoint = v.ckpt
+					base.Experiment.Exact = exact
 
-			cold := base
-			cold.Experiment.SnapshotInterval = -1
-			warm := base
-			warm.Experiment.SnapshotInterval = v.interval
+					cold := base
+					cold.Experiment.SnapshotInterval = -1
+					warm := base
+					warm.Experiment.SnapshotInterval = v.interval
 
-			cres, err := RunCampaign("cold", p, cold)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wres, err := RunCampaign("warm", p, warm)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if !reflect.DeepEqual(cres.Details, wres.Details) {
-				for i := range cres.Details {
-					if cres.Details[i] != wres.Details[i] {
-						t.Fatalf("Detail %d differs:\ncold %+v\nwarm %+v",
-							i, cres.Details[i], wres.Details[i])
+					cres, err := RunCampaign("cold", p, cold)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				t.Fatal("Detail slices differ")
-			}
-			if !reflect.DeepEqual(cres.Counts, wres.Counts) {
-				t.Fatalf("category counts differ:\ncold %+v\nwarm %+v", cres.Counts, wres.Counts)
-			}
-			if cres.Snapshots != 0 || cres.SnapshotPages != 0 {
-				t.Fatalf("cold path reported snapshots: %d (%d pages)", cres.Snapshots, cres.SnapshotPages)
-			}
-			if wres.Snapshots == 0 || wres.SnapshotPages == 0 {
-				t.Fatalf("fast path took no snapshots: %d (%d pages)", wres.Snapshots, wres.SnapshotPages)
-			}
-			// COW sharing: the series references at least as many pages as
-			// it distinctly holds, and every retained snapshot past the
-			// first shares its predecessor's unchanged pages.
-			if wres.SnapshotOwnedPages == 0 || wres.SnapshotOwnedPages > wres.SnapshotPages {
-				t.Fatalf("snapshot footprint inconsistent: %d referenced, %d distinct",
-					wres.SnapshotPages, wres.SnapshotOwnedPages)
-			}
-			if wres.Snapshots > 1 && wres.SnapshotOwnedPages == wres.SnapshotPages {
-				t.Fatalf("%d snapshots share no pages (%d referenced, %d distinct)",
-					wres.Snapshots, wres.SnapshotPages, wres.SnapshotOwnedPages)
+					wres, err := RunCampaign("warm", p, warm)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					if !reflect.DeepEqual(cres.Details, wres.Details) {
+						for i := range cres.Details {
+							if cres.Details[i] != wres.Details[i] {
+								t.Fatalf("Detail %d differs:\ncold %+v\nwarm %+v",
+									i, cres.Details[i], wres.Details[i])
+							}
+						}
+						t.Fatal("Detail slices differ")
+					}
+					if !reflect.DeepEqual(cres.Counts, wres.Counts) {
+						t.Fatalf("category counts differ:\ncold %+v\nwarm %+v", cres.Counts, wres.Counts)
+					}
+					if cres.Snapshots != 0 || cres.SnapshotPages != 0 {
+						t.Fatalf("cold path reported snapshots: %d (%d pages)", cres.Snapshots, cres.SnapshotPages)
+					}
+					if wres.Snapshots == 0 || wres.SnapshotPages == 0 {
+						t.Fatalf("fast path took no snapshots: %d (%d pages)", wres.Snapshots, wres.SnapshotPages)
+					}
+					// COW sharing: the series references at least as many pages as
+					// it distinctly holds, and every retained snapshot past the
+					// first shares its predecessor's unchanged pages.
+					if wres.SnapshotOwnedPages == 0 || wres.SnapshotOwnedPages > wres.SnapshotPages {
+						t.Fatalf("snapshot footprint inconsistent: %d referenced, %d distinct",
+							wres.SnapshotPages, wres.SnapshotOwnedPages)
+					}
+					if wres.Snapshots > 1 && wres.SnapshotOwnedPages == wres.SnapshotPages {
+						t.Fatalf("%d snapshots share no pages (%d referenced, %d distinct)",
+							wres.Snapshots, wres.SnapshotPages, wres.SnapshotOwnedPages)
+					}
+				})
 			}
 		})
 	}

@@ -98,7 +98,7 @@ func newPCStudy(prog *program.Program, cfg Config, faults []pcFault) (*pcStudy, 
 // The fault is scheduled after the restore, which overwrites the machine's
 // PC-fault schedule.
 func (s *pcStudy) run(a *arena, f pcFault) (PCOutcome, error) {
-	cpu, err := a.reset(s.pcfg, s.rc.before(byCycle, f.cycle))
+	cpu, _, err := a.reset(s.pcfg, s.rc.before(byCycle, f.cycle))
 	if err != nil {
 		return "", fmt.Errorf("pc fault run: %w", err)
 	}
@@ -239,7 +239,7 @@ type cacheOutcome struct {
 }
 
 func (s *cacheStudy) run(a *arena, f cacheFault) (cacheOutcome, error) {
-	cpu, err := a.reset(s.pcfg, s.warm)
+	cpu, _, err := a.reset(s.pcfg, s.warm)
 	if err != nil {
 		return cacheOutcome{}, fmt.Errorf("cache fault run: %w", err)
 	}

@@ -83,11 +83,6 @@ type Config struct {
 	// CPUs only if they run on the same goroutine (the campaign workers
 	// give each arena its own). Like Probe, it never affects simulation.
 	Trace *obs.Ring
-
-	// pad keeps the embedded Config's size a multiple of 64 bytes, so the
-	// hot CPU fields that follow it keep their pre-Trace cache-line
-	// alignment (measurable on the tightest pipeline benchmarks).
-	_pad [56]byte
 }
 
 // Probe accumulates telemetry across pipeline runs. Fields are sharded
@@ -296,12 +291,9 @@ type CPU struct {
 	spec      *specState
 
 	pred *Predictor
-	// det is the attached detection backend; itr is the same object when
-	// (and only when) the backend is the default ITR checker, so the
-	// per-commit hot calls stay devirtualized and inlinable on the default
-	// path.
+	// det is the attached detection backend; every backend, the default ITR
+	// checker included, is driven through the interface.
 	det           core.Detector
-	itr           *core.Checker
 	renameChecker *core.Checker
 	renameSig     renameState
 	ckpt          *checkpoint.Manager
@@ -428,7 +420,6 @@ func New(prog *program.Program, cfg Config) (*CPU, error) {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}
 		c.det = det
-		c.itr, _ = det.(*core.Checker)
 		c.detMismatch = det.MismatchCount()
 	}
 	if cfg.RenameITREnabled {
@@ -520,7 +511,10 @@ func (c *CPU) checkpointRecover(faultyTracePC uint64) (restartPC uint64, ok bool
 // ITR one (nil when detection is disabled or a rival backend is attached).
 // ITR-specific studies and tests reach the cache through it; backend-generic
 // code uses Detector instead.
-func (c *CPU) Checker() *core.Checker { return c.itr }
+func (c *CPU) Checker() *core.Checker {
+	ck, _ := c.det.(*core.Checker)
+	return ck
+}
 
 // Detector exposes the attached detection backend (nil when disabled).
 func (c *CPU) Detector() core.Detector { return c.det }
@@ -679,15 +673,7 @@ func (c *CPU) commitStage() {
 		}
 		if c.det != nil {
 			c.detPolls++
-			// The concrete-type call on the default backend inlines; rival
-			// backends take the interface call.
-			var quick bool
-			if c.itr != nil {
-				quick = c.itr.PollQuick()
-			} else {
-				quick = c.det.PollQuick()
-			}
-			if !quick {
+			if !c.det.PollQuick() {
 				a := c.det.Poll()
 				// Slow polls are where mismatches surface, so stamping
 				// here keeps detection-latency tracking off the
@@ -698,43 +684,13 @@ func (c *CPU) commitStage() {
 				if *c.detMismatch > c.detStamped {
 					c.stampDetections()
 				}
-				switch a.Kind {
-				case core.ActionStall:
-					return
-				case core.ActionRetry:
-					c.itrFlush(a.RestartPC)
-					return
-				case core.ActionMachineCheck:
-					if c.ckpt != nil {
-						if restart, ok := c.checkpointRecover(a.RestartPC); ok {
-							c.itrFlush(restart)
-							return
-						}
-					}
-					c.terminated = true
-					c.termination = TermMachineCheck
+				if c.act(a) {
 					return
 				}
 			}
 		}
-		if c.renameChecker != nil && !c.renameChecker.PollQuick() {
-			switch a := c.renameChecker.Poll(); a.Kind {
-			case core.ActionStall:
-				return
-			case core.ActionRetry:
-				c.itrFlush(a.RestartPC)
-				return
-			case core.ActionMachineCheck:
-				if c.ckpt != nil {
-					if restart, ok := c.checkpointRecover(a.RestartPC); ok {
-						c.itrFlush(restart)
-						return
-					}
-				}
-				c.terminated = true
-				c.termination = TermMachineCheck
-				return
-			}
+		if c.renameChecker != nil && !c.renameChecker.PollQuick() && c.act(c.renameChecker.Poll()) {
+			return
 		}
 		// TAC (scheduler) assertion: flush and re-execute on an issue-order
 		// violation, before the stale result can commit.
@@ -765,9 +721,7 @@ func (c *CPU) commitStage() {
 			c.spec.overlay.commitStore(out.MemAddr)
 		}
 		c.committedCount++
-		if c.itr != nil {
-			c.itr.SetNow(c.committedCount)
-		} else if c.det != nil {
+		if c.det != nil {
 			c.det.SetNow(c.committedCount)
 		}
 		c.lastCommitCycle = c.cycle
@@ -775,14 +729,11 @@ func (c *CPU) commitStage() {
 			c.observer(pc, out)
 		}
 		if flags&slotTraceEnd != 0 {
-			if c.itr != nil {
-				c.itr.CommitTraceEnd()
-			} else if c.det != nil {
+			if c.det != nil {
 				// Rival backends (RepTFD, DME) record mismatches during
 				// trace retirement rather than in Poll; stamp them here.
-				// The devirtualized ITR path records only in Poll, so it
-				// skips the extra check. The counter load keeps the
-				// no-mismatch case (every fault-free trace) call-free.
+				// The counter load keeps the no-mismatch case (every
+				// fault-free trace) call-free.
 				c.det.CommitTraceEnd()
 				if *c.detMismatch > c.detStamped {
 					c.stampDetections()
@@ -799,6 +750,31 @@ func (c *CPU) commitStage() {
 			return
 		}
 	}
+}
+
+// act carries out a detector's commit-time verdict, the same for the main
+// detector and the rename checker: a stall waits, a retry flushes and
+// restarts, and a machine check rolls back to the last coarse-grain
+// checkpoint when that provably suffices, or else aborts the program. It
+// reports whether commit stops for this cycle.
+func (c *CPU) act(a core.Action) bool {
+	switch a.Kind {
+	case core.ActionStall:
+	case core.ActionRetry:
+		c.itrFlush(a.RestartPC)
+	case core.ActionMachineCheck:
+		if c.ckpt != nil {
+			if restart, ok := c.checkpointRecover(a.RestartPC); ok {
+				c.itrFlush(restart)
+				return true
+			}
+		}
+		c.terminated = true
+		c.termination = TermMachineCheck
+	default:
+		return false
+	}
+	return true
 }
 
 // stampDetections timestamps any mismatches the detector has recorded
@@ -977,27 +953,7 @@ func (c *CPU) repairMispredict(seq uint64, target uint64) {
 
 // ---- issue ----
 
-// sourceReady reports whether a non-zero packed source word is satisfied.
-// The zero (ready) encoding is filtered by the caller, which keeps this
-// within the compiler's inlining budget for the issue scan.
-func (c *CPU) sourceReady(w uint64) bool {
-	if w >= srcWordPhantom {
-		return false // operand that can never become ready (fault-induced)
-	}
-	seq := w & srcSeqMask
-	if seq < c.robHead || seq >= c.robTail {
-		return true // committed or squashed
-	}
-	return c.slots.done.get(seq & c.robMask)
-}
-
 func (c *CPU) issueStage() {
-	if c.schedFaultHook != nil {
-		// Premature-issue injection needs to see the not-ready candidates the
-		// fast path never visits; use the polling scan.
-		c.issueStageSlow()
-		return
-	}
 	issued := 0
 	limit := c.robHead + uint64(c.cfg.IssueWindow)
 	if limit > c.robTail {
@@ -1008,6 +964,13 @@ func (c *CPU) issueStage() {
 	// Walk the window one flag word at a time: one AND over the three bitset
 	// words yields exactly the issueable slots — readiness is maintained
 	// incrementally by wake, so no per-candidate operand polling happens here.
+	// An armed scheduler fault hook must also be offered the not-ready
+	// candidates, so hookMask drops the ready mask from the word and each
+	// candidate's ready bit is tested on its own instead.
+	var hookMask uint64
+	if c.schedFaultHook != nil {
+		hookMask = ^uint64(0)
+	}
 	for seq := c.robHead; seq < limit && issued < width; {
 		idx := c.slot(seq)
 		off := idx & 63
@@ -1018,7 +981,7 @@ func (c *CPU) issueStage() {
 		if wrap := uint64(c.slots.capacity) - idx; wrap < span {
 			span = wrap // the ring wraps mid-word for rings shorter than 64
 		}
-		cand := (readyCol[idx>>6] &^ (issuedCol[idx>>6] | doneCol[idx>>6])) >> off
+		cand := ((readyCol[idx>>6] | hookMask) &^ (issuedCol[idx>>6] | doneCol[idx>>6])) >> off
 		if span < 64 {
 			cand &= 1<<span - 1
 		}
@@ -1027,62 +990,12 @@ func (c *CPU) issueStage() {
 			cand &= cand - 1
 			s := seq + b
 			si := c.slot(s)
-			issuedCol.set(si)
-			dc := uint64(c.cycle + int64(c.slots.lat[si]))
-			c.slots.doneCycle[si] = dc
-			c.wheel[dc&wheelMask] = append(c.wheel[dc&wheelMask], s)
-			issued++
-		}
-		seq += span
-	}
-}
-
-// issueStageSlow is the readiness-polling scan, semantically identical to the
-// fast path for every slot the fast path would issue, but additionally
-// offering each not-ready candidate to the scheduler fault hook. It must not
-// modify the source words: the wakeup bookkeeping (pending counts, producer
-// lists) stays live underneath so the fast path is always re-entrant.
-func (c *CPU) issueStageSlow() {
-	issued := 0
-	limit := c.robHead + uint64(c.cfg.IssueWindow)
-	if limit > c.robTail {
-		limit = c.robTail
-	}
-	width := c.cfg.IssueWidth
-	issuedCol, doneCol := c.slots.issued, c.slots.done
-	for seq := c.robHead; seq < limit && issued < width; {
-		idx := c.slot(seq)
-		off := idx & 63
-		span := 64 - off
-		if rem := limit - seq; rem < span {
-			span = rem
-		}
-		if wrap := uint64(c.slots.capacity) - idx; wrap < span {
-			span = wrap
-		}
-		cand := ^(issuedCol[idx>>6] | doneCol[idx>>6]) >> off
-		if span < 64 {
-			cand &= 1<<span - 1
-		}
-		for cand != 0 && issued < width {
-			b := uint64(bits.TrailingZeros64(cand))
-			cand &= cand - 1
-			s := seq + b
-			si := c.slot(s)
-			srcs := c.slots.srcs[si*3 : si*3+3 : si*3+3]
-			ready := true
-			for k := 0; k < 3; k++ {
-				if w := srcs[k]; w != 0 && !c.sourceReady(w) {
-					ready = false
-				}
-			}
-			if !ready {
+			if hookMask != 0 && !readyCol.get(si) {
 				// A scheduler transient can fire the instruction anyway.
-				if c.schedFaultHook(int64(c.slots.decodeIndex[si])) {
-					c.tacPrematureIssue(s)
-				} else {
+				if !c.schedFaultHook(int64(c.slots.decodeIndex[si])) {
 					continue
 				}
+				c.tacPrematureIssue(s)
 			}
 			issuedCol.set(si)
 			dc := uint64(c.cycle + int64(c.slots.lat[si]))

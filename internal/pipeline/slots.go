@@ -71,8 +71,8 @@ type robSlots struct {
 
 	// issued/done/ready are bitsets (one bit per slot): the issue scan
 	// rejects a whole word of issued-or-completed slots at a time and accepts
-	// only ready ones, and sourceReady tests producers' done bits. All other
-	// per-slot booleans live in the flags column as slot* bits.
+	// only ready ones. All other per-slot booleans live in the flags column
+	// as slot* bits.
 	issued bitset
 	done   bitset
 	ready  bitset

@@ -7,6 +7,7 @@ import (
 	"itr/internal/core"
 	"itr/internal/isa"
 	"itr/internal/obs"
+	"itr/internal/program"
 	"itr/internal/trace"
 )
 
@@ -34,7 +35,8 @@ type Snapshot struct {
 	// stream cursor's seek position).
 	Committed int64
 
-	cfg Config // normalized capture-time config, for structural validation
+	cfg  Config           // normalized capture-time config, for structural validation
+	prog *program.Program // the program the machine was running
 
 	mem          *isa.Memory
 	regsR, regsF [isa.NumRegs]uint64
@@ -145,7 +147,8 @@ func (c *CPU) Snapshot() *Snapshot {
 		DecodeEvents: c.decodeEvents,
 		Committed:    c.committedCount,
 
-		cfg: c.cfg,
+		cfg:  c.cfg,
+		prog: c.prog,
 
 		mem:   c.mem.Snapshot(),
 		regsR: c.committed.R,
@@ -229,11 +232,15 @@ func (c *CPU) Snapshot() *Snapshot {
 // copies a page on its first store to it — so restore cost scales with the
 // pages the CPU had dirtied since its last synchronization with this
 // snapshot (for a fresh CPU: one page-table walk, zero page copies), not
-// with the benchmark's footprint. The CPU's configuration must structurally match the snapshot's;
-// only ITRMode may differ — mode is policy, not state, and fault-free
-// trajectories are identical across modes. The snapshot is only read, so one
-// snapshot may be restored into many CPUs concurrently.
+// with the benchmark's footprint. The CPU must run the snapshot's program,
+// and its configuration must structurally match the snapshot's; only ITRMode
+// may differ — mode is policy, not state, and fault-free trajectories are
+// identical across modes. The snapshot is only read, so one snapshot may be
+// restored into many CPUs concurrently.
 func (c *CPU) Restore(s *Snapshot) error {
+	if s.prog != c.prog {
+		return fmt.Errorf("pipeline: snapshot was taken on a different program than the CPU runs")
+	}
 	want, have := s.cfg, c.cfg
 	want.ITRMode, have.ITRMode = 0, 0
 	// The probe and trace ring are observability, not machine state:

@@ -7,6 +7,7 @@ import (
 
 	"itr/internal/core"
 	"itr/internal/isa"
+	"itr/internal/program"
 )
 
 type commitRecord struct {
@@ -230,7 +231,8 @@ func TestSnapshotConcurrentRestoreImmutable(t *testing.T) {
 }
 
 // TestRestoreRejectsStructuralMismatch: a snapshot only restores into a CPU
-// whose configuration matches structurally; only the checker mode may vary.
+// that runs the same program under a structurally matching configuration;
+// only the checker mode may vary.
 func TestRestoreRejectsStructuralMismatch(t *testing.T) {
 	p := loopProgram(t, 4, 4)
 	cfg := DefaultConfig()
@@ -243,12 +245,21 @@ func TestRestoreRejectsStructuralMismatch(t *testing.T) {
 
 	bad := cfg
 	bad.ROBSize = 64
-	other, err := New(p, bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.Restore(snap); err == nil {
-		t.Fatal("restore into a differently sized CPU must fail")
+	for _, foreign := range []struct {
+		name string
+		prog *program.Program
+		cfg  Config
+	}{
+		{"different config", p, bad},
+		{"same config, different program", loopProgram(t, 5, 4), cfg},
+	} {
+		other, err := New(foreign.prog, foreign.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := other.Restore(snap); err == nil {
+			t.Fatalf("%s: restore must fail", foreign.name)
+		}
 	}
 
 	obs := cfg

@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 
 	"itr/internal/isa"
+	"itr/internal/workload"
 )
 
 // schedFaultAfter fires the scheduler fault once, at the first premature
@@ -115,4 +117,58 @@ func TestTACLockstep(t *testing.T) {
 	cfg.TACEnabled = true
 	cpu, _ := New(p, cfg)
 	expectLockstepOn(t, cpu)
+}
+
+// TestIdleSchedulerHookIsInvisible: an armed scheduler hook that never fires
+// must leave a run bit-identical to one with no hook — same Result (decode
+// events included) and commit stream — which pins that the hooked issue scan
+// issues exactly what the plain scan issues. The small-ROB variant's ring is
+// shorter than one bitset word, so the scan's span wraps mid-word.
+func TestIdleSchedulerHookIsInvisible(t *testing.T) {
+	prof, err := workload.ByName("gap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := workload.CachedProgram(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := DefaultConfig()
+	small.ROBSize = 24
+	for _, v := range []struct {
+		name string
+		cfg  Config
+	}{{"default", DefaultConfig()}, {"rob24", small}} {
+		t.Run(v.name, func(t *testing.T) {
+			offered := 0
+			run := func(hooked bool) (Result, []commitRecord) {
+				cpu, err := New(p, v.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var stream []commitRecord
+				cpu.SetCommitObserver(func(pc uint64, o *isa.Outcome) {
+					stream = append(stream, commitRecord{pc, *o})
+				})
+				if hooked {
+					cpu.SetSchedulerFaultHook(func(int64) bool {
+						offered++
+						return false
+					})
+				}
+				return cpu.Run(30_000), stream
+			}
+			plainRes, plain := run(false)
+			hookedRes, hooked := run(true)
+			if offered == 0 {
+				t.Fatal("the hook was never offered a not-ready candidate")
+			}
+			if hookedRes != plainRes {
+				t.Fatalf("result differs:\nplain  %+v\nhooked %+v", plainRes, hookedRes)
+			}
+			if !reflect.DeepEqual(hooked, plain) {
+				t.Fatalf("commit streams differ (%d vs %d commits)", len(hooked), len(plain))
+			}
+		})
+	}
 }
