@@ -37,9 +37,10 @@ type Spec struct {
 	// Warmup primes the ITR cache before measurement (coverage only).
 	Warmup int64 `json:"warmup,omitempty"`
 	// Workers is the worker-pool width (0 = GOMAXPROCS). Results are
-	// identical at any width. For fault it sizes the Figure 8 per-injection
-	// pool (the PC, cache and rename studies always run GOMAXPROCS-wide);
-	// for sim it caps runtime parallelism.
+	// identical at any width. For fault it is the Figure 8 worker slots,
+	// shared by the injection pool and the next benchmark's pilot (the PC,
+	// cache and rename studies always run GOMAXPROCS-wide); for sim it caps
+	// runtime parallelism.
 	Workers int `json:"workers,omitempty"`
 	// Seed makes fault-injection sampling reproducible (fault only;
 	// 0 = the paper campaign seed 0x17b).
@@ -320,15 +321,18 @@ func DefaultSpec(kind string) Spec {
 	return Spec{Kind: kind}.Normalized()
 }
 
-// ParseSpec reads a JSON spec, rejecting unknown fields so typos in
-// hand-written spec files fail loudly instead of silently running the
-// default scenario.
+// ParseSpec reads a JSON spec, rejecting unknown fields and anything after
+// the spec object so typos in hand-written spec files fail loudly instead of
+// silently running the default scenario.
 func ParseSpec(r io.Reader) (Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("parse spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("parse spec: data after the spec object")
 	}
 	if s.Kind == "" {
 		return Spec{}, fmt.Errorf("parse spec: missing \"kind\"")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"itr/internal/core"
 	"itr/internal/isa"
@@ -22,7 +23,8 @@ type CampaignConfig struct {
 	Seed uint64
 	// Experiment configures each injection run.
 	Experiment Config
-	// Workers bounds parallel experiments (default: GOMAXPROCS).
+	// Workers bounds the goroutines that simulate at once: injection runs
+	// and the pilot RunCampaigns overlaps with them (default: GOMAXPROCS).
 	Workers int
 	// Progress, when non-nil, receives live campaign telemetry. One
 	// Progress may be shared across concurrent campaigns.
@@ -115,38 +117,124 @@ func (r CampaignResult) String() string {
 }
 
 // RunCampaign injects cfg.Faults random decode-signal faults into prog and
-// classifies each. Injection points are sampled uniformly over the decode
-// events of a profiling run covering the observation window, so every fault
-// lands with room to be observed.
+// classifies each: RunCampaigns on one benchmark.
 func RunCampaign(name string, prog *program.Program, cfg CampaignConfig) (CampaignResult, error) {
-	res := CampaignResult{
-		Benchmark: name,
-		Counts:    make(map[Category]int),
-		ByField:   make(map[string]int),
+	res, err := RunCampaigns([]Benchmark{{Name: name, Prog: prog}}, cfg, nil)
+	if err != nil {
+		return CampaignResult{}, err
 	}
-	if cfg.Faults <= 0 {
-		return res, fmt.Errorf("campaign: non-positive fault count %d", cfg.Faults)
-	}
+	return res[0], nil
+}
 
-	// Pilot run: profile the decode-event space once, fault-free, dropping a
-	// resumable snapshot every SnapshotInterval decode events. The pilot uses
-	// the observe run's exact configuration (mode aside, which Restore
-	// ignores) so its snapshots restore into every injection run. A fault-
-	// free machine's trajectory is mode-independent — the checker modes
-	// differ only in how detections are handled — so the decode-event space
-	// matches what any injection run sees up to its fault point.
+// Benchmark is one program of a multi-benchmark campaign.
+type Benchmark struct {
+	Name string
+	Prog *program.Program
+}
+
+// RunCampaigns runs one campaign per benchmark with the same configuration
+// and returns the results in order. Each campaign has two halves: a plan
+// (a fault-free pilot over the window, the injection sample drawn from the
+// pilot's decode events, and the pilot snapshots those injections resume
+// from) and an injection phase (the golden stream, the worker pool and the
+// tally). No plan depends on another benchmark, so benchmark k+1's plan runs
+// on its own goroutine while benchmark k's injections drain.
+//
+// The pilot and the injections draw on one semaphore of cfg.Workers slots
+// (GOMAXPROCS when zero): the pilot holds a slot for its whole run and each
+// injection holds one for its run, so at most cfg.Workers goroutines
+// simulate at once, and Workers: 1 runs everything one at a time. Only one
+// plan runs ahead, so at most two benchmarks' snapshot series are alive at
+// once, and a benchmark's golden stream is only built when its injections
+// start. Results are identical to one RunCampaign call per benchmark.
+//
+// done, when non-nil, receives each benchmark's name and the time its plan
+// and its injection phase took, in benchmark order. On failure the error is
+// the lowest-index benchmark's, and no goroutine outlives the call.
+func RunCampaigns(benches []Benchmark, cfg CampaignConfig, done func(name string, elapsed time.Duration)) ([]CampaignResult, error) {
+	if cfg.Faults <= 0 {
+		return nil, fmt.Errorf("campaign: non-positive fault count %d", cfg.Faults)
+	}
+	if len(benches) == 0 {
+		return nil, nil
+	}
+	sem := newSlots(cfg.Workers)
+	type planned struct {
+		p    campaignPlan
+		took time.Duration
+		err  error
+	}
+	start := func(b Benchmark) chan planned {
+		ch := make(chan planned, 1)
+		go func() {
+			sem.acquire()
+			t := time.Now()
+			p, err := plan(b.Prog, cfg)
+			took := time.Since(t)
+			sem.release()
+			ch <- planned{p, took, err}
+		}()
+		return ch
+	}
+	results := make([]CampaignResult, len(benches))
+	next := start(benches[0])
+	for k, b := range benches {
+		pl := <-next
+		if pl.err != nil {
+			return nil, fmt.Errorf("%s: %w", b.Name, pl.err)
+		}
+		next = nil
+		if k+1 < len(benches) {
+			next = start(benches[k+1])
+		}
+		t := time.Now()
+		res, err := inject(b, pl.p, cfg, sem)
+		if err != nil {
+			if next != nil {
+				<-next
+			}
+			return nil, fmt.Errorf("%s: %w", b.Name, err)
+		}
+		if done != nil {
+			done(b.Name, pl.took+time.Since(t))
+		}
+		results[k] = res
+	}
+	return results, nil
+}
+
+// campaignPlan is one benchmark's fault-free half of a campaign: the
+// injection sample and the pruned pilot snapshots it resumes from. It holds
+// no golden stream; only the pilot's commit count, which the injection phase
+// computes the stream through.
+type campaignPlan struct {
+	injections []Injection
+	snaps      []*pipeline.Snapshot
+	committed  int64
+}
+
+// plan runs prog's pilot: it profiles the decode-event space once,
+// fault-free, dropping a resumable snapshot every SnapshotInterval decode
+// events, then samples the injections and prunes the snapshots none of them
+// resumes from. The pilot uses the observe run's exact configuration (mode
+// aside, which Restore ignores) so its snapshots restore into every
+// injection run. A fault-free machine's trajectory is mode-independent — the
+// checker modes differ only in how detections are handled — so the
+// decode-event space matches what any injection run sees up to its fault
+// point.
+func plan(prog *program.Program, cfg CampaignConfig) (campaignPlan, error) {
 	pilotCfg := cfg.Experiment
 	if cfg.Tracer != nil {
 		pilotCfg.Pipeline.Trace = cfg.Tracer.Ring("fault-pilot")
 	}
 	pilot, err := pipeline.New(prog, pilotCfg.pipelineConfig(core.ModeObserve))
 	if err != nil {
-		return res, fmt.Errorf("campaign pilot: %w", err)
+		return campaignPlan{}, fmt.Errorf("campaign pilot: %w", err)
 	}
 	snaps := pilotSeries(pilot, cfg.Experiment.WindowCycles, cfg.Experiment.EffectiveSnapshotInterval())
 	decodeSpace := pilot.DecodeEvents()
 	if decodeSpace < 100 {
-		return res, fmt.Errorf("campaign: window too small (%d decode events)", decodeSpace)
+		return campaignPlan{}, fmt.Errorf("campaign: window too small (%d decode events)", decodeSpace)
 	}
 
 	// Sample injections: decode index in the first half of the window so
@@ -164,8 +252,18 @@ func RunCampaign(name string, prog *program.Program, cfg CampaignConfig) (Campai
 		}
 		points[i] = injections[i].DecodeIndex
 	}
+	return campaignPlan{injections, prune(snaps, points), pilot.CommittedInsts()}, nil
+}
 
-	rc := &replayContext{snaps: prune(snaps, points), stream: pilotStream(prog, pilot)}
+// inject runs a planned campaign's injections on the worker pool, whose
+// jobs take their slots from sem, and tallies them.
+func inject(b Benchmark, p campaignPlan, cfg CampaignConfig, sem slots) (CampaignResult, error) {
+	res := CampaignResult{
+		Benchmark: b.Name,
+		Counts:    make(map[Category]int),
+		ByField:   make(map[string]int),
+	}
+	rc := &replayContext{snaps: p.snaps, stream: streamThrough(b.Prog, p.committed)}
 	res.Snapshots = len(rc.snaps)
 	distinct := make(map[uint64]struct{})
 	for _, s := range rc.snaps {
@@ -174,9 +272,9 @@ func RunCampaign(name string, prog *program.Program, cfg CampaignConfig) (Campai
 	}
 	res.SnapshotOwnedPages = len(distinct)
 
-	oracle := NewSigOracle(prog)
+	oracle := NewSigOracle(b.Prog)
 	budgets := make([]runBudget, cfg.Faults)
-	details, err := runPool(prog, cfg.Workers, cfg.Faults, func(a *arena, i int) (Detail, error) {
+	details, err := runPool(b.Prog, sem, cfg.Faults, func(a *arena, i int) (Detail, error) {
 		// A worker's ring is single-writer: its arena machines run on the
 		// worker's goroutine, so their pipeline events interleave with the
 		// injection markers safely.
@@ -186,7 +284,7 @@ func RunCampaign(name string, prog *program.Program, cfg CampaignConfig) (Campai
 			ring = cfg.Tracer.Ring(fmt.Sprintf("fault-worker-%d", a.worker))
 			wcfg.Pipeline.Trace = ring
 		}
-		inj := injections[i]
+		inj := p.injections[i]
 		ring.Emit(obs.EvInjectStart, inj.DecodeIndex, int64(inj.Bit))
 		d, err := runOne(oracle, wcfg, inj, rc, a, &budgets[i])
 		detected := int64(0)
@@ -232,24 +330,39 @@ func RunCampaign(name string, prog *program.Program, cfg CampaignConfig) (Campai
 	return res, nil
 }
 
-// runPool runs job(a, i) for i in [0, n) on up to workers goroutines (0
-// means GOMAXPROCS): the one worker pool every fault study shares. Each
-// worker recycles machines through its own arena, and results land by
-// index, so they are identical at any width; the lowest-index error wins.
-func runPool[T any](prog *program.Program, workers, n int, job func(a *arena, i int) (T, error)) ([]T, error) {
+// slots is a counting semaphore bounding the goroutines that simulate at
+// once.
+type slots chan struct{}
+
+// newSlots returns a semaphore of workers slots (0 means GOMAXPROCS).
+func newSlots(workers int) slots {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	return make(slots, workers)
+}
+
+func (s slots) acquire() { s <- struct{}{} }
+func (s slots) release() { <-s }
+
+// runPool runs job(a, i) for i in [0, n) on up to cap(sem) goroutines, each
+// job holding one of sem's slots: the one worker pool every fault study
+// shares. Each worker recycles machines through its own arena, and results
+// land by index, so they are identical at any width; the lowest-index error
+// wins.
+func runPool[T any](prog *program.Program, sem slots, n int, job func(a *arena, i int) (T, error)) ([]T, error) {
 	outs := make([]T, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	work := make(chan int)
-	for w := range min(workers, n) {
+	for w := range min(cap(sem), n) {
 		wg.Add(1)
 		go func(a *arena) {
 			defer wg.Done()
 			for i := range work {
+				sem.acquire()
 				outs[i], errs[i] = job(a, i)
+				sem.release()
 			}
 		}(&arena{prog: prog, worker: w})
 	}

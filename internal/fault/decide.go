@@ -254,7 +254,7 @@ func convergedWithGolden(cpu *pipeline.CPU, stream *GoldenStream, snap *pipeline
 	st, mem := snap.ArchFork()
 	r := &goldenCursor{s: stream}
 	for i := snap.Committed; i < committed; i++ {
-		st.ApplyRef(&r.at(int(i)).out)
+		r.at(int(i)).apply(st)
 	}
 	machine := cpu.Committed()
 	if st.R != machine.R || st.F != machine.F || st.PC != machine.PC {

@@ -260,7 +260,7 @@ func TestCampaignPctHelpers(t *testing.T) {
 
 func TestGoldenDetectsDivergence(t *testing.T) {
 	p := testProgram(t)
-	cur := &goldenCursor{s: NewGoldenStream(p)}
+	cur := NewGoldenStream(p).cursor(0)
 	// Feed an independently executed true stream: no divergence.
 	st := isa.NewArchState()
 	st.PC = p.Entry

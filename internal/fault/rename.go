@@ -161,7 +161,7 @@ func RunRenameCampaign(prog *program.Program, cfg Config, n int, seed uint64) (R
 	if cfg.EffectiveSnapshotInterval() > 0 {
 		// One pilot per pass captures that pass's resume points; the two
 		// run side by side on the pool.
-		snaps, err := runPool(prog, 0, len(passes), func(_ *arena, i int) ([]*pipeline.Snapshot, error) {
+		snaps, err := runPool(prog, newSlots(0), len(passes), func(_ *arena, i int) ([]*pipeline.Snapshot, error) {
 			cpu, err := pipeline.New(prog, passes[i].pcfg)
 			if err != nil {
 				return nil, fmt.Errorf("rename pilot: %w", err)
@@ -174,8 +174,8 @@ func RunRenameCampaign(prog *program.Program, cfg Config, n int, seed uint64) (R
 		passes[0].snaps, passes[1].snaps = snaps[0], snaps[1]
 	}
 
-	stream := pilotStream(prog, prof)
-	outs, err := runPool(prog, 0, n, func(a *arena, i int) (renameOutcome, error) {
+	stream := streamThrough(prog, prof.CommittedInsts())
+	outs, err := runPool(prog, newSlots(0), n, func(a *arena, i int) (renameOutcome, error) {
 		return runRenameFault(a, passes, stream, cfg.WindowCycles, injs[i])
 	})
 	if err != nil {

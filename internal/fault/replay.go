@@ -10,11 +10,79 @@ import (
 	"itr/internal/program"
 )
 
-// goldenEntry is one instruction of the fault-free reference execution: the
-// PC the reference was at, and the outcome it computed there.
+// goldenEntry is one instruction of the fault-free reference execution,
+// packed to 32 bytes: exactly the isa.Outcome fields SameArchEffect and
+// ApplyRef read. The instruction's own PC is not stored — it is the previous
+// entry's nextPC, or the program entry at index 0, and a cursor tracks it —
+// and a register write and a store share word, because a store never writes
+// a register (isa.ArchState.ExecInto).
 type goldenEntry struct {
-	pc  uint64
-	out isa.Outcome
+	nextPC uint64
+	word   uint64 // the register write's value, or the store's data
+	addr   uint64 // the store's address
+	flags  uint8  // entryRegWrite | entryRegFP | entryMemWrite | entryHalt
+	reg    isa.RegID
+	size   uint8 // the store's width in bytes
+}
+
+const (
+	entryRegWrite = 1 << iota
+	entryRegFP
+	entryMemWrite
+	entryHalt
+)
+
+// packEntry packs a fault-free outcome, which performs at most one of a
+// register write and a store.
+func packEntry(o *isa.Outcome) goldenEntry {
+	e := goldenEntry{nextPC: o.NextPC, reg: o.Reg}
+	if o.RegWrite {
+		e.flags |= entryRegWrite
+		e.word = o.Value
+	}
+	if o.RegFP {
+		e.flags |= entryRegFP
+	}
+	if o.MemWrite {
+		e.flags |= entryMemWrite
+		e.word, e.addr, e.size = o.MemWData, o.MemAddr, o.MemWSize
+	}
+	if o.Halt {
+		e.flags |= entryHalt
+	}
+	return e
+}
+
+// matches is isa.Outcome.SameArchEffect with e as the reference outcome.
+func (e *goldenEntry) matches(o *isa.Outcome) bool {
+	if o.NextPC != e.nextPC || o.Halt != (e.flags&entryHalt != 0) {
+		return false
+	}
+	if o.RegWrite != (e.flags&entryRegWrite != 0) || o.MemWrite != (e.flags&entryMemWrite != 0) {
+		return false
+	}
+	if o.RegWrite && (o.Reg != e.reg || o.RegFP != (e.flags&entryRegFP != 0) || o.Value != e.word) {
+		return false
+	}
+	if o.MemWrite && (o.MemAddr != e.addr || o.MemWData != e.word || o.MemWSize != e.size) {
+		return false
+	}
+	return true
+}
+
+// apply is isa.ArchState.ApplyRef of the packed outcome.
+func (e *goldenEntry) apply(st *isa.ArchState) {
+	if e.flags&entryRegWrite != 0 {
+		if e.flags&entryRegFP != 0 {
+			st.F[e.reg&0x1f] = e.word
+		} else if e.reg&0x1f != 0 {
+			st.R[e.reg&0x1f] = e.word
+		}
+	}
+	if e.flags&entryMemWrite != 0 {
+		st.Mem.Store(e.addr, e.size, e.word)
+	}
+	st.PC = e.nextPC
 }
 
 // GoldenStream is the fault-free commit log computed once per program and
@@ -30,7 +98,8 @@ type goldenEntry struct {
 // from the program's decode table, which yields halt signals beyond the
 // program image.
 type GoldenStream struct {
-	tab *program.DecodeTable
+	tab   *program.DecodeTable
+	entry uint64 // the PC of entry 0
 
 	mu     sync.Mutex
 	st     isa.ArchState   // execution frontier (guarded by mu)
@@ -44,7 +113,7 @@ const streamChunk = 4096
 // NewGoldenStream builds an empty stream for prog; entries are computed on
 // first use.
 func NewGoldenStream(prog *program.Program) *GoldenStream {
-	s := &GoldenStream{tab: prog.DecodeTable()}
+	s := &GoldenStream{tab: prog.DecodeTable(), entry: prog.Entry}
 	s.st.Mem = isa.NewMemory()
 	s.st.PC = prog.Entry
 	return s
@@ -70,28 +139,49 @@ func streamFor(prog *program.Program) *GoldenStream {
 	return lastStream.s
 }
 
+// streamThrough returns prog's shared golden stream, computed through its
+// first n entries (a pilot's commit count) so workers rarely contend on
+// extending it.
+func streamThrough(prog *program.Program, n int64) *GoldenStream {
+	s := streamFor(prog)
+	if n > 0 {
+		s.chunk(int(n-1) / streamChunk)
+	}
+	return s
+}
+
 // chunk returns chunk i, the entries [i*streamChunk, (i+1)*streamChunk),
 // computing the stream through it first.
 func (s *GoldenStream) chunk(i int) []goldenEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var o isa.Outcome
 	for len(s.chunks) <= i {
 		c := make([]goldenEntry, streamChunk)
 		for j := range c {
-			e := &c[j]
-			e.pc = s.st.PC
-			s.st.ExecInto(&e.out, s.tab.Signals(e.pc), e.pc)
-			s.st.ApplyRef(&e.out)
+			pc := s.st.PC
+			s.st.ExecInto(&o, s.tab.Signals(pc), pc)
+			s.st.ApplyRef(&o)
+			c[j] = packEntry(&o)
 		}
 		s.chunks = append(s.chunks, c)
 	}
 	return s.chunks[i]
 }
 
+// cursor returns a cursor positioned at entry idx.
+func (s *GoldenStream) cursor(idx int) *goldenCursor {
+	c := &goldenCursor{s: s, idx: idx, pc: s.entry}
+	if idx > 0 {
+		c.pc = c.at(idx - 1).nextPC
+	}
+	return c
+}
+
 // attach installs a cursor as cpu's commit observer, starting at cpu's
 // commit count (a resumed machine's prefix matched by construction).
 func (s *GoldenStream) attach(cpu *pipeline.CPU) *goldenCursor {
-	c := &goldenCursor{s: s, idx: int(cpu.CommittedInsts())}
+	c := s.cursor(int(cpu.CommittedInsts()))
 	cpu.SetCommitObserver(c.observe)
 	return c
 }
@@ -106,10 +196,13 @@ type goldenCursor struct {
 	cur      []goldenEntry // the chunk holding entries [base, base+streamChunk)
 	base     int
 	idx      int
+	pc       uint64 // the PC entry idx executes at
 	diverged bool
 
-	// The position and verdict at the machine's last checkpoint take.
+	// The position, expected PC and verdict at the machine's last
+	// checkpoint take.
 	ckIdx      int
+	ckPC       uint64
 	ckDiverged bool
 }
 
@@ -128,27 +221,28 @@ func (c *goldenCursor) observe(pc uint64, o *isa.Outcome) {
 	if c.diverged {
 		return
 	}
-	e := c.at(c.idx)
-	if pc != e.pc {
+	if pc != c.pc {
 		c.diverged = true
 		return
 	}
+	e := c.at(c.idx)
 	c.idx++
-	if !o.SameArchEffect(&e.out) {
+	c.pc = e.nextPC
+	if !e.matches(o) {
 		c.diverged = true
 	}
 }
 
 // checkpoint is a pipeline.CheckpointObserver: a take records the cursor's
-// (position, verdict) pair and a rollback restores it. The machine only rolls
-// back to a checkpoint it took during the same run, so every rollback follows
-// a take.
+// (position, expected PC, verdict) and a rollback restores them. The machine
+// only rolls back to a checkpoint it took during the same run, so every
+// rollback follows a take.
 func (c *goldenCursor) checkpoint(taken bool) {
 	if taken {
-		c.ckIdx, c.ckDiverged = c.idx, c.diverged
+		c.ckIdx, c.ckPC, c.ckDiverged = c.idx, c.pc, c.diverged
 		return
 	}
-	c.idx, c.diverged = c.ckIdx, c.ckDiverged
+	c.idx, c.pc, c.diverged = c.ckIdx, c.ckPC, c.ckDiverged
 }
 
 // replayContext is one study's fast-forward state, shared read-only across
@@ -206,16 +300,6 @@ func pilotAt(cpu *pipeline.CPU, window int64, points []int64, cycles bool) (snap
 		snaps = append(snaps, cpu.Snapshot())
 	}
 	return snaps
-}
-
-// pilotStream returns prog's shared golden stream, computed through the
-// pilot's commits so workers rarely contend on extending it.
-func pilotStream(prog *program.Program, pilot *pipeline.CPU) *GoldenStream {
-	s := streamFor(prog)
-	if n := pilot.CommittedInsts(); n > 0 {
-		s.chunk(int(n-1) / streamChunk)
-	}
-	return s
 }
 
 // prune keeps only the snapshots some decode point resumes from, so a

@@ -90,7 +90,7 @@ func newPCStudy(prog *program.Program, cfg Config, faults []pcFault) (*pcStudy, 
 		st.rc.snaps = pilotAt(pilot, st.window, points, true)
 	}
 	st.ref = pilot.Run(st.window - pilot.CycleCount())
-	st.rc.stream = pilotStream(prog, pilot)
+	st.rc.stream = streamThrough(prog, pilot.CommittedInsts())
 	return st, nil
 }
 
@@ -156,7 +156,7 @@ func RunPCFaultCampaign(prog *program.Program, cfg Config, n int, seed uint64) (
 	if err != nil {
 		return res, err
 	}
-	outs, err := runPool(prog, 0, n, func(a *arena, i int) (PCOutcome, error) { return st.run(a, faults[i]) })
+	outs, err := runPool(prog, newSlots(0), n, func(a *arena, i int) (PCOutcome, error) { return st.run(a, faults[i]) })
 	if err != nil {
 		return res, err
 	}
@@ -298,7 +298,7 @@ func RunCacheFaultCampaign(prog *program.Program, cfg Config, parity bool, n int
 	if err != nil {
 		return res, err
 	}
-	outs, err := runPool(prog, 0, n, func(a *arena, i int) (cacheOutcome, error) { return st.run(a, faults[i]) })
+	outs, err := runPool(prog, newSlots(0), n, func(a *arena, i int) (cacheOutcome, error) { return st.run(a, faults[i]) })
 	if err != nil {
 		return res, err
 	}

@@ -316,37 +316,32 @@ type Figure8Row struct {
 }
 
 // Figure8 runs the Section 4 fault-injection campaign over the given
-// benchmarks (the paper uses the 11 coverage benchmarks plus an average).
-// Benchmarks fan out on the engine's pool; fault.RunCampaign has its own
-// per-injection pool (cfg.Workers), so campaigns that set cfg.Workers > 1
-// should pair it with an Engine{Workers: 1} — or vice versa — to avoid
-// oversubscription.
+// benchmarks (the paper uses the 11 coverage benchmarks plus an average)
+// through fault.RunCampaigns, which overlaps each benchmark's pilot with the
+// previous benchmark's injections within cfg.Workers slots. The engine's
+// Workers does not apply; OnItem receives each benchmark's plan plus
+// injection time.
 func (e *Engine) Figure8(profiles []workload.Profile, cfg fault.CampaignConfig) ([]Figure8Row, error) {
-	rows := make([]Figure8Row, len(profiles))
-	err := e.forEach(len(profiles), func(i int) error {
-		p := profiles[i]
-		return e.item(p.Name, func() error {
-			prog, err := workload.CachedProgram(p)
-			if err != nil {
-				return fmt.Errorf("%s: %w", p.Name, err)
-			}
-			res, err := fault.RunCampaign(p.Name, prog, cfg)
-			if err != nil {
-				return fmt.Errorf("%s: %w", p.Name, err)
-			}
-			rows[i] = Figure8Row{Benchmark: p.Name, Result: res}
-			return nil
-		})
-	})
+	benches := make([]fault.Benchmark, len(profiles))
+	for i, p := range profiles {
+		prog, err := workload.CachedProgram(p)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
+		}
+		benches[i] = fault.Benchmark{Name: p.Name, Prog: prog}
+	}
+	results, err := fault.RunCampaigns(benches, cfg, e.OnItem)
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]Figure8Row, len(results))
+	for i, res := range results {
+		rows[i] = Figure8Row{Benchmark: res.Benchmark, Result: res}
 	}
 	return rows, nil
 }
 
-// Figure8 runs on the default engine (full-width pool over benchmarks);
-// prefer an explicit Engine{Workers: 1} when cfg.Workers parallelizes the
-// injections instead.
+// Figure8 runs on the default engine.
 func Figure8(profiles []workload.Profile, cfg fault.CampaignConfig) ([]Figure8Row, error) {
 	return defaultEngine.Figure8(profiles, cfg)
 }
