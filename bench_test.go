@@ -720,14 +720,16 @@ func BenchmarkDecodeMemoized(b *testing.B) {
 }
 
 // BenchmarkTraceStream measures end-to-end functional execution with trace
-// formation — the event-generation phase of every sweep — in dynamic
-// instructions per op.
+// formation — the event-generation phase of every sweep — over 200,000
+// dynamic instructions per op, and reports the per-instruction cost as
+// ns/inst.
 func BenchmarkTraceStream(b *testing.B) {
 	prog := benchProgram(b)
+	insts := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		events := 0
-		trace.Stream(prog, 200_000, func(trace.Event) bool {
+		insts += trace.Stream(prog, 200_000, func(trace.Event) bool {
 			events++
 			return true
 		})
@@ -735,6 +737,7 @@ func BenchmarkTraceStream(b *testing.B) {
 			b.Fatal("no trace events")
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
 }
 
 // BenchmarkCoverageSweepSinglePass is the production sweep path, pinned to

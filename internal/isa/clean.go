@@ -1,0 +1,184 @@
+package isa
+
+// In-place execution of clean instruction streams.
+//
+// ExecInto is steered by a possibly corrupted signal vector, so it re-tests
+// the flags of every dynamic instruction and reports the effect as an Outcome
+// the pipeline can compare or squash. A fault-free functional run needs
+// neither: its signals are Decode's, and Decode derives the flags, num_rdst
+// and mem_size fields from the opcode alone. A 256-entry table indexed by
+// opcode therefore holds the choices ExecInto would make from those fields,
+// and ExecTrace applies each instruction straight to the registers and
+// memory, reusing ExecInto's arithmetic helpers.
+
+// opKind is the execution path ExecInto takes for a clean opcode.
+type opKind uint8
+
+const (
+	kindNop     opKind = iota // PC+1 only: nop, invalid opcodes
+	kindALU                   // integer ALU, register-register operands
+	kindALUImm                // integer ALU, zero-extended immediate
+	kindALUSImm               // integer ALU, sign-extended immediate
+	kindFPU                   // floating-point operation
+	kindLoad                  // integer load, zero-extended
+	kindLoadS                 // integer load, sign-extended
+	kindLwl                   // unaligned word load, left half
+	kindLwr                   // unaligned word load, right half
+	kindFLoad                 // floating-point load
+	kindStore                 // integer store
+	kindFStore                // floating-point store
+	kindBranch                // conditional branch
+	kindJump                  // direct jump
+	kindJal                   // direct call
+	kindJr                    // register-indirect jump
+	kindJalr                  // register-indirect call
+	kindHalt
+)
+
+// cleanOp is the opcode-indexed table entry: the execution path and, for
+// memory operations, the access width in bytes.
+type cleanOp struct {
+	kind opKind
+	size uint8
+}
+
+var cleanOps = func() (t [256]cleanOp) {
+	for i := range t {
+		d := Decode(Instruction{Op: Opcode(i)})
+		t[i] = cleanOp{kind: classify(d), size: memBytes(d.MemSize)}
+	}
+	return t
+}()
+
+// haltWord is the packed signal word a PC outside the image decodes to.
+var haltWord = Decode(Instruction{Op: OpHalt}).Pack()
+
+// classify follows ExecInto's dispatch for the clean signals d.
+func classify(d DecodeSignals) opKind {
+	fp := d.HasFlag(FlagFP)
+	switch {
+	case d.HasFlag(FlagTrap):
+		if d.Opcode == OpHalt {
+			return kindHalt
+		}
+		return kindNop
+	case d.HasFlag(FlagBranch):
+		link := d.NumRdst != 0
+		switch {
+		case !d.HasFlag(FlagUncond):
+			return kindBranch
+		case d.HasFlag(FlagDirect) && link:
+			return kindJal
+		case d.HasFlag(FlagDirect):
+			return kindJump
+		case link:
+			return kindJalr
+		}
+		return kindJr
+	case d.HasFlag(FlagLd):
+		switch {
+		case fp:
+			return kindFLoad
+		case d.Opcode == OpLwl:
+			return kindLwl
+		case d.Opcode == OpLwr:
+			return kindLwr
+		case d.HasFlag(FlagSigned):
+			return kindLoadS
+		}
+		return kindLoad
+	case d.HasFlag(FlagSt):
+		if fp {
+			return kindFStore
+		}
+		return kindStore
+	case d.NumRdst == 0:
+		return kindNop
+	case fp:
+		return kindFPU
+	case !d.HasFlag(FlagDisp):
+		return kindALU
+	case d.HasFlag(FlagSigned):
+		return kindALUSImm
+	}
+	return kindALUImm
+}
+
+// ExecTrace executes one trace of clean instructions in place, starting at
+// st.PC. words[pc] is the packed Decode word of the instruction at pc; a PC
+// outside words decodes as halt. It stops after a branching instruction, a
+// halt, the MaxTraceLen-th instruction or the limit-th, whichever comes first.
+// It returns the number of instructions executed, the XOR of their words
+// (the trace signature), and whether the last one was a branching
+// instruction or a halt.
+//
+// Each instruction changes st's registers and PC, and mem, exactly as
+// ExecInto followed by ApplyRef would with mem as st.Mem. Two preconditions
+// make that hold without per-instruction flag tests: words holds clean
+// signals, as in a program's decode table, and st.R[0] is zero, as in every
+// state ApplyRef reaches from a reset.
+func (st *ArchState) ExecTrace(mem *Memory, words []uint64, limit int) (n int, sig uint64, branch, halt bool) {
+	pc := st.PC
+	for n < limit && n < MaxTraceLen && !branch && !halt {
+		w := haltWord
+		if pc < uint64(len(words)) {
+			w = words[pc]
+		}
+		sig ^= w
+		n++
+		op := Opcode(w >> bitOpcode)
+		rs1, rs2, rd := w>>bitRsrc1&0x1f, w>>bitRsrc2&0x1f, w>>bitRdst&0x1f
+		imm := uint16(w >> bitImm)
+		next := pc + 1
+		switch e := cleanOps[op]; e.kind {
+		case kindALU:
+			st.R[rd] = aluOp(op, st.R[rs1], st.R[rs2], uint8(w>>bitShamt)&0x1f, imm)
+		case kindALUImm:
+			st.R[rd] = aluOp(op, st.R[rs1], uint64(imm), uint8(w>>bitShamt)&0x1f, imm)
+		case kindALUSImm:
+			st.R[rd] = aluOp(op, st.R[rs1], sx16(imm), uint8(w>>bitShamt)&0x1f, imm)
+		case kindFPU:
+			st.F[rd] = fpuOp(op, st.F[rs1], st.F[rs2], st.R[rs1])
+		case kindLoad:
+			st.R[rd] = mem.Load(st.R[rs1]+sx16(imm), e.size)
+		case kindLoadS:
+			st.R[rd] = signExtend(mem.Load(st.R[rs1]+sx16(imm), e.size), e.size)
+		case kindLwl:
+			st.R[rd] = st.R[rd]&0x0000ffff | mem.Load((st.R[rs1]+sx16(imm))&^3, 4)&0xffff0000
+		case kindLwr:
+			st.R[rd] = st.R[rd]&0xffff0000 | mem.Load((st.R[rs1]+sx16(imm))&^3, 4)&0x0000ffff
+		case kindFLoad:
+			st.F[rd] = mem.Load(st.R[rs1]+sx16(imm), e.size)
+		case kindStore:
+			mem.Store(st.R[rs1]+sx16(imm), e.size, st.R[rs2])
+		case kindFStore:
+			mem.Store(st.R[rs1]+sx16(imm), e.size, st.F[rs2])
+		case kindBranch:
+			branch = true
+			if taken, _ := branchTaken(op, st.R[rs1], st.R[rs2]); taken {
+				next = pc + 1 + sx16(imm)
+			}
+		case kindJump, kindJal:
+			// The direct target is split across imm, shamt and rsrc2 (see
+			// DirectTarget).
+			branch = true
+			next = uint64(imm) | (w>>bitShamt&0x1f)<<16 | rs2<<21
+			if e.kind == kindJal {
+				st.R[rd] = pc + 1
+			}
+		case kindJr, kindJalr:
+			branch = true
+			next = st.R[rs1]
+			if e.kind == kindJalr {
+				st.R[rd] = pc + 1
+			}
+		case kindHalt:
+			halt = true
+		}
+		// Writes to the hardwired zero register are dropped.
+		st.R[0] = 0
+		pc = next
+	}
+	st.PC = pc
+	return n, sig, branch, halt
+}

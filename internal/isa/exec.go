@@ -226,22 +226,8 @@ func (st *ArchState) ExecInto(o *Outcome, d DecodeSignals, pc uint64) {
 			}
 			return
 		}
-		a, b := st.regInt(d.Rsrc1), st.regInt(d.Rsrc2)
-		var taken bool
-		switch d.Opcode {
-		case OpBeq:
-			taken = a == b
-		case OpBne:
-			taken = a != b
-		case OpBlt:
-			taken = int64(a) < int64(b)
-		case OpBge:
-			taken = int64(a) >= int64(b)
-		case OpBltu:
-			taken = a < b
-		case OpBgeu:
-			taken = a >= b
-		default:
+		taken, ok := branchTaken(d.Opcode, st.regInt(d.Rsrc1), st.regInt(d.Rsrc2))
+		if !ok {
 			// A corrupted opcode on a branch-flagged instruction: the
 			// condition select lines pick nothing; fall through untaken.
 			o.Illegal = true
@@ -288,11 +274,34 @@ func (st *ArchState) ExecInto(o *Outcome, d DecodeSignals, pc uint64) {
 	}
 }
 
+// branchTaken evaluates the condition of conditional branch op on operands a
+// and b; ok is false when op is not a conditional branch.
+func branchTaken(op Opcode, a, b uint64) (taken, ok bool) {
+	switch op {
+	case OpBeq:
+		return a == b, true
+	case OpBne:
+		return a != b, true
+	case OpBlt:
+		return int64(a) < int64(b), true
+	case OpBge:
+		return int64(a) >= int64(b), true
+	case OpBltu:
+		return a < b, true
+	case OpBgeu:
+		return a >= b, true
+	}
+	return false, false
+}
+
 // alu computes the result of a non-memory, non-branch operation.
 func (st *ArchState) alu(d DecodeSignals) uint64 {
 	// Operand sourcing: register-register format reads rsrc2; displacement
 	// format substitutes the immediate.
 	a := st.regInt(d.Rsrc1)
+	if d.HasFlag(FlagFP) {
+		return fpuOp(d.Opcode, st.regFP(d.Rsrc1), st.regFP(d.Rsrc2), a)
+	}
 	b := st.regInt(d.Rsrc2)
 	if d.HasFlag(FlagDisp) {
 		if d.HasFlag(FlagSigned) {
@@ -301,40 +310,47 @@ func (st *ArchState) alu(d DecodeSignals) uint64 {
 			b = uint64(d.Imm)
 		}
 	}
+	return aluOp(d.Opcode, a, b, d.Shamt, d.Imm)
+}
 
-	if d.HasFlag(FlagFP) {
-		fa := math.Float64frombits(st.regFP(d.Rsrc1))
-		fb := math.Float64frombits(st.regFP(d.Rsrc2))
-		switch d.Opcode {
-		case OpFAdd:
-			return math.Float64bits(fa + fb)
-		case OpFSub:
-			return math.Float64bits(fa - fb)
-		case OpFMul:
-			return math.Float64bits(fa * fb)
-		case OpFDiv:
-			if fb == 0 {
-				return math.Float64bits(0)
-			}
-			return math.Float64bits(fa / fb)
-		case OpFNeg:
-			return math.Float64bits(-fa)
-		case OpFMov:
-			return st.regFP(d.Rsrc1)
-		case OpFCmp:
-			if fa < fb {
-				return 1
-			}
-			return 0
-		case OpFCvt:
-			return math.Float64bits(float64(int64(a)))
-		default:
-			// Corrupted opcode with is_fp set: pass operand through.
-			return st.regFP(d.Rsrc1)
+// fpuOp computes floating-point operation op on the raw register bits x and
+// y (the fp sources) and the integer source a (fcvt's operand).
+func fpuOp(op Opcode, x, y, a uint64) uint64 {
+	fa, fb := math.Float64frombits(x), math.Float64frombits(y)
+	switch op {
+	case OpFAdd:
+		return math.Float64bits(fa + fb)
+	case OpFSub:
+		return math.Float64bits(fa - fb)
+	case OpFMul:
+		return math.Float64bits(fa * fb)
+	case OpFDiv:
+		if fb == 0 {
+			return math.Float64bits(0)
 		}
+		return math.Float64bits(fa / fb)
+	case OpFNeg:
+		return math.Float64bits(-fa)
+	case OpFMov:
+		return x
+	case OpFCmp:
+		if fa < fb {
+			return 1
+		}
+		return 0
+	case OpFCvt:
+		return math.Float64bits(float64(int64(a)))
+	default:
+		// Corrupted opcode with is_fp set: pass operand through.
+		return x
 	}
+}
 
-	switch d.Opcode {
+// aluOp computes integer operation op on operands a and b (b already
+// sourced from rsrc2 or the immediate), the shift amount and the raw
+// immediate (lui's operand).
+func aluOp(op Opcode, a, b uint64, shamt uint8, imm uint16) uint64 {
+	switch op {
 	case OpAdd, OpAddi:
 		return a + b
 	case OpSub:
@@ -346,11 +362,11 @@ func (st *ArchState) alu(d DecodeSignals) uint64 {
 	case OpXor, OpXori:
 		return a ^ b
 	case OpSll:
-		return a << (d.Shamt & 0x3f)
+		return a << (shamt & 0x3f)
 	case OpSrl:
-		return a >> (d.Shamt & 0x3f)
+		return a >> (shamt & 0x3f)
 	case OpSra:
-		return uint64(int64(a) >> (d.Shamt & 0x3f))
+		return uint64(int64(a) >> (shamt & 0x3f))
 	case OpSlt, OpSlti:
 		if int64(a) < int64(b) {
 			return 1
@@ -369,7 +385,7 @@ func (st *ArchState) alu(d DecodeSignals) uint64 {
 		}
 		return a / b
 	case OpLui:
-		return uint64(d.Imm) << 16
+		return uint64(imm) << 16
 	case OpNop:
 		return 0
 	default:

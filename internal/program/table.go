@@ -45,6 +45,10 @@ func newDecodeTable(insts []isa.Instruction) *DecodeTable {
 // Len returns the number of static instructions covered by the table.
 func (t *DecodeTable) Len() int { return len(t.sigs) }
 
+// Words returns the packed signal words of the whole image, indexed by pc.
+// The slice is shared and must not be modified.
+func (t *DecodeTable) Words() []uint64 { return t.words }
+
 // Signals returns the decode-signal vector of the instruction at pc.
 // Out-of-image pcs (possible under PC faults) decode as halt.
 func (t *DecodeTable) Signals(pc uint64) isa.DecodeSignals {

@@ -11,30 +11,28 @@ import (
 // the run ends mid-trace). Returning false from fn stops the run. It returns
 // the number of dynamic instructions executed.
 //
-// Execution, trace formation and delivery share one loop: each instruction
-// executes into a reused Outcome straight from the decode table, and only a
-// trace-terminating instruction calls out, to fn.
+// Each iteration runs one whole trace: isa.ExecTrace executes the decode
+// table's clean words in place on the registers and memory, folding each word
+// into the signature, and the loop hands the finished trace to fn. A trace
+// cut short by the budget or by a halt (a PC outside the image decodes as
+// one) is delivered as Partial, as Former.Flush would deliver it.
 func Stream(p *program.Program, limit int64, fn func(Event) bool) int64 {
-	tab := p.DecodeTable()
-	st := isa.NewArchState()
-	st.PC = p.Entry
-	var former Former
-	var o isa.Outcome
+	words := p.DecodeTable().Words()
+	mem := isa.NewMemory()
+	st := &isa.ArchState{Mem: mem, PC: p.Entry}
 	executed := int64(0)
 	for limit <= 0 || executed < limit {
-		pc := st.PC
-		st.ExecInto(&o, tab.Signals(pc), pc)
-		st.ApplyRef(&o)
-		executed++
-		if w := tab.Word(pc); former.StepTerm(pc, w) && !fn(former.Take(w)) {
-			return executed
+		room := isa.MaxTraceLen
+		if limit > 0 && limit-executed < int64(room) {
+			room = int(limit - executed)
 		}
-		if o.Halt {
+		start := st.PC
+		n, sig, branch, halt := st.ExecTrace(mem, words, room)
+		executed += int64(n)
+		ev := Event{StartPC: start, Len: n, Sig: sig, Branch: branch, Partial: !branch && n < isa.MaxTraceLen}
+		if !fn(ev) || halt {
 			break
 		}
-	}
-	if ev, ok := former.Flush(); ok {
-		fn(ev)
 	}
 	return executed
 }

@@ -12,7 +12,7 @@ import (
 
 // runStream is the reference trace stream: trace formation driven from a
 // program.Run step callback, one closure call per executed instruction. The
-// fused trace.Stream loop must reproduce it event for event.
+// trace.Stream loop must reproduce it event for event.
 func runStream(p *program.Program, limit int64, fn func(trace.Event) bool) int64 {
 	tab := p.DecodeTable()
 	var former trace.Former
@@ -60,11 +60,11 @@ func halting(prog *program.Program) *program.Program {
 	return &program.Program{Name: prog.Name + "-cut", Insts: prog.Insts[:end], Entry: prog.Entry}
 }
 
-// TestStreamMatchesRunOracle: for every suite benchmark, the fused Stream
-// loop returns the same events and executed count as the program.Run-driven
-// reference when the budget cuts a trace in half, ends exactly on a trace
-// boundary, lies past the program's halt (or is unbounded), and when fn stops
-// the run early.
+// TestStreamMatchesRunOracle: for every suite benchmark, Stream returns the
+// same events and executed count as the program.Run-driven reference when
+// the budget cuts a trace in half, ends exactly on a trace boundary, lies
+// past the program's halt (or is unbounded), is shorter than, equal to or
+// just past one full trace, and when fn stops the run early.
 func TestStreamMatchesRunOracle(t *testing.T) {
 	const probe = 60_000
 	for _, p := range workload.Suite() {
@@ -99,6 +99,10 @@ func TestStreamMatchesRunOracle(t *testing.T) {
 			{"past-halt", cut, haltAt + 1000, 0},
 			{"unbounded", cut, 0, 0},
 			{"early-stop", prog, probe, len(ref) / 3},
+			{"budget-1", prog, 1, 0},
+			{"budget-15", prog, 15, 0},
+			{"budget-16", prog, 16, 0},
+			{"budget-17", prog, 17, 0},
 		}
 		for _, c := range cases {
 			wantEv, wantN := collect(runStream, c.prog, c.limit, c.stopAfter)
@@ -116,6 +120,62 @@ func TestStreamMatchesRunOracle(t *testing.T) {
 		if !mid[len(mid)-1].Partial || bound[len(bound)-1].Partial {
 			t.Errorf("%s: mid-trace tail partial=%v, boundary tail partial=%v",
 				p.Name, mid[len(mid)-1].Partial, bound[len(bound)-1].Partial)
+		}
+	}
+}
+
+// straight returns n copies of addi r1, r1, 1 followed by tail.
+func straight(n int, tail ...isa.Instruction) []isa.Instruction {
+	insts := make([]isa.Instruction, n, n+len(tail))
+	for i := range insts {
+		insts[i] = isa.Instruction{Op: isa.OpAddi, Rd: 1, Rs1: 1, Imm: 1}
+	}
+	return append(insts, tail...)
+}
+
+// TestStreamEndsLikeRunOracle: hand-built programs end a stream the way the
+// program.Run-driven reference does. A halt as the 16th instruction of a
+// trace completes it; a halt mid-trace, or straight-line code running off
+// the end of the image (an out-of-image PC decodes as halt), delivers a
+// partial trace that includes the halt; a budget just short of, at or just
+// past a full trace cuts the stream there; fn returning false on the first
+// event stops the run there.
+func TestStreamEndsLikeRunOracle(t *testing.T) {
+	halt := isa.Instruction{Op: isa.OpHalt}
+	loop := straight(20, isa.Instruction{Op: isa.OpJ, Target: 0})
+	cases := []struct {
+		name      string
+		insts     []isa.Instruction
+		limit     int64
+		stopAfter int
+		want      []int  // event lengths
+		partial   []bool // per event
+	}{
+		{"halt-16th", straight(isa.MaxTraceLen-1, halt), 0, 0, []int{16}, []bool{false}},
+		{"halt-mid-trace", straight(20, halt), 0, 0, []int{16, 5}, []bool{false, true}},
+		{"off-image", straight(20), 0, 0, []int{16, 5}, []bool{false, true}},
+		{"off-image-at-16", straight(isa.MaxTraceLen), 0, 0, []int{16, 1}, []bool{false, true}},
+		{"budget-15", loop, 15, 0, []int{15}, []bool{true}},
+		{"budget-16", loop, 16, 0, []int{16}, []bool{false}},
+		{"budget-17", loop, 17, 0, []int{16, 1}, []bool{false, true}},
+		{"stop-first", loop, 1000, 1, []int{16}, []bool{false}},
+	}
+	for _, c := range cases {
+		p := &program.Program{Name: c.name, Insts: c.insts}
+		wantEv, wantN := collect(runStream, p, c.limit, c.stopAfter)
+		gotEv, gotN := collect(trace.Stream, p, c.limit, c.stopAfter)
+		if gotN != wantN || !reflect.DeepEqual(gotEv, wantEv) {
+			t.Errorf("%s: executed %d, events %+v; reference %d, %+v", c.name, gotN, gotEv, wantN, wantEv)
+			continue
+		}
+		if len(gotEv) != len(c.want) {
+			t.Errorf("%s: %d events %+v, want lengths %v", c.name, len(gotEv), gotEv, c.want)
+			continue
+		}
+		for i, ev := range gotEv {
+			if ev.Len != c.want[i] || ev.Partial != c.partial[i] || ev.Branch {
+				t.Errorf("%s: event %d is %+v, want len %d partial %v", c.name, i, ev, c.want[i], c.partial[i])
+			}
 		}
 	}
 }

@@ -22,8 +22,9 @@ type Event struct {
 	Len     int    // dynamic instructions in this instance
 	Sig     uint64 // XOR signature of the instance's decode signals
 	Branch  bool   // terminated by a branching instruction (vs length limit)
-	// Partial marks a trace truncated by end-of-stream (Flush) rather than
-	// terminated by the architecture's trace-formation rule. Partial
+	// Partial marks a trace truncated by end-of-stream (a budget cut or a
+	// halt in Stream, or Former.Flush) rather than terminated by the
+	// architecture's trace-formation rule. Partial
 	// instances carry a prefix signature and are excluded from
 	// signature-stability accounting.
 	Partial bool
