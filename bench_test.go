@@ -226,7 +226,7 @@ func figure8CampaignBench(b *testing.B, interval int64, exact bool) {
 
 // BenchmarkFigure8Campaign measures the fault campaign on the snapshot
 // fast path (default interval): injections resume from pilot snapshots and
-// compare against the precomputed golden stream.
+// compare against golden shadows executed from those snapshots.
 func BenchmarkFigure8Campaign(b *testing.B) { figure8CampaignBench(b, 0, false) }
 
 // BenchmarkFigure8CampaignCold is the same campaign with snapshots disabled
@@ -556,7 +556,7 @@ func BenchmarkWorkloadSynthesis(b *testing.B) {
 }
 
 // BenchmarkFaultInjectionRun measures one complete injection experiment
-// (observe + verify runs, cold, against the shared golden stream).
+// (observe + verify runs, cold, each against its own golden shadow).
 func BenchmarkFaultInjectionRun(b *testing.B) {
 	prof, err := workload.ByName("art")
 	if err != nil {

@@ -63,7 +63,7 @@ func printLatencyHist(w io.Writer, title string, h *obs.Hist) {
 
 // runFault reproduces the paper's Section 4 fault-injection study
 // (Figure 8): random single-bit flips on the decode signals of Table 2,
-// classified against a shared golden commit stream into the ten outcome
+// classified against a fault-free golden shadow into the ten outcome
 // categories, plus the optional PC-fault, cache-fault and rename studies.
 func runFault(e *Engine) error {
 	s := e.Spec

@@ -228,7 +228,7 @@ func (e *Engine) startCPUProfile() (func(), error) {
 
 // writeMemProfile captures a post-run heap profile when the spec requests
 // one. The GC beforehand makes the profile reflect live retention (snapshot
-// series, golden streams, arenas) rather than transient garbage.
+// series, arenas) rather than transient garbage.
 func (e *Engine) writeMemProfile() error {
 	if e.Spec.MemProfile == "" {
 		return nil

@@ -136,17 +136,16 @@ type Benchmark struct {
 // and returns the results in order. Each campaign has two halves: a plan
 // (a fault-free pilot over the window, the injection sample drawn from the
 // pilot's decode events, and the pilot snapshots those injections resume
-// from) and an injection phase (the golden stream, the worker pool and the
-// tally). No plan depends on another benchmark, so benchmark k+1's plan runs
-// on its own goroutine while benchmark k's injections drain.
+// from) and an injection phase (the worker pool and the tally). No plan
+// depends on another benchmark, so benchmark k+1's plan runs on its own
+// goroutine while benchmark k's injections drain.
 //
 // The pilot and the injections draw on one semaphore of cfg.Workers slots
 // (GOMAXPROCS when zero): the pilot holds a slot for its whole run and each
 // injection holds one for its run, so at most cfg.Workers goroutines
 // simulate at once, and Workers: 1 runs everything one at a time. Only one
 // plan runs ahead, so at most two benchmarks' snapshot series are alive at
-// once, and a benchmark's golden stream is only built when its injections
-// start. Results are identical to one RunCampaign call per benchmark.
+// once. Results are identical to one RunCampaign call per benchmark.
 //
 // done, when non-nil, receives each benchmark's name and the time its plan
 // and its injection phase took, in benchmark order. On failure the error is
@@ -204,13 +203,10 @@ func RunCampaigns(benches []Benchmark, cfg CampaignConfig, done func(name string
 }
 
 // campaignPlan is one benchmark's fault-free half of a campaign: the
-// injection sample and the pruned pilot snapshots it resumes from. It holds
-// no golden stream; only the pilot's commit count, which the injection phase
-// computes the stream through.
+// injection sample and the pruned pilot snapshots it resumes from.
 type campaignPlan struct {
 	injections []Injection
-	snaps      []*pipeline.Snapshot
-	committed  int64
+	snaps      snapSeries
 }
 
 // plan runs prog's pilot: it profiles the decode-event space once,
@@ -252,7 +248,7 @@ func plan(prog *program.Program, cfg CampaignConfig) (campaignPlan, error) {
 		}
 		points[i] = injections[i].DecodeIndex
 	}
-	return campaignPlan{injections, prune(snaps, points), pilot.CommittedInsts()}, nil
+	return campaignPlan{injections, prune(snaps, points)}, nil
 }
 
 // inject runs a planned campaign's injections on the worker pool, whose
@@ -263,10 +259,9 @@ func inject(b Benchmark, p campaignPlan, cfg CampaignConfig, sem slots) (Campaig
 		Counts:    make(map[Category]int),
 		ByField:   make(map[string]int),
 	}
-	rc := &replayContext{snaps: p.snaps, stream: streamThrough(b.Prog, p.committed)}
-	res.Snapshots = len(rc.snaps)
+	res.Snapshots = len(p.snaps)
 	distinct := make(map[uint64]struct{})
-	for _, s := range rc.snaps {
+	for _, s := range p.snaps {
 		res.SnapshotPages += s.MemPages()
 		s.VisitMemPages(func(id uint64) { distinct[id] = struct{}{} })
 	}
@@ -286,7 +281,7 @@ func inject(b Benchmark, p campaignPlan, cfg CampaignConfig, sem slots) (Campaig
 		}
 		inj := p.injections[i]
 		ring.Emit(obs.EvInjectStart, inj.DecodeIndex, int64(inj.Bit))
-		d, err := runOne(oracle, wcfg, inj, rc, a, &budgets[i])
+		d, err := runOne(oracle, wcfg, inj, p.snaps, a, &budgets[i])
 		detected := int64(0)
 		if err == nil && d.Detected {
 			detected = 1

@@ -27,9 +27,10 @@ import (
 //     corrupted control commit; one clean commit past the drain point
 //     settles it.
 //   - NaturalSDC: the golden cursor is sticky once diverged. While clean,
-//     convergence is *proved* (not assumed) by replaying the golden outcome
-//     log from the run's own start snapshot and comparing the full
-//     architectural state, memory included, against the machine.
+//     convergence is *proved* (not assumed) by comparing the cursor's
+//     shadow — a fault-free execution from the run's own start snapshot,
+//     advanced commit by commit — with the machine's full architectural
+//     state, memory included.
 //   - Detected/latency: detection events are append-only; for runs with none
 //     yet, the backend's Settled contract plus (for ITR) a sweep of the
 //     signature cache against the oracle rules out future events.
@@ -196,7 +197,7 @@ func runDecided(cpu *pipeline.CPU, cur *goldenCursor, snap *pipeline.Snapshot, o
 			// future commits must match it. A failed proof means the
 			// masked verdict is not yet safe: simulate the rest of the
 			// window exactly.
-			if !convergedWithGolden(cpu, cur.s, snap) {
+			if !cur.converged(cpu) {
 				bud.proofFallback = true
 				if rest := window - cpu.CycleCount(); rest > 0 {
 					res = cpu.Run(rest)
@@ -237,29 +238,4 @@ func faultyResident(ck *core.Checker, oracle *SigOracle) bool {
 		}
 	})
 	return faulty
-}
-
-// convergedWithGolden proves the machine's committed architectural state is
-// identical to the fault-free execution at the current commit boundary: it
-// forks the golden architectural state from the run's own start snapshot
-// (whose prefix is fault-free by construction), replays the shared golden
-// outcome log up to the machine's commit count, and compares registers, PC,
-// and — via the copy-on-write generation tags, so untouched pages compare by
-// pointer — the full memory image.
-func convergedWithGolden(cpu *pipeline.CPU, stream *GoldenStream, snap *pipeline.Snapshot) bool {
-	committed := cpu.CommittedInsts()
-	if committed <= snap.Committed {
-		return false
-	}
-	st, mem := snap.ArchFork()
-	r := &goldenCursor{s: stream}
-	for i := snap.Committed; i < committed; i++ {
-		r.at(int(i)).apply(st)
-	}
-	machine := cpu.Committed()
-	if st.R != machine.R || st.F != machine.F || st.PC != machine.PC {
-		return false
-	}
-	mmem, ok := machine.Mem.(*isa.Memory)
-	return ok && mem.Equal(mmem)
 }

@@ -1,8 +1,9 @@
 // Package fault implements the paper's Section 4 fault-injection
 // methodology: random single-bit flips on the decode signals of one dynamic
-// instruction, comparison of the faulty simulator's commits against a shared
-// fault-free golden commit stream, and classification of each injection into
-// the ten outcome categories of Figure 8.
+// instruction, comparison of the faulty simulator's commits against a
+// fault-free golden shadow executed from the run's own resume snapshot, and
+// classification of each injection into the ten outcome categories of
+// Figure 8.
 //
 // Each injection is evaluated with two pipeline runs:
 //
@@ -92,7 +93,7 @@ type Detail struct {
 	MachineCheck    bool // full protocol aborted the program
 	SDCUnderITR     bool // state still corrupted despite full protocol
 	// CheckpointRecovered: the verify run converted a machine check into a
-	// coarse-grain checkpoint rollback and the reference stream stayed
+	// coarse-grain checkpoint rollback and the golden shadow stayed
 	// clean afterwards (Section 2.3 extension).
 	CheckpointRecovered bool
 }
@@ -213,8 +214,7 @@ func DefaultConfig() Config {
 // from cycle 0 (the cold path; campaigns resume from pilot snapshots via
 // RunCampaign).
 func RunOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection) (Detail, error) {
-	rc := &replayContext{stream: streamFor(prog)}
-	return runOne(oracle, cfg, inj, rc, &arena{prog: prog}, &runBudget{})
+	return runOne(oracle, cfg, inj, nil, &arena{prog: prog}, &runBudget{})
 }
 
 // arena is one pool worker's reusable machines, one per configuration.
@@ -264,27 +264,27 @@ func (a *arena) reset(pcfg pipeline.Config, snap *pipeline.Snapshot) (*pipeline.
 
 // runOne performs one injection experiment and classifies it. Both the
 // observe and the verify run start from a snapshot taken before the
-// injection's decode event — the latest pilot snapshot in rc, or the
-// machine's cycle-0 image when none precedes it — and their golden cursors
-// start at the snapshot's commit count. The resumed trajectory is
-// bit-identical to a cold one: the snapshot captures the complete machine
-// state and the fault fires strictly after it.
+// injection's decode event — the latest pilot snapshot in snaps, or the
+// machine's cycle-0 image when none precedes it — and their golden cursors'
+// shadows start from that snapshot's committed state. The resumed
+// trajectory is bit-identical to a cold one: the snapshot captures the
+// complete machine state and the fault fires strictly after it.
 //
 // Each run is one call into the decided-outcome engine (see decide.go),
 // which stops it as soon as its classification is settled unless cfg.Exact
 // is set. Outside exact mode, a verify run forks from a pre-fault capture of
 // the observe machine instead of re-simulating the detect-free prefix. bud
 // receives the run's simulated/saved cycle accounting.
-func runOne(oracle *SigOracle, cfg Config, inj Injection, rc *replayContext, ar *arena, bud *runBudget) (Detail, error) {
+func runOne(oracle *SigOracle, cfg Config, inj Injection, snaps snapSeries, ar *arena, bud *runBudget) (Detail, error) {
 	det := Detail{Injection: inj, LatencyCycles: -1, LatencyInsts: -1}
-	from := rc.before(byDecode, inj.DecodeIndex)
+	from := snaps.before(byDecode, inj.DecodeIndex)
 
 	// ---- observe run: natural outcome + detection facts ----
 	cpu, snap, err := ar.reset(cfg.pipelineConfig(core.ModeObserve), from)
 	if err != nil {
 		return det, fmt.Errorf("observe run: %w", err)
 	}
-	cur := rc.stream.attach(cpu)
+	cur := ar.attach(cpu, snap)
 	var presnap *pipeline.Snapshot
 	if cfg.Verify && !cfg.Checkpoint && !cfg.Exact {
 		presnap = preFault(cpu, snap, inj, cfg.WindowCycles)
@@ -343,7 +343,7 @@ func runOne(oracle *SigOracle, cfg Config, inj Injection, rc *replayContext, ar 
 		if err != nil {
 			return det, fmt.Errorf("verify run: %w", err)
 		}
-		vcur := rc.stream.attach(vcpu)
+		vcur := ar.attach(vcpu, vsnap)
 		if cfg.Checkpoint {
 			vcpu.SetCheckpointObserver(vcur.checkpoint)
 		}

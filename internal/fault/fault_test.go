@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"itr/internal/core"
 	"itr/internal/isa"
+	"itr/internal/pipeline"
 	"itr/internal/program"
 	"itr/internal/sig"
 )
@@ -260,22 +262,47 @@ func TestCampaignPctHelpers(t *testing.T) {
 
 func TestGoldenDetectsDivergence(t *testing.T) {
 	p := testProgram(t)
-	cur := NewGoldenStream(p).cursor(0)
+	pcs, outs := liveOutcomes(p, 51)
+	cur := zeroCursor(t, p)
 	// Feed an independently executed true stream: no divergence.
-	st := isa.NewArchState()
-	st.PC = p.Entry
-	for i := 0; i < 50; i++ {
-		pc := st.PC
-		o := st.Step(p.Fetch(pc))
-		cur.observe(pc, &o)
+	for i := range 50 {
+		cur.observe(pcs[i], &outs[i])
 	}
 	if cur.diverged {
 		t.Fatal("cursor diverged on the true stream")
 	}
-	// A wrong PC diverges immediately.
-	cur.observe(9999, &isa.Outcome{NextPC: 10000})
+	// A commit at the wrong PC diverges even when its effect is the one the
+	// shadow's state produces there, and the verdict sticks.
+	wrong := cur.st.PC + 1
+	var o isa.Outcome
+	probe := *cur.st
+	probe.ExecInto(&o, p.DecodeTable().Signals(wrong), wrong)
+	cur.observe(wrong, &o)
+	cur.observe(pcs[50], &outs[50])
 	if !cur.diverged {
 		t.Fatal("cursor missed a PC divergence")
+	}
+
+	// A cursor resumed from a mid-run snapshot expects that snapshot's PC,
+	// and a corrupted outcome at the right PC diverges it.
+	cpu, err := pipeline.New(p, quickConfig().pipelineConfig(core.ModeObserve))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu.Run(500)
+	snap := cpu.Snapshot()
+	n := int(snap.Committed)
+	pcs, outs = liveOutcomes(p, n+2)
+	cur = (&arena{prog: p}).attach(cpu, snap)
+	if cur.st.PC != pcs[n] {
+		t.Fatalf("resumed cursor expects pc %d, want %d", cur.st.PC, pcs[n])
+	}
+	cur.observe(pcs[n], &outs[n])
+	bad := outs[n+1]
+	bad.NextPC ^= 1
+	cur.observe(pcs[n+1], &bad)
+	if !cur.diverged {
+		t.Fatal("outcome mismatch not flagged by resumed cursor")
 	}
 }
 

@@ -80,7 +80,7 @@ func renameHook(inj RenameInjection) pipeline.RenameFaultHook {
 // pass resumes from its own pilot's snapshots.
 type renamePass struct {
 	pcfg  pipeline.Config
-	snaps []*pipeline.Snapshot
+	snaps snapSeries
 }
 
 // renamePasses returns the study's two passes, both starting cold.
@@ -92,15 +92,15 @@ func renamePasses(cfg Config) [2]renamePass {
 
 // runRenameFault evaluates inj in both passes on a's machines, each run
 // resuming from its pass's latest snapshot before the injected decode event.
-func runRenameFault(a *arena, passes [2]renamePass, stream *GoldenStream, window int64, inj RenameInjection) (o renameOutcome, err error) {
+func runRenameFault(a *arena, passes [2]renamePass, window int64, inj RenameInjection) (o renameOutcome, err error) {
 	var cpus [2]*pipeline.CPU
 	var curs [2]*goldenCursor
 	for i, p := range passes {
-		rc := replayContext{snaps: p.snaps}
-		if cpus[i], _, err = a.reset(p.pcfg, rc.before(byDecode, inj.DecodeIndex)); err != nil {
+		var snap *pipeline.Snapshot
+		if cpus[i], snap, err = a.reset(p.pcfg, p.snaps.before(byDecode, inj.DecodeIndex)); err != nil {
 			return o, fmt.Errorf("rename fault pass %d: %w", i+1, err)
 		}
-		curs[i] = stream.attach(cpus[i])
+		curs[i] = a.attach(cpus[i], snap)
 		cpus[i].SetRenameFaultHook(renameHook(inj))
 		cpus[i].Run(window - cpus[i].CycleCount())
 	}
@@ -122,7 +122,7 @@ type renameOutcome struct {
 // RunRenameFault evaluates one rename-index upset with and without the
 // rename-protection extension.
 func RunRenameFault(prog *program.Program, cfg Config, inj RenameInjection) (withoutSDC, frontendDetected, detected, recovered, withSDC bool, err error) {
-	o, err := runRenameFault(&arena{prog: prog}, renamePasses(cfg), streamFor(prog), cfg.WindowCycles, inj)
+	o, err := runRenameFault(&arena{prog: prog}, renamePasses(cfg), cfg.WindowCycles, inj)
 	return o.withoutSDC, o.frontendDetected, o.detected, o.recovered, o.withSDC, err
 }
 
@@ -161,7 +161,7 @@ func RunRenameCampaign(prog *program.Program, cfg Config, n int, seed uint64) (R
 	if cfg.EffectiveSnapshotInterval() > 0 {
 		// One pilot per pass captures that pass's resume points; the two
 		// run side by side on the pool.
-		snaps, err := runPool(prog, newSlots(0), len(passes), func(_ *arena, i int) ([]*pipeline.Snapshot, error) {
+		snaps, err := runPool(prog, newSlots(0), len(passes), func(_ *arena, i int) (snapSeries, error) {
 			cpu, err := pipeline.New(prog, passes[i].pcfg)
 			if err != nil {
 				return nil, fmt.Errorf("rename pilot: %w", err)
@@ -174,9 +174,8 @@ func RunRenameCampaign(prog *program.Program, cfg Config, n int, seed uint64) (R
 		passes[0].snaps, passes[1].snaps = snaps[0], snaps[1]
 	}
 
-	stream := streamThrough(prog, prof.CommittedInsts())
 	outs, err := runPool(prog, newSlots(0), n, func(a *arena, i int) (renameOutcome, error) {
-		return runRenameFault(a, passes, stream, cfg.WindowCycles, injs[i])
+		return runRenameFault(a, passes, cfg.WindowCycles, injs[i])
 	})
 	if err != nil {
 		return res, err

@@ -3,217 +3,44 @@ package fault
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"itr/internal/isa"
 	"itr/internal/pipeline"
 	"itr/internal/program"
 )
 
-// goldenEntry is one instruction of the fault-free reference execution,
-// packed to 32 bytes: exactly the isa.Outcome fields SameArchEffect and
-// ApplyRef read. The instruction's own PC is not stored — it is the previous
-// entry's nextPC, or the program entry at index 0, and a cursor tracks it —
-// and a register write and a store share word, because a store never writes
-// a register (isa.ArchState.ExecInto).
-type goldenEntry struct {
-	nextPC uint64
-	word   uint64 // the register write's value, or the store's data
-	addr   uint64 // the store's address
-	flags  uint8  // entryRegWrite | entryRegFP | entryMemWrite | entryHalt
-	reg    isa.RegID
-	size   uint8 // the store's width in bytes
-}
-
-const (
-	entryRegWrite = 1 << iota
-	entryRegFP
-	entryMemWrite
-	entryHalt
-)
-
-// packEntry packs a fault-free outcome, which performs at most one of a
-// register write and a store.
-func packEntry(o *isa.Outcome) goldenEntry {
-	e := goldenEntry{nextPC: o.NextPC, reg: o.Reg}
-	if o.RegWrite {
-		e.flags |= entryRegWrite
-		e.word = o.Value
-	}
-	if o.RegFP {
-		e.flags |= entryRegFP
-	}
-	if o.MemWrite {
-		e.flags |= entryMemWrite
-		e.word, e.addr, e.size = o.MemWData, o.MemAddr, o.MemWSize
-	}
-	if o.Halt {
-		e.flags |= entryHalt
-	}
-	return e
-}
-
-// matches is isa.Outcome.SameArchEffect with e as the reference outcome.
-func (e *goldenEntry) matches(o *isa.Outcome) bool {
-	if o.NextPC != e.nextPC || o.Halt != (e.flags&entryHalt != 0) {
-		return false
-	}
-	if o.RegWrite != (e.flags&entryRegWrite != 0) || o.MemWrite != (e.flags&entryMemWrite != 0) {
-		return false
-	}
-	if o.RegWrite && (o.Reg != e.reg || o.RegFP != (e.flags&entryRegFP != 0) || o.Value != e.word) {
-		return false
-	}
-	if o.MemWrite && (o.MemAddr != e.addr || o.MemWData != e.word || o.MemWSize != e.size) {
-		return false
-	}
-	return true
-}
-
-// apply is isa.ArchState.ApplyRef of the packed outcome.
-func (e *goldenEntry) apply(st *isa.ArchState) {
-	if e.flags&entryRegWrite != 0 {
-		if e.flags&entryRegFP != 0 {
-			st.F[e.reg&0x1f] = e.word
-		} else if e.reg&0x1f != 0 {
-			st.R[e.reg&0x1f] = e.word
-		}
-	}
-	if e.flags&entryMemWrite != 0 {
-		st.Mem.Store(e.addr, e.size, e.word)
-	}
-	st.PC = e.nextPC
-}
-
-// GoldenStream is the fault-free commit log computed once per program and
-// shared read-only by every run: instead of re-executing a reference
-// alongside each faulty run, a cursor walks this stream and compares
-// committed outcomes against it.
-//
-// The stream grows lazily under a mutex, one fixed-size chunk at a time, as
-// readers pass its end (a fault that delays work can make a machine commit
-// more instructions inside the window than the pilot did). Published chunks
-// never move or change, so growth copies nothing and readers hold chunks
-// without the lock. Extension is safe at any index: the reference executes
-// from the program's decode table, which yields halt signals beyond the
-// program image.
-type GoldenStream struct {
-	tab   *program.DecodeTable
-	entry uint64 // the PC of entry 0
-
-	mu     sync.Mutex
-	st     isa.ArchState   // execution frontier (guarded by mu)
-	chunks [][]goldenEntry // streamChunk entries each (guarded by mu)
-}
-
-// streamChunk is the stream's unit of extension: a cursor takes the stream's
-// lock once per chunk rather than once per commit.
-const streamChunk = 4096
-
-// NewGoldenStream builds an empty stream for prog; entries are computed on
-// first use.
-func NewGoldenStream(prog *program.Program) *GoldenStream {
-	s := &GoldenStream{tab: prog.DecodeTable(), entry: prog.Entry}
-	s.st.Mem = isa.NewMemory()
-	s.st.PC = prog.Entry
-	return s
-}
-
-// lastStream memoizes the most recent program's golden stream, a pure
-// function of the program: a benchmark's campaign, side studies and RunOne
-// calls share one stream, and one entry bounds what a multi-benchmark run
-// retains.
-var lastStream struct {
-	sync.Mutex
-	prog *program.Program
-	s    *GoldenStream
-}
-
-// streamFor returns prog's shared golden stream.
-func streamFor(prog *program.Program) *GoldenStream {
-	lastStream.Lock()
-	defer lastStream.Unlock()
-	if lastStream.prog != prog {
-		lastStream.prog, lastStream.s = prog, NewGoldenStream(prog)
-	}
-	return lastStream.s
-}
-
-// streamThrough returns prog's shared golden stream, computed through its
-// first n entries (a pilot's commit count) so workers rarely contend on
-// extending it.
-func streamThrough(prog *program.Program, n int64) *GoldenStream {
-	s := streamFor(prog)
-	if n > 0 {
-		s.chunk(int(n-1) / streamChunk)
-	}
-	return s
-}
-
-// chunk returns chunk i, the entries [i*streamChunk, (i+1)*streamChunk),
-// computing the stream through it first.
-func (s *GoldenStream) chunk(i int) []goldenEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var o isa.Outcome
-	for len(s.chunks) <= i {
-		c := make([]goldenEntry, streamChunk)
-		for j := range c {
-			pc := s.st.PC
-			s.st.ExecInto(&o, s.tab.Signals(pc), pc)
-			s.st.ApplyRef(&o)
-			c[j] = packEntry(&o)
-		}
-		s.chunks = append(s.chunks, c)
-	}
-	return s.chunks[i]
-}
-
-// cursor returns a cursor positioned at entry idx.
-func (s *GoldenStream) cursor(idx int) *goldenCursor {
-	c := &goldenCursor{s: s, idx: idx, pc: s.entry}
-	if idx > 0 {
-		c.pc = c.at(idx - 1).nextPC
-	}
-	return c
-}
-
-// attach installs a cursor as cpu's commit observer, starting at cpu's
-// commit count (a resumed machine's prefix matched by construction).
-func (s *GoldenStream) attach(cpu *pipeline.CPU) *goldenCursor {
-	c := s.cursor(int(cpu.CommittedInsts()))
-	cpu.SetCommitObserver(c.observe)
-	return c
-}
-
-// goldenCursor compares one machine's commit stream against the shared
-// golden log: divergence is sticky on the first PC or architectural-effect
-// mismatch. A cursor also follows a checkpointing machine's checkpoint
-// lifecycle (see checkpoint), so re-executed commits after a rollback are
-// compared against the same entries again.
+// goldenCursor checks one machine's commits against a fault-free shadow: a
+// functional execution of the program that starts from the committed
+// architectural state of the snapshot the run resumed from (registers and PC
+// copied, memory shared copy-on-write) and executes each instruction as the
+// machine commits it. Divergence is sticky on the first PC or
+// architectural-effect mismatch, and the shadow stops executing once it is
+// set. A cursor also follows a checkpointing machine's checkpoint lifecycle
+// (see checkpoint), so re-executed commits after a rollback are compared
+// against the same shadow state again.
 type goldenCursor struct {
-	s        *GoldenStream
-	cur      []goldenEntry // the chunk holding entries [base, base+streamChunk)
-	base     int
-	idx      int
-	pc       uint64 // the PC entry idx executes at
+	tab      *program.DecodeTable
+	st       *isa.ArchState
+	mem      *isa.Memory // st.Mem
+	ref      isa.Outcome // the shadow's outcome for the commit being checked
 	diverged bool
 
-	// The position, expected PC and verdict at the machine's last
-	// checkpoint take.
-	ckIdx      int
+	// The shadow's registers, PC and memory, and the verdict, at the
+	// machine's last checkpoint take.
+	ckR, ckF   [isa.NumRegs]uint64
 	ckPC       uint64
+	ckMem      *isa.Memory
 	ckDiverged bool
 }
 
-// at returns entry i, switching chunks when i leaves the current one.
-func (c *goldenCursor) at(i int) *goldenEntry {
-	if j := i - c.base; uint(j) < uint(len(c.cur)) {
-		return &c.cur[j]
-	}
-	c.base = i - i%streamChunk
-	c.cur = c.s.chunk(i / streamChunk)
-	return &c.cur[i-c.base]
+// attach installs a cursor as cpu's commit observer, its shadow starting at
+// the committed architectural state of snap, the snapshot cpu was just
+// restored to.
+func (a *arena) attach(cpu *pipeline.CPU, snap *pipeline.Snapshot) *goldenCursor {
+	st, mem := snap.ArchFork()
+	c := &goldenCursor{tab: a.prog.DecodeTable(), st: st, mem: mem}
+	cpu.SetCommitObserver(c.observe)
+	return c
 }
 
 // observe is a pipeline.CommitObserver.
@@ -221,38 +48,47 @@ func (c *goldenCursor) observe(pc uint64, o *isa.Outcome) {
 	if c.diverged {
 		return
 	}
-	if pc != c.pc {
+	if pc != c.st.PC {
 		c.diverged = true
 		return
 	}
-	e := c.at(c.idx)
-	c.idx++
-	c.pc = e.nextPC
-	if !e.matches(o) {
+	c.st.ExecInto(&c.ref, c.tab.Signals(pc), pc)
+	if !o.SameArchEffect(&c.ref) {
 		c.diverged = true
+		return
 	}
+	c.st.ApplyRef(&c.ref)
 }
 
-// checkpoint is a pipeline.CheckpointObserver: a take records the cursor's
-// (position, expected PC, verdict) and a rollback restores them. The machine
-// only rolls back to a checkpoint it took during the same run, so every
-// rollback follows a take.
+// checkpoint is a pipeline.CheckpointObserver: a take records the shadow's
+// state (its memory as a copy-on-write snapshot) and the verdict, and a
+// rollback restores them. The machine only rolls back to a checkpoint it took
+// during the same run, so every rollback follows a take.
 func (c *goldenCursor) checkpoint(taken bool) {
 	if taken {
-		c.ckIdx, c.ckPC, c.ckDiverged = c.idx, c.pc, c.diverged
+		c.ckR, c.ckF, c.ckPC, c.ckDiverged = c.st.R, c.st.F, c.st.PC, c.diverged
+		c.ckMem = c.mem.Snapshot()
 		return
 	}
-	c.idx, c.pc, c.diverged = c.ckIdx, c.ckPC, c.ckDiverged
+	c.st.R, c.st.F, c.st.PC, c.diverged = c.ckR, c.ckF, c.ckPC, c.ckDiverged
+	c.mem.CopyFrom(c.ckMem)
 }
 
-// replayContext is one study's fast-forward state, shared read-only across
-// its worker pool: a fault-free pilot's snapshots (ascending in time) and the
-// golden stream every run's cursor reads. A run resumes from the latest
-// snapshot before its fault point, or starts cold when none precedes it.
-type replayContext struct {
-	snaps  []*pipeline.Snapshot
-	stream *GoldenStream
+// converged proves the machine's committed architectural state is identical
+// to the shadow's: registers, PC and — via the copy-on-write generation
+// tags, so pages both sides still share with the start snapshot compare by
+// pointer — the full memory image. A shadow that stopped at a divergence
+// proves nothing.
+func (c *goldenCursor) converged(cpu *pipeline.CPU) bool {
+	m := cpu.Committed()
+	mem, ok := m.Mem.(*isa.Memory)
+	return ok && !c.diverged && m.R == c.st.R && m.F == c.st.F && m.PC == c.st.PC && c.mem.Equal(mem)
 }
+
+// snapSeries is a fault-free pilot's snapshots, ascending in time, shared
+// read-only across a study's worker pool. A run resumes from the latest
+// snapshot before its fault point, or starts cold when none precedes it.
+type snapSeries []*pipeline.Snapshot
 
 // Snapshot keys: the quantity a study's fault points are positions in.
 func byDecode(s *pipeline.Snapshot) int64 { return s.DecodeEvents }
@@ -262,7 +98,7 @@ func byCycle(s *pipeline.Snapshot) int64  { return s.Cycle }
 // resumable snapshot every interval decode events (none when interval is
 // zero). It serves campaigns whose fault points are drawn from the pilot's
 // own decode-event space, so cannot be known while it runs.
-func pilotSeries(cpu *pipeline.CPU, window, interval int64) (snaps []*pipeline.Snapshot) {
+func pilotSeries(cpu *pipeline.CPU, window, interval int64) (snaps snapSeries) {
 	if interval <= 0 {
 		cpu.Run(window)
 		return nil
@@ -283,7 +119,7 @@ func pilotSeries(cpu *pipeline.CPU, window, interval int64) (snaps []*pipeline.S
 // the previous capture. The pilot stops at its last capture; stepping in
 // chunks is trajectory-identical, so running it on to the window's end
 // yields exactly a straight cpu.Run(window).
-func pilotAt(cpu *pipeline.CPU, window int64, points []int64, cycles bool) (snaps []*pipeline.Snapshot) {
+func pilotAt(cpu *pipeline.CPU, window int64, points []int64, cycles bool) (snaps snapSeries) {
 	sorted := slices.Clone(points)
 	slices.Sort(sorted)
 	for _, p := range sorted {
@@ -305,10 +141,10 @@ func pilotAt(cpu *pipeline.CPU, window int64, points []int64, cycles bool) (snap
 // prune keeps only the snapshots some decode point resumes from, so a
 // periodic series' memory is not held for the whole campaign. Pruning never
 // changes a lookup: each point's latest preceding snapshot is kept.
-func prune(snaps []*pipeline.Snapshot, points []int64) []*pipeline.Snapshot {
-	rc, used := replayContext{snaps: snaps}, make(map[*pipeline.Snapshot]bool)
+func prune(snaps snapSeries, points []int64) snapSeries {
+	used := make(map[*pipeline.Snapshot]bool)
 	for _, p := range points {
-		used[rc.before(byDecode, p)] = true
+		used[snaps.before(byDecode, p)] = true
 	}
 	return slices.DeleteFunc(snaps, func(s *pipeline.Snapshot) bool { return !used[s] })
 }
@@ -316,9 +152,9 @@ func prune(snaps []*pipeline.Snapshot, points []int64) []*pipeline.Snapshot {
 // before returns the latest snapshot whose key is strictly below v (for
 // decode events: the injected event has not happened in it yet), or nil when
 // the run must start cold.
-func (rc *replayContext) before(key func(*pipeline.Snapshot) int64, v int64) *pipeline.Snapshot {
-	if i := sort.Search(len(rc.snaps), func(i int) bool { return key(rc.snaps[i]) >= v }); i > 0 {
-		return rc.snaps[i-1]
+func (s snapSeries) before(key func(*pipeline.Snapshot) int64, v int64) *pipeline.Snapshot {
+	if i := sort.Search(len(s), func(i int) bool { return key(s[i]) >= v }); i > 0 {
+		return s[i-1]
 	}
 	return nil
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"unsafe"
 
+	"itr/internal/core"
 	"itr/internal/isa"
 	"itr/internal/pipeline"
 	"itr/internal/program"
@@ -89,8 +89,8 @@ func TestCampaignSnapshotFastPathBitIdentical(t *testing.T) {
 	}
 }
 
-// liveOutcomes executes p independently of the golden stream for n steps,
-// returning each step's PC and outcome.
+// liveOutcomes executes p functionally, independently of any cursor, for n
+// steps, returning each step's PC and outcome.
 func liveOutcomes(p *program.Program, n int) ([]uint64, []isa.Outcome) {
 	live := isa.NewArchState()
 	live.PC = p.Entry
@@ -102,168 +102,113 @@ func liveOutcomes(p *program.Program, n int) ([]uint64, []isa.Outcome) {
 	return pcs, outs
 }
 
-// TestGoldenStreamMatchesLiveGolden: the precomputed stream is exactly a
-// live fault-free execution, and a cursor over it flags divergence.
-func TestGoldenStreamMatchesLiveGolden(t *testing.T) {
-	p := testProgram(t)
-	s := NewGoldenStream(p)
-	pcs, outs := liveOutcomes(p, 500)
-
-	// Every entry matches an independent step-by-step execution, and
-	// replaying the live commits through a cursor never diverges.
-	cur := s.cursor(0)
-	for i := range outs {
-		if e := cur.at(i); cur.pc != pcs[i] || !e.matches(&outs[i]) {
-			t.Fatalf("entry %d: stream (pc %d, %+v), live (pc %d, %+v)", i, cur.pc, *e, pcs[i], outs[i])
-		}
-		cur.observe(pcs[i], &outs[i])
+// zeroCursor returns a cursor whose shadow starts at p's cycle-0 machine
+// image, as a cold run's does.
+func zeroCursor(t *testing.T, p *program.Program) *goldenCursor {
+	t.Helper()
+	cpu, err := pipeline.New(p, quickConfig().pipelineConfig(core.ModeObserve))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cur.diverged {
-		t.Fatal("fault-free replay diverged")
-	}
-
-	// A wrong PC diverges, stickily.
-	cur2 := s.cursor(0)
-	cur2.observe(pcs[0]+1, &outs[0])
-	cur2.observe(pcs[0], &outs[0])
-	if !cur2.diverged {
-		t.Fatal("PC mismatch not flagged")
-	}
-
-	// A seeked cursor expects entry 100's PC, and a corrupted outcome
-	// diverges it mid-stream.
-	cur3 := s.cursor(100)
-	if cur3.pc != pcs[100] {
-		t.Fatalf("seeked cursor expects pc %d, want %d", cur3.pc, pcs[100])
-	}
-	bad := outs[100]
-	bad.NextPC ^= 1
-	cur3.observe(pcs[100], &bad)
-	if !cur3.diverged {
-		t.Fatal("outcome mismatch not flagged by seeked cursor")
-	}
+	return (&arena{prog: p}).attach(cpu, cpu.Snapshot())
 }
 
-// TestGoldenEntryPackedExact: a packed entry is exact. On a prefix of every
-// coverage benchmark, its compare agrees with isa.Outcome.SameArchEffect
-// against the entry's outcome with each field SameArchEffect reads mutated
-// in turn, its apply leaves the same architectural state as ApplyRef, and
-// the cursor's tracked PC is the executing instruction's.
-func TestGoldenEntryPackedExact(t *testing.T) {
-	if sz := unsafe.Sizeof(goldenEntry{}); sz > 32 {
-		t.Fatalf("goldenEntry is %d bytes, want <= 32", sz)
-	}
-	mutations := map[string]func(o *isa.Outcome){
-		"none":     func(o *isa.Outcome) {},
-		"NextPC":   func(o *isa.Outcome) { o.NextPC ^= 1 },
-		"Halt":     func(o *isa.Outcome) { o.Halt = !o.Halt },
-		"RegWrite": func(o *isa.Outcome) { o.RegWrite = !o.RegWrite },
-		"Reg":      func(o *isa.Outcome) { o.Reg ^= 1 },
-		"RegFP":    func(o *isa.Outcome) { o.RegFP = !o.RegFP },
-		"Value":    func(o *isa.Outcome) { o.Value ^= 1 },
-		"MemWrite": func(o *isa.Outcome) { o.MemWrite = !o.MemWrite },
-		"MemAddr":  func(o *isa.Outcome) { o.MemAddr ^= 8 },
-		"MemWData": func(o *isa.Outcome) { o.MemWData ^= 1 },
-		"MemWSize": func(o *isa.Outcome) { o.MemWSize ^= 1 },
-	}
-	const prefix = 3 * streamChunk
+// TestGoldenShadowTracksPipeline: on every coverage benchmark, a cursor
+// attached at a mid-run snapshot follows the fault-free machine's commits
+// without diverging and proves convergence with it afterwards.
+func TestGoldenShadowTracksPipeline(t *testing.T) {
 	for _, prof := range workload.CoverageSuite() {
 		prog, err := workload.CachedProgram(prof)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab := prog.DecodeTable()
-		cur := NewGoldenStream(prog).cursor(0)
-		ref, packed := isa.NewArchState(), isa.NewArchState()
-		ref.PC, packed.PC = prog.Entry, prog.Entry
-		var o isa.Outcome
-		stores := 0
-		for i := range prefix {
-			pc := ref.PC
-			if cur.pc != pc {
-				t.Fatalf("%s entry %d: cursor expects pc %d, reference at %d", prof.Name, i, cur.pc, pc)
-			}
-			ref.ExecInto(&o, tab.Signals(pc), pc)
-			e := cur.at(i)
-			for name, mutate := range mutations {
-				g := o
-				mutate(&g)
-				if got, want := e.matches(&g), g.SameArchEffect(&o); got != want {
-					t.Fatalf("%s entry %d (%v), %s mutated: packed compare %v, SameArchEffect %v",
-						prof.Name, i, o, name, got, want)
-				}
-			}
-			if o.MemWrite {
-				stores++
-			}
-			ref.ApplyRef(&o)
-			e.apply(packed)
-			if packed.R != ref.R || packed.F != ref.F || packed.PC != ref.PC {
-				t.Fatalf("%s entry %d (%v): packed apply registers or PC differ from ApplyRef", prof.Name, i, o)
-			}
-			cur.observe(pc, &o)
+		cpu, err := pipeline.New(prog, quickConfig().pipelineConfig(core.ModeObserve))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if stores == 0 {
-			t.Fatalf("%s: no stores in a %d-instruction prefix", prof.Name, prefix)
+		cpu.Run(1000)
+		snap := cpu.Snapshot()
+		cur := (&arena{prog: prog}).attach(cpu, snap)
+		cpu.Run(4000)
+		if cpu.CommittedInsts() <= snap.Committed {
+			t.Fatalf("%s: no commits past the snapshot", prof.Name)
 		}
-		if !packed.Mem.(*isa.Memory).Equal(ref.Mem.(*isa.Memory)) {
-			t.Fatalf("%s: packed apply memory differs from ApplyRef after %d stores", prof.Name, stores)
-		}
-		if cur.diverged {
-			t.Fatalf("%s: fault-free replay diverged", prof.Name)
+		if cur.diverged || !cur.converged(cpu) {
+			t.Fatalf("%s: fault-free machine diverged %v from its shadow (converged %v)", prof.Name, cur.diverged, cur.converged(cpu))
 		}
 	}
 }
 
 // TestGoldenCursorCheckpointRewind drives a checkpointing machine's
 // take → diverge → rollback → take lifecycle through a cursor. Each rollback
-// must restore the (position, expected PC, verdict) recorded at the last
-// take, so the re-executed commits are compared against the same entries
-// again; this is the bookkeeping the lockstep reference model did by
-// snapshotting its architectural state.
+// must restore the shadow's registers, PC and memory and the verdict
+// recorded at the last take, so the re-executed commits are compared against
+// the same shadow state again.
 func TestGoldenCursorCheckpointRewind(t *testing.T) {
 	p := testProgram(t)
-	s := NewGoldenStream(p)
 	pcs, outs := liveOutcomes(p, 101)
 	feed := func(c *goldenCursor, from, to int) {
 		for i := from; i < to; i++ {
 			c.observe(pcs[i], &outs[i])
 		}
 	}
-	cur := s.cursor(0)
+	// The program's store hits one word on every inner iteration, so the
+	// shadow has materialized its page before the take and stores to it
+	// again after.
+	var addr uint64
+	for _, o := range outs[:40] {
+		if o.MemWrite {
+			addr = o.MemAddr
+		}
+	}
+	type state struct {
+		r, f     [isa.NumRegs]uint64
+		pc, word uint64
+		diverged bool
+	}
+	cur := zeroCursor(t, p)
+	at := func() state { return state{cur.st.R, cur.st.F, cur.st.PC, cur.mem.Load(addr, 8), cur.diverged} }
 	feed(cur, 0, 40)
 	cur.checkpoint(true) // take at commit 40
-	if cur.idx != 40 || cur.pc != pcs[40] || cur.diverged {
-		t.Fatalf("after take: idx %d pc %d diverged %v, want 40 %d false", cur.idx, cur.pc, cur.diverged, pcs[40])
+	taken := at()
+	if taken.pc != pcs[40] || taken.diverged || taken.word == 0 {
+		t.Fatalf("after take: pc %d diverged %v word %#x, want %d false nonzero", taken.pc, taken.diverged, taken.word, pcs[40])
 	}
 
-	// Diverge past the checkpoint: a corrupted commit 60 sticks.
+	// Past the take the shadow stores to the page the checkpoint shares,
+	// then a corrupted commit 60 diverges it, stickily.
 	feed(cur, 40, 60)
+	if cur.mem.Load(addr, 8) == taken.word {
+		t.Fatal("no store to the checkpointed word after the take")
+	}
+	if got := cur.ckMem.Load(addr, 8); got != taken.word {
+		t.Fatalf("checkpoint memory changed under a later store: %#x, want %#x", got, taken.word)
+	}
 	bad := outs[60]
 	bad.NextPC ^= 1
 	cur.observe(pcs[60], &bad)
 	feed(cur, 61, 70)
-	if !cur.diverged || cur.idx != 61 {
-		t.Fatalf("after divergence: idx %d diverged %v, want 61 true", cur.idx, cur.diverged)
+	if !cur.diverged {
+		t.Fatal("corrupted commit not flagged")
 	}
 
 	// Roll back: the machine re-executes from commit 40, cleanly this time.
 	cur.checkpoint(false)
-	if cur.idx != 40 || cur.pc != pcs[40] || cur.diverged {
-		t.Fatalf("after rollback: idx %d pc %d diverged %v, want 40 %d false", cur.idx, cur.pc, cur.diverged, pcs[40])
+	if got := at(); got != taken {
+		t.Fatalf("after rollback: %+v, want %+v", got, taken)
 	}
 	feed(cur, 40, 100)
 	cur.checkpoint(true) // take at commit 100
-	if cur.idx != 100 || cur.pc != pcs[100] || cur.diverged {
-		t.Fatalf("after second take: idx %d pc %d diverged %v, want 100 %d false", cur.idx, cur.pc, cur.diverged, pcs[100])
+	if cur.st.PC != pcs[100] || cur.diverged {
+		t.Fatalf("after second take: pc %d diverged %v, want %d false", cur.st.PC, cur.diverged, pcs[100])
 	}
 
 	// A take recorded after divergence keeps the divergence across rollback.
 	cur.observe(pcs[100]+1, &outs[100])
 	cur.checkpoint(true)
 	cur.checkpoint(false)
-	if !cur.diverged || cur.idx != 100 {
-		t.Fatalf("diverged take: idx %d diverged %v, want 100 true", cur.idx, cur.diverged)
+	if !cur.diverged {
+		t.Fatal("diverged take lost its verdict across rollback")
 	}
 }
 
@@ -271,11 +216,11 @@ func TestGoldenCursorCheckpointRewind(t *testing.T) {
 // snapshot must predate the injected decode event (equality is too late —
 // that decode already happened in it), or the run starts cold.
 func TestNearestSnapshotIdx(t *testing.T) {
-	rc := &replayContext{snaps: []*pipeline.Snapshot{
+	snaps := snapSeries{
 		{DecodeEvents: 100},
 		{DecodeEvents: 200},
 		{DecodeEvents: 300},
-	}}
+	}
 	cases := []struct {
 		decodeIndex int64
 		want        int
@@ -291,13 +236,13 @@ func TestNearestSnapshotIdx(t *testing.T) {
 	for _, c := range cases {
 		var want *pipeline.Snapshot
 		if c.want >= 0 {
-			want = rc.snaps[c.want]
+			want = snaps[c.want]
 		}
-		if got := rc.before(byDecode, c.decodeIndex); got != want {
+		if got := snaps.before(byDecode, c.decodeIndex); got != want {
 			t.Errorf("before(%d) = %+v, want snapshot %d", c.decodeIndex, got, c.want)
 		}
 	}
-	if got := (&replayContext{}).before(byDecode, 10); got != nil {
+	if got := snapSeries(nil).before(byDecode, 10); got != nil {
 		t.Fatalf("no snapshots: got %+v, want cold", got)
 	}
 }

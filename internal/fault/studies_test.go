@@ -110,8 +110,8 @@ func TestPCPilotIsCleanReference(t *testing.T) {
 		}
 		// Cycle 1 needs no snapshot (cold is already before it) and the two
 		// faults at cycle 700 share one.
-		if len(st.rc.snaps) != 2 || st.rc.snaps[0].Cycle != 699 || st.rc.snaps[1].Cycle != 8_999 {
-			t.Errorf("%s: %d resume points, want cycles 699 and 8999", name, len(st.rc.snaps))
+		if len(st.snaps) != 2 || st.snaps[0].Cycle != 699 || st.snaps[1].Cycle != 8_999 {
+			t.Errorf("%s: %d resume points, want cycles 699 and 8999", name, len(st.snaps))
 		}
 	}
 }

@@ -69,7 +69,7 @@ type pcFault struct {
 // with more mispredicts than the pilot's fault-free window.
 type pcStudy struct {
 	pcfg   pipeline.Config
-	rc     *replayContext
+	snaps  snapSeries
 	ref    pipeline.Result
 	window int64
 }
@@ -77,7 +77,7 @@ type pcStudy struct {
 // newPCStudy runs the pilot, capturing a resume point just before each
 // fault unless snapshots are disabled.
 func newPCStudy(prog *program.Program, cfg Config, faults []pcFault) (*pcStudy, error) {
-	st := &pcStudy{pcfg: cfg.pipelineConfig(core.ModeObserve), rc: &replayContext{}, window: cfg.WindowCycles}
+	st := &pcStudy{pcfg: cfg.pipelineConfig(core.ModeObserve), window: cfg.WindowCycles}
 	pilot, err := pipeline.New(prog, st.pcfg)
 	if err != nil {
 		return nil, fmt.Errorf("pc fault pilot: %w", err)
@@ -87,10 +87,9 @@ func newPCStudy(prog *program.Program, cfg Config, faults []pcFault) (*pcStudy, 
 		for i, f := range faults {
 			points[i] = f.cycle
 		}
-		st.rc.snaps = pilotAt(pilot, st.window, points, true)
+		st.snaps = pilotAt(pilot, st.window, points, true)
 	}
 	st.ref = pilot.Run(st.window - pilot.CycleCount())
-	st.rc.stream = streamThrough(prog, pilot.CommittedInsts())
 	return st, nil
 }
 
@@ -98,11 +97,11 @@ func newPCStudy(prog *program.Program, cfg Config, faults []pcFault) (*pcStudy, 
 // The fault is scheduled after the restore, which overwrites the machine's
 // PC-fault schedule.
 func (s *pcStudy) run(a *arena, f pcFault) (PCOutcome, error) {
-	cpu, _, err := a.reset(s.pcfg, s.rc.before(byCycle, f.cycle))
+	cpu, snap, err := a.reset(s.pcfg, s.snaps.before(byCycle, f.cycle))
 	if err != nil {
 		return "", fmt.Errorf("pc fault run: %w", err)
 	}
-	cur := s.rc.stream.attach(cpu)
+	cur := a.attach(cpu, snap)
 	cpu.SchedulePCFault(f.cycle, f.bit)
 	res := cpu.Run(s.window - cpu.CycleCount())
 
@@ -203,7 +202,6 @@ type cacheStudy struct {
 	pcfg       pipeline.Config
 	warmCycles int64
 	warm       *pipeline.Snapshot
-	stream     *GoldenStream
 	window     int64
 }
 
@@ -211,7 +209,7 @@ func newCacheStudy(prog *program.Program, cfg Config, parity bool, warmCycles in
 	if name := detect.Canonical(cfg.Pipeline.Detector); name != detect.NameITR {
 		return nil, fmt.Errorf("cache fault study targets the ITR signature cache; detector backend %q has none", name)
 	}
-	st := &cacheStudy{pcfg: cfg.pipelineConfig(core.ModeFull), warmCycles: warmCycles, stream: streamFor(prog), window: cfg.WindowCycles}
+	st := &cacheStudy{pcfg: cfg.pipelineConfig(core.ModeFull), warmCycles: warmCycles, window: cfg.WindowCycles}
 	st.pcfg.ITR.Parity = parity
 	if cfg.EffectiveSnapshotInterval() > 0 {
 		pilot, err := pipeline.New(prog, st.pcfg)
@@ -239,11 +237,11 @@ type cacheOutcome struct {
 }
 
 func (s *cacheStudy) run(a *arena, f cacheFault) (cacheOutcome, error) {
-	cpu, _, err := a.reset(s.pcfg, s.warm)
+	cpu, snap, err := a.reset(s.pcfg, s.warm)
 	if err != nil {
 		return cacheOutcome{}, fmt.Errorf("cache fault run: %w", err)
 	}
-	cur := s.stream.attach(cpu)
+	cur := a.attach(cpu, snap)
 	if s.warm == nil {
 		cpu.Run(s.warmCycles)
 	}

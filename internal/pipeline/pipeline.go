@@ -208,8 +208,8 @@ func (c Config) normalize() Config {
 // (campaigns ignore wrongPath; targeted tests may gate on it).
 type FaultHook func(decodeIndex int64, pc uint64, wrongPath bool, d isa.DecodeSignals) isa.DecodeSignals
 
-// CommitObserver sees every committed instruction in order (golden-stream
-// comparison attaches here). The outcome pointer aliases pipeline-internal
+// CommitObserver sees every committed instruction in order (the fault
+// harness's golden shadow attaches here). The outcome pointer aliases pipeline-internal
 // storage and is valid only for the duration of the call: observers that
 // retain the outcome must copy it.
 type CommitObserver func(pc uint64, o *isa.Outcome)

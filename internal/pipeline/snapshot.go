@@ -31,8 +31,8 @@ type Snapshot struct {
 	// DecodeEvents is the decode-event count at capture (the fault
 	// injector's fast-forward key).
 	DecodeEvents int64
-	// Committed is the committed-instruction count at capture (the golden
-	// stream cursor's seek position).
+	// Committed is the committed-instruction count at capture (Restore
+	// resumes the machine's commit counter from it).
 	Committed int64
 
 	cfg  Config           // normalized capture-time config, for structural validation
@@ -113,8 +113,9 @@ func (s *Snapshot) VisitMemPages(fn func(pageID uint64)) {
 // machine restored from the same snapshot share every untouched page by
 // pointer, so comparing the two with isa.Memory.Equal degenerates to a
 // generation-tag page diff: only pages either side dirtied since the
-// snapshot are word-compared. The decided-outcome fault classifier walks
-// this fork along the golden commit stream to prove re-convergence.
+// snapshot are word-compared. The fault harness seeds each run's golden
+// shadow with this fork, executes it alongside the machine's commits, and
+// compares the two to prove re-convergence.
 func (s *Snapshot) ArchFork() (*isa.ArchState, *isa.Memory) {
 	m := isa.NewMemory()
 	m.CopyFrom(s.mem)
