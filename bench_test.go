@@ -3,6 +3,8 @@
 // Each BenchmarkFigureN / BenchmarkTableN regenerates the corresponding
 // result through the same internal/report entry points the cmd tools use,
 // and reports the headline metric of that experiment via b.ReportMetric.
+// Each iteration runs on its own report.Engine, so the engine's
+// characterization memo never turns a later iteration into a memo read.
 // Instruction budgets are scaled down from the cmd defaults so a full
 // `go test -bench=.` pass completes in minutes on one core; the cmd tools
 // expose flags for paper-scale runs.
@@ -35,7 +37,7 @@ const benchBudget = 1_500_000
 // the top-k static traces, SPECint.
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := report.PopularityFigure(workload.IntSuite(), 100, 1000, benchBudget)
+		series, err := new(report.Engine).PopularityFigure(workload.IntSuite(), 100, 1000, benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,7 +54,7 @@ func BenchmarkFigure1(b *testing.B) {
 // BenchmarkFigure2 regenerates Figure 2: same CDF for SPECfp.
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := report.PopularityFigure(workload.FPSuite(), 50, 500, benchBudget)
+		series, err := new(report.Engine).PopularityFigure(workload.FPSuite(), 50, 500, benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +71,7 @@ func BenchmarkFigure2(b *testing.B) {
 // SPECint.
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := report.DistanceFigure(workload.IntSuite(), benchBudget)
+		series, err := new(report.Engine).DistanceFigure(workload.IntSuite(), benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +91,7 @@ func BenchmarkFigure3(b *testing.B) {
 // SPECfp.
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := report.DistanceFigure(workload.FPSuite(), benchBudget)
+		series, err := new(report.Engine).DistanceFigure(workload.FPSuite(), benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +107,7 @@ func BenchmarkFigure4(b *testing.B) {
 // BenchmarkTable1 regenerates Table 1: static trace counts.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := report.Table1(workload.DefaultBudget)
+		rows, err := new(report.Engine).Table1(workload.DefaultBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +139,7 @@ func BenchmarkTable2(b *testing.B) {
 // worst-case cell for the requested metric.
 func coverageSweepBench(b *testing.B, metric string) {
 	for i := 0; i < b.N; i++ {
-		cells, err := report.CoverageSweep(workload.CoverageSuite(), core.DesignSpace(), benchBudget)
+		cells, err := new(report.Engine).CoverageSweepWarm(workload.CoverageSuite(), core.DesignSpace(), benchBudget, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,7 +168,7 @@ func BenchmarkFigure7(b *testing.B) { coverageSweepBench(b, "recovery") }
 // (2-way/1024: 1.3% avg / 8.2% max detection loss in the paper).
 func BenchmarkHeadlineCoverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h, err := report.HeadlineCoverage(benchBudget)
+		h, err := new(report.Engine).HeadlineCoverage(benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,7 +185,7 @@ func BenchmarkFigure8(b *testing.B) {
 	cfg.Faults = 10
 	cfg.Experiment.WindowCycles = 50_000
 	for i := 0; i < b.N; i++ {
-		rows, err := report.Figure8(workload.CoverageSuite(), cfg)
+		rows, err := new(report.Engine).Figure8(workload.CoverageSuite(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -337,7 +339,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 // fetch energy, scaled to the paper's 200M-instruction windows.
 func BenchmarkFigure9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := report.Figure9(workload.Suite(), benchBudget, 200_000_000)
+		rows, err := new(report.Engine).Figure9(workload.Suite(), benchBudget, 200_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -370,7 +372,7 @@ func BenchmarkAblationCheckedLRU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		base := core.Config{Entries: 1024, Assoc: 2, Replacement: cache.ReplLRU}
 		opt := core.Config{Entries: 1024, Assoc: 2, Replacement: cache.ReplCheckedLRU}
-		cells, err := report.CoverageSweep([]workload.Profile{prof}, []core.Config{base, opt}, benchBudget)
+		cells, err := new(report.Engine).CoverageSweepWarm([]workload.Profile{prof}, []core.Config{base, opt}, benchBudget, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -390,7 +392,7 @@ func BenchmarkAblationMissFallback(b *testing.B) {
 		base := core.DefaultConfig()
 		fb := base
 		fb.MissFallback = true
-		cells, err := report.CoverageSweep([]workload.Profile{prof}, []core.Config{base, fb}, benchBudget)
+		cells, err := new(report.Engine).CoverageSweepWarm([]workload.Profile{prof}, []core.Config{base, fb}, benchBudget, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -777,7 +779,7 @@ func BenchmarkPerfComparison(b *testing.B) {
 		profiles = append(profiles, p)
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := report.PerfComparison(profiles, 60_000)
+		rows, err := new(report.Engine).PerfComparison(profiles, 60_000)
 		if err != nil {
 			b.Fatal(err)
 		}

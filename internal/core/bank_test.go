@@ -53,16 +53,41 @@ func randomStream(rng *rand.Rand, n, pcs int) []trace.Event {
 	return events
 }
 
+// raggedSlices cuts events into consecutive slices whose lengths mix single
+// events, lengths either side of bankBlockEvents, random sizes up to three
+// windows and the odd empty slice, with one cut forced at event index at, so
+// slice edges land on and around the warm-up boundary.
+func raggedSlices(rng *rand.Rand, events []trace.Event, at int) [][]trace.Event {
+	sizes := []int{0, 1, 2, bankBlockEvents - 1, bankBlockEvents, bankBlockEvents + 1}
+	var out [][]trace.Event
+	for start := 0; start < len(events); {
+		n := sizes[rng.Intn(len(sizes))]
+		if rng.Intn(2) == 0 {
+			n = 1 + rng.Intn(3*bankBlockEvents)
+		}
+		end := start + n
+		if start < at && end > at {
+			end = at
+		}
+		if end > len(events) {
+			end = len(events)
+		}
+		out = append(out, events[start:end])
+		start = end
+	}
+	return out
+}
+
 // TestSimBankMatchesSingleSims is the bank's central property: feeding one
-// event stream through a SimBank produces, for every member, a Result
-// identical to a standalone CoverageSim replaying the same stream through its
-// own WarmupLatch — across random streams, config subsets and warm-up
-// budgets.
+// event stream through a SimBank, in ragged slices, produces for every
+// member a Result identical to a standalone CoverageSim replaying the same
+// stream event by event through its own WarmupLatch — across random
+// streams, slicings, config subsets and warm-up budgets.
 func TestSimBankMatchesSingleSims(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	space := DesignSpace()
-	for round := 0; round < 8; round++ {
-		events := randomStream(rng, 200+rng.Intn(800), 50+rng.Intn(1500))
+	for round := 0; round < 12; round++ {
+		events := randomStream(rng, 200+rng.Intn(3*bankBlockEvents), 50+rng.Intn(1500))
 		configs := make([]Config, 2+rng.Intn(len(space)-1))
 		for i := range configs {
 			configs[i] = space[rng.Intn(len(space))]
@@ -71,16 +96,27 @@ func TestSimBankMatchesSingleSims(t *testing.T) {
 			}
 		}
 		warmup := int64(0)
-		if rng.Intn(2) == 0 {
-			warmup = int64(rng.Intn(2000))
+		if rng.Intn(3) != 0 {
+			warmup = int64(rng.Intn(25_000))
+		}
+		// Index of the first measured event, then a cut on, just before
+		// or just after it.
+		boundary := 0
+		for latch := NewWarmupLatch(warmup); boundary < len(events) && latch.Admit(events[boundary].Len); {
+			boundary++
 		}
 
 		bank, err := NewSimBank(configs, warmup)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ev := range events {
-			bank.Feed(ev)
+		fed := 0
+		for _, slice := range raggedSlices(rng, events, boundary+rng.Intn(3)-1) {
+			bank.FeedBlock(slice)
+			fed += len(slice)
+		}
+		if fed != len(events) {
+			t.Fatalf("round %d: slices cover %d of %d events", round, fed, len(events))
 		}
 
 		for ci, cfg := range configs {

@@ -563,25 +563,26 @@ func (g *listGroup) tabDelete(node int32) {
 }
 
 // tabRebuild reinserts the live entries into a clean table, shedding
-// tombstones. Amortized: it runs at most once per size/4 deletions.
+// tombstones. Amortized: it runs at most once per size/4 deletions. Keys come
+// from the node pool, not the old table: a probe chain that wraps past the
+// table end can reinsert an entry into a slot whose old entry is not yet
+// visited.
 func (g *listGroup) tabRebuild() {
-	old := append([]int32(nil), g.tabVal...)
 	for i := range g.tabVal {
 		g.tabVal[i] = tabEmpty
 	}
 	g.tombs = 0
-	for i, v := range old {
-		if v < 0 {
-			continue
+	for set, n := range g.length {
+		for v := int32(set * g.cap); v < int32(set*g.cap)+n; v++ {
+			pc := g.key[v]
+			j := (pc * tabHashMul) >> g.tabShift
+			for g.tabVal[j] != tabEmpty {
+				j = (j + 1) & g.tabMask
+			}
+			g.tabKey[j] = pc
+			g.tabVal[j] = v
+			g.tabPos[v] = int32(j)
 		}
-		pc := g.tabKey[i]
-		j := (pc * tabHashMul) >> g.tabShift
-		for g.tabVal[j] != tabEmpty {
-			j = (j + 1) & g.tabMask
-		}
-		g.tabKey[j] = pc
-		g.tabVal[j] = v
-		g.tabPos[v] = int32(j)
 	}
 }
 

@@ -27,9 +27,7 @@ import (
 	"strings"
 
 	"itr/internal/core"
-	"itr/internal/isa"
 	"itr/internal/program"
-	"itr/internal/sig"
 )
 
 // Backend names accepted by New (and the -detector CLI flag).
@@ -121,29 +119,6 @@ func checkMode(mode core.Mode) error {
 		return fmt.Errorf("unknown detector mode %d", mode)
 	}
 	return nil
-}
-
-// staticSig computes the fault-free signature of the static trace starting
-// at pc by walking the memoized decode table with the trace-formation rule
-// (terminate on a branching word, at MaxTraceLen, or at halt), memoizing per
-// start PC. It is the rivals' independent second decode: the same role
-// fault.SigOracle plays for campaign classification.
-func staticSig(tab *program.DecodeTable, memo map[uint64]uint64, pc uint64) uint64 {
-	if v, ok := memo[pc]; ok {
-		return v
-	}
-	var acc sig.Accumulator
-	cur := pc
-	for {
-		w := tab.Word(cur)
-		acc.Add(w)
-		if isa.WordIsBranching(w) || acc.Full() || isa.WordOpcode(w) == isa.OpHalt {
-			break
-		}
-		cur++
-	}
-	memo[pc] = acc.Value()
-	return acc.Value()
 }
 
 // clampDetections capacity-clamps a detection log for a capture, so the

@@ -28,9 +28,10 @@ func (b offsetBus) Store(addr uint64, size uint8, v uint64) { b.mem.Store(addr+b
 // bracket every committed trace:
 //
 //   - At dispatch, the trace's accumulated signature is compared against an
-//     independent second decode (the memoized static walk). A mismatch is
-//     pre-commit and recoverable: the protocol flushes and retries exactly
-//     like ITR, and a second mismatch for the same trace machine-checks.
+//     independent second decode (the decode table's static trace
+//     signature). A mismatch is pre-commit and recoverable: the protocol
+//     flushes and retries exactly like ITR, and a second mismatch for the
+//     same trace machine-checks.
 //
 //   - Behind commit, a second golden-model execution advances trace by
 //     trace through a decorrelated address space (all memory traffic offset
@@ -45,7 +46,6 @@ type DME struct {
 	mode core.Mode
 	tab  *program.DecodeTable
 	rob  *core.ROB
-	memo map[uint64]uint64 // staticSig memo (pure; never captured)
 	off  uint64
 
 	// Shadow (dual) execution state: canonical registers and PC, memory
@@ -83,7 +83,6 @@ func NewDME(prog *program.Program, mode core.Mode, opts Options) (*DME, error) {
 		mode:      mode,
 		tab:       prog.DecodeTable(),
 		rob:       core.NewROB(64),
-		memo:      make(map[uint64]uint64),
 		off:       opts.AddrOffset,
 		shadow:    &isa.ArchState{Mem: offsetBus{mem: mem, off: opts.AddrOffset}},
 		shadowMem: mem,
@@ -98,7 +97,7 @@ func (d *DME) DispatchTrace(ev trace.Event, wrongPath bool) (seq uint64, ok bool
 	if d.rob.Full() {
 		return 0, false
 	}
-	ref := staticSig(d.tab, d.memo, ev.StartPC)
+	ref := d.tab.TraceSig(ev.StartPC)
 	entry := core.ROBEntry{
 		StartPC: ev.StartPC, Sig: ev.Sig, CachedSig: ref, Len: ev.Len, WrongPath: wrongPath,
 	}
@@ -219,7 +218,7 @@ func (d *DME) advanceShadow(h *core.ROBEntry) {
 		d.detections = append(d.detections, core.Detection{
 			StartPC:   h.StartPC,
 			AccessSig: h.Sig,
-			CachedSig: staticSig(d.tab, d.memo, h.StartPC),
+			CachedSig: d.tab.TraceSig(h.StartPC),
 			Seq:       d.rob.HeadSeq(),
 		})
 		if d.mode == core.ModeObserve {

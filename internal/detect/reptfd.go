@@ -18,13 +18,13 @@ func chunkFold(digest, traceSig uint64) uint64 {
 
 // RepTFD is the chunked-replay detector: committed traces are folded into a
 // fixed-length chunk digest while a deterministic replay of the same chunk
-// (the memoized static decode walk) folds the fault-free digest, and the two
-// are compared when the chunk closes. Faults are therefore detected with a
-// latency of up to ChunkTraces committed traces — after the faulty instance
-// retired — so the full protocol cannot flush-and-retry: it machine-checks,
-// and only a coarse-grain checkpoint can turn that into recovery. A faulty
-// trace inside a still-open chunk at window end goes undetected; that
-// latency window is the mechanism's defining cost.
+// (the decode table's static trace signatures) folds the fault-free digest,
+// and the two are compared when the chunk closes. Faults are therefore
+// detected with a latency of up to ChunkTraces committed traces — after the
+// faulty instance retired — so the full protocol cannot flush-and-retry: it
+// machine-checks, and only a coarse-grain checkpoint can turn that into
+// recovery. A faulty trace inside a still-open chunk at window end goes
+// undetected; that latency window is the mechanism's defining cost.
 //
 // The in-flight side reuses the ITR ROB purely as a dispatch-order FIFO
 // (branch-checkpoint sequence numbers, misprediction rollback); no signature
@@ -33,7 +33,6 @@ type RepTFD struct {
 	mode core.Mode
 	tab  *program.DecodeTable
 	rob  *core.ROB
-	memo map[uint64]uint64 // staticSig memo (pure; never captured)
 
 	chunkTraces int
 
@@ -69,7 +68,6 @@ func NewRepTFD(prog *program.Program, mode core.Mode, opts Options) (*RepTFD, er
 		mode:        mode,
 		tab:         prog.DecodeTable(),
 		rob:         core.NewROB(64),
-		memo:        make(map[uint64]uint64),
 		chunkTraces: opts.ChunkTraces,
 	}, nil
 }
@@ -125,7 +123,7 @@ func (d *RepTFD) CommitTraceEnd() {
 		d.chunkStartNow = d.now
 		d.divSeen = false
 	}
-	replayed := staticSig(d.tab, d.memo, h.StartPC)
+	replayed := d.tab.TraceSig(h.StartPC)
 	d.chunkSig = chunkFold(d.chunkSig, h.Sig)
 	d.replaySig = chunkFold(d.replaySig, replayed)
 	d.stats.ReplayedInsts += int64(h.Len)
@@ -263,8 +261,7 @@ type RepTFDState struct {
 	detections []core.Detection
 }
 
-// CaptureState snapshots the detector's mutable state. The staticSig memo is
-// a pure function of the program and is deliberately not captured.
+// CaptureState snapshots the detector's mutable state.
 func (d *RepTFD) CaptureState() core.DetectorState {
 	return &RepTFDState{
 		rob:         d.rob.Clone(),

@@ -105,7 +105,7 @@ func runCoverageAblation(e *Engine, rep *report.Engine, profiles []workload.Prof
 	fallback := base
 	fallback.MissFallback = true
 
-	cells, err := rep.CoverageSweep(profiles, []core.Config{base, checked, fallback}, budget)
+	cells, err := rep.CoverageSweepWarm(profiles, []core.Config{base, checked, fallback}, budget, 0)
 	if err != nil {
 		return err
 	}

@@ -105,7 +105,14 @@ func runDump(e *Engine) error {
 			for _, r := range counts {
 				rows = append(rows, r)
 			}
-			sort.Slice(rows, func(i, j int) bool { return rows[i].insts > rows[j].insts })
+			// Rows come out of a map, so ties in instruction count are
+			// broken by start PC to keep the table deterministic.
+			sort.Slice(rows, func(i, j int) bool {
+				if rows[i].insts != rows[j].insts {
+					return rows[i].insts > rows[j].insts
+				}
+				return rows[i].start < rows[j].start
+			})
 			fmt.Fprintf(w, "%8s %12s %14s %18s\n", "startPC", "instances", "dyn insts", "signature")
 			for i, r := range rows {
 				if i >= 25 {

@@ -3,6 +3,7 @@ package experiment
 import (
 	"flag"
 	"fmt"
+	"io"
 
 	"itr/internal/baseline"
 	"itr/internal/core"
@@ -71,7 +72,7 @@ func runEnergy(e *Engine) error {
 	if s.Energy.Baselines {
 		if err := e.stage("baselines", func() error {
 			fmt.Fprintln(w)
-			return printBaselines(e, s.Budget, scale)
+			return printBaselines(w, rep, s.Budget, scale)
 		}); err != nil {
 			return err
 		}
@@ -97,27 +98,22 @@ func runEnergy(e *Engine) error {
 	return e.writeArtifact(art)
 }
 
-func printBaselines(e *Engine, budget, scale int64) error {
-	w := e.out
+func printBaselines(w io.Writer, rep *report.Engine, budget, scale int64) error {
 	fmt.Fprintln(w, "Approach comparison (per benchmark, headline ITR cache):")
 	t := stats.NewTable("benchmark", "approach", "det cov (%)", "rec cov (%)", "energy (mJ)", "area (cm^2)")
 	baseCfg := core.DefaultConfig()
 	fbCfg := baseCfg
 	fbCfg.MissFallback = true
-	for _, p := range workload.Suite() {
-		// One stream traversal fans out to both baseline configurations.
-		bank, err := core.NewSimBank([]core.Config{baseCfg, fbCfg}, 0)
-		if err != nil {
-			return err
-		}
-		info, err := workload.StreamEventSlices(p, p.ScaledBudget(budget), bank.FeedBlock)
-		if err != nil {
-			return err
-		}
-		executed := info.Insts
-		e.sweep.StreamsGenerated.Add(1)
-		e.sweep.EventsReplayed.Add(info.Events)
-		e.sweep.CellsCompleted.Add(int64(bank.Len()))
+	// One stream traversal per benchmark fans out to both configurations.
+	cells, err := rep.CoverageSweepWarm(workload.Suite(), []core.Config{baseCfg, fbCfg}, budget, 0)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < len(cells); i += 2 {
+		name := cells[i].Benchmark
+		// A trace event stream partitions every executed instruction into
+		// exactly one event, so the cell's TotalInsts is the executed count.
+		executed := cells[i].Result.TotalInsts
 		rescale := func(res core.Result) core.Result {
 			if scale > 0 && executed > 0 {
 				f := float64(scale) / float64(executed)
@@ -127,8 +123,8 @@ func printBaselines(e *Engine, budget, scale int64) error {
 			}
 			return res
 		}
-		base := rescale(bank.Result(0))
-		fb := rescale(bank.Result(1))
+		base := rescale(cells[i].Result)
+		fb := rescale(cells[i+1].Result)
 		dyn := executed
 		if scale > 0 {
 			dyn = scale
@@ -141,11 +137,11 @@ func printBaselines(e *Engine, budget, scale int64) error {
 			if a == baseline.ITRMissFallback {
 				cov = fb
 			}
-			c, err := baseline.Compare(a, baseline.Workload{Name: p.Name, DynInsts: dyn, Coverage: cov}, energy.ITRCacheSinglePort)
+			c, err := baseline.Compare(a, baseline.Workload{Name: name, DynInsts: dyn, Coverage: cov}, energy.ITRCacheSinglePort)
 			if err != nil {
 				return err
 			}
-			t.AddRow(p.Name, c.Approach.String(), c.DetectionCoverage, c.RecoveryCoverage, c.EnergyMJ, c.AreaCM2)
+			t.AddRow(name, c.Approach.String(), c.DetectionCoverage, c.RecoveryCoverage, c.EnergyMJ, c.AreaCM2)
 		}
 	}
 	fmt.Fprint(w, t.String())

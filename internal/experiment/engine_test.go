@@ -207,3 +207,28 @@ func TestEngineRunSpecFile(t *testing.T) {
 		t.Errorf("run without -spec exit = %d; want 1", code)
 	}
 }
+
+// TestDumpTracesDeterministic runs the same trace-table dump three times:
+// the table's rows come from a map, and rows tied on instruction count
+// must still print in one order, so every run has the same stage digest.
+func TestDumpTracesDeterministic(t *testing.T) {
+	var digests []string
+	for run := 0; run < 3; run++ {
+		spec := Spec{Kind: "dump", Bench: "gcc", Budget: 200_000, Dump: &DumpSpec{Traces: true}}
+		var out, errw bytes.Buffer
+		eng := New(spec, &out, &errw)
+		if err := eng.Run(); err != nil {
+			t.Fatalf("dump run: %v\nstderr: %s", err, errw.String())
+		}
+		stages := eng.Manifest().Stages
+		if len(stages) != 1 {
+			t.Fatalf("stages = %+v; want one inspect stage", stages)
+		}
+		digests = append(digests, stages[0].OutputDigest)
+	}
+	for i, d := range digests[1:] {
+		if d != digests[0] {
+			t.Errorf("run %d digest %s differs from run 0's %s", i+1, d, digests[0])
+		}
+	}
+}

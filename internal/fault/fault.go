@@ -18,14 +18,12 @@ package fault
 
 import (
 	"fmt"
-	"sync"
 
 	"itr/internal/core"
 	"itr/internal/detect"
 	"itr/internal/isa"
 	"itr/internal/pipeline"
 	"itr/internal/program"
-	"itr/internal/sig"
 )
 
 // Category is one Figure 8 outcome class.
@@ -98,42 +96,21 @@ type Detail struct {
 	CheckpointRecovered bool
 }
 
-// SigOracle computes fault-free trace signatures by static walk, memoizing
-// per start PC. It answers "which side of a mismatch was faulty". The walk
-// reads the program's memoized DecodeTable, so each uncached signature costs
-// one XOR per trace instruction.
+// SigOracle answers "which side of a mismatch was faulty" with the
+// fault-free signature of each static trace, read from the program's
+// DecodeTable.
 type SigOracle struct {
-	tab  *program.DecodeTable
-	mu   sync.Mutex
-	memo map[uint64]uint64
+	tab *program.DecodeTable
 }
 
 // NewSigOracle builds an oracle for prog.
 func NewSigOracle(prog *program.Program) *SigOracle {
-	return &SigOracle{tab: prog.DecodeTable(), memo: make(map[uint64]uint64)}
+	return &SigOracle{tab: prog.DecodeTable()}
 }
 
 // TrueSig returns the fault-free signature of the static trace starting at
-// pc, replicating the trace-formation rule (terminate on branch or at 16).
-func (o *SigOracle) TrueSig(pc uint64) uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if v, ok := o.memo[pc]; ok {
-		return v
-	}
-	var acc sig.Accumulator
-	cur := pc
-	for {
-		w := o.tab.Word(cur)
-		acc.Add(w)
-		if isa.WordIsBranching(w) || acc.Full() || isa.WordOpcode(w) == isa.OpHalt {
-			break
-		}
-		cur++
-	}
-	o.memo[pc] = acc.Value()
-	return acc.Value()
-}
+// pc (DecodeTable.TraceSig).
+func (o *SigOracle) TrueSig(pc uint64) uint64 { return o.tab.TraceSig(pc) }
 
 // DefaultSnapshotInterval is the decode-event spacing of pilot snapshots
 // when Config.SnapshotInterval is zero. Smaller intervals skip more of the

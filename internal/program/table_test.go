@@ -1,6 +1,7 @@
 package program
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -85,23 +86,31 @@ func TestDecodeTableOutOfRange(t *testing.T) {
 	}
 }
 
-// TestDecodeTableConcurrent publishes the table from many goroutines at once;
-// all callers must observe the same table (run under -race in CI).
+// TestDecodeTableConcurrent publishes the table, and builds its lazy trace
+// signature array, from many goroutines at once; all callers must observe
+// the same table and the same signatures (run under -race in CI).
 func TestDecodeTableConcurrent(t *testing.T) {
 	p := &Program{Insts: cornerInstructions()[:64]}
 	tabs := make([]*DecodeTable, 16)
+	sigs := make([][]uint64, len(tabs))
 	var wg sync.WaitGroup
 	for i := range tabs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			tabs[i] = p.DecodeTable()
+			for pc := range p.Insts {
+				sigs[i] = append(sigs[i], tabs[i].TraceSig(uint64(pc)))
+			}
 		}(i)
 	}
 	wg.Wait()
 	for i, tab := range tabs {
 		if tab != tabs[0] {
 			t.Fatalf("goroutine %d observed a different table: %p vs %p", i, tab, tabs[0])
+		}
+		if !reflect.DeepEqual(sigs[i], sigs[0]) {
+			t.Fatalf("goroutine %d read different trace signatures", i)
 		}
 	}
 }

@@ -133,7 +133,3 @@ func (e *Engine) forEach(n int, fn func(i int) error) error {
 	}
 	return nil
 }
-
-// defaultEngine backs the package-level convenience wrappers: full-width
-// pool, no observer. Its characterization memo lives for the process.
-var defaultEngine = &Engine{}

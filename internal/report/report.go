@@ -55,11 +55,6 @@ func (e *Engine) Characterization(p workload.Profile, budget int64) (*trace.Char
 	return m.c, m.err
 }
 
-// Characterization runs on the default engine.
-func Characterization(p workload.Profile, budget int64) (*trace.Characterizer, error) {
-	return defaultEngine.Characterization(p, budget)
-}
-
 // PopularityFigure produces Figure 1 (SPECint, step 100 up to 1000) or
 // Figure 2 (SPECfp, step 50 up to 500): one series per benchmark of the
 // cumulative percentage of dynamic instructions contributed by the top-k
@@ -81,11 +76,6 @@ func (e *Engine) PopularityFigure(profiles []workload.Profile, step, limit int, 
 		return nil, err
 	}
 	return series, nil
-}
-
-// PopularityFigure runs on the default engine (full-width pool).
-func PopularityFigure(profiles []workload.Profile, step, limit int, budget int64) ([]stats.Series, error) {
-	return defaultEngine.PopularityFigure(profiles, step, limit, budget)
 }
 
 // DistanceFigure produces Figure 3 (SPECint) or Figure 4 (SPECfp): one
@@ -113,11 +103,6 @@ func (e *Engine) DistanceFigure(profiles []workload.Profile, budget int64) ([]st
 		return nil, err
 	}
 	return series, nil
-}
-
-// DistanceFigure runs on the default engine (full-width pool).
-func DistanceFigure(profiles []workload.Profile, budget int64) ([]stats.Series, error) {
-	return defaultEngine.DistanceFigure(profiles, budget)
 }
 
 // Table1Row is one row of the paper's Table 1 reproduction.
@@ -154,11 +139,6 @@ func (e *Engine) Table1(budget int64) ([]Table1Row, error) {
 	return rows, nil
 }
 
-// Table1 runs on the default engine (full-width pool).
-func Table1(budget int64) ([]Table1Row, error) {
-	return defaultEngine.Table1(budget)
-}
-
 // CoverageCell is one (benchmark, configuration) point of Figures 6-7.
 type CoverageCell struct {
 	Benchmark string
@@ -166,22 +146,11 @@ type CoverageCell struct {
 	Result    core.Result
 }
 
-// CoverageSweep replays each benchmark's trace stream against every cache
-// configuration (the paper's Section 3 design-space exploration). The event
-// stream is generated once per benchmark and shared across configurations.
-func (e *Engine) CoverageSweep(profiles []workload.Profile, configs []core.Config, budget int64) ([]CoverageCell, error) {
-	return e.CoverageSweepWarm(profiles, configs, budget, 0)
-}
-
-// CoverageSweep runs on the default engine (full-width pool).
-func CoverageSweep(profiles []workload.Profile, configs []core.Config, budget int64) ([]CoverageCell, error) {
-	return defaultEngine.CoverageSweepWarm(profiles, configs, budget, 0)
-}
-
-// CoverageSweepWarm is CoverageSweep with a warm-up prefix: the first
-// warmupInsts instructions of each stream prime the ITR cache without being
-// charged, mirroring the paper's 900M-instruction skip before its
-// 200M-instruction measurement window.
+// CoverageSweepWarm replays each benchmark's trace stream against every
+// cache configuration (the paper's Section 3 design-space exploration). The
+// first warmupInsts instructions of each stream prime the ITR cache without
+// being charged, mirroring the paper's 900M-instruction skip before its
+// 200M-instruction measurement window; pass 0 to measure the whole stream.
 //
 // Each benchmark is one unit of work on the report worker pool: a
 // core.SimBank holding every configuration is driven in lockstep from a
@@ -216,11 +185,6 @@ func (e *Engine) CoverageSweepWarm(profiles []workload.Profile, configs []core.C
 		return nil, err
 	}
 	return cells, nil
-}
-
-// CoverageSweepWarm runs on the default engine (full-width pool).
-func CoverageSweepWarm(profiles []workload.Profile, configs []core.Config, budget, warmupInsts int64) ([]CoverageCell, error) {
-	return defaultEngine.CoverageSweepWarm(profiles, configs, budget, warmupInsts)
 }
 
 // CoverageTable renders a Figures 6/7-shaped table: one row per
@@ -281,7 +245,7 @@ type Headline struct {
 
 // HeadlineCoverage computes the Section 3 headline over all 16 benchmarks.
 func (e *Engine) HeadlineCoverage(budget int64) (Headline, error) {
-	cells, err := e.CoverageSweep(workload.Suite(), []core.Config{core.DefaultConfig()}, budget)
+	cells, err := e.CoverageSweepWarm(workload.Suite(), []core.Config{core.DefaultConfig()}, budget, 0)
 	if err != nil {
 		return Headline{}, err
 	}
@@ -302,11 +266,6 @@ func (e *Engine) HeadlineCoverage(budget int64) (Headline, error) {
 	h.AvgDetectionLoss = stats.Mean(det)
 	h.AvgRecoveryLoss = stats.Mean(rec)
 	return h, nil
-}
-
-// HeadlineCoverage runs on the default engine (full-width pool).
-func HeadlineCoverage(budget int64) (Headline, error) {
-	return defaultEngine.HeadlineCoverage(budget)
 }
 
 // Figure8Row is one benchmark's fault-injection outcome breakdown.
@@ -339,11 +298,6 @@ func (e *Engine) Figure8(profiles []workload.Profile, cfg fault.CampaignConfig) 
 		rows[i] = Figure8Row{Benchmark: res.Benchmark, Result: res}
 	}
 	return rows, nil
-}
-
-// Figure8 runs on the default engine.
-func Figure8(profiles []workload.Profile, cfg fault.CampaignConfig) ([]Figure8Row, error) {
-	return defaultEngine.Figure8(profiles, cfg)
 }
 
 // Figure8Table renders the outcome breakdown with one row per benchmark and
@@ -436,11 +390,6 @@ func (e *Engine) Figure9(profiles []workload.Profile, budget, scaleInsts int64) 
 		}
 	}
 	return rows, nil
-}
-
-// Figure9 runs on the default engine (full-width pool).
-func Figure9(profiles []workload.Profile, budget, scaleInsts int64) ([]Figure9Row, error) {
-	return defaultEngine.Figure9(profiles, budget, scaleInsts)
 }
 
 // Figure9Table renders the energy comparison.

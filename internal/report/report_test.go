@@ -30,7 +30,7 @@ func small(t *testing.T, names ...string) []workload.Profile {
 }
 
 func TestPopularityFigureShape(t *testing.T) {
-	series, err := PopularityFigure(small(t, "bzip", "art"), 100, 1000, testBudget)
+	series, err := new(Engine).PopularityFigure(small(t, "bzip", "art"), 100, 1000, testBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPopularityFigureShape(t *testing.T) {
 }
 
 func TestDistanceFigureShape(t *testing.T) {
-	series, err := DistanceFigure(small(t, "bzip"), testBudget)
+	series, err := new(Engine).DistanceFigure(small(t, "bzip"), testBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDistanceFigureShape(t *testing.T) {
 }
 
 func TestTable1SmallBudgetUndercountsGcc(t *testing.T) {
-	rows, err := Table1(testBudget)
+	rows, err := new(Engine).Table1(testBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestTable1SmallBudgetUndercountsGcc(t *testing.T) {
 
 func TestCoverageSweepGrid(t *testing.T) {
 	profiles := small(t, "vpr")
-	cells, err := CoverageSweep(profiles, core.DesignSpace(), testBudget)
+	cells, err := new(Engine).CoverageSweepWarm(profiles, core.DesignSpace(), testBudget, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCoverageSweepGrid(t *testing.T) {
 }
 
 func TestCoverageTableRendering(t *testing.T) {
-	cells, err := CoverageSweep(small(t, "vpr"), core.DesignSpace(), testBudget)
+	cells, err := new(Engine).CoverageSweepWarm(small(t, "vpr"), core.DesignSpace(), testBudget, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestHeadlineCoverageSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline sweeps all 16 benchmarks")
 	}
-	h, err := HeadlineCoverage(1_000_000)
+	h, err := new(Engine).HeadlineCoverage(1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestFigure8SmallCampaign(t *testing.T) {
 	cfg := fault.DefaultCampaignConfig()
 	cfg.Faults = 5
 	cfg.Experiment.WindowCycles = 30_000
-	rows, err := Figure8(small(t, "art"), cfg)
+	rows, err := new(Engine).Figure8(small(t, "art"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestFigure8SmallCampaign(t *testing.T) {
 }
 
 func TestFigure9ShapeAndScaling(t *testing.T) {
-	rows, err := Figure9(small(t, "bzip", "swim"), testBudget, 200_000_000)
+	rows, err := new(Engine).Figure9(small(t, "bzip", "swim"), testBudget, 200_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestFigure9ShapeAndScaling(t *testing.T) {
 		}
 	}
 	// Unscaled rows are much smaller.
-	raw, err := Figure9(small(t, "bzip"), testBudget, 0)
+	raw, err := new(Engine).Figure9(small(t, "bzip"), testBudget, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

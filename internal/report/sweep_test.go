@@ -135,7 +135,7 @@ func TestSweepRenderingIdenticalAcrossPaths(t *testing.T) {
 func TestFigure9MatchesDirectSimulation(t *testing.T) {
 	profiles := small(t, "vpr", "swim")
 	const scaleInsts = 200_000_000
-	rows, err := Figure9(profiles, testBudget, scaleInsts)
+	rows, err := new(Engine).Figure9(profiles, testBudget, scaleInsts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,17 +54,6 @@ func Of(insts []isa.Instruction) uint64 {
 	return a.Value()
 }
 
-// OfWords computes the signature of a sequence of packed signal words — the
-// decode-memoization fast path for callers holding a program.DecodeTable
-// slice of an already-decoded trace.
-func OfWords(words []uint64) uint64 {
-	var s uint64
-	for _, w := range words {
-		s ^= w
-	}
-	return s
-}
-
 // Parity returns the even-parity bit of a signature, used to parity-protect
 // ITR cache lines (Section 2.4): true when v has an odd number of set bits.
 func Parity(v uint64) bool { return bits.OnesCount64(v)%2 == 1 }

@@ -41,6 +41,9 @@ func ParseProfile(r io.Reader) (Profile, error) {
 	if err := dec.Decode(&pj); err != nil {
 		return Profile{}, fmt.Errorf("parse profile: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Profile{}, fmt.Errorf("parse profile: data after the profile object")
+	}
 	p := Profile{
 		Name:         pj.Name,
 		FP:           pj.FP,

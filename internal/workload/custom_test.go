@@ -50,6 +50,17 @@ func TestParseProfileRejectsGarbage(t *testing.T) {
 	}
 }
 
+func TestParseProfileRejectsTrailingData(t *testing.T) {
+	for _, tail := range []string{" trailing garbage", customJSON, "}", "[]", "0"} {
+		if _, err := ParseProfile(strings.NewReader(customJSON + tail)); err == nil {
+			t.Errorf("profile followed by %q accepted", tail)
+		}
+	}
+	if _, err := ParseProfile(strings.NewReader(customJSON + " \n\t ")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
 func TestValidateProfile(t *testing.T) {
 	cases := []struct {
 		p    Profile

@@ -13,21 +13,9 @@ import (
 // accepts a flag to raise the budget to paper scale.
 const DefaultBudget = 4_000_000
 
-// Events builds the benchmark program and returns its dynamic trace-event
-// stream for the given instruction budget, along with the instructions
-// executed. The stream is what drives the ITR cache: coverage sweeps replay
-// it against many cache configurations without re-running the program.
-func Events(p Profile, budget int64) ([]trace.Event, int64, error) {
-	prog, err := Build(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	events, executed := EventsOf(prog, budget)
-	return events, executed, nil
-}
-
-// EventsOf streams an already-built program, returning the trace events and
-// the number of dynamic instructions executed.
+// EventsOf streams an already-built program, returning its dynamic
+// trace-event stream for the given instruction budget and the number of
+// dynamic instructions executed.
 func EventsOf(prog *program.Program, budget int64) ([]trace.Event, int64) {
 	events := make([]trace.Event, 0, budget/8)
 	executed := trace.Stream(prog, budget, func(ev trace.Event) bool {

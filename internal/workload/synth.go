@@ -73,15 +73,6 @@ func Build(p Profile) (*program.Program, error) {
 	return nil, fmt.Errorf("profile %s: static trace calibration did not converge", p.Name)
 }
 
-// MustBuild is Build for known-good profiles (tests, benchmarks).
-func MustBuild(p Profile) *program.Program {
-	prog, err := Build(p)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 // coldSlices picks how many outer cycles the cold tail is spread across.
 func coldSlices(cold int) int {
 	s := cold / 800

@@ -188,10 +188,11 @@ func TestFPProfilesUseFPInstructions(t *testing.T) {
 
 func TestEventsConsistentWithProgram(t *testing.T) {
 	prof, _ := ByName("art")
-	events, executed, err := Events(prof, 100_000)
+	prog, err := Build(prof)
 	if err != nil {
 		t.Fatal(err)
 	}
+	events, executed := EventsOf(prog, 100_000)
 	if executed != 100_000 {
 		t.Fatalf("executed = %d", executed)
 	}

@@ -88,17 +88,21 @@ func BenchmarkByName(name string) (Benchmark, error) { return workload.ByName(na
 // program contains exactly the profile's Table 1 static trace count.
 func BuildBenchmark(b Benchmark) (*Program, error) { return workload.Build(b) }
 
+// reports is the full-width report engine behind the facade. Its
+// characterization memo lives for the process.
+var reports = &report.Engine{}
+
 // Characterize runs trace characterization (Figures 1-4, Table 1 metrics)
 // for a benchmark at the given instruction budget. The result is memoized
 // per (benchmark, budget) and shared between callers: treat it as read-only.
 func Characterize(b Benchmark, budget int64) (*trace.Characterizer, error) {
-	return report.Characterization(b, budget)
+	return reports.Characterization(b, budget)
 }
 
 // Coverage measures ITR coverage loss for one benchmark and cache
 // configuration: the unit of Figures 6 and 7.
 func Coverage(b Benchmark, cfg CacheConfig, budget int64) (CoverageResult, error) {
-	cells, err := report.CoverageSweep([]workload.Profile{b}, []core.Config{cfg}, budget)
+	cells, err := reports.CoverageSweepWarm([]workload.Profile{b}, []core.Config{cfg}, budget, 0)
 	if err != nil {
 		return CoverageResult{}, err
 	}
