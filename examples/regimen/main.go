@@ -129,7 +129,7 @@ func main() {
 	fmt.Printf("rename checker:    %d mismatches, %d retries, %d recoveries\n",
 		ren.Mismatches, ren.Retries, ren.Recoveries)
 	fmt.Printf("checkpoints taken: %d (rollbacks needed: %d)\n",
-		cpu.Checkpoints().Stats().Taken, res.CheckpointRollbacks)
+		res.CheckpointsTaken, res.CheckpointRollbacks)
 
 	ok := res.Termination == pipeline.TermHalt &&
 		front.Recoveries >= 1 && front.ParityRecovers >= 1 && ren.Recoveries >= 1 &&

@@ -411,40 +411,12 @@ func (c *Cache) pickVictim(si int) int {
 	}
 }
 
-// Clone returns a deep copy of the cache: contents, LRU ordering, and
-// statistics. The clone shares nothing with the original, so snapshot layers
-// can retain it while the original keeps running.
-func (c *Cache) Clone() *Cache {
-	n := MustNew(c.Entries(), c.assoc, c.repl)
-	if err := n.CopyFrom(c); err != nil {
-		panic(err) // unreachable: geometry matches by construction
-	}
-	return n
-}
-
-// CopyFrom overwrites the cache's entire state (contents, LRU ordering,
-// statistics) with a deep copy of src, preserving c's identity so existing
-// references stay valid. The two caches must have identical geometry and
-// replacement policy. src is only read, so one source may be restored into
-// any number of caches concurrently.
-func (c *Cache) CopyFrom(src *Cache) error {
-	if c.assoc != src.assoc || c.numSets != src.numSets || c.repl != src.repl {
-		return fmt.Errorf("cache: cannot copy %d-set/%d-way/repl-%d state into %d-set/%d-way/repl-%d cache",
-			src.numSets, src.assoc, src.repl, c.numSets, c.assoc, c.repl)
-	}
-	copy(c.lines, src.lines)
-	c.clock = src.clock
-	c.stats = src.stats
-	c.rebuildAux()
-	return nil
-}
-
 // State is an immutable, flat capture of a cache's complete state: every line
 // (valid or not, preserving LRU ordering) in one contiguous array, plus the
-// scalar counters. Capturing costs a single allocation — unlike Clone, no
-// map index or LRU list is built for a copy that will never be looked up. A
-// State is never written through, so one state may be restored into many
-// caches concurrently.
+// scalar counters. Capturing costs a single allocation, and no map index or
+// LRU list is built for a copy that will never be looked up. A State is never
+// written through, so one state may be restored into many caches
+// concurrently.
 type State struct {
 	lines   []Line
 	assoc   int

@@ -324,11 +324,8 @@ type DMEState struct {
 	rob *core.ROB
 	off uint64
 
-	shadowR   [isa.NumRegs]uint64
-	shadowF   [isa.NumRegs]uint64
-	shadowPC  uint64
-	shadowMem *isa.Memory
-	resync    bool
+	shadow isa.Checkpoint
+	resync bool
 
 	retryArmed bool
 	retryPC    uint64
@@ -348,11 +345,8 @@ func (d *DME) CaptureState() core.DetectorState {
 		rob: d.rob.Clone(),
 		off: d.off,
 
-		shadowR:   d.shadow.R,
-		shadowF:   d.shadow.F,
-		shadowPC:  d.shadow.PC,
-		shadowMem: d.shadowMem.Snapshot(),
-		resync:    d.resync,
+		shadow: d.shadow.Checkpoint(d.shadowMem),
+		resync: d.resync,
 
 		retryArmed: d.retryArmed,
 		retryPC:    d.retryPC,
@@ -381,10 +375,7 @@ func (d *DME) RestoreState(state core.DetectorState) error {
 	if err := d.rob.CopyFrom(s.rob); err != nil {
 		return err
 	}
-	d.shadow.R = s.shadowR
-	d.shadow.F = s.shadowF
-	d.shadow.PC = s.shadowPC
-	d.shadowMem.CopyFrom(s.shadowMem)
+	d.shadow.Rollback(d.shadowMem, &s.shadow)
 	d.resync = s.resync
 	d.retryArmed = s.retryArmed
 	d.retryPC = s.retryPC

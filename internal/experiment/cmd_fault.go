@@ -154,12 +154,7 @@ func runFault(e *Engine) error {
 		}
 		var bud fault.Budget
 		for _, r := range rows {
-			b := r.Result.Budget
-			bud.CyclesSimulated += b.CyclesSimulated
-			bud.CyclesSaved += b.CyclesSaved
-			bud.DecidedEarly += b.DecidedEarly
-			bud.VerifyForked += b.VerifyForked
-			bud.ProofFallbacks += b.ProofFallbacks
+			bud.Merge(r.Result.Budget)
 			e.addBudget(r.Result.Budget)
 		}
 		if bud.DecidedEarly > 0 {

@@ -56,20 +56,7 @@ type Engine struct {
 func (e *Engine) addBudget(b fault.Budget) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.budget.CyclesSimulated += b.CyclesSimulated
-	e.budget.CyclesSaved += b.CyclesSaved
-	e.budget.DecidedEarly += b.DecidedEarly
-	e.budget.VerifyForked += b.VerifyForked
-	e.budget.ProofFallbacks += b.ProofFallbacks
-	for cat, cb := range b.ByClass {
-		if e.budget.ByClass == nil {
-			e.budget.ByClass = make(map[fault.Category]fault.ClassBudget)
-		}
-		acc := e.budget.ByClass[cat]
-		acc.Simulated += cb.Simulated
-		acc.Saved += cb.Saved
-		e.budget.ByClass[cat] = acc
-	}
+	e.budget.Merge(b)
 }
 
 // New builds an engine for spec writing to out (tables) and errw

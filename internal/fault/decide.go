@@ -112,6 +112,24 @@ func (b *Budget) add(r runBudget, cat Category) {
 	b.ByClass[cat] = cb
 }
 
+// Merge folds another campaign's accounting into b.
+func (b *Budget) Merge(o Budget) {
+	b.CyclesSimulated += o.CyclesSimulated
+	b.CyclesSaved += o.CyclesSaved
+	b.DecidedEarly += o.DecidedEarly
+	b.VerifyForked += o.VerifyForked
+	b.ProofFallbacks += o.ProofFallbacks
+	for cat, cb := range o.ByClass {
+		if b.ByClass == nil {
+			b.ByClass = make(map[Category]ClassBudget)
+		}
+		acc := b.ByClass[cat]
+		acc.Simulated += cb.Simulated
+		acc.Saved += cb.Saved
+		b.ByClass[cat] = acc
+	}
+}
+
 // runDecided simulates cpu, restored to snap, in probe-sized chunks until
 // the injection's classification facts are settled or the machine genuinely
 // terminates. It returns the final cumulative Result exactly as a single

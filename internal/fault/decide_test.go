@@ -105,6 +105,19 @@ func TestDecidedBudgetAccounting(t *testing.T) {
 	}
 }
 
+func TestBudgetMerge(t *testing.T) {
+	b := Budget{CyclesSimulated: 10, CyclesSaved: 20, DecidedEarly: 1, VerifyForked: 2, ProofFallbacks: 3,
+		ByClass: map[Category]ClassBudget{ITRMask: {Simulated: 4, Saved: 5}}}
+	var sum Budget
+	sum.Merge(b)
+	sum.Merge(b)
+	want := Budget{CyclesSimulated: 20, CyclesSaved: 40, DecidedEarly: 2, VerifyForked: 4, ProofFallbacks: 6,
+		ByClass: map[Category]ClassBudget{ITRMask: {Simulated: 8, Saved: 10}}}
+	if !reflect.DeepEqual(sum, want) {
+		t.Fatalf("merged budget %+v, want %+v", sum, want)
+	}
+}
+
 // TestConvergenceProof exercises the cursor's convergence proof directly: a
 // fault-free machine must prove convergence at any commit boundary, and any
 // single divergence in registers, PC, or memory — including on a page

@@ -119,13 +119,6 @@ type renameOutcome struct {
 	withoutSDC, frontendDetected, detected, recovered, withSDC bool
 }
 
-// RunRenameFault evaluates one rename-index upset with and without the
-// rename-protection extension.
-func RunRenameFault(prog *program.Program, cfg Config, inj RenameInjection) (withoutSDC, frontendDetected, detected, recovered, withSDC bool, err error) {
-	o, err := runRenameFault(&arena{prog: prog}, renamePasses(cfg), cfg.WindowCycles, inj)
-	return o.withoutSDC, o.frontendDetected, o.detected, o.recovered, o.withSDC, err
-}
-
 // RunRenameCampaign injects n randomized rename-index faults, drawn up front
 // and run on the worker pool.
 func RunRenameCampaign(prog *program.Program, cfg Config, n int, seed uint64) (RenameCampaignResult, error) {

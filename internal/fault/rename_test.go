@@ -5,33 +5,29 @@ import "testing"
 func TestRenameFaultBlindSpotAndFix(t *testing.T) {
 	p := testProgram(t)
 	cfg := quickConfig()
+	a, passes := &arena{prog: p}, renamePasses(cfg)
 	// Find an injection causing SDC without the extension.
-	var chosen *RenameInjection
+	var chosen *renameOutcome
 	for idx := int64(300); idx < 330 && chosen == nil; idx++ {
 		inj := RenameInjection{DecodeIndex: idx, Operand: 0, Mask: 0x1f}
-		withoutSDC, fed, _, _, _, err := RunRenameFault(p, cfg, inj)
+		o, err := runRenameFault(a, passes, cfg.WindowCycles, inj)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fed {
+		if o.frontendDetected {
 			t.Fatal("frontend ITR detected a pure rename fault")
 		}
-		if withoutSDC {
-			c := inj
-			chosen = &c
+		if o.withoutSDC {
+			chosen = &o
 		}
 	}
 	if chosen == nil {
 		t.Fatal("no rename injection produced an SDC")
 	}
-	_, _, det, rec, withSDC, err := RunRenameFault(p, cfg, *chosen)
-	if err != nil {
-		t.Fatal(err)
+	if !chosen.detected || !chosen.recovered {
+		t.Fatalf("extension missed the fault: detected=%v recovered=%v", chosen.detected, chosen.recovered)
 	}
-	if !det || !rec {
-		t.Fatalf("extension missed the fault: detected=%v recovered=%v", det, rec)
-	}
-	if withSDC {
+	if chosen.withSDC {
 		t.Fatal("extension failed to prevent the corruption")
 	}
 }

@@ -25,11 +25,9 @@ type goldenCursor struct {
 	ref      isa.Outcome // the shadow's outcome for the commit being checked
 	diverged bool
 
-	// The shadow's registers, PC and memory, and the verdict, at the
-	// machine's last checkpoint take.
-	ckR, ckF   [isa.NumRegs]uint64
-	ckPC       uint64
-	ckMem      *isa.Memory
+	// The shadow's state and the verdict at the machine's last checkpoint
+	// take.
+	ck         isa.Checkpoint
 	ckDiverged bool
 }
 
@@ -60,18 +58,17 @@ func (c *goldenCursor) observe(pc uint64, o *isa.Outcome) {
 	c.st.ApplyRef(&c.ref)
 }
 
-// checkpoint is a pipeline.CheckpointObserver: a take records the shadow's
-// state (its memory as a copy-on-write snapshot) and the verdict, and a
-// rollback restores them. The machine only rolls back to a checkpoint it took
-// during the same run, so every rollback follows a take.
+// checkpoint is a pipeline.CheckpointObserver: a take checkpoints the
+// shadow's state and records the verdict, and a rollback restores them. The
+// machine only rolls back to a checkpoint it took during the same run, so
+// every rollback follows a take.
 func (c *goldenCursor) checkpoint(taken bool) {
 	if taken {
-		c.ckR, c.ckF, c.ckPC, c.ckDiverged = c.st.R, c.st.F, c.st.PC, c.diverged
-		c.ckMem = c.mem.Snapshot()
+		c.ck, c.ckDiverged = c.st.Checkpoint(c.mem), c.diverged
 		return
 	}
-	c.st.R, c.st.F, c.st.PC, c.diverged = c.ckR, c.ckF, c.ckPC, c.ckDiverged
-	c.mem.CopyFrom(c.ckMem)
+	c.st.Rollback(c.mem, &c.ck)
+	c.diverged = c.ckDiverged
 }
 
 // converged proves the machine's committed architectural state is identical

@@ -181,7 +181,7 @@ func TestGoldenCursorCheckpointRewind(t *testing.T) {
 	if cur.mem.Load(addr, 8) == taken.word {
 		t.Fatal("no store to the checkpointed word after the take")
 	}
-	if got := cur.ckMem.Load(addr, 8); got != taken.word {
+	if got := cur.ck.Mem.Load(addr, 8); got != taken.word {
 		t.Fatalf("checkpoint memory changed under a later store: %#x, want %#x", got, taken.word)
 	}
 	bad := outs[60]

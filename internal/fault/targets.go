@@ -123,18 +123,6 @@ func (s *pcStudy) run(a *arena, f pcFault) (PCOutcome, error) {
 	}
 }
 
-// RunPCFault injects one fetch-PC bit flip at the given cycle and classifies
-// the outcome. The ITR checker runs in observe mode so the natural
-// consequence is visible alongside every check that fires.
-func RunPCFault(prog *program.Program, cfg Config, atCycle int64, bit int) (PCOutcome, error) {
-	f := pcFault{cycle: atCycle, bit: bit}
-	st, err := newPCStudy(prog, cfg, []pcFault{f})
-	if err != nil {
-		return "", err
-	}
-	return st.run(&arena{prog: prog}, f)
-}
-
 // RunPCFaultCampaign injects n randomized PC faults, drawn up front and run
 // on the worker pool.
 func RunPCFaultCampaign(prog *program.Program, cfg Config, n int, seed uint64) (PCFaultResult, error) {
@@ -263,18 +251,6 @@ func (s *cacheStudy) run(a *arena, f cacheFault) (cacheOutcome, error) {
 	return cacheOutcome{out, cur.diverged}, nil
 }
 
-// RunCacheFault corrupts one resident ITR cache line after warmCycles and
-// classifies the consequence. parity selects whether the Section 2.4
-// protection is on.
-func RunCacheFault(prog *program.Program, cfg Config, parity bool, warmCycles int64, pick uint64, bit int) (CacheFaultOutcome, bool, error) {
-	st, err := newCacheStudy(prog, cfg, parity, warmCycles)
-	if err != nil {
-		return "", false, err
-	}
-	o, err := st.run(&arena{prog: prog}, cacheFault{pick, bit})
-	return o.out, o.sdc, err
-}
-
 // cacheWarmCycles is the warm-up before a randomized cache fault: a quarter
 // of the window, at least 1000 cycles.
 func cacheWarmCycles(cfg Config) int64 { return max(cfg.WindowCycles/4, 1000) }
@@ -308,9 +284,4 @@ func RunCacheFaultCampaign(prog *program.Program, cfg Config, parity bool, n int
 		}
 	}
 	return res, nil
-}
-
-// RunCacheFaultCase draws one randomized cache-fault experiment.
-func RunCacheFaultCase(prog *program.Program, cfg Config, parity bool, rng *stats.RNG) (CacheFaultOutcome, bool, error) {
-	return RunCacheFault(prog, cfg, parity, cacheWarmCycles(cfg), rng.Uint64(), rng.Intn(64))
 }

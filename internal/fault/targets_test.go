@@ -1,24 +1,30 @@
 package fault
 
-import (
-	"testing"
-
-	"itr/internal/stats"
-)
+import "testing"
 
 func TestPCFaultMidTraceDetectedByITR(t *testing.T) {
 	p := testProgram(t)
 	cfg := quickConfig()
 	// Sweep cycles until an ITR detection appears: a low-bit PC flip lands
 	// mid-trace most of the time on this tight loop.
+	var faults []pcFault
+	for cycle := int64(500); cycle < 560; cycle += 7 {
+		faults = append(faults, pcFault{cycle: cycle, bit: 1})
+	}
+	st, err := newPCStudy(p, cfg, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &arena{prog: p}
 	sawITR := false
-	for cycle := int64(500); cycle < 560 && !sawITR; cycle += 7 {
-		out, err := RunPCFault(p, cfg, cycle, 1)
+	for _, f := range faults {
+		out, err := st.run(a, f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if out == PCDetectedITR {
 			sawITR = true
+			break
 		}
 	}
 	if !sawITR {
@@ -63,14 +69,18 @@ func TestPCFaultCampaignValidation(t *testing.T) {
 func hotCacheFault(t *testing.T, parity bool) (CacheFaultOutcome, bool) {
 	t.Helper()
 	p := testProgram(t)
-	cfg := quickConfig()
+	st, err := newCacheStudy(p, quickConfig(), parity, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &arena{prog: p}
 	for pick := uint64(0); pick < 8; pick++ {
-		out, sdc, err := RunCacheFault(p, cfg, parity, 2000, pick, 9)
+		o, err := st.run(a, cacheFault{pick: pick, bit: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out != CacheMasked {
-			return out, sdc
+		if o.out != CacheMasked {
+			return o.out, o.sdc
 		}
 	}
 	t.Fatal("every resident line was cold")
@@ -117,17 +127,5 @@ func TestCacheFaultCampaign(t *testing.T) {
 	// Without parity, referenced corrupted lines abort the program.
 	if noParity.Counts[CacheFalseMachineCheck] == 0 {
 		t.Fatal("no false machine checks without parity — faults never referenced?")
-	}
-}
-
-func TestRunCacheFaultCase(t *testing.T) {
-	p := testProgram(t)
-	rng := stats.NewRNG(3)
-	out, _, err := RunCacheFaultCase(p, quickConfig(), true, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != CacheParityRepaired && out != CacheMasked {
-		t.Fatalf("parity-protected case produced %s", out)
 	}
 }

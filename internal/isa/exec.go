@@ -31,13 +31,6 @@ func NewArchState() *ArchState {
 	return &ArchState{Mem: NewMemory()}
 }
 
-// CloneRegs copies register state (not memory) from src.
-func (s *ArchState) CloneRegs(src *ArchState) {
-	s.R = src.R
-	s.F = src.F
-	s.PC = src.PC
-}
-
 // Outcome is the architectural effect of executing one instruction: the only
 // state updates it may perform. The pipeline's commit stage compares Outcomes
 // against a golden execution to detect silent data corruption.

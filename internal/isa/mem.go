@@ -147,8 +147,8 @@ func (m *Memory) Store(addr uint64, size uint8, v uint64) {
 func (m *Memory) NumPages() int { return len(m.pages) }
 
 // DirtyPages returns how many pages have been materialized (allocated or
-// copied) since the last snapshot boundary — the exact page count the next
-// Snapshot will own.
+// copied) since this memory's last Snapshot or snapshot restore, whoever took
+// it — the exact page count the next Snapshot will own.
 func (m *Memory) DirtyPages() int {
 	if m.base == nil {
 		return len(m.pages)
@@ -162,9 +162,9 @@ func (m *Memory) DirtyPages() int {
 func (m *Memory) CopiedPages() int64 { return m.copied }
 
 // OwnedPages returns, for a snapshot, the number of pages it materialized
-// first (pages dirtied since the previous snapshot of the capturing memory;
-// everything else is shared by reference with older captures). For a live
-// memory it reports the current dirty-page count.
+// first: pages the capturing memory dirtied since its last Snapshot, whoever
+// took it (everything else is shared by reference with older captures). For a
+// live memory it reports the current dirty-page count.
 func (m *Memory) OwnedPages() int {
 	if m.frozen {
 		return m.owned
@@ -203,9 +203,8 @@ func (m *Memory) Snapshot() *Memory {
 	return snap
 }
 
-// Clone returns a deep copy of the memory (used to seed golden/faulty pairs
-// with identical initial state). The clone is private: it shares no pages
-// and no snapshot lineage with the original.
+// Clone returns a deep copy of the memory. The clone is private: it shares
+// no pages and no snapshot lineage with the original.
 func (m *Memory) Clone() *Memory {
 	c := NewMemory()
 	for id, page := range m.pages {
@@ -215,9 +214,9 @@ func (m *Memory) Clone() *Memory {
 }
 
 // CopyFrom overwrites the memory's entire contents with the contents of src,
-// preserving m's identity so aliases (ArchState.Mem, store overlays,
-// checkpoint managers) stay valid. src is only read; one snapshot memory may
-// be restored into any number of memories concurrently.
+// preserving m's identity so aliases (ArchState.Mem, store overlays) stay
+// valid. src is only read; one snapshot memory may be restored into any
+// number of memories concurrently.
 //
 // When src is a snapshot the copy is O(pages dirtied since the snapshot):
 // pages are adopted by reference and only divergent pages are touched —

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"sync"
 	"testing"
 
 	"itr/internal/isa"
@@ -122,12 +123,8 @@ func TestCheckpointConvertsMachineCheckToRollback(t *testing.T) {
 	if res.CheckpointRollbacks != 1 || rollbacks != 1 {
 		t.Fatalf("rollbacks = %d (observer %d), want 1", res.CheckpointRollbacks, rollbacks)
 	}
-	if takes == 0 {
-		t.Fatal("no checkpoints were taken")
-	}
-	st := cpu.Checkpoints().Stats()
-	if st.Rollbacks != 1 {
-		t.Fatalf("manager stats: %+v", st)
+	if takes == 0 || res.CheckpointsTaken != int64(takes) {
+		t.Fatalf("checkpoints taken = %d (observer %d), want equal and non-zero", res.CheckpointsTaken, takes)
 	}
 
 	// The replayed execution must converge to the same final architectural
@@ -149,6 +146,101 @@ func TestCheckpointConvertsMachineCheckToRollback(t *testing.T) {
 			t.Fatalf("memory at %#x differs after checkpoint recovery", addr)
 		}
 	}
+}
+
+// TestRollbackWithoutCheckpoint: a machine check before the first take has
+// nothing to roll back to, so it still aborts the program.
+func TestRollbackWithoutCheckpoint(t *testing.T) {
+	p := missFaultProgram(t)
+	cfg := DefaultConfig()
+	cfg.CheckpointEnabled = true
+	cfg.CheckpointIntervalCycles = 1 << 30
+	cpu, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook, injected := injectOnFirstLateInstance(p)
+	cpu.SetFaultHook(hook)
+	res := cpu.Run(2_000_000)
+	if !*injected {
+		t.Fatal("fault not injected")
+	}
+	if res.Termination != TermMachineCheck || res.CheckpointsTaken != 0 || res.CheckpointRollbacks != 0 {
+		t.Fatalf("termination = %v after %d takes and %d rollbacks, want a machine check and none",
+			res.Termination, res.CheckpointsTaken, res.CheckpointRollbacks)
+	}
+}
+
+// TestSnapshotCarriesCheckpoint resumes a snapshot taken between a
+// checkpoint take and the fault, in two machines at once, and has each roll
+// back to the checkpoint the snapshot carried. Both must end exactly where a
+// straight run does.
+func TestSnapshotCarriesCheckpoint(t *testing.T) {
+	p := missFaultProgram(t)
+	cfg := DefaultConfig()
+	cfg.CheckpointEnabled = true
+	cfg.CheckpointIntervalCycles = 512
+	const budget = 4_000_000
+
+	straight, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook, _ := injectOnFirstLateInstance(p)
+	straight.SetFaultHook(hook)
+	want := straight.Run(budget)
+	if want.Termination != TermHalt || want.CheckpointRollbacks != 1 {
+		t.Fatalf("straight run: %v with %d rollbacks, want halt after 1", want.Termination, want.CheckpointRollbacks)
+	}
+
+	// The fault lands at cycle ~3500 and is rolled back within ~50 cycles;
+	// the take at cycle 3072 is the last before it.
+	pilot, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pilot.Run(3200)
+	snap := pilot.Snapshot()
+	if snap.ckptCommit == 0 {
+		t.Fatal("snapshot carries no checkpoint")
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cpu, err := New(p, cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := cpu.Restore(snap); err != nil {
+				t.Errorf("worker %d: %v", w, err)
+				return
+			}
+			hook, injected := injectOnFirstLateInstance(p)
+			cpu.SetFaultHook(hook)
+			takes, rolledBack := 0, false
+			cpu.SetCheckpointObserver(func(taken bool) {
+				if taken && !rolledBack {
+					takes++
+				}
+				rolledBack = rolledBack || !taken
+			})
+			got := cpu.Run(budget)
+			switch {
+			case !*injected:
+				t.Errorf("worker %d: fault not injected after the snapshot", w)
+			case takes != 0:
+				t.Errorf("worker %d: %d takes before the rollback, want it to use the snapshot's checkpoint", w, takes)
+			case got != want:
+				t.Errorf("worker %d: result %+v, straight run %+v", w, got, want)
+			}
+			assertSameCommitted(t, cpu, straight)
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestCheckpointRequiresITR(t *testing.T) {
@@ -175,12 +267,34 @@ func TestCheckpointFaultFreeOverheadIsBookkeepingOnly(t *testing.T) {
 	if res.CheckpointRollbacks != 0 {
 		t.Fatal("fault-free run rolled back")
 	}
-	st := cpu.Checkpoints().Stats()
-	if st.Taken == 0 {
+	if res.CheckpointsTaken == 0 {
 		t.Fatal("no checkpoints taken on a fault-free run")
 	}
-	if st.LoggedWords == 0 {
-		t.Fatal("undo log never recorded a committed store")
+	// Takes cost no cycles and change no state: the run matches one without
+	// the extension.
+	ref, err := New(p, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRes := ref.Run(2_000_000)
+	if res.Cycles != refRes.Cycles || res.Committed != refRes.Committed {
+		t.Fatalf("checkpointing run %d cycles / %d committed, plain run %d / %d",
+			res.Cycles, res.Committed, refRes.Cycles, refRes.Committed)
+	}
+	assertSameCommitted(t, cpu, ref)
+}
+
+// assertSameCommitted reports an error unless two machines hold identical
+// committed registers, PC and memory. It only reads want, so concurrent
+// callers may share it.
+func assertSameCommitted(t *testing.T, got, want *CPU) {
+	t.Helper()
+	g, w := got.Committed(), want.Committed()
+	if g.R != w.R || g.F != w.F || g.PC != w.PC {
+		t.Error("committed registers or PC differ")
+	}
+	if !got.mem.Equal(want.mem) {
+		t.Error("committed memory differs")
 	}
 }
 

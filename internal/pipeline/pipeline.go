@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"itr/internal/checkpoint"
 	"itr/internal/core"
 	"itr/internal/detect"
 	"itr/internal/isa"
@@ -253,8 +252,11 @@ type Result struct {
 	Mispredicts int64
 	// ITRFlushes counts retry flushes performed by the checker.
 	ITRFlushes int64
+	// CheckpointsTaken counts coarse-grain checkpoints established
+	// (Section 2.3 extension).
+	CheckpointsTaken int64
 	// CheckpointRollbacks counts machine checks converted into coarse-grain
-	// checkpoint rollbacks (Section 2.3 extension).
+	// checkpoint rollbacks.
 	CheckpointRollbacks int64
 	// CheckpointsDeclined counts take attempts refused by the strict
 	// policy's unchecked-lines condition.
@@ -296,8 +298,13 @@ type CPU struct {
 	det           core.Detector
 	renameChecker *core.Checker
 	renameSig     renameState
-	ckpt          *checkpoint.Manager
 	former        trace.Former
+
+	// ckpt is the coarse-grain checkpoint (Section 2.3 extension) taken at
+	// committed-instruction count ckptCommit; ckpt.Mem is nil until the
+	// first take.
+	ckpt       isa.Checkpoint
+	ckptCommit int64
 
 	slots            robSlots // SoA uop columns; ring length is a power of two ≥ cfg.ROBSize
 	robMask          uint64
@@ -324,6 +331,7 @@ type CPU struct {
 
 	cycle           int64
 	lastCommitCycle int64
+	ckptTaken       int64
 	ckptRollbacks   int64
 	ckptDeclined    int64
 	redundancy      RedundancyStats
@@ -432,15 +440,8 @@ func New(prog *program.Program, cfg Config) (*CPU, error) {
 		}
 		c.renameChecker = rc
 	}
-	if cfg.CheckpointEnabled {
-		if !cfg.ITREnabled {
-			return nil, fmt.Errorf("pipeline: checkpointing requires a detector (its safety condition is the detector's SafeToCheckpoint query)")
-		}
-		m, err := checkpoint.New(c.committed, c.mem)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
-		}
-		c.ckpt = m
+	if cfg.CheckpointEnabled && !cfg.ITREnabled {
+		return nil, fmt.Errorf("pipeline: checkpointing requires a detector (its safety condition is the detector's SafeToCheckpoint query)")
 	}
 	return c, nil
 }
@@ -472,22 +473,20 @@ type CheckpointObserver func(taken bool)
 func (c *CPU) SetCheckpointObserver(o CheckpointObserver) { c.ckptObserver = o }
 
 // checkpointRecover converts a machine check into a rollback to the last
-// coarse-grain checkpoint: the committed state is restored, the offending
-// trace's (faulty) ITR cache line is discarded so re-execution installs a
-// fresh signature, and fetch restarts at the checkpoint PC.
+// coarse-grain checkpoint, when one has been taken: the committed state is
+// restored, the offending trace's (faulty) ITR cache line is discarded so
+// re-execution installs a fresh signature, and fetch restarts at the
+// checkpoint PC.
 func (c *CPU) checkpointRecover(faultyTracePC uint64) (restartPC uint64, ok bool) {
-	if !c.ckpt.Valid() {
+	if c.ckpt.Mem == nil {
 		return 0, false
 	}
 	// Rollback is sufficient only when the faulty instance committed after
 	// the checkpoint: the stamp of the detector's evidence proves it.
-	if stamp, found := c.det.SignatureStamp(faultyTracePC); found && stamp < c.ckpt.CommittedAt() {
+	if stamp, found := c.det.SignatureStamp(faultyTracePC); found && stamp < c.ckptCommit {
 		return 0, false
 	}
-	restart, ok := c.ckpt.Rollback()
-	if !ok {
-		return 0, false
-	}
+	c.committed.Rollback(c.mem, &c.ckpt)
 	c.ckptRollbacks++
 	c.det.DiscardSignature(faultyTracePC)
 	c.det.FlushAll()
@@ -502,9 +501,9 @@ func (c *CPU) checkpointRecover(faultyTracePC uint64) (restartPC uint64, ok bool
 	// CommittedInsts; rewinding the counter keeps commit counts consistent
 	// with the architectural state. The sequential-PC chain also restarts
 	// at the checkpoint.
-	c.committedCount = c.ckpt.CommittedAt()
-	c.expectedPC = restart
-	return restart, true
+	c.committedCount = c.ckptCommit
+	c.expectedPC = c.ckpt.PC
+	return c.ckpt.PC, true
 }
 
 // Checker exposes the ITR checker when the attached backend is the default
@@ -518,10 +517,6 @@ func (c *CPU) Checker() *core.Checker {
 
 // Detector exposes the attached detection backend (nil when disabled).
 func (c *CPU) Detector() core.Detector { return c.det }
-
-// Checkpoints exposes the coarse-grain checkpoint manager (nil when the
-// extension is disabled).
-func (c *CPU) Checkpoints() *checkpoint.Manager { return c.ckpt }
 
 // Redundancy returns the baseline-comparator statistics (zero when
 // RedundancyNone).
@@ -599,6 +594,7 @@ func (c *CPU) RunUntilDecode(maxCycles, stopDecode int64) Result {
 		SpcFired:            c.spcFired,
 		Mispredicts:         c.mispredicts,
 		ITRFlushes:          c.itrFlushes,
+		CheckpointsTaken:    c.ckptTaken,
 		CheckpointRollbacks: c.ckptRollbacks,
 		CheckpointsDeclined: c.ckptDeclined,
 	}
@@ -614,7 +610,7 @@ func (c *CPU) stepCycle() {
 	c.dispatchStage()
 	c.fetchStage()
 	c.cycle++
-	if c.ckpt != nil && c.cycle%c.cfg.CheckpointIntervalCycles == 0 {
+	if c.cfg.CheckpointEnabled && c.cycle%c.cfg.CheckpointIntervalCycles == 0 {
 		take := true
 		if c.cfg.CheckpointPolicy == CheckpointStrict {
 			// Section 2.3's literal condition, generalized per backend: no
@@ -622,7 +618,9 @@ func (c *CPU) stepCycle() {
 			take = c.det.SafeToCheckpoint()
 		}
 		if take {
-			c.ckpt.Take(c.committedCount)
+			c.ckpt = c.committed.Checkpoint(c.mem)
+			c.ckptCommit = c.committedCount
+			c.ckptTaken++
 			if c.ckptObserver != nil {
 				c.ckptObserver(true)
 			}
@@ -709,9 +707,6 @@ func (c *CPU) commitStage() {
 		}
 		c.expectedPC = out.NextPC
 
-		if c.ckpt != nil {
-			c.ckpt.BeforeStore(*out)
-		}
 		c.committed.ApplyRef(out)
 		if out.MemWrite && flags&slotTACViolated == 0 {
 			// The store's effect is in committed memory now; release its
@@ -763,11 +758,9 @@ func (c *CPU) act(a core.Action) bool {
 	case core.ActionRetry:
 		c.itrFlush(a.RestartPC)
 	case core.ActionMachineCheck:
-		if c.ckpt != nil {
-			if restart, ok := c.checkpointRecover(a.RestartPC); ok {
-				c.itrFlush(restart)
-				return true
-			}
+		if restart, ok := c.checkpointRecover(a.RestartPC); ok {
+			c.itrFlush(restart)
+			return true
 		}
 		c.terminated = true
 		c.termination = TermMachineCheck

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 
-	"itr/internal/checkpoint"
 	"itr/internal/core"
 	"itr/internal/isa"
 	"itr/internal/obs"
@@ -12,13 +11,13 @@ import (
 )
 
 // Snapshot is a deep, immutable capture of a CPU's complete mutable state at
-// a cycle boundary: architectural state (registers + memory), the
+// a cycle boundary: committed architectural state (an isa.Checkpoint), the
 // microarchitectural window (ROB, fetch queue, scheduler producers,
-// speculative view), predictor tables, ITR checker and checkpoint state, and
-// every counter that feeds Result or Detail classification. Restoring a
-// snapshot into a structurally identical CPU resumes execution bit-for-bit:
-// the resumed machine's trajectory is indistinguishable from one that ran
-// from cycle 0.
+// speculative view), predictor tables, ITR checker state, the coarse-grain
+// checkpoint, and every counter that feeds Result or Detail classification.
+// Restoring a snapshot into a structurally identical CPU resumes execution
+// bit-for-bit: the resumed machine's trajectory is indistinguishable from one
+// that ran from cycle 0.
 //
 // Snapshots share no mutable state with the CPU that produced them: memory
 // pages are shared copy-on-write (the producing CPU copies a page before its
@@ -38,9 +37,7 @@ type Snapshot struct {
 	cfg  Config           // normalized capture-time config, for structural validation
 	prog *program.Program // the program the machine was running
 
-	mem          *isa.Memory
-	regsR, regsF [isa.NumRegs]uint64
-	pc           uint64
+	arch isa.Checkpoint // committed registers, PC and memory
 
 	specR, specF [isa.NumRegs]uint64
 	overlay      map[uint64]specWord
@@ -53,8 +50,12 @@ type Snapshot struct {
 	det           core.DetectorState
 	renameChecker core.DetectorState
 	renameSig     renameState
-	ckpt          *checkpoint.State
 	former        trace.Former
+
+	// The CPU's coarse-grain checkpoint, by value: its memory is frozen, so
+	// every CPU restored from this snapshot may roll back to it.
+	ckpt       isa.Checkpoint
+	ckptCommit int64
 
 	slots            robSlots
 	robHead, robTail uint64
@@ -68,6 +69,7 @@ type Snapshot struct {
 	wrongPathArmed bool
 
 	lastCommitCycle int64
+	ckptTaken       int64
 	ckptRollbacks   int64
 	ckptDeclined    int64
 	redundancy      RedundancyStats
@@ -88,38 +90,31 @@ type Snapshot struct {
 // MemPages returns the number of memory pages the snapshot references.
 // Memory capture is copy-on-write, so most of these are shared by reference
 // with earlier snapshots of the same machine (and with the live memory until
-// it overwrites them); only MemOwnedPages of them were first materialized by
-// this snapshot. Summing MemPages over a snapshot series therefore counts
-// shared pages once per snapshot; summing MemOwnedPages approximates the
-// series' resident footprint.
-func (s *Snapshot) MemPages() int { return s.mem.NumPages() }
-
-// MemOwnedPages returns the number of memory pages first captured by this
-// snapshot: the pages dirtied since the previous snapshot of the same
-// machine (for the first snapshot, the whole footprint). The remaining
-// MemPages - MemOwnedPages pages are held by reference only.
-func (s *Snapshot) MemOwnedPages() int { return s.mem.OwnedPages() }
+// it overwrites them). Summing MemPages over a snapshot series therefore
+// counts shared pages once per snapshot; VisitMemPages deduplicates them.
+func (s *Snapshot) MemPages() int { return s.arch.Mem.NumPages() }
 
 // VisitMemPages calls fn with the ID of every memory page the snapshot
 // references (campaign footprint reporting deduplicates page IDs across a
 // snapshot series with it). Order is unspecified.
 func (s *Snapshot) VisitMemPages(fn func(pageID uint64)) {
-	s.mem.VisitPages(func(id uint64, _ []uint64) { fn(id) })
+	s.arch.Mem.VisitPages(func(id uint64, _ []uint64) { fn(id) })
 }
 
 // ArchFork returns an independent functional machine seeded with the
-// snapshot's committed architectural state: registers and PC copied, memory
-// adopted copy-on-write from the snapshot's page table. The fork and any
-// machine restored from the same snapshot share every untouched page by
-// pointer, so comparing the two with isa.Memory.Equal degenerates to a
-// generation-tag page diff: only pages either side dirtied since the
-// snapshot are word-compared. The fault harness seeds each run's golden
-// shadow with this fork, executes it alongside the machine's commits, and
-// compares the two to prove re-convergence.
+// snapshot's committed architectural state, rolled back from its
+// isa.Checkpoint: registers and PC copied, memory adopted copy-on-write from
+// the snapshot's page table. The fork and any machine restored from the same
+// snapshot share every untouched page by pointer, so comparing the two with
+// isa.Memory.Equal degenerates to a generation-tag page diff: only pages
+// either side dirtied since the snapshot are word-compared. The fault harness
+// seeds each run's golden shadow with this fork, executes it alongside the
+// machine's commits, and compares the two to prove re-convergence.
 func (s *Snapshot) ArchFork() (*isa.ArchState, *isa.Memory) {
 	m := isa.NewMemory()
-	m.CopyFrom(s.mem)
-	return &isa.ArchState{R: s.regsR, F: s.regsF, PC: s.pc, Mem: m}, m
+	st := &isa.ArchState{Mem: m}
+	st.Rollback(m, &s.arch)
+	return st, m
 }
 
 // publishCowCopies publishes the memory's not-yet-reported copy-on-write
@@ -151,10 +146,7 @@ func (c *CPU) Snapshot() *Snapshot {
 		cfg:  c.cfg,
 		prog: c.prog,
 
-		mem:   c.mem.Snapshot(),
-		regsR: c.committed.R,
-		regsF: c.committed.F,
-		pc:    c.committed.PC,
+		arch: c.committed.Checkpoint(c.mem),
 
 		specR:   c.spec.arch.R,
 		specF:   c.spec.arch.F,
@@ -165,8 +157,10 @@ func (c *CPU) Snapshot() *Snapshot {
 		predHistory: c.pred.history,
 		predClock:   c.pred.clock,
 
-		renameSig: c.renameSig,
-		former:    c.former,
+		renameSig:  c.renameSig,
+		former:     c.former,
+		ckpt:       c.ckpt,
+		ckptCommit: c.ckptCommit,
 
 		slots:    c.slots.clone(),
 		robHead:  c.robHead,
@@ -180,6 +174,7 @@ func (c *CPU) Snapshot() *Snapshot {
 		wrongPathArmed: c.wrongPathArmed,
 
 		lastCommitCycle: c.lastCommitCycle,
+		ckptTaken:       c.ckptTaken,
 		ckptRollbacks:   c.ckptRollbacks,
 		ckptDeclined:    c.ckptDeclined,
 		redundancy:      c.redundancy,
@@ -214,21 +209,18 @@ func (c *CPU) Snapshot() *Snapshot {
 	if c.renameChecker != nil {
 		s.renameChecker = c.renameChecker.CaptureState()
 	}
-	if c.ckpt != nil {
-		s.ckpt = c.ckpt.CaptureState()
-	}
 	if p := c.cfg.Probe; p != nil {
 		p.SnapshotCaptures.AddAt(c.obsShard, 1)
-		p.SnapshotPagesShared.AddAt(c.obsShard, int64(s.mem.SharedPages()))
+		p.SnapshotPagesShared.AddAt(c.obsShard, int64(s.arch.Mem.SharedPages()))
 		c.publishCowCopies(p)
 	}
-	c.cfg.Trace.Emit(obs.EvSnapshotCapture, c.cycle, int64(s.mem.NumPages()))
+	c.cfg.Trace.Emit(obs.EvSnapshotCapture, c.cycle, int64(s.arch.Mem.NumPages()))
 	return s
 }
 
 // Restore overwrites the CPU's mutable state with the snapshot's, preserving
-// the CPU's identity: its memory, checker cache, and checkpoint-manager
-// pointers stay valid, and installed hooks/observers are untouched. Memory
+// the CPU's identity: its memory and checker cache pointers stay valid, and
+// installed hooks/observers are untouched. Memory
 // is adopted copy-on-write — pages are shared by reference and the CPU
 // copies a page on its first store to it — so restore cost scales with the
 // pages the CPU had dirtied since its last synchronization with this
@@ -252,10 +244,7 @@ func (c *CPU) Restore(s *Snapshot) error {
 		return fmt.Errorf("pipeline: snapshot config %+v does not structurally match CPU config %+v", s.cfg, c.cfg)
 	}
 
-	c.mem.CopyFrom(s.mem)
-	c.committed.R = s.regsR
-	c.committed.F = s.regsF
-	c.committed.PC = s.pc
+	c.committed.Rollback(c.mem, &s.arch)
 
 	c.spec.arch.R = s.specR
 	c.spec.arch.F = s.specF
@@ -285,11 +274,10 @@ func (c *CPU) Restore(s *Snapshot) error {
 			return fmt.Errorf("pipeline: restore rename checker: %w", err)
 		}
 	}
-	if c.ckpt != nil {
-		c.ckpt.RestoreState(s.ckpt)
-	}
 	c.renameSig = s.renameSig
 	c.former = s.former
+	c.ckpt = s.ckpt
+	c.ckptCommit = s.ckptCommit
 
 	c.slots.copyFrom(&s.slots)
 	c.robHead = s.robHead
@@ -308,6 +296,7 @@ func (c *CPU) Restore(s *Snapshot) error {
 
 	c.cycle = s.Cycle
 	c.lastCommitCycle = s.lastCommitCycle
+	c.ckptTaken = s.ckptTaken
 	c.ckptRollbacks = s.ckptRollbacks
 	c.ckptDeclined = s.ckptDeclined
 	c.redundancy = s.redundancy

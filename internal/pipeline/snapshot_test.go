@@ -157,7 +157,7 @@ func TestSnapshotResumeWithFault(t *testing.T) {
 // the page ID and words, XOR-combined across pages.
 func snapMemHash(s *Snapshot) uint64 {
 	var h uint64
-	s.mem.VisitPages(func(id uint64, words []uint64) {
+	s.arch.Mem.VisitPages(func(id uint64, words []uint64) {
 		ph := uint64(1469598103934665603)
 		mix := func(v uint64) {
 			for i := 0; i < 8; i++ {

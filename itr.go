@@ -12,7 +12,9 @@
 //
 // This package is a facade over the implementation packages:
 //
-//   - internal/isa       — the instruction set and Table 2 decode signals
+//   - internal/isa       — the instruction set and Table 2 decode signals,
+//     plus the copy-on-write memory and isa.Checkpoint, the one capture of
+//     committed architectural state (Section 2.3's coarse-grain checkpoint)
 //   - internal/program   — program IR, assembler-style builder, runner
 //   - internal/workload  — SPEC2K stand-in benchmarks (Table 1 calibrated)
 //   - internal/trace     — trace formation and repetition characterization
@@ -23,7 +25,6 @@
 //   - internal/fault     — fault injection campaigns (Figure 8)
 //   - internal/energy    — CACTI-style energy/area models (Figure 9)
 //   - internal/baseline  — structural duplication / time redundancy models
-//   - internal/checkpoint — coarse-grain checkpointing (Section 2.3 extension)
 //   - internal/asm       — text assembler/disassembler for the ISA
 //   - internal/report    — regeneration of every table and figure
 //
