@@ -116,6 +116,36 @@ func TestCheckerMismatchRetriesThenRecovers(t *testing.T) {
 	}
 }
 
+// TestCheckerStateRoundTrip: RestoreState puts back exactly the plain state
+// CaptureState took, whatever ran in between. Comparing checkerVals with ==
+// also keeps it comparable: a slice field added to it fails to compile.
+func TestCheckerStateRoundTrip(t *testing.T) {
+	c := newChecker(t, ModeFull)
+	clean := trace.Event{StartPC: 5, Len: 4, Sig: 0xabc}
+	dispatch(t, c, clean)
+	pollCommit(c) // install
+	dispatch(t, c, trace.Event{StartPC: 5, Len: 4, Sig: 0xabd})
+	c.Poll() // mismatch: retry armed
+	c.SetNow(7)
+	st := c.CaptureState().(*CheckerState)
+	if c.checkerVals != st.v || !st.v.retryArmed {
+		t.Fatalf("capture = %+v, live %+v", st.v, c.checkerVals)
+	}
+
+	dispatch(t, c, clean)
+	pollCommit(c) // recovers, disarming the retry
+	c.SetNow(19)
+	if c.checkerVals == st.v {
+		t.Fatal("plain state unchanged by further execution; the round trip would be vacuous")
+	}
+	if err := c.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if c.checkerVals != st.v {
+		t.Fatalf("plain state did not round-trip:\ngot  %+v\nwant %+v", c.checkerVals, st.v)
+	}
+}
+
 func TestCheckerPollFiresBeforeTraceEndCommits(t *testing.T) {
 	// The retry must trigger on the FIRST commit poll of the faulty trace,
 	// not only when its terminating instruction commits — this is what lets

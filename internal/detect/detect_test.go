@@ -8,6 +8,7 @@ import (
 	"itr/internal/core"
 	"itr/internal/isa"
 	"itr/internal/program"
+	"itr/internal/trace"
 )
 
 // testProg builds a small loop with memory traffic for backend construction.
@@ -149,6 +150,68 @@ func TestRestoreRejectsForeignState(t *testing.T) {
 	}
 	if err := dme2.RestoreState(dme.CaptureState()); err == nil {
 		t.Fatal("dme restored a capture with a different address offset")
+	}
+}
+
+// driveBackend feeds a detector n traces of p's fault-free stream, starting
+// at trace skip, with the signature of trace bad corrupted. Each trace
+// commits right after its dispatch (observe mode, so nothing stalls or
+// flushes).
+func driveBackend(d core.Detector, p *program.Program, skip, n, bad int) {
+	i := 0
+	trace.Stream(p, 0, func(ev trace.Event) bool {
+		if i >= skip {
+			if i == bad {
+				ev.Sig ^= 1 << 7
+			}
+			d.SetNow(int64(i))
+			d.DispatchTrace(ev, false)
+			d.Poll()
+			d.CommitTraceEnd()
+		}
+		i++
+		return i < skip+n
+	})
+}
+
+// TestBackendStateRoundTrip: each rival backend's RestoreState puts back
+// exactly the plain state CaptureState took, whatever ran in between.
+// Comparing repTFDVals and dmeVals with == also keeps them comparable: a
+// slice field added to either fails to compile.
+func TestBackendStateRoundTrip(t *testing.T) {
+	p := testProg(t)
+	rep, err := NewRepTFD(p, core.ModeObserve, Options{ChunkTraces: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveBackend(rep, p, 0, 30, 21)
+	rs := rep.CaptureState().(*RepTFDState)
+	driveBackend(rep, p, 30, 30, 41)
+	if rep.repTFDVals == rs.v {
+		t.Fatal("reptfd: plain state unchanged by further execution")
+	}
+	if err := rep.RestoreState(rs); err != nil {
+		t.Fatal(err)
+	}
+	if rep.repTFDVals != rs.v {
+		t.Fatalf("reptfd: plain state did not round-trip:\ngot  %+v\nwant %+v", rep.repTFDVals, rs.v)
+	}
+
+	dme, err := NewDME(p, core.ModeObserve, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveBackend(dme, p, 0, 30, 21)
+	ds := dme.CaptureState().(*DMEState)
+	driveBackend(dme, p, 30, 30, 41)
+	if dme.dmeVals == ds.v {
+		t.Fatal("dme: plain state unchanged by further execution")
+	}
+	if err := dme.RestoreState(ds); err != nil {
+		t.Fatal(err)
+	}
+	if dme.dmeVals != ds.v {
+		t.Fatalf("dme: plain state did not round-trip:\ngot  %+v\nwant %+v", dme.dmeVals, ds.v)
 	}
 }
 

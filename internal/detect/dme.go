@@ -52,6 +52,17 @@ type DME struct {
 	// decorrelated through the offset bus.
 	shadow    *isa.ArchState
 	shadowMem *isa.Memory
+
+	dmeVals
+
+	detections []core.Detection
+}
+
+// dmeVals is the DME detector's plain mutable state, captured and restored
+// with one assignment. It must stay comparable: no slices, maps or pointers
+// to mutable data. The round-trip tests compare it with ==, so a slice field
+// added here fails to compile.
+type dmeVals struct {
 	// resync re-anchors the shadow PC at the next committed trace (set
 	// after a checkpoint rollback, whose horizon the shadow cannot rewind
 	// to; see DiscardSignature).
@@ -65,9 +76,8 @@ type DME struct {
 	pendingPC    uint64
 	pendingStamp int64
 
-	now        int64
-	stats      core.Stats
-	detections []core.Detection
+	now   int64
+	stats core.Stats
 }
 
 // NewDME builds a divergent dual-execution detector for prog. The shadow
@@ -315,48 +325,29 @@ func (d *DME) Detections() []core.Detection {
 	return out
 }
 
-// DMEState is an immutable capture of a DME detector's mutable state. The
-// shadow memory rides the paged store's copy-on-write snapshots, so captures
-// are O(page table) like the machine's own.
+// DMEState is an immutable capture of a DME detector's mutable state: the
+// plain state by value, a clone of the in-flight FIFO, the shadow execution
+// as an isa.Checkpoint, the address offset it was captured under (checked on
+// restore) and the capacity-clamped detection log. The shadow memory rides
+// the paged store's copy-on-write snapshots, so captures are O(page table)
+// like the machine's own.
 type DMEState struct {
 	core.BaseDetectorState
 
-	rob *core.ROB
-	off uint64
-
-	shadow isa.Checkpoint
-	resync bool
-
-	retryArmed bool
-	retryPC    uint64
-
-	pendingCheck bool
-	pendingPC    uint64
-	pendingStamp int64
-
-	now        int64
-	stats      core.Stats
+	v          dmeVals
+	rob        *core.ROB
+	shadow     isa.Checkpoint
+	off        uint64
 	detections []core.Detection
 }
 
 // CaptureState snapshots the detector's mutable state.
 func (d *DME) CaptureState() core.DetectorState {
 	return &DMEState{
-		rob: d.rob.Clone(),
-		off: d.off,
-
-		shadow: d.shadow.Checkpoint(d.shadowMem),
-		resync: d.resync,
-
-		retryArmed: d.retryArmed,
-		retryPC:    d.retryPC,
-
-		pendingCheck: d.pendingCheck,
-		pendingPC:    d.pendingPC,
-		pendingStamp: d.pendingStamp,
-
-		now:        d.now,
-		stats:      d.stats,
+		v:          d.dmeVals,
+		rob:        d.rob.Clone(),
+		shadow:     d.shadow.Checkpoint(d.shadowMem),
+		off:        d.off,
 		detections: clampDetections(d.detections),
 	}
 }
@@ -376,14 +367,7 @@ func (d *DME) RestoreState(state core.DetectorState) error {
 		return err
 	}
 	d.shadow.Rollback(d.shadowMem, &s.shadow)
-	d.resync = s.resync
-	d.retryArmed = s.retryArmed
-	d.retryPC = s.retryPC
-	d.pendingCheck = s.pendingCheck
-	d.pendingPC = s.pendingPC
-	d.pendingStamp = s.pendingStamp
-	d.now = s.now
-	d.stats = s.stats
+	d.dmeVals = s.v
 	// Adopt the capacity-clamped log by reference (copy-on-write append).
 	d.detections = s.detections
 	return nil

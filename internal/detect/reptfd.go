@@ -36,6 +36,16 @@ type RepTFD struct {
 
 	chunkTraces int
 
+	repTFDVals
+
+	detections []core.Detection
+}
+
+// repTFDVals is the RepTFD detector's plain mutable state, captured and
+// restored with one assignment. It must stay comparable: no slices, maps or
+// pointers to mutable data. The round-trip tests compare it with ==, so a
+// slice field added here fails to compile.
+type repTFDVals struct {
 	// Open-chunk accumulation over the committed stream.
 	chunkLen      int    // traces folded so far
 	chunkSig      uint64 // digest of committed signatures
@@ -53,9 +63,8 @@ type RepTFD struct {
 	pendingPC    uint64
 	pendingStamp int64
 
-	now        int64
-	stats      core.Stats
-	detections []core.Detection
+	now   int64
+	stats core.Stats
 }
 
 // NewRepTFD builds a chunked-replay detector for prog.
@@ -234,57 +243,26 @@ func (d *RepTFD) Detections() []core.Detection {
 	return out
 }
 
-// RepTFDState is an immutable capture of a RepTFD detector's mutable state.
+// RepTFDState is an immutable capture of a RepTFD detector's mutable state:
+// the plain state by value, a clone of the in-flight FIFO, the chunk length
+// it was captured under (checked on restore) and the capacity-clamped
+// detection log.
 type RepTFDState struct {
 	core.BaseDetectorState
 
+	v           repTFDVals
 	rob         *core.ROB
 	chunkTraces int
-
-	chunkLen      int
-	chunkSig      uint64
-	replaySig     uint64
-	chunkStartPC  uint64
-	chunkStartNow int64
-	divSeen       bool
-	divPC         uint64
-	divSig        uint64
-	divOracle     uint64
-	divSeq        uint64
-
-	pending      bool
-	pendingPC    uint64
-	pendingStamp int64
-
-	now        int64
-	stats      core.Stats
-	detections []core.Detection
+	detections  []core.Detection
 }
 
 // CaptureState snapshots the detector's mutable state.
 func (d *RepTFD) CaptureState() core.DetectorState {
 	return &RepTFDState{
+		v:           d.repTFDVals,
 		rob:         d.rob.Clone(),
 		chunkTraces: d.chunkTraces,
-
-		chunkLen:      d.chunkLen,
-		chunkSig:      d.chunkSig,
-		replaySig:     d.replaySig,
-		chunkStartPC:  d.chunkStartPC,
-		chunkStartNow: d.chunkStartNow,
-		divSeen:       d.divSeen,
-		divPC:         d.divPC,
-		divSig:        d.divSig,
-		divOracle:     d.divOracle,
-		divSeq:        d.divSeq,
-
-		pending:      d.pending,
-		pendingPC:    d.pendingPC,
-		pendingStamp: d.pendingStamp,
-
-		now:        d.now,
-		stats:      d.stats,
-		detections: clampDetections(d.detections),
+		detections:  clampDetections(d.detections),
 	}
 }
 
@@ -301,21 +279,7 @@ func (d *RepTFD) RestoreState(state core.DetectorState) error {
 	if err := d.rob.CopyFrom(s.rob); err != nil {
 		return err
 	}
-	d.chunkLen = s.chunkLen
-	d.chunkSig = s.chunkSig
-	d.replaySig = s.replaySig
-	d.chunkStartPC = s.chunkStartPC
-	d.chunkStartNow = s.chunkStartNow
-	d.divSeen = s.divSeen
-	d.divPC = s.divPC
-	d.divSig = s.divSig
-	d.divOracle = s.divOracle
-	d.divSeq = s.divSeq
-	d.pending = s.pending
-	d.pendingPC = s.pendingPC
-	d.pendingStamp = s.pendingStamp
-	d.now = s.now
-	d.stats = s.stats
+	d.repTFDVals = s.v
 	// Adopt the capacity-clamped log by reference (copy-on-write append).
 	d.detections = s.detections
 	return nil

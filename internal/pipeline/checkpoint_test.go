@@ -201,7 +201,7 @@ func TestSnapshotCarriesCheckpoint(t *testing.T) {
 	}
 	pilot.Run(3200)
 	snap := pilot.Snapshot()
-	if snap.ckptCommit == 0 {
+	if snap.m.ckptCommit == 0 {
 		t.Fatal("snapshot carries no checkpoint")
 	}
 

@@ -54,8 +54,9 @@ func TestDetectorBackendsDetectInjectedFault(t *testing.T) {
 
 // TestDetectorStateRoundTrip is the capture/restore property test: for every
 // backend, a state captured through the Detector interface survives arbitrary
-// further execution and restores bit-identically — the detector's observable
-// stats and detection log come back exactly as captured.
+// further execution and restores bit-identically — the detector's plain
+// by-value state, observable stats and detection log come back exactly as
+// captured.
 func TestDetectorStateRoundTrip(t *testing.T) {
 	for _, name := range detect.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -90,6 +91,9 @@ func TestDetectorStateRoundTrip(t *testing.T) {
 			if err := det.RestoreState(st); err != nil {
 				t.Fatal(err)
 			}
+			if live, captured := detectorVals(det, st); !live.Equal(captured) {
+				t.Fatalf("plain state did not round-trip:\ngot  %+v\nwant %+v", live, captured)
+			}
 			if got := det.Stats(); got != wantStats {
 				t.Fatalf("stats did not round-trip:\ngot  %+v\nwant %+v", got, wantStats)
 			}
@@ -98,6 +102,16 @@ func TestDetectorStateRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// detectorVals returns a backend's live embedded by-value state struct
+// (checkerVals, repTFDVals, dmeVals) and the copy its capture holds (field
+// v). They are unexported in the backends' packages, so this compares them by
+// reflection; the backends' own round-trip tests compare them with ==.
+func detectorVals(det core.Detector, st core.DetectorState) (live, captured reflect.Value) {
+	captured = reflect.ValueOf(st).Elem().FieldByName("v")
+	live = reflect.ValueOf(det).Elem().FieldByName(captured.Type().Name())
+	return live, captured
 }
 
 // TestDetectorSnapshotResumeBitIdentical extends the snapshot layer's

@@ -297,19 +297,10 @@ type CPU struct {
 	// checker included, is driven through the interface.
 	det           core.Detector
 	renameChecker *core.Checker
-	renameSig     renameState
-	former        trace.Former
 
-	// ckpt is the coarse-grain checkpoint (Section 2.3 extension) taken at
-	// committed-instruction count ckptCommit; ckpt.Mem is nil until the
-	// first take.
-	ckpt       isa.Checkpoint
-	ckptCommit int64
-
-	slots            robSlots // SoA uop columns; ring length is a power of two ≥ cfg.ROBSize
-	robMask          uint64
-	robCap           int // logical capacity (cfg.ROBSize)
-	robHead, robTail uint64
+	slots   robSlots // SoA uop columns; ring length is a power of two ≥ cfg.ROBSize
+	robMask uint64
+	robCap  int // logical capacity (cfg.ROBSize)
 	// wheel is the completion calendar: bucket doneCycle&wheelMask holds the
 	// sequence numbers finishing that cycle, so writeback touches only the
 	// uops completing now instead of rescanning everything in flight. Stale
@@ -318,43 +309,16 @@ type CPU struct {
 	wheel       [wheelSlots][]uint64
 	wbCompleted []uint64 // writeback scratch; logically empty between cycles
 
-	prod [2][isa.NumRegs]producer
+	fq     []fetchedInst // fetch-queue ring; power-of-two length ≥ cfg.FetchQueue
+	fqMask uint64
 
-	fq             []fetchedInst // fetch-queue ring; power-of-two length ≥ cfg.FetchQueue
-	fqMask         uint64
-	fqHead, fqTail uint64
-	fetchPC        uint64
-	haltSeen       bool
-
-	wrongPathFrom  uint64
-	wrongPathArmed bool
-
-	cycle           int64
-	lastCommitCycle int64
-	ckptTaken       int64
-	ckptRollbacks   int64
-	ckptDeclined    int64
-	redundancy      RedundancyStats
-	decodeEvents    int64
-	committedCount  int64
-	expectedPC      uint64
-	spcFired        int64
-	mispredicts     int64
-	itrFlushes      int64
+	machine
 
 	faultHook       FaultHook
 	renameFaultHook RenameFaultHook
 	schedFaultHook  SchedulerFaultHook
 	observer        CommitObserver
 	ckptObserver    CheckpointObserver
-	tac             TACStats
-
-	pcFaultCycle int64 // schedule: flip fetch PC at this cycle (0 = none)
-	pcFaultBit   int
-	pcFaultDone  bool
-
-	terminated  bool
-	termination Termination
 
 	// memCopiedSeen is the memory's lifetime COW page-copy count already
 	// published to the probe; run boundaries publish the delta.
@@ -383,6 +347,59 @@ type CPU struct {
 	detMismatch *int64
 }
 
+// machine is the CPU's plain mutable state: the fields a Snapshot captures
+// with one assignment and Restore puts back with one assignment. State that
+// owns heap storage (memory, the speculative view, predictor tables,
+// detector states, ROB slots, the writeback wheel and the fetch-queue ring)
+// stays on CPU and keeps explicit copy code in Snapshot/Restore.
+//
+// machine must stay comparable: no slices, maps or pointers to mutable data
+// (the frozen memory inside an isa.Checkpoint is immutable, so it is fine).
+// The snapshot tests compare a restored machine with the captured one using
+// ==, so a slice field added here fails to compile.
+type machine struct {
+	renameSig renameState
+	former    trace.Former
+
+	// ckpt is the coarse-grain checkpoint (Section 2.3 extension) taken at
+	// committed-instruction count ckptCommit; ckpt.Mem is nil until the
+	// first take.
+	ckpt       isa.Checkpoint
+	ckptCommit int64
+
+	robHead, robTail uint64
+
+	prod [2][isa.NumRegs]producer
+
+	fqHead, fqTail uint64
+	fetchPC        uint64
+	haltSeen       bool
+
+	wrongPathFrom  uint64
+	wrongPathArmed bool
+
+	cycle           int64
+	lastCommitCycle int64
+	ckptTaken       int64
+	ckptRollbacks   int64
+	ckptDeclined    int64
+	redundancy      RedundancyStats
+	decodeEvents    int64
+	committedCount  int64
+	expectedPC      uint64
+	spcFired        int64
+	mispredicts     int64
+	itrFlushes      int64
+	tac             TACStats
+
+	pcFaultCycle int64 // schedule: flip fetch PC at this cycle (0 = none)
+	pcFaultBit   int
+	pcFaultDone  bool
+
+	terminated  bool
+	termination Termination
+}
+
 // DetectionStamp records the machine time at which one detector mismatch
 // surfaced: the cycle count and committed-instruction count at the slow
 // poll or trace retirement that recorded it. Fault studies subtract the
@@ -406,17 +423,16 @@ var obsShardSeq atomic.Uint32
 func New(prog *program.Program, cfg Config) (*CPU, error) {
 	cfg = cfg.normalize()
 	c := &CPU{
-		cfg:        cfg,
-		prog:       prog,
-		decode:     prog.DecodeTable(),
-		mem:        isa.NewMemory(),
-		pred:       NewPredictor(cfg.BTBEntries, cfg.BTBAssoc, cfg.GshareBits),
-		slots:      newRobSlots(nextPow2(cfg.ROBSize)),
-		robCap:     cfg.ROBSize,
-		fq:         make([]fetchedInst, nextPow2(cfg.FetchQueue)),
-		fetchPC:    prog.Entry,
-		expectedPC: prog.Entry,
-		obsShard:   obsShardSeq.Add(1),
+		cfg:      cfg,
+		prog:     prog,
+		decode:   prog.DecodeTable(),
+		mem:      isa.NewMemory(),
+		pred:     NewPredictor(cfg.BTBEntries, cfg.BTBAssoc, cfg.GshareBits),
+		slots:    newRobSlots(nextPow2(cfg.ROBSize)),
+		robCap:   cfg.ROBSize,
+		fq:       make([]fetchedInst, nextPow2(cfg.FetchQueue)),
+		machine:  machine{fetchPC: prog.Entry, expectedPC: prog.Entry},
+		obsShard: obsShardSeq.Add(1),
 	}
 	c.robMask = uint64(c.slots.capacity - 1)
 	c.fqMask = uint64(len(c.fq) - 1)

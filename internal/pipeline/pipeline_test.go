@@ -10,7 +10,7 @@ import (
 )
 
 // loopProgram builds a small two-level loop nest with memory traffic.
-func loopProgram(t *testing.T, outer, inner int16) *program.Program {
+func loopProgram(t testing.TB, outer, inner int16) *program.Program {
 	t.Helper()
 	b := program.NewBuilder("nest")
 	b.OpImm(isa.OpAddi, 1, 0, outer)

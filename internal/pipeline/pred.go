@@ -129,3 +129,22 @@ func boolBit(b bool) uint64 {
 	}
 	return 0
 }
+
+// clone returns a deep copy of the predictor (snapshot capture).
+func (p *Predictor) clone() Predictor {
+	q := *p
+	q.btb = append([]btbEntry(nil), p.btb...)
+	q.gshare = append([]uint8(nil), p.gshare...)
+	return q
+}
+
+// copyFrom overwrites the predictor's state with src's, keeping the
+// receiver's tables (snapshot restore). Geometries must match; Restore has
+// already validated structural config equality.
+func (p *Predictor) copyFrom(src *Predictor) {
+	btb, gshare := p.btb, p.gshare
+	*p = *src
+	p.btb, p.gshare = btb, gshare
+	copy(p.btb, src.btb)
+	copy(p.gshare, src.gshare)
+}

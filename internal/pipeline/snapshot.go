@@ -2,19 +2,24 @@ package pipeline
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"itr/internal/core"
 	"itr/internal/isa"
 	"itr/internal/obs"
 	"itr/internal/program"
-	"itr/internal/trace"
 )
 
 // Snapshot is a deep, immutable capture of a CPU's complete mutable state at
-// a cycle boundary: committed architectural state (an isa.Checkpoint), the
-// microarchitectural window (ROB, fetch queue, scheduler producers,
-// speculative view), predictor tables, ITR checker state, the coarse-grain
-// checkpoint, and every counter that feeds Result or Detail classification.
+// a cycle boundary. The CPU's plain state (its embedded machine struct: the
+// ROB and fetch-queue cursors, scheduler producers, rename and trace-forming
+// accumulators, the coarse-grain checkpoint, the PC-fault schedule and every
+// counter that feeds Result or Detail classification) is held by value in
+// one field. Beside it are the parts that own heap storage: committed
+// architectural state (an isa.Checkpoint), the speculative registers and
+// store overlay, the predictor tables, the detector and rename-checker
+// states, the ROB slots, the writeback wheel and the fetch-queue ring.
 // Restoring a snapshot into a structurally identical CPU resumes execution
 // bit-for-bit: the resumed machine's trajectory is indistinguishable from one
 // that ran from cycle 0.
@@ -30,61 +35,26 @@ type Snapshot struct {
 	// DecodeEvents is the decode-event count at capture (the fault
 	// injector's fast-forward key).
 	DecodeEvents int64
-	// Committed is the committed-instruction count at capture (Restore
-	// resumes the machine's commit counter from it).
+	// Committed is the committed-instruction count at capture.
 	Committed int64
 
 	cfg  Config           // normalized capture-time config, for structural validation
 	prog *program.Program // the program the machine was running
+
+	m machine // the CPU's plain state, by value
 
 	arch isa.Checkpoint // committed registers, PC and memory
 
 	specR, specF [isa.NumRegs]uint64
 	overlay      map[uint64]specWord
 
-	predBTB     []btbEntry
-	predGshare  []uint8
-	predHistory uint64
-	predClock   uint64
-
+	pred          Predictor
 	det           core.DetectorState
 	renameChecker core.DetectorState
-	renameSig     renameState
-	former        trace.Former
 
-	// The CPU's coarse-grain checkpoint, by value: its memory is frozen, so
-	// every CPU restored from this snapshot may roll back to it.
-	ckpt       isa.Checkpoint
-	ckptCommit int64
-
-	slots            robSlots
-	robHead, robTail uint64
-	wheel            [wheelSlots][]uint64
-	prod             [2][isa.NumRegs]producer
-	fetchQ           []fetchedInst
-	fetchPC          uint64
-	haltSeen         bool
-
-	wrongPathFrom  uint64
-	wrongPathArmed bool
-
-	lastCommitCycle int64
-	ckptTaken       int64
-	ckptRollbacks   int64
-	ckptDeclined    int64
-	redundancy      RedundancyStats
-	expectedPC      uint64
-	spcFired        int64
-	mispredicts     int64
-	itrFlushes      int64
-	tac             TACStats
-
-	pcFaultCycle int64
-	pcFaultBit   int
-	pcFaultDone  bool
-
-	terminated  bool
-	termination Termination
+	slots robSlots
+	wheel [wheelSlots][]uint64
+	fq    []fetchedInst // the whole ring; m.fqHead/m.fqTail index it
 }
 
 // MemPages returns the number of memory pages the snapshot references.
@@ -130,7 +100,9 @@ func (c *CPU) publishCowCopies(p *Probe) {
 }
 
 // Snapshot captures the CPU's complete mutable state. Call it only between
-// cycles (i.e. outside stepCycle — after Run/RunUntilDecode returns).
+// cycles (i.e. outside stepCycle — after Run/RunUntilDecode returns). The
+// plain state is one struct copy; only heap-owning state is copied
+// explicitly.
 //
 // Memory is captured copy-on-write: the snapshot adopts the CPU's page table
 // by reference (no page copies), and the CPU's next store to any captured
@@ -145,64 +117,20 @@ func (c *CPU) Snapshot() *Snapshot {
 
 		cfg:  c.cfg,
 		prog: c.prog,
-
+		m:    c.machine,
 		arch: c.committed.Checkpoint(c.mem),
 
 		specR:   c.spec.arch.R,
 		specF:   c.spec.arch.F,
-		overlay: make(map[uint64]specWord, len(c.spec.overlay.words)),
+		overlay: cloneWords(c.spec.overlay.words),
 
-		predBTB:     make([]btbEntry, len(c.pred.btb)),
-		predGshare:  make([]uint8, len(c.pred.gshare)),
-		predHistory: c.pred.history,
-		predClock:   c.pred.clock,
-
-		renameSig:  c.renameSig,
-		former:     c.former,
-		ckpt:       c.ckpt,
-		ckptCommit: c.ckptCommit,
-
-		slots:    c.slots.clone(),
-		robHead:  c.robHead,
-		robTail:  c.robTail,
-		prod:     c.prod,
-		fetchQ:   make([]fetchedInst, 0, c.fqLen()),
-		fetchPC:  c.fetchPC,
-		haltSeen: c.haltSeen,
-
-		wrongPathFrom:  c.wrongPathFrom,
-		wrongPathArmed: c.wrongPathArmed,
-
-		lastCommitCycle: c.lastCommitCycle,
-		ckptTaken:       c.ckptTaken,
-		ckptRollbacks:   c.ckptRollbacks,
-		ckptDeclined:    c.ckptDeclined,
-		redundancy:      c.redundancy,
-		expectedPC:      c.expectedPC,
-		spcFired:        c.spcFired,
-		mispredicts:     c.mispredicts,
-		itrFlushes:      c.itrFlushes,
-		tac:             c.tac,
-
-		pcFaultCycle: c.pcFaultCycle,
-		pcFaultBit:   c.pcFaultBit,
-		pcFaultDone:  c.pcFaultDone,
-
-		terminated:  c.terminated,
-		termination: c.termination,
+		pred:  c.pred.clone(),
+		slots: c.slots.clone(),
+		fq:    slices.Clone(c.fq),
 	}
 	for i := range c.wheel {
-		s.wheel[i] = append([]uint64(nil), c.wheel[i]...)
+		s.wheel[i] = slices.Clone(c.wheel[i])
 	}
-	for k, v := range c.spec.overlay.words {
-		s.overlay[k] = v
-	}
-	// Linearize the fetch-queue ring oldest-first.
-	for i := c.fqHead; i != c.fqTail; i++ {
-		s.fetchQ = append(s.fetchQ, c.fq[i&c.fqMask])
-	}
-	copy(s.predBTB, c.pred.btb)
-	copy(s.predGshare, c.pred.gshare)
 	if c.det != nil {
 		s.det = c.det.CaptureState()
 	}
@@ -220,10 +148,11 @@ func (c *CPU) Snapshot() *Snapshot {
 
 // Restore overwrites the CPU's mutable state with the snapshot's, preserving
 // the CPU's identity: its memory and checker cache pointers stay valid, and
-// installed hooks/observers are untouched. Memory
-// is adopted copy-on-write — pages are shared by reference and the CPU
-// copies a page on its first store to it — so restore cost scales with the
-// pages the CPU had dirtied since its last synchronization with this
+// installed hooks/observers are untouched. The plain state is one struct
+// assignment; heap-owning state is copied into the CPU's existing storage.
+// Memory is adopted copy-on-write — pages are shared by reference and the
+// CPU copies a page on its first store to it — so restore cost scales with
+// the pages the CPU had dirtied since its last synchronization with this
 // snapshot (for a fresh CPU: one page-table walk, zero page copies), not
 // with the benchmark's footprint. The CPU must run the snapshot's program,
 // and its configuration must structurally match the snapshot's; only ITRMode
@@ -244,20 +173,6 @@ func (c *CPU) Restore(s *Snapshot) error {
 		return fmt.Errorf("pipeline: snapshot config %+v does not structurally match CPU config %+v", s.cfg, c.cfg)
 	}
 
-	c.committed.Rollback(c.mem, &s.arch)
-
-	c.spec.arch.R = s.specR
-	c.spec.arch.F = s.specF
-	c.spec.overlay.words = make(map[uint64]specWord, len(s.overlay))
-	for k, v := range s.overlay {
-		c.spec.overlay.words[k] = v
-	}
-
-	copy(c.pred.btb, s.predBTB)
-	copy(c.pred.gshare, s.predGshare)
-	c.pred.history = s.predHistory
-	c.pred.clock = s.predClock
-
 	if c.det != nil {
 		if err := c.det.RestoreState(s.det); err != nil {
 			return fmt.Errorf("pipeline: restore detector: %w", err)
@@ -274,52 +189,34 @@ func (c *CPU) Restore(s *Snapshot) error {
 			return fmt.Errorf("pipeline: restore rename checker: %w", err)
 		}
 	}
-	c.renameSig = s.renameSig
-	c.former = s.former
-	c.ckpt = s.ckpt
-	c.ckptCommit = s.ckptCommit
 
+	c.machine = s.m
+	c.committed.Rollback(c.mem, &s.arch)
+	c.spec.arch.R = s.specR
+	c.spec.arch.F = s.specF
+	c.spec.overlay.words = cloneWords(s.overlay)
+	c.pred.copyFrom(&s.pred)
 	c.slots.copyFrom(&s.slots)
-	c.robHead = s.robHead
-	c.robTail = s.robTail
 	for i := range c.wheel {
 		c.wheel[i] = append(c.wheel[i][:0], s.wheel[i]...)
 	}
-	c.prod = s.prod
-	c.fqHead, c.fqTail = 0, uint64(len(s.fetchQ))
-	copy(c.fq, s.fetchQ) // len(s.fetchQ) <= cfg.FetchQueue <= len(c.fq)
-	c.fetchPC = s.fetchPC
-	c.haltSeen = s.haltSeen
+	copy(c.fq, s.fq) // same ring length: the configs matched
 
-	c.wrongPathFrom = s.wrongPathFrom
-	c.wrongPathArmed = s.wrongPathArmed
-
-	c.cycle = s.Cycle
-	c.lastCommitCycle = s.lastCommitCycle
-	c.ckptTaken = s.ckptTaken
-	c.ckptRollbacks = s.ckptRollbacks
-	c.ckptDeclined = s.ckptDeclined
-	c.redundancy = s.redundancy
-	c.decodeEvents = s.DecodeEvents
-	c.committedCount = s.Committed
-	c.expectedPC = s.expectedPC
-	c.spcFired = s.spcFired
-	c.mispredicts = s.mispredicts
-	c.itrFlushes = s.itrFlushes
-	c.tac = s.tac
-
-	c.pcFaultCycle = s.pcFaultCycle
-	c.pcFaultBit = s.pcFaultBit
-	c.pcFaultDone = s.pcFaultDone
-
-	c.terminated = s.terminated
-	c.termination = s.termination
 	if p := c.cfg.Probe; p != nil {
 		p.SnapshotRestores.AddAt(c.obsShard, 1)
 		c.publishCowCopies(p)
 	}
 	c.cfg.Trace.Emit(obs.EvSnapshotRestore, s.Cycle, 0)
 	return nil
+}
+
+// cloneWords returns a right-sized copy of a store overlay's in-flight words.
+// maps.Clone would also copy the live map's peak capacity, which Reset and
+// deletes never give back.
+func cloneWords(words map[uint64]specWord) map[uint64]specWord {
+	out := make(map[uint64]specWord, len(words))
+	maps.Copy(out, words)
+	return out
 }
 
 // CycleCount returns the cycle count so far (snapshot consumers size their

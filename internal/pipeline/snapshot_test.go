@@ -17,8 +17,14 @@ type commitRecord struct {
 
 // TestSnapshotResumeBitIdentical is the snapshot layer's correctness bar: a
 // machine restored from a snapshot must produce exactly the commit stream,
-// final Result, architectural state, and checker statistics of the machine
-// that kept running — across the ITR, rename-ITR, and checkpoint variants.
+// final Result, architectural state, checker statistics and extension
+// counters of the machine that kept running — across the ITR, rename-ITR,
+// checkpoint, TAC and redundancy variants. Each variant restores into a fresh
+// CPU and into a dirty one that first ran 9000 decode events on its own (past
+// the capture point), so every copy into
+// existing storage (the fetch-queue ring included) is exercised; right after
+// Restore the restored plain state must equal the captured machine's (==
+// also keeps the machine struct comparable).
 func TestSnapshotResumeBitIdentical(t *testing.T) {
 	variants := []struct {
 		name string
@@ -27,67 +33,113 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 		{"itr", func(*Config) {}},
 		{"rename-itr", func(c *Config) { c.RenameITREnabled = true }},
 		{"checkpoint", func(c *Config) { c.CheckpointEnabled = true }},
+		{"checkpoint-strict", func(c *Config) {
+			c.CheckpointEnabled = true
+			c.CheckpointPolicy = CheckpointStrict
+			c.CheckpointIntervalCycles = 256
+		}},
+		{"tac", func(c *Config) { c.TACEnabled = true }},
+		{"dual-decode", func(c *Config) {
+			c.ITREnabled = false
+			c.Redundancy = RedundancyDualDecode
+		}},
+		{"time-redundant", func(c *Config) {
+			c.ITREnabled = false
+			c.Redundancy = RedundancyTimeRedundant
+		}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			p := loopProgram(t, 60, 40)
-			cfg := DefaultConfig()
-			v.mod(&cfg)
-			const budget = 40_000
-			const snapAt = 6_000 // decode events before the snapshot
-
-			cold, err := New(p, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var coldStream []commitRecord
-			cold.SetCommitObserver(func(pc uint64, o *isa.Outcome) {
-				coldStream = append(coldStream, commitRecord{pc, *o})
-			})
-			cold.RunUntilDecode(budget, snapAt)
-			snap := cold.Snapshot()
-			if snap.DecodeEvents < snapAt {
-				t.Fatalf("pilot stopped at %d decode events, want >= %d", snap.DecodeEvents, snapAt)
-			}
-			if int64(len(coldStream)) != snap.Committed {
-				t.Fatalf("snapshot Committed = %d, observer saw %d commits", snap.Committed, len(coldStream))
-			}
-			prefix := len(coldStream)
-			coldRes := cold.Run(budget - cold.CycleCount())
-
-			warm, err := New(p, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var warmStream []commitRecord
-			warm.SetCommitObserver(func(pc uint64, o *isa.Outcome) {
-				warmStream = append(warmStream, commitRecord{pc, *o})
-			})
-			if err := warm.Restore(snap); err != nil {
-				t.Fatal(err)
-			}
-			warmRes := warm.Run(budget - snap.Cycle)
-
-			if coldRes != warmRes {
-				t.Fatalf("results differ:\ncold %+v\nwarm %+v", coldRes, warmRes)
-			}
-			if !reflect.DeepEqual(coldStream[prefix:], warmStream) {
-				t.Fatalf("commit streams differ: cold suffix %d commits, warm %d commits",
-					len(coldStream)-prefix, len(warmStream))
-			}
-			if cold.Committed().R != warm.Committed().R ||
-				cold.Committed().F != warm.Committed().F ||
-				cold.Committed().PC != warm.Committed().PC {
-				t.Fatal("final architectural registers differ")
-			}
-			if cold.Checker().Stats() != warm.Checker().Stats() {
-				t.Fatalf("checker stats differ:\ncold %+v\nwarm %+v",
-					cold.Checker().Stats(), warm.Checker().Stats())
-			}
-			if cs, ws := cold.Checker().Cache().Stats(), warm.Checker().Cache().Stats(); cs != ws {
-				t.Fatalf("ITR cache stats differ:\ncold %+v\nwarm %+v", cs, ws)
+			for _, dirty := range []bool{false, true} {
+				name := "fresh"
+				if dirty {
+					name = "dirty"
+				}
+				t.Run(name, func(t *testing.T) {
+					cfg := DefaultConfig()
+					v.mod(&cfg)
+					checkSnapshotResume(t, cfg, dirty)
+				})
 			}
 		})
+	}
+}
+
+// checkSnapshotResume runs one TestSnapshotResumeBitIdentical case.
+func checkSnapshotResume(t *testing.T, cfg Config, dirty bool) {
+	p := loopProgram(t, 60, 40)
+	const budget = 40_000
+	const snapAt = 6_000 // decode events before the snapshot
+
+	cold, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var coldStream []commitRecord
+	cold.SetCommitObserver(func(pc uint64, o *isa.Outcome) {
+		coldStream = append(coldStream, commitRecord{pc, *o})
+	})
+	cold.RunUntilDecode(budget, snapAt)
+	snap := cold.Snapshot()
+	if snap.DecodeEvents < snapAt {
+		t.Fatalf("pilot stopped at %d decode events, want >= %d", snap.DecodeEvents, snapAt)
+	}
+	if int64(len(coldStream)) != snap.Committed {
+		t.Fatalf("snapshot Committed = %d, observer saw %d commits", snap.Committed, len(coldStream))
+	}
+	prefix := len(coldStream)
+
+	warm, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dirty {
+		// Stop mid-flight past the capture point (the program halts near
+		// cycle 5300), so ROB, wheel, overlay and fetch queue hold live
+		// entries the restore must overwrite.
+		warm.RunUntilDecode(budget, 9_000)
+	}
+	if err := warm.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if warm.machine != cold.machine {
+		t.Fatalf("restored plain state differs:\ncold %+v\nwarm %+v", cold.machine, warm.machine)
+	}
+	var warmStream []commitRecord
+	warm.SetCommitObserver(func(pc uint64, o *isa.Outcome) {
+		warmStream = append(warmStream, commitRecord{pc, *o})
+	})
+
+	coldRes := cold.Run(budget - cold.CycleCount())
+	warmRes := warm.Run(budget - snap.Cycle)
+
+	if coldRes != warmRes {
+		t.Fatalf("results differ:\ncold %+v\nwarm %+v", coldRes, warmRes)
+	}
+	if !reflect.DeepEqual(coldStream[prefix:], warmStream) {
+		t.Fatalf("commit streams differ: cold suffix %d commits, warm %d commits",
+			len(coldStream)-prefix, len(warmStream))
+	}
+	if cold.Committed().R != warm.Committed().R ||
+		cold.Committed().F != warm.Committed().F ||
+		cold.Committed().PC != warm.Committed().PC {
+		t.Fatal("final architectural registers differ")
+	}
+	if cold.TAC() != warm.TAC() {
+		t.Fatalf("TAC stats differ:\ncold %+v\nwarm %+v", cold.TAC(), warm.TAC())
+	}
+	if cold.Redundancy() != warm.Redundancy() {
+		t.Fatalf("redundancy stats differ:\ncold %+v\nwarm %+v", cold.Redundancy(), warm.Redundancy())
+	}
+	if cold.Checker() == nil {
+		return
+	}
+	if cold.Checker().Stats() != warm.Checker().Stats() {
+		t.Fatalf("checker stats differ:\ncold %+v\nwarm %+v",
+			cold.Checker().Stats(), warm.Checker().Stats())
+	}
+	if cs, ws := cold.Checker().Cache().Stats(), warm.Checker().Cache().Stats(); cs != ws {
+		t.Fatalf("ITR cache stats differ:\ncold %+v\nwarm %+v", cs, ws)
 	}
 }
 
