@@ -30,7 +30,7 @@ func bindFault(fs *flag.FlagSet, s *Spec) {
 	fs.IntVar(&s.Campaign.CacheFaults, "cache", s.Campaign.CacheFaults, "run a Section 2.4 ITR-cache fault study with this many injections per benchmark")
 	fs.IntVar(&s.Campaign.RenameFaults, "rename", s.Campaign.RenameFaults, "run the rename-protection study with this many injections per benchmark")
 	fs.StringVar(&s.JSONPath, "json", s.JSONPath, "also write the Figure 8 campaign results to this JSON file")
-	fs.IntVar(&s.Workers, "workers", s.Workers, "Figure 8 worker slots (0 = GOMAXPROCS), shared by the injection pool and the next benchmark's pilot; the -pc, -cache and -rename studies always run GOMAXPROCS-wide; results are identical at any width")
+	fs.IntVar(&s.Workers, "workers", s.Workers, "Figure 8 worker-pool width (0 = GOMAXPROCS); each benchmark's pool also runs the next benchmark's pilot as its first job; the -pc, -cache and -rename studies always run GOMAXPROCS-wide; results are identical at any width")
 	fs.Int64Var(&s.Campaign.SnapshotInterval, "snapshot-interval", s.Campaign.SnapshotInterval,
 		fmt.Sprintf("decode events between pilot snapshots for campaign fast-forward (0 = default %d, negative = disabled); results are identical either way", fault.DefaultSnapshotInterval))
 	fs.BoolVar(&s.Campaign.LatencyHist, "latency-hist", s.Campaign.LatencyHist,

@@ -26,7 +26,7 @@ func bindShootout(fs *flag.FlagSet, s *Spec) {
 	fs.Var(negBool{&s.Shootout.NoVerify}, "verify", "confirm each recoverable detection with the full protocol")
 	fs.Int64Var(&s.Shootout.Scale, "scale", s.Shootout.Scale, "scale the energy estimate to this many committed instructions")
 	fs.Int64Var(&s.Budget, "budget", s.Budget, "dynamic-instruction budget for the energy measurement")
-	fs.IntVar(&s.Workers, "workers", s.Workers, "campaign worker slots (0 = GOMAXPROCS), shared by the injection pool and the next benchmark's pilot; results are identical at any width")
+	fs.IntVar(&s.Workers, "workers", s.Workers, "campaign worker-pool width (0 = GOMAXPROCS); each benchmark's pool also runs the next benchmark's pilot as its first job; results are identical at any width")
 	fs.Int64Var(&s.Shootout.SnapshotInterval, "snapshot-interval", s.Shootout.SnapshotInterval,
 		fmt.Sprintf("decode events between pilot snapshots for campaign fast-forward (0 = default %d, negative = disabled)", fault.DefaultSnapshotInterval))
 	fs.BoolVar(&s.Shootout.SweepChunks, "sweep-chunks", s.Shootout.SweepChunks,
@@ -80,8 +80,8 @@ func runShootout(e *Engine) error {
 		profiles = []workload.Profile{p}
 	}
 
-	// Campaign parallelism lives in the cfg.Workers slots Figure8 schedules
-	// (as in fault); the energy estimate runs serially.
+	// Campaign parallelism is the cfg.Workers-wide pool Figure8 runs (as in
+	// fault); the energy estimate runs serially.
 	rep := e.reportEngine(1)
 
 	fmt.Fprintf(w, "Detector shootout: %d faults/benchmark, %d-cycle window, backends %s.\n",

@@ -214,7 +214,7 @@ func TestEngineRunSpecFile(t *testing.T) {
 func TestDumpTracesDeterministic(t *testing.T) {
 	var digests []string
 	for run := 0; run < 3; run++ {
-		spec := Spec{Kind: "dump", Bench: "gcc", Budget: 200_000, Dump: &DumpSpec{Traces: true}}
+		spec := Spec{Kind: "dump", Bench: "gcc", Budget: 200_000, ManifestPath: "none", Dump: &DumpSpec{Traces: true}}
 		var out, errw bytes.Buffer
 		eng := New(spec, &out, &errw)
 		if err := eng.Run(); err != nil {

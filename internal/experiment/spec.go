@@ -37,10 +37,10 @@ type Spec struct {
 	// Warmup primes the ITR cache before measurement (coverage only).
 	Warmup int64 `json:"warmup,omitempty"`
 	// Workers is the worker-pool width (0 = GOMAXPROCS). Results are
-	// identical at any width. For fault it is the Figure 8 worker slots,
-	// shared by the injection pool and the next benchmark's pilot (the PC,
-	// cache and rename studies always run GOMAXPROCS-wide); for sim it caps
-	// runtime parallelism.
+	// identical at any width. For fault it is the Figure 8 pool's width,
+	// whose first job on each benchmark is the next benchmark's pilot (the
+	// PC, cache and rename studies always run GOMAXPROCS-wide); for sim it
+	// caps runtime parallelism; dump ignores it.
 	Workers int `json:"workers,omitempty"`
 	// Seed makes fault-injection sampling reproducible (fault only;
 	// 0 = the paper campaign seed 0x17b).

@@ -2,13 +2,12 @@ package fault
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"itr/internal/core"
 	"itr/internal/isa"
 	"itr/internal/obs"
+	"itr/internal/par"
 	"itr/internal/pipeline"
 	"itr/internal/program"
 	"itr/internal/stats"
@@ -23,8 +22,9 @@ type CampaignConfig struct {
 	Seed uint64
 	// Experiment configures each injection run.
 	Experiment Config
-	// Workers bounds the goroutines that simulate at once: injection runs
-	// and the pilot RunCampaigns overlaps with them (default: GOMAXPROCS).
+	// Workers is the width of the worker pool that runs the injections and,
+	// in RunCampaigns, the next benchmark's pilot as the pool's first job
+	// (default: GOMAXPROCS).
 	Workers int
 	// Progress, when non-nil, receives live campaign telemetry. One
 	// Progress may be shared across concurrent campaigns.
@@ -137,15 +137,13 @@ type Benchmark struct {
 // (a fault-free pilot over the window, the injection sample drawn from the
 // pilot's decode events, and the pilot snapshots those injections resume
 // from) and an injection phase (the worker pool and the tally). No plan
-// depends on another benchmark, so benchmark k+1's plan runs on its own
-// goroutine while benchmark k's injections drain.
-//
-// The pilot and the injections draw on one semaphore of cfg.Workers slots
-// (GOMAXPROCS when zero): the pilot holds a slot for its whole run and each
-// injection holds one for its run, so at most cfg.Workers goroutines
-// simulate at once, and Workers: 1 runs everything one at a time. Only one
-// plan runs ahead, so at most two benchmarks' snapshot series are alive at
-// once. Results are identical to one RunCampaign call per benchmark.
+// depends on another benchmark, so benchmark k+1's plan is job 0 of
+// benchmark k's injection pool: it holds one of cfg.Workers workers
+// (GOMAXPROCS when zero) while the others run k's injections, so at most
+// cfg.Workers goroutines simulate at once, and Workers: 1 runs everything
+// one at a time. Only one plan runs ahead, so at most two benchmarks'
+// snapshot series are alive at once. Results are identical to one
+// RunCampaign call per benchmark.
 //
 // done, when non-nil, receives each benchmark's name and the time its plan
 // and its injection phase took, in benchmark order. On failure the error is
@@ -157,47 +155,37 @@ func RunCampaigns(benches []Benchmark, cfg CampaignConfig, done func(name string
 	if len(benches) == 0 {
 		return nil, nil
 	}
-	sem := newSlots(cfg.Workers)
-	type planned struct {
-		p    campaignPlan
-		took time.Duration
-		err  error
-	}
-	start := func(b Benchmark) chan planned {
-		ch := make(chan planned, 1)
-		go func() {
-			sem.acquire()
-			t := time.Now()
-			p, err := plan(b.Prog, cfg)
-			took := time.Since(t)
-			sem.release()
-			ch <- planned{p, took, err}
-		}()
-		return ch
+	t := time.Now()
+	p, err := plan(benches[0].Prog, cfg)
+	took := time.Since(t)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", benches[0].Name, err)
 	}
 	results := make([]CampaignResult, len(benches))
-	next := start(benches[0])
 	for k, b := range benches {
-		pl := <-next
-		if pl.err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, pl.err)
-		}
-		next = nil
+		var ahead func()
+		var next campaignPlan
+		var nextTook time.Duration
+		var nextErr error
 		if k+1 < len(benches) {
-			next = start(benches[k+1])
-		}
-		t := time.Now()
-		res, err := inject(b, pl.p, cfg, sem)
-		if err != nil {
-			if next != nil {
-				<-next
+			ahead = func() {
+				t := time.Now()
+				next, nextErr = plan(benches[k+1].Prog, cfg)
+				nextTook = time.Since(t)
 			}
+		}
+		res, injected, err := inject(b, p, cfg, ahead)
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		if done != nil {
-			done(b.Name, pl.took+time.Since(t))
+			done(b.Name, took+injected)
+		}
+		if nextErr != nil {
+			return nil, fmt.Errorf("%s: %w", benches[k+1].Name, nextErr)
 		}
 		results[k] = res
+		p, took = next, nextTook
 	}
 	return results, nil
 }
@@ -251,9 +239,11 @@ func plan(prog *program.Program, cfg CampaignConfig) (campaignPlan, error) {
 	return campaignPlan{injections, prune(snaps, points)}, nil
 }
 
-// inject runs a planned campaign's injections on the worker pool, whose
-// jobs take their slots from sem, and tallies them.
-func inject(b Benchmark, p campaignPlan, cfg CampaignConfig, sem slots) (CampaignResult, error) {
+// inject runs a planned campaign's injections on the worker pool, with
+// ahead (when non-nil) as the pool's job 0, and tallies them. It also
+// returns the injection phase's time: from its start to the end of the last
+// injection, whether or not ahead is still running.
+func inject(b Benchmark, p campaignPlan, cfg CampaignConfig, ahead func()) (CampaignResult, time.Duration, error) {
 	res := CampaignResult{
 		Benchmark: b.Name,
 		Counts:    make(map[Category]int),
@@ -269,7 +259,9 @@ func inject(b Benchmark, p campaignPlan, cfg CampaignConfig, sem slots) (Campaig
 
 	oracle := NewSigOracle(b.Prog)
 	budgets := make([]runBudget, cfg.Faults)
-	details, err := runPool(b.Prog, sem, cfg.Faults, func(a *arena, i int) (Detail, error) {
+	ends := make([]time.Time, cfg.Faults)
+	start := time.Now()
+	details, err := runPool(b.Prog, cfg.Workers, cfg.Faults, ahead, func(a *arena, i int) (Detail, error) {
 		// A worker's ring is single-writer: its arena machines run on the
 		// worker's goroutine, so their pipeline events interleave with the
 		// injection markers safely.
@@ -300,10 +292,17 @@ func inject(b Benchmark, p campaignPlan, cfg CampaignConfig, sem slots) (Campaig
 			cfg.Progress.CyclesSimulated.AddAt(uint32(a.worker), budgets[i].simulated)
 			cfg.Progress.CyclesSaved.AddAt(uint32(a.worker), budgets[i].saved)
 		}
+		ends[i] = time.Now()
 		return d, err
 	})
 	if err != nil {
-		return res, err
+		return res, 0, err
+	}
+	var last time.Time
+	for _, e := range ends {
+		if e.After(last) {
+			last = e
+		}
 	}
 
 	for i, d := range details {
@@ -322,54 +321,34 @@ func inject(b Benchmark, p campaignPlan, cfg CampaignConfig, sem slots) (Campaig
 		}
 	}
 	res.Details = details
-	return res, nil
+	return res, last.Sub(start), nil
 }
 
-// slots is a counting semaphore bounding the goroutines that simulate at
-// once.
-type slots chan struct{}
-
-// newSlots returns a semaphore of workers slots (0 means GOMAXPROCS).
-func newSlots(workers int) slots {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// runPool runs job(a, i) for i in [0, n) on par.Each at the given width,
+// after ahead (when non-nil) as the pool's job 0: the one worker pool every
+// fault study shares. Each worker index recycles machines through its own
+// arena, and results land by index, so they are identical at any width; the
+// lowest-index error wins.
+func runPool[T any](prog *program.Program, workers, n int, ahead func(), job func(a *arena, i int) (T, error)) ([]T, error) {
+	skip := 0
+	if ahead != nil {
+		skip = 1
 	}
-	return make(slots, workers)
-}
-
-func (s slots) acquire() { s <- struct{}{} }
-func (s slots) release() { <-s }
-
-// runPool runs job(a, i) for i in [0, n) on up to cap(sem) goroutines, each
-// job holding one of sem's slots: the one worker pool every fault study
-// shares. Each worker recycles machines through its own arena, and results
-// land by index, so they are identical at any width; the lowest-index error
-// wins.
-func runPool[T any](prog *program.Program, sem slots, n int, job func(a *arena, i int) (T, error)) ([]T, error) {
 	outs := make([]T, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := range min(cap(sem), n) {
-		wg.Add(1)
-		go func(a *arena) {
-			defer wg.Done()
-			for i := range work {
-				sem.acquire()
-				outs[i], errs[i] = job(a, i)
-				sem.release()
-			}
-		}(&arena{prog: prog, worker: w})
-	}
-	for i := range n {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return outs, fmt.Errorf("fault %d: %w", i, err)
+	arenas := make([]arena, n+skip) // worker indices are below the job count
+	err := par.Each(workers, n+skip, func(w, j int) error {
+		i := j - skip
+		if i < 0 {
+			ahead()
+			return nil
 		}
-	}
-	return outs, nil
+		a := &arenas[w]
+		a.prog, a.worker = prog, w
+		var err error
+		if outs[i], err = job(a, i); err != nil {
+			return fmt.Errorf("fault %d: %w", i, err)
+		}
+		return nil
+	})
+	return outs, err
 }

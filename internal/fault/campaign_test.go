@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -15,8 +18,9 @@ import (
 
 // TestRunCampaignsMatchesRunCampaign: scheduling benchmarks with overlapped
 // pilots changes nothing about any benchmark's result — Details, Budget and
-// snapshot counts equal one RunCampaign per benchmark at every width, with a
-// tracer attached. A failing benchmark returns the lowest-index error and
+// snapshot counts equal one RunCampaign per benchmark at every width (16
+// exceeds the Faults+1 jobs of each pool), with a tracer attached whose
+// worker rings are numbered below the width. A failing benchmark returns the lowest-index error and
 // leaves no goroutine behind.
 func TestRunCampaignsMatchesRunCampaign(t *testing.T) {
 	var benches []Benchmark
@@ -43,7 +47,7 @@ func TestRunCampaignsMatchesRunCampaign(t *testing.T) {
 		}
 		want[i] = res
 	}
-	for _, workers := range []int{1, 2, 4} {
+	for _, workers := range []int{1, 2, 4, 16} {
 		cfg := base
 		cfg.Workers = workers
 		cfg.Tracer = obs.NewTracer(1 << 12)
@@ -65,6 +69,19 @@ func TestRunCampaignsMatchesRunCampaign(t *testing.T) {
 				t.Errorf("workers=%d: %s differs from RunCampaign:\n got %+v\nwant %+v",
 					workers, benches[i].Name, got[i], want[i])
 			}
+		}
+		rings := 0
+		for _, name := range ringNames(t, cfg.Tracer) {
+			var w int
+			if _, err := fmt.Sscanf(name, "fault-worker-%d", &w); err == nil {
+				rings++
+				if w >= workers {
+					t.Errorf("workers=%d: ring %s", workers, name)
+				}
+			}
+		}
+		if rings == 0 {
+			t.Errorf("workers=%d: no worker rings", workers)
 		}
 		if want[0].Snapshots == 0 {
 			t.Errorf("%s retained no snapshots; the fast path did not engage", benches[0].Name)
@@ -108,4 +125,29 @@ func TestRunCampaignsMatchesRunCampaign(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
+}
+
+// ringNames returns the labels of tr's rings, read from its Chrome export.
+func ringNames(t *testing.T, tr *obs.Tracer) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteChromeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Args map[string]any
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range doc.TraceEvents {
+		if e.Name == "thread_name" {
+			names = append(names, e.Args["name"].(string))
+		}
+	}
+	return names
 }

@@ -154,7 +154,7 @@ func RunRenameCampaign(prog *program.Program, cfg Config, n int, seed uint64) (R
 	if cfg.EffectiveSnapshotInterval() > 0 {
 		// One pilot per pass captures that pass's resume points; the two
 		// run side by side on the pool.
-		snaps, err := runPool(prog, newSlots(0), len(passes), func(_ *arena, i int) (snapSeries, error) {
+		snaps, err := runPool(prog, 0, len(passes), nil, func(_ *arena, i int) (snapSeries, error) {
 			cpu, err := pipeline.New(prog, passes[i].pcfg)
 			if err != nil {
 				return nil, fmt.Errorf("rename pilot: %w", err)
@@ -167,7 +167,7 @@ func RunRenameCampaign(prog *program.Program, cfg Config, n int, seed uint64) (R
 		passes[0].snaps, passes[1].snaps = snaps[0], snaps[1]
 	}
 
-	outs, err := runPool(prog, newSlots(0), n, func(a *arena, i int) (renameOutcome, error) {
+	outs, err := runPool(prog, 0, n, nil, func(a *arena, i int) (renameOutcome, error) {
 		return runRenameFault(a, passes, cfg.WindowCycles, injs[i])
 	})
 	if err != nil {

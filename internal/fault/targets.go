@@ -143,7 +143,7 @@ func RunPCFaultCampaign(prog *program.Program, cfg Config, n int, seed uint64) (
 	if err != nil {
 		return res, err
 	}
-	outs, err := runPool(prog, newSlots(0), n, func(a *arena, i int) (PCOutcome, error) { return st.run(a, faults[i]) })
+	outs, err := runPool(prog, 0, n, nil, func(a *arena, i int) (PCOutcome, error) { return st.run(a, faults[i]) })
 	if err != nil {
 		return res, err
 	}
@@ -272,7 +272,7 @@ func RunCacheFaultCampaign(prog *program.Program, cfg Config, parity bool, n int
 	if err != nil {
 		return res, err
 	}
-	outs, err := runPool(prog, newSlots(0), n, func(a *arena, i int) (cacheOutcome, error) { return st.run(a, faults[i]) })
+	outs, err := runPool(prog, 0, n, nil, func(a *arena, i int) (cacheOutcome, error) { return st.run(a, faults[i]) })
 	if err != nil {
 		return res, err
 	}

@@ -1,20 +1,20 @@
 package report
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"itr/internal/par"
 	"itr/internal/trace"
 )
 
-// Engine runs report entry points on an explicitly configured worker pool.
-// The zero value is ready to use: a full-width pool (GOMAXPROCS) with no
-// observer. Its only mutable state is the characterization memo, which is
-// safe for concurrent use, so one engine may serve many concurrent callers;
-// two engines never interfere — worker width is per-engine configuration,
-// not process-global. An Engine must not be copied after first use.
+// Engine runs report entry points on the shared worker pool (par.Each), one
+// benchmark per job, at the engine's configured width; Figure8 alone runs
+// at its campaign's width. The zero value is ready to use: a full-width
+// pool (GOMAXPROCS) with no observer. Its only mutable state is the
+// characterization memo, which is safe for concurrent use, so one engine
+// may serve many concurrent callers; two engines never interfere — worker
+// width is per-engine configuration, not process-global. An Engine must not
+// be copied after first use.
 type Engine struct {
 	// Workers bounds the pool width; <= 0 means GOMAXPROCS. Output is
 	// deterministic regardless of the width: results are written into
@@ -32,8 +32,7 @@ type Engine struct {
 	// engine. Updated concurrently from pool goroutines.
 	Probe *Probe
 
-	charMu sync.Mutex
-	chars  map[charKey]*charEntry // see Characterization
+	chars par.Memo[charKey, *trace.Characterizer] // see Characterization
 }
 
 // charKey identifies one memoized characterization: a benchmark at a scaled
@@ -41,38 +40,6 @@ type Engine struct {
 type charKey struct {
 	name   string
 	budget int64
-}
-
-// charEntry is one memoized characterization, computed once.
-type charEntry struct {
-	once sync.Once
-	c    *trace.Characterizer
-	err  error
-}
-
-// charMemo returns (creating if needed) the memo entry for k. The engine
-// lock covers only the lookup; the characterization itself runs under the
-// entry's once, so different benchmarks characterize in parallel.
-func (e *Engine) charMemo(k charKey) *charEntry {
-	e.charMu.Lock()
-	defer e.charMu.Unlock()
-	if e.chars == nil {
-		e.chars = make(map[charKey]*charEntry)
-	}
-	m := e.chars[k]
-	if m == nil {
-		m = &charEntry{}
-		e.chars[k] = m
-	}
-	return m
-}
-
-// workers resolves the effective pool width.
-func (e *Engine) workers() int {
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // item runs fn, reporting its duration to OnItem under the given label.
@@ -84,52 +51,4 @@ func (e *Engine) item(label string, fn func() error) error {
 	err := fn()
 	e.OnItem(label, time.Since(start))
 	return err
-}
-
-// forEach runs fn(i) for every i in [0, n) on a pool of workers()
-// goroutines. Work items are claimed from a shared atomic counter, so
-// ordering of *execution* is nondeterministic — callers must write results
-// into slot i of a pre-sized slice, never append. The returned error is the
-// lowest-index failure, making error selection deterministic too. With an
-// effective width of one the loop runs inline (no goroutines), which is
-// also the fast path for tiny n.
-func (e *Engine) forEach(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	w := e.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -70,41 +69,6 @@ func TestReplayWarmLatch(t *testing.T) {
 	res := sim.Result()
 	if res.TraceEvents != 2 || res.TotalInsts != 13 {
 		t.Errorf("got %d events / %d insts measured, want 2 / 13", res.TraceEvents, res.TotalInsts)
-	}
-}
-
-// TestForEach covers the pool helper: full coverage of the index space at
-// serial and parallel widths, and lowest-index error selection.
-func TestForEach(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		eng := &Engine{Workers: w}
-		got := make([]int, 100)
-		if err := eng.forEach(len(got), func(i int) error {
-			got[i] = i + 1
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range got {
-			if v != i+1 {
-				t.Fatalf("workers=%d: slot %d not visited", w, i)
-			}
-		}
-	}
-
-	errA, errB := errors.New("a"), errors.New("b")
-	eng := &Engine{Workers: 4}
-	err := eng.forEach(10, func(i int) error {
-		switch i {
-		case 3:
-			return errB
-		case 7:
-			return errA
-		}
-		return nil
-	})
-	if err != errB {
-		t.Fatalf("got error %v, want lowest-index error %v", err, errB)
 	}
 }
 

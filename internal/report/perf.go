@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 
+	"itr/internal/par"
 	"itr/internal/pipeline"
 	"itr/internal/stats"
 	"itr/internal/workload"
@@ -32,7 +33,7 @@ type PerfRow struct {
 // core over the given cycle budget per run.
 func (e *Engine) PerfComparison(profiles []workload.Profile, cycles int64) ([]PerfRow, error) {
 	rows := make([]PerfRow, len(profiles))
-	err := e.forEach(len(profiles), func(i int) error {
+	err := par.Each(e.Workers, len(profiles), func(_, i int) error {
 		p := profiles[i]
 		return e.item(p.Name, func() error {
 			prog, err := workload.CachedProgram(p)

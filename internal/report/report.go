@@ -23,6 +23,7 @@ import (
 	"itr/internal/core"
 	"itr/internal/energy"
 	"itr/internal/fault"
+	"itr/internal/par"
 	"itr/internal/stats"
 	"itr/internal/trace"
 	"itr/internal/workload"
@@ -37,8 +38,7 @@ import (
 // it, not the event stream, is what gets reused.
 func (e *Engine) Characterization(p workload.Profile, budget int64) (*trace.Characterizer, error) {
 	budget = p.ScaledBudget(budget)
-	m := e.charMemo(charKey{p.Name, budget})
-	m.once.Do(func() {
+	return e.chars.Do(charKey{p.Name, budget}, func() (*trace.Characterizer, error) {
 		c := trace.NewCharacterizer()
 		info, err := workload.StreamEventSlices(p, budget, func(evs []trace.Event) {
 			for _, ev := range evs {
@@ -46,13 +46,11 @@ func (e *Engine) Characterization(p workload.Profile, budget int64) (*trace.Char
 			}
 		})
 		if err != nil {
-			m.err = err
-			return
+			return nil, err
 		}
 		e.observe(info)
-		m.c = c
+		return c, nil
 	})
-	return m.c, m.err
 }
 
 // PopularityFigure produces Figure 1 (SPECint, step 100 up to 1000) or
@@ -61,7 +59,7 @@ func (e *Engine) Characterization(p workload.Profile, budget int64) (*trace.Char
 // static traces.
 func (e *Engine) PopularityFigure(profiles []workload.Profile, step, limit int, budget int64) ([]stats.Series, error) {
 	series := make([]stats.Series, len(profiles))
-	err := e.forEach(len(profiles), func(i int) error {
+	err := par.Each(e.Workers, len(profiles), func(_, i int) error {
 		p := profiles[i]
 		return e.item(p.Name, func() error {
 			c, err := e.Characterization(p, budget)
@@ -84,7 +82,7 @@ func (e *Engine) PopularityFigure(profiles []workload.Profile, step, limit int, 
 // bucket, up to 10000.
 func (e *Engine) DistanceFigure(profiles []workload.Profile, budget int64) ([]stats.Series, error) {
 	series := make([]stats.Series, len(profiles))
-	err := e.forEach(len(profiles), func(i int) error {
+	err := par.Each(e.Workers, len(profiles), func(_, i int) error {
 		p := profiles[i]
 		return e.item(p.Name, func() error {
 			c, err := e.Characterization(p, budget)
@@ -117,7 +115,7 @@ type Table1Row struct {
 func (e *Engine) Table1(budget int64) ([]Table1Row, error) {
 	suite := workload.Suite()
 	rows := make([]Table1Row, len(suite))
-	err := e.forEach(len(suite), func(i int) error {
+	err := par.Each(e.Workers, len(suite), func(_, i int) error {
 		p := suite[i]
 		return e.item(p.Name, func() error {
 			c, err := e.Characterization(p, budget)
@@ -162,7 +160,7 @@ type CoverageCell struct {
 // coverage simulator per cell replaying the whole stream, at any pool width.
 func (e *Engine) CoverageSweepWarm(profiles []workload.Profile, configs []core.Config, budget, warmupInsts int64) ([]CoverageCell, error) {
 	cells := make([]CoverageCell, len(profiles)*len(configs))
-	err := e.forEach(len(profiles), func(pi int) error {
+	err := par.Each(e.Workers, len(profiles), func(_, pi int) error {
 		p := profiles[pi]
 		return e.item(p.Name, func() error {
 			bank, err := core.NewSimBank(configs, warmupInsts)
@@ -276,10 +274,10 @@ type Figure8Row struct {
 
 // Figure8 runs the Section 4 fault-injection campaign over the given
 // benchmarks (the paper uses the 11 coverage benchmarks plus an average)
-// through fault.RunCampaigns, which overlaps each benchmark's pilot with the
-// previous benchmark's injections within cfg.Workers slots. The engine's
-// Workers does not apply; OnItem receives each benchmark's plan plus
-// injection time.
+// through fault.RunCampaigns, which runs each benchmark's pilot as the
+// first job of the previous benchmark's injection pool, cfg.Workers wide.
+// The engine's Workers does not apply; OnItem receives each benchmark's plan
+// plus injection time.
 func (e *Engine) Figure8(profiles []workload.Profile, cfg fault.CampaignConfig) ([]Figure8Row, error) {
 	benches := make([]fault.Benchmark, len(profiles))
 	for i, p := range profiles {

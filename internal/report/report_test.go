@@ -220,10 +220,17 @@ func TestCharacterizationMemoSharedAcrossStages(t *testing.T) {
 	const budget = 50_000
 	probe := &Probe{}
 	eng := &Engine{Workers: 2, Probe: probe}
-	memo := func() map[charKey]*trace.Characterizer {
-		out := make(map[charKey]*trace.Characterizer)
-		for k, m := range eng.chars {
-			out[k] = m.c
+	// memo reads the engine's characterizers back through the memo; a
+	// benchmark the memo lacks would stream again, which the stream counts
+	// below catch.
+	memo := func(profiles []workload.Profile) map[string]*trace.Characterizer {
+		out := make(map[string]*trace.Characterizer)
+		for _, p := range profiles {
+			c, err := eng.Characterization(p, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[p.Name] = c
 		}
 		return out
 	}
@@ -231,10 +238,10 @@ func TestCharacterizationMemoSharedAcrossStages(t *testing.T) {
 	if _, err := eng.PopularityFigure(workload.IntSuite(), 100, 1000, budget); err != nil {
 		t.Fatal(err)
 	}
-	first := memo()
-	if len(first) != len(workload.IntSuite()) {
-		t.Fatalf("figure 1 memoized %d characterizations, want %d", len(first), len(workload.IntSuite()))
+	if got := probe.StreamsGenerated.Load(); got != int64(len(workload.IntSuite())) {
+		t.Fatalf("figure 1 generated %d streams, want %d", got, len(workload.IntSuite()))
 	}
+	first := memo(workload.IntSuite())
 	stages := []func() error{
 		func() error { _, err := eng.PopularityFigure(workload.FPSuite(), 50, 500, budget); return err },
 		func() error { _, err := eng.DistanceFigure(workload.IntSuite(), budget); return err },
@@ -250,23 +257,14 @@ func TestCharacterizationMemoSharedAcrossStages(t *testing.T) {
 	if got := probe.StreamsGenerated.Load(); got != int64(len(suite)) {
 		t.Errorf("five stages generated %d streams, want one per benchmark (%d)", got, len(suite))
 	}
-	all := memo()
-	if len(all) != len(suite) {
-		t.Errorf("memo holds %d characterizations, want %d", len(all), len(suite))
-	}
-	for k, c := range first {
-		if all[k] != c {
-			t.Errorf("%s: a later stage replaced figure 1's characterizer", k.name)
+	all := memo(suite)
+	for name, c := range first {
+		if all[name] != c {
+			t.Errorf("%s: a later stage replaced figure 1's characterizer", name)
 		}
 	}
 	for _, p := range suite {
-		c, err := eng.Characterization(p, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c != all[charKey{p.Name, p.ScaledBudget(budget)}] {
-			t.Errorf("%s: Characterization returned a characterizer outside the memo", p.Name)
-		}
+		c := all[p.Name]
 		prog, err := workload.CachedProgram(p)
 		if err != nil {
 			t.Fatal(err)

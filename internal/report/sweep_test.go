@@ -8,6 +8,7 @@ import (
 
 	"itr/internal/core"
 	"itr/internal/energy"
+	"itr/internal/par"
 	"itr/internal/trace"
 	"itr/internal/workload"
 )
@@ -19,7 +20,7 @@ import (
 // order).
 func sweepPerCell(e *Engine, profiles []workload.Profile, configs []core.Config, budget, warmupInsts int64) ([]CoverageCell, error) {
 	cells := make([]CoverageCell, len(profiles)*len(configs))
-	err := e.forEach(len(profiles), func(pi int) error {
+	err := par.Each(e.Workers, len(profiles), func(_, pi int) error {
 		p := profiles[pi]
 		events, err := workload.CachedEvents(p, p.ScaledBudget(budget)+warmupInsts)
 		if err != nil {

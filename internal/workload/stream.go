@@ -1,8 +1,7 @@
 package workload
 
 import (
-	"sync"
-
+	"itr/internal/par"
 	"itr/internal/program"
 	"itr/internal/trace"
 )
@@ -25,38 +24,19 @@ func EventsOf(prog *program.Program, budget int64) ([]trace.Event, int64) {
 	return events, executed
 }
 
-// cacheEntry memoizes one benchmark's built program. Locking is per entry:
-// the global map lock is held only for the cheap entry lookup, never during
-// program synthesis, so concurrent workers building *different* benchmarks
-// proceed in parallel while workers asking for the *same* benchmark block
-// until the first finishes and then share its result.
+// programs memoizes each benchmark's built program, keyed by name:
+// concurrent workers building different benchmarks proceed in parallel,
+// while workers asking for the same one share its first build.
 //
 // Event streams are deliberately not memoized: a held stream costs memory
 // in proportion to its budget, while StreamEventSlices regenerates one from
 // the program in constant memory.
-type cacheEntry struct {
-	once sync.Once
-	prog *program.Program
-	err  error
-}
-
-var (
-	cacheMu sync.Mutex
-	cached  = make(map[string]*cacheEntry)
-)
+var programs par.Memo[string, *program.Program]
 
 // CachedProgram returns a memoized build of p. Safe for concurrent use; the
 // returned Program is immutable after construction and may be shared freely.
 func CachedProgram(p Profile) (*program.Program, error) {
-	cacheMu.Lock()
-	e := cached[p.Name]
-	if e == nil {
-		e = &cacheEntry{}
-		cached[p.Name] = e
-	}
-	cacheMu.Unlock()
-	e.once.Do(func() { e.prog, e.err = Build(p) })
-	return e.prog, e.err
+	return programs.Do(p.Name, func() (*program.Program, error) { return Build(p) })
 }
 
 // CachedEvents returns p's trace-event stream at the given budget: a fresh
