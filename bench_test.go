@@ -721,6 +721,36 @@ func BenchmarkDecodeMemoized(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkCleanExec measures one fault-free instruction of the gap
+// program on the paths that dispatch and the commit shadows take: the
+// clean-word kernel, and ExecInto on the table's signals plus ApplyRef,
+// which the kernel replaces on clean words.
+func BenchmarkCleanExec(b *testing.B) {
+	prog := benchProgram(b)
+	tab := prog.DecodeTable()
+	b.Run("kernel", func(b *testing.B) {
+		st := &isa.ArchState{Mem: isa.NewMemory(), PC: prog.Entry}
+		var o isa.Outcome
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if st.ExecClean(&o, tab.Word(st.PC), st.PC); o.Halt {
+				st.PC = prog.Entry
+			}
+		}
+	})
+	b.Run("execinto", func(b *testing.B) {
+		st := &isa.ArchState{Mem: isa.NewMemory(), PC: prog.Entry}
+		var o isa.Outcome
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			st.ExecInto(&o, tab.Signals(st.PC), st.PC)
+			if st.ApplyRef(&o); o.Halt {
+				st.PC = prog.Entry
+			}
+		}
+	})
+}
+
 // BenchmarkTraceStream measures end-to-end functional execution with trace
 // formation — the event-generation phase of every sweep — over 200,000
 // dynamic instructions per op, and reports the per-instruction cost as

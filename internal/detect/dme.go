@@ -243,8 +243,7 @@ func (d *DME) advanceShadow(h *core.ROBEntry) {
 	var out isa.Outcome
 	for i := 0; i < h.Len; i++ {
 		pc := d.shadow.PC
-		d.shadow.ExecInto(&out, d.tab.Signals(pc), pc)
-		d.shadow.ApplyRef(&out)
+		d.shadow.ExecClean(&out, d.tab.Word(pc), pc)
 	}
 	d.stats.ReplayedInsts += int64(h.Len)
 }

@@ -50,12 +50,11 @@ func (c *goldenCursor) observe(pc uint64, o *isa.Outcome) {
 		c.diverged = true
 		return
 	}
-	c.st.ExecInto(&c.ref, c.tab.Signals(pc), pc)
-	if !o.SameArchEffect(&c.ref) {
-		c.diverged = true
-		return
-	}
-	c.st.ApplyRef(&c.ref)
+	// The kernel applies the shadow's outcome before the compare. After a
+	// mismatch the shadow's state is never read again: divergence is sticky,
+	// and a checkpoint taken after it records the verdict with the state.
+	c.st.ExecClean(&c.ref, c.tab.Word(pc), pc)
+	c.diverged = !o.SameArchEffect(&c.ref)
 }
 
 // checkpoint is a pipeline.CheckpointObserver: a take checkpoints the

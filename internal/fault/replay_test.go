@@ -212,6 +212,53 @@ func TestGoldenCursorCheckpointRewind(t *testing.T) {
 	}
 }
 
+// TestGoldenCursorEffectMismatchSticky: the clean-word kernel applies the
+// shadow's outcome before the cursor compares, so a commit whose
+// architectural effect mismatches leaves the shadow one instruction past it.
+// That state must never count. The verdict stays diverged, a checkpoint
+// taken after the mismatch records the verdict with the state, and a
+// rollback to it restores both, so converged stays false throughout.
+func TestGoldenCursorEffectMismatchSticky(t *testing.T) {
+	p := testProgram(t)
+	cpu, err := pipeline.New(p, quickConfig().pipelineConfig(core.ModeObserve))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := (&arena{prog: p}).attach(cpu, cpu.Snapshot())
+	cpu.Run(2000)
+	if cur.diverged || !cur.converged(cpu) {
+		t.Fatalf("fault-free run: diverged %v converged %v", cur.diverged, cur.converged(cpu))
+	}
+
+	// The machine's next commit, with a corrupted next PC.
+	pc := cur.st.PC
+	next := &isa.ArchState{R: cur.st.R, F: cur.st.F, PC: pc, Mem: cur.mem.Clone()}
+	bad := next.Step(p.Fetch(pc))
+	bad.NextPC++
+	cur.observe(pc, &bad)
+	switch {
+	case !cur.diverged:
+		t.Fatal("effect mismatch not flagged")
+	case cur.st.PC != next.PC:
+		t.Fatalf("shadow at pc %d after the mismatch, want %d: the kernel applies before the compare", cur.st.PC, next.PC)
+	case cur.converged(cpu):
+		t.Fatal("diverged shadow proved convergence")
+	}
+
+	cur.checkpoint(true)
+	if !cur.ckDiverged {
+		t.Fatal("take after the mismatch did not record the divergence")
+	}
+	cpu.Run(500) // commits the cursor ignores
+	cur.checkpoint(false)
+	if !cur.diverged || cur.converged(cpu) {
+		t.Fatalf("after rollback: diverged %v converged %v, want true false", cur.diverged, cur.converged(cpu))
+	}
+	if cur.st.PC != next.PC {
+		t.Fatalf("rollback restored pc %d, want the take's %d", cur.st.PC, next.PC)
+	}
+}
+
 // TestNearestSnapshotIdx pins the strictly-before selection rule: the chosen
 // snapshot must predate the injected decode event (equality is too late —
 // that decode already happened in it), or the run starts cold.

@@ -3,19 +3,20 @@ package isa
 // In-place execution of clean instruction streams.
 //
 // ExecInto is steered by a possibly corrupted signal vector, so it re-tests
-// the flags of every dynamic instruction and reports the effect as an Outcome
-// the pipeline can compare or squash. A fault-free functional run needs
-// neither: its signals are Decode's, and Decode derives the flags, num_rdst
-// and mem_size fields from the opcode alone. A 256-entry table indexed by
-// opcode therefore holds the choices ExecInto would make from those fields,
-// and ExecTrace applies each instruction straight to the registers and
-// memory, reusing ExecInto's arithmetic helpers.
+// the flags of every dynamic instruction. Fault-free execution need not: its
+// signals are Decode's, and Decode derives the flags, num_rdst and mem_size
+// fields from the opcode alone. A 256-entry table indexed by opcode therefore
+// holds the choices ExecInto would make from those fields. Two executors read
+// it and reuse ExecInto's arithmetic helpers: ExecTrace runs a whole trace
+// straight on the registers and memory, and ExecClean runs one instruction,
+// writing the Outcome the pipeline and the commit shadows compare.
 
 // opKind is the execution path ExecInto takes for a clean opcode.
 type opKind uint8
 
 const (
-	kindNop     opKind = iota // PC+1 only: nop, invalid opcodes
+	kindNop     opKind = iota // PC+1 only: nop
+	kindTrap                  // invalid opcode: an annulled operation
 	kindALU                   // integer ALU, register-register operands
 	kindALUImm                // integer ALU, zero-extended immediate
 	kindALUSImm               // integer ALU, sign-extended immediate
@@ -50,8 +51,9 @@ var cleanOps = func() (t [256]cleanOp) {
 	return t
 }()
 
-// haltWord is the packed signal word a PC outside the image decodes to.
-var haltWord = Decode(Instruction{Op: OpHalt}).Pack()
+// HaltWord is the packed signal word of halt, which a PC outside the image
+// decodes to.
+var HaltWord = Decode(Instruction{Op: OpHalt}).Pack()
 
 // classify follows ExecInto's dispatch for the clean signals d.
 func classify(d DecodeSignals) opKind {
@@ -61,7 +63,7 @@ func classify(d DecodeSignals) opKind {
 		if d.Opcode == OpHalt {
 			return kindHalt
 		}
-		return kindNop
+		return kindTrap
 	case d.HasFlag(FlagBranch):
 		link := d.NumRdst != 0
 		switch {
@@ -120,7 +122,7 @@ func classify(d DecodeSignals) opKind {
 func (st *ArchState) ExecTrace(mem *Memory, words []uint64, limit int) (n int, sig uint64, branch, halt bool) {
 	pc := st.PC
 	for n < limit && n < MaxTraceLen && !branch && !halt {
-		w := haltWord
+		w := HaltWord
 		if pc < uint64(len(words)) {
 			w = words[pc]
 		}
@@ -181,4 +183,83 @@ func (st *ArchState) ExecTrace(mem *Memory, words []uint64, limit int) (n int, s
 	}
 	st.PC = pc
 	return n, sig, branch, halt
+}
+
+// ExecClean executes the clean word w at pc in one pass: it writes into *o
+// the Outcome ExecInto writes for UnpackSignals(w), r0 destinations and
+// Illegal included, and applies it to st as ApplyRef does. It is the
+// fault-free path of the pipeline's dispatch and of the commit shadows;
+// ExecInto remains for signals a fault corrupted. The preconditions are
+// ExecTrace's: w is a Decode word and st.R[0] is zero.
+func (st *ArchState) ExecClean(o *Outcome, w, pc uint64) {
+	op := Opcode(w >> bitOpcode)
+	rs1, rs2, rd := w>>bitRsrc1&0x1f, w>>bitRsrc2&0x1f, w>>bitRdst&0x1f
+	imm := uint16(w >> bitImm)
+	*o = Outcome{NextPC: pc + 1}
+	switch e := cleanOps[op]; e.kind {
+	case kindALU:
+		st.writeInt(o, rd, aluOp(op, st.R[rs1], st.R[rs2], uint8(w>>bitShamt)&0x1f, imm))
+	case kindALUImm:
+		st.writeInt(o, rd, aluOp(op, st.R[rs1], uint64(imm), uint8(w>>bitShamt)&0x1f, imm))
+	case kindALUSImm:
+		st.writeInt(o, rd, aluOp(op, st.R[rs1], sx16(imm), uint8(w>>bitShamt)&0x1f, imm))
+	case kindFPU:
+		st.writeFP(o, rd, fpuOp(op, st.F[rs1], st.F[rs2], st.R[rs1]))
+	case kindLoad:
+		st.writeInt(o, rd, st.Mem.Load(st.R[rs1]+sx16(imm), e.size))
+	case kindLoadS:
+		st.writeInt(o, rd, signExtend(st.Mem.Load(st.R[rs1]+sx16(imm), e.size), e.size))
+	case kindLwl:
+		st.writeInt(o, rd, st.R[rd]&0x0000ffff|st.Mem.Load((st.R[rs1]+sx16(imm))&^3, 4)&0xffff0000)
+	case kindLwr:
+		st.writeInt(o, rd, st.R[rd]&0xffff0000|st.Mem.Load((st.R[rs1]+sx16(imm))&^3, 4)&0x0000ffff)
+	case kindFLoad:
+		st.writeFP(o, rd, st.Mem.Load(st.R[rs1]+sx16(imm), e.size))
+	case kindStore, kindFStore:
+		v := st.R[rs2]
+		if e.kind == kindFStore {
+			v = st.F[rs2]
+		}
+		o.MemWrite, o.MemAddr, o.MemWData, o.MemWSize = true, st.R[rs1]+sx16(imm), v, e.size
+		st.Mem.Store(o.MemAddr, e.size, v)
+	case kindBranch:
+		o.Branch = true
+		if taken, _ := branchTaken(op, st.R[rs1], st.R[rs2]); taken {
+			o.Taken, o.NextPC = true, pc+1+sx16(imm)
+		}
+	case kindJump, kindJal:
+		o.Branch, o.Taken = true, true
+		o.NextPC = uint64(imm) | (w>>bitShamt&0x1f)<<16 | rs2<<21
+		if e.kind == kindJal {
+			st.writeInt(o, rd, pc+1)
+		}
+	case kindJr, kindJalr:
+		o.Branch, o.Taken = true, true
+		o.NextPC = st.R[rs1]
+		if e.kind == kindJalr {
+			st.writeInt(o, rd, pc+1)
+		}
+	case kindHalt:
+		o.Halt = true
+	case kindTrap:
+		o.Illegal = true
+	}
+	st.PC = o.NextPC
+}
+
+// writeInt records and applies the integer write-back of v to rd. Like
+// ExecInto, it records rd and v even when rd is the hardwired zero register,
+// whose write it drops.
+func (st *ArchState) writeInt(o *Outcome, rd, v uint64) {
+	o.Reg, o.Value = RegID(rd), v
+	if rd != 0 {
+		o.RegWrite = true
+		st.R[rd] = v
+	}
+}
+
+// writeFP records and applies the floating-point write-back of v to rd.
+func (st *ArchState) writeFP(o *Outcome, rd, v uint64) {
+	o.RegWrite, o.RegFP, o.Reg, o.Value = true, true, RegID(rd), v
+	st.F[rd] = v
 }

@@ -10,10 +10,11 @@ import (
 // jr or jalr to a register value at or past it leaves the image.
 const stepImage = 64
 
-// stepBoth executes inst at pc on two copies of st, one through ExecInto and
-// ApplyRef and one through a one-instruction ExecTrace over an image of
-// stepImage words, fails t unless they leave registers, PC and memory
-// identical, and returns the reference outcome. st.Mem must be a *Memory.
+// stepBoth executes inst at pc on three copies of st: through ExecInto and
+// ApplyRef, through a one-instruction ExecTrace over an image of stepImage
+// words, and through ExecClean. It fails t unless all three leave registers,
+// PC and memory identical and ExecClean's Outcome equals ExecInto's in every
+// field, and returns the reference outcome. st.Mem must be a *Memory.
 func stepBoth(t *testing.T, inst Instruction, pc uint64, st *ArchState) Outcome {
 	t.Helper()
 	d := Decode(inst)
@@ -44,10 +45,22 @@ func stepBoth(t *testing.T, inst Instruction, pc uint64, st *ArchState) Outcome 
 	case !gotMem.Equal(ref.Mem.(*Memory)):
 		t.Fatalf("%v at %d: memory differs (%v)", inst, pc, o)
 	}
+	cl := &ArchState{R: st.R, F: st.F, PC: pc, Mem: mem.Clone()}
+	var co Outcome
+	cl.ExecClean(&co, w, pc)
+	switch {
+	case co != o:
+		t.Fatalf("%v at %d: ExecClean outcome %#v, want %#v", inst, pc, co, o)
+	case cl.R != ref.R || cl.F != ref.F || cl.PC != ref.PC:
+		t.Fatalf("%v at %d: ExecClean registers or PC differ\n got %x %x %d\nwant %x %x %d",
+			inst, pc, cl.R, cl.F, cl.PC, ref.R, ref.F, ref.PC)
+	case !cl.Mem.(*Memory).Equal(ref.Mem.(*Memory)):
+		t.Fatalf("%v at %d: ExecClean memory differs (%v)", inst, pc, o)
+	}
 	if got.PC >= stepImage {
 		// Past the image every PC decodes as a one-instruction halt trace.
 		n, sig, branch, halt := got.ExecTrace(gotMem, words, MaxTraceLen)
-		if n != 1 || sig != haltWord || branch || !halt || got.PC != ref.PC+1 {
+		if n != 1 || sig != HaltWord || branch || !halt || got.PC != ref.PC+1 {
 			t.Fatalf("%v: out-of-image PC %d ran n=%d sig=%#x branch=%v halt=%v next=%d",
 				inst, ref.PC, n, sig, branch, halt, got.PC)
 		}
@@ -100,8 +113,9 @@ func operand(rng *rand.Rand, other uint64) uint64 {
 }
 
 // TestExecTraceMatchesExecInto: for every opcode's clean Decode signals on
-// seeded random register and memory states, a one-instruction ExecTrace
-// leaves registers, PC and memory exactly as ExecInto plus ApplyRef do. The
+// seeded random register and memory states, a one-instruction ExecTrace and
+// ExecClean leave registers, PC and memory exactly as ExecInto plus ApplyRef
+// do, and ExecClean writes ExecInto's Outcome. The
 // draws must reach an r0 destination for every register-writing opcode,
 // both directions of every conditional branch, an fp divide by zero, and a
 // register-indirect jump out of the image.
@@ -238,7 +252,7 @@ func TestExecTraceStops(t *testing.T) {
 		ran := c.words[:min(c.n, len(c.words))]
 		want := xor(ran)
 		if c.n > len(c.words) {
-			want ^= haltWord
+			want ^= HaltWord
 		}
 		if n != c.n || sig != want || branch != c.branch || halt != c.halt || st.PC != c.next {
 			t.Errorf("%s: n=%d sig=%#x branch=%v halt=%v pc=%d, want %d %#x %v %v %d",
@@ -251,8 +265,9 @@ func TestExecTraceStops(t *testing.T) {
 }
 
 // FuzzSignals checks that every 64-bit word survives an unpack/pack round
-// trip, and that the in-place executor agrees with ExecInto plus ApplyRef on
-// the instruction w encodes, with x and y as its source operands.
+// trip, and that both clean-word executors agree with ExecInto plus ApplyRef
+// on the instruction w encodes, with x and y as its source operands: ExecTrace
+// on registers, PC and memory, ExecClean on those and the whole Outcome.
 func FuzzSignals(f *testing.F) {
 	f.Fuzz(func(t *testing.T, w, x, y uint64) {
 		if got := UnpackSignals(w).Pack(); got != w {

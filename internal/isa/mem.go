@@ -16,6 +16,11 @@ package isa
 //   - CopyFrom from a snapshot shares pages by reference, and when the
 //     memory is already synchronized with that snapshot's lineage it only
 //     reverts the pages dirtied since (the dirty log names them).
+//
+// A live memory also caches its most recently accessed page, so runs of
+// accesses to one page skip the page-table map. Reads may use the cached page
+// whatever its generation; a store writes it in place only while its stamp is
+// current, exactly as the map path would.
 
 const (
 	pageWords = 512 // 4 KiB pages of 8-byte words
@@ -42,6 +47,12 @@ type memPage struct {
 type Memory struct {
 	pages map[uint64]*memPage
 
+	// hot is pages[hotID], cached; nil when nothing is cached. Snapshots
+	// never cache: many goroutines read them at once. CopyFrom, the only
+	// call that replaces pages the cache may hold, clears it.
+	hot   *memPage
+	hotID uint64
+
 	gen    uint64 // current write generation; pages stamped older are shared
 	frozen bool   // snapshots are immutable: Store and CopyFrom panic
 
@@ -65,9 +76,16 @@ func NewMemory() *Memory {
 // word returns the word holding addr for reading, or nil when the page was
 // never materialized. Shared (snapshot-visible) pages are read in place.
 func (m *Memory) word(addr uint64) *uint64 {
-	page, ok := m.pages[addr>>pageShift]
-	if !ok {
-		return nil
+	id := addr >> pageShift
+	page := m.hot
+	if page == nil || id != m.hotID {
+		var ok bool
+		if page, ok = m.pages[id]; !ok {
+			return nil
+		}
+		if !m.frozen {
+			m.hot, m.hotID = page, id
+		}
 	}
 	return &page.data[(addr&pageMask)>>3]
 }
@@ -76,10 +94,13 @@ func (m *Memory) word(addr uint64) *uint64 {
 // private copy of the page when it is shared with a snapshot (stamped with an
 // older generation) and allocating it when it does not exist yet.
 func (m *Memory) wordForWrite(addr uint64) *uint64 {
+	pageID := addr >> pageShift
+	if page := m.hot; page != nil && pageID == m.hotID && page.gen == m.gen {
+		return &page.data[(addr&pageMask)>>3]
+	}
 	if m.frozen {
 		panic("isa: store to frozen snapshot memory")
 	}
-	pageID := addr >> pageShift
 	page, ok := m.pages[pageID]
 	switch {
 	case !ok:
@@ -93,6 +114,7 @@ func (m *Memory) wordForWrite(addr uint64) *uint64 {
 		m.copied++
 		page = cp
 	}
+	m.hot, m.hotID = page, pageID
 	return &page.data[(addr&pageMask)>>3]
 }
 
@@ -232,6 +254,7 @@ func (m *Memory) CopyFrom(src *Memory) {
 	if m == src {
 		return
 	}
+	m.hot = nil
 	if !src.frozen {
 		// Deep copy: src keeps its pages private, so sharing would alias
 		// live stores. Fresh private pages reset m's snapshot lineage.

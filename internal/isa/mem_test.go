@@ -284,3 +284,96 @@ func TestConcurrentRestoreFromSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestHotPageStoreAfterSnapshot: a store to the cached page after Snapshot
+// copies the page like any other store to a captured page, so it never
+// reaches the snapshot.
+func TestHotPageStoreAfterSnapshot(t *testing.T) {
+	m := NewMemory()
+	m.Store(pageAddr(2, 0), 8, 0x1111)
+	m.Load(pageAddr(2, 1), 8) // page 2 is the cached page
+	snap := m.Snapshot()
+	m.Store(pageAddr(2, 0), 8, 0x2222)
+	if got := snap.Load(pageAddr(2, 0), 8); got != 0x1111 {
+		t.Fatalf("snapshot saw a store through the cached page: %#x", got)
+	}
+	if got := m.Load(pageAddr(2, 0), 8); got != 0x2222 {
+		t.Fatalf("live memory lost its store: %#x", got)
+	}
+	if m.CopiedPages() != 1 {
+		t.Fatalf("copied %d pages, want 1", m.CopiedPages())
+	}
+}
+
+// TestHotPageDroppedOnRestore: CopyFrom and Rollback replace pages, so the
+// page cached before them must not serve a later access.
+func TestHotPageDroppedOnRestore(t *testing.T) {
+	restores := []struct {
+		name    string
+		restore func(m *Memory, snap *Memory)
+	}{
+		{"CopyFrom", func(m, snap *Memory) { m.CopyFrom(snap) }},
+		{"CopyFrom-live", func(m, snap *Memory) { m.CopyFrom(snap.Clone()) }},
+		{"Rollback", func(m, snap *Memory) {
+			st := &ArchState{Mem: m}
+			st.Rollback(m, &Checkpoint{Mem: snap})
+		}},
+	}
+	for _, r := range restores {
+		m := NewMemory()
+		m.Store(pageAddr(1, 0), 8, 0xaaaa)
+		snap := m.Snapshot()
+		m.Store(pageAddr(1, 0), 8, 0xbbbb) // caches m's private copy
+		r.restore(m, snap)
+		if m.hot != nil {
+			t.Errorf("%s: page %d still cached", r.name, m.hotID)
+		}
+		if got := m.Load(pageAddr(1, 0), 8); got != 0xaaaa {
+			t.Errorf("%s: read %#x through a stale cached page, want 0xaaaa", r.name, got)
+		}
+		m.Store(pageAddr(1, 1), 8, 0xcccc)
+		if got := snap.Load(pageAddr(1, 1), 8); got != 0 {
+			t.Errorf("%s: store after restore reached the snapshot: %#x", r.name, got)
+		}
+	}
+}
+
+// TestFrozenMemoryNeverCaches: reads of a snapshot leave it untouched, so
+// any number of goroutines may read it at once.
+func TestFrozenMemoryNeverCaches(t *testing.T) {
+	m := NewMemory()
+	m.Store(pageAddr(3, 0), 8, 7)
+	snap := m.Snapshot()
+	for i := 0; i < 4; i++ {
+		snap.Load(pageAddr(3, uint64(i)), 8)
+	}
+	if snap.hot != nil {
+		t.Fatalf("snapshot cached page %d", snap.hotID)
+	}
+}
+
+// TestConcurrentLoadsOnSnapshot has many goroutines load from one shared
+// snapshot, across its pages. Run under -race it proves snapshot reads write
+// nothing.
+func TestConcurrentLoadsOnSnapshot(t *testing.T) {
+	m := NewMemory()
+	for p := uint64(0); p < 8; p++ {
+		m.Store(pageAddr(p, p), 8, p+1)
+	}
+	snap := m.Snapshot()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for iter := 0; iter < 200; iter++ {
+				p := uint64(iter+w) % 8
+				if got := snap.Load(pageAddr(p, p), 8); got != p+1 {
+					t.Errorf("worker %d: mem[page %d] = %#x, want %#x", w, p, got, p+1)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

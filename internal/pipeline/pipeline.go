@@ -437,7 +437,7 @@ func New(prog *program.Program, cfg Config) (*CPU, error) {
 	c.robMask = uint64(c.slots.capacity - 1)
 	c.fqMask = uint64(len(c.fq) - 1)
 	c.committed = &isa.ArchState{Mem: c.mem, PC: prog.Entry}
-	c.spec = newSpecState(c.committed, c.mem)
+	c.spec = newSpecState(c.committed, c.mem, c.slots.capacity)
 	if cfg.ITREnabled {
 		det, err := detect.New(cfg.Detector, prog, cfg.ITR, cfg.ITRMode, cfg.DetectorOpts)
 		if err != nil {
@@ -1068,12 +1068,16 @@ func (c *CPU) dispatchStage() {
 		d := c.decode.Signals(fi.pc)
 		// w mirrors d in packed form. The table memoizes the fault-free
 		// packing, so the per-dispatch Pack() is only paid when a hook
-		// actually corrupts this dynamic instance's signals.
+		// actually corrupts this dynamic instance's signals. While clean
+		// holds, w is the table's word and the uop executes through the
+		// clean-word kernel.
 		w := c.decode.Word(fi.pc)
+		clean := true
 		if c.faultHook != nil {
 			if nd := c.faultHook(c.decodeEvents, fi.pc, c.wrongPathArmed, d); nd != d {
 				d = nd
 				w = d.Pack()
+				clean = false
 			}
 		}
 		if c.cfg.Redundancy != RedundancyNone {
@@ -1094,6 +1098,7 @@ func (c *CPU) dispatchStage() {
 				c.redundancy.Detections++
 				d = c.decode.Signals(fi.pc)
 				w = c.decode.Word(fi.pc)
+				clean = true
 			}
 			if c.cfg.Redundancy == RedundancyTimeRedundant {
 				// The second pass consumes a decode slot: halved frontend
@@ -1138,16 +1143,23 @@ func (c *CPU) dispatchStage() {
 				ri = c.renameFaultHook(c.decodeEvents, ri)
 			}
 			exe = applyRenameIndexes(d, ri)
+			clean = clean && exe == d
 			if c.renameChecker != nil {
 				c.renameSig.add(ri)
 			}
 		}
 
+		// Execute straight into the ROB outcome column and apply the
+		// outcome to the speculative state.
 		out := &c.slots.outcome[idx]
-		if wrongPath {
+		switch {
+		case wrongPath:
 			*out = isa.Outcome{}
-		} else {
-			c.spec.execInto(out, exe, fi.pc)
+		case clean:
+			c.spec.arch.ExecClean(out, w, fi.pc)
+		default:
+			c.spec.arch.ExecInto(out, exe, fi.pc)
+			c.spec.arch.ApplyRef(out)
 		}
 
 		c.collectSources(idx, d)

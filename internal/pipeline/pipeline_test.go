@@ -476,7 +476,7 @@ func TestTerminationString(t *testing.T) {
 func TestStoreOverlay(t *testing.T) {
 	base := isa.NewMemory()
 	base.Store(0x100, 8, 0x1111)
-	o := newStoreOverlay(base)
+	o := newStoreOverlay(base, 4)
 	if o.Load(0x100, 8) != 0x1111 {
 		t.Fatal("overlay must read through to base")
 	}
@@ -495,7 +495,7 @@ func TestStoreOverlay(t *testing.T) {
 
 func TestStoreOverlaySubword(t *testing.T) {
 	base := isa.NewMemory()
-	o := newStoreOverlay(base)
+	o := newStoreOverlay(base, 4)
 	o.Store(0x10, 1, 0xaa)
 	o.Store(0x11, 1, 0xbb)
 	if got := o.Load(0x10, 2); got != 0xbbaa {

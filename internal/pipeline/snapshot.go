@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"itr/internal/core"
@@ -46,7 +45,7 @@ type Snapshot struct {
 	arch isa.Checkpoint // committed registers, PC and memory
 
 	specR, specF [isa.NumRegs]uint64
-	overlay      map[uint64]specWord
+	overlay      []specWord // the overlay's live entries
 
 	pred          Predictor
 	det           core.DetectorState
@@ -122,7 +121,7 @@ func (c *CPU) Snapshot() *Snapshot {
 
 		specR:   c.spec.arch.R,
 		specF:   c.spec.arch.F,
-		overlay: cloneWords(c.spec.overlay.words),
+		overlay: c.spec.overlay.live(),
 
 		pred:  c.pred.clone(),
 		slots: c.slots.clone(),
@@ -194,7 +193,7 @@ func (c *CPU) Restore(s *Snapshot) error {
 	c.committed.Rollback(c.mem, &s.arch)
 	c.spec.arch.R = s.specR
 	c.spec.arch.F = s.specF
-	c.spec.overlay.words = cloneWords(s.overlay)
+	c.spec.overlay.restore(s.overlay)
 	c.pred.copyFrom(&s.pred)
 	c.slots.copyFrom(&s.slots)
 	for i := range c.wheel {
@@ -208,15 +207,6 @@ func (c *CPU) Restore(s *Snapshot) error {
 	}
 	c.cfg.Trace.Emit(obs.EvSnapshotRestore, s.Cycle, 0)
 	return nil
-}
-
-// cloneWords returns a right-sized copy of a store overlay's in-flight words.
-// maps.Clone would also copy the live map's peak capacity, which Reset and
-// deletes never give back.
-func cloneWords(words map[uint64]specWord) map[uint64]specWord {
-	out := make(map[uint64]specWord, len(words))
-	maps.Copy(out, words)
-	return out
 }
 
 // CycleCount returns the cycle count so far (snapshot consumers size their

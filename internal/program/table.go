@@ -34,11 +34,9 @@ type DecodeTable struct {
 	traceSigs []uint64 // see TraceSig
 }
 
-// Out-of-image fetches decode as halt, mirroring Program.Fetch.
-var (
-	haltSignals = isa.Decode(isa.Instruction{Op: isa.OpHalt})
-	haltWord    = isa.Decode(isa.Instruction{Op: isa.OpHalt}).Pack()
-)
+// Out-of-image fetches decode as halt (isa.HaltWord packed), mirroring
+// Program.Fetch.
+var haltSignals = isa.Decode(isa.Instruction{Op: isa.OpHalt})
 
 // newDecodeTable precomputes the signal vectors and packed words of insts.
 func newDecodeTable(insts []isa.Instruction) *DecodeTable {
@@ -74,7 +72,7 @@ func (t *DecodeTable) Signals(pc uint64) isa.DecodeSignals {
 // Out-of-image pcs decode as halt.
 func (t *DecodeTable) Word(pc uint64) uint64 {
 	if pc >= uint64(len(t.words)) {
-		return haltWord
+		return isa.HaltWord
 	}
 	return t.words[pc]
 }
@@ -89,7 +87,7 @@ func (t *DecodeTable) Word(pc uint64) uint64 {
 func (t *DecodeTable) TraceSig(pc uint64) uint64 {
 	t.traceOnce.Do(t.buildTraceSigs)
 	if pc >= uint64(len(t.traceSigs)) {
-		return haltWord
+		return isa.HaltWord
 	}
 	return t.traceSigs[pc]
 }
