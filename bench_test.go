@@ -438,13 +438,17 @@ func BenchmarkITRCacheAccess(b *testing.B) {
 
 // BenchmarkTraceFormation measures the decode-side trace former.
 func BenchmarkTraceFormation(b *testing.B) {
-	d1 := isa.Decode(isa.Instruction{Op: isa.OpAdd, Rd: 1, Rs1: 2, Rs2: 3})
-	d2 := isa.Decode(isa.Instruction{Op: isa.OpBne, Rs1: 1, Imm: 100})
+	w1 := isa.Decode(isa.Instruction{Op: isa.OpAdd, Rd: 1, Rs1: 2, Rs2: 3}).Pack()
+	w2 := isa.Decode(isa.Instruction{Op: isa.OpBne, Rs1: 1, Imm: 100}).Pack()
 	var f trace.Former
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f.Step(uint64(i*2), d1)
-		f.Step(uint64(i*2+1), d2)
+		if f.StepTerm(uint64(i*2), w1) {
+			f.Take()
+		}
+		if f.StepTerm(uint64(i*2+1), w2) {
+			f.Take()
+		}
 	}
 }
 

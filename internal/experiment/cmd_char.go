@@ -17,6 +17,25 @@ func bindChar(fs *flag.FlagSet, s *Spec) {
 	fs.IntVar(&s.Workers, "workers", s.Workers, "worker-pool width for per-benchmark characterization (0 = GOMAXPROCS); results are identical at any width")
 }
 
+// charFigures are Figures 1-4 in order: the top-k popularity CDF sampled
+// every step traces up to limit (Figures 1-2), or, with step 0, the repeat
+// distance distribution (Figures 3-4), over the integer or fp suite.
+var charFigures = [...]struct {
+	fp          bool
+	step, limit int
+	caption     string // printed above the series
+	title       string // the artifact JSON title
+}{
+	{false, 100, 1000, "Figure 1. Dynamic instructions per 100 static traces (integer benchmarks).\n" +
+		"Cumulative % of dynamic instructions from the top-k static traces:", "Dynamic instructions per 100 static traces (int)"},
+	{true, 50, 500, "Figure 2. Dynamic instructions per 50 static traces (floating point benchmarks).",
+		"Dynamic instructions per 50 static traces (fp)"},
+	{false, 0, 0, "Figure 3. Distance between trace repetitions (integer benchmarks).\n" +
+		"Cumulative % of dynamic instructions from repetitions within distance d:", "Distance between trace repetitions (int)"},
+	{true, 0, 0, "Figure 4. Distance between trace repetitions (floating point benchmarks).",
+		"Distance between trace repetitions (fp)"},
+}
+
 // runChar reproduces the paper's program-repetition characterization:
 // Figures 1-2 (dynamic instructions contributed by the top-k static
 // traces), Figures 3-4 (dynamic instructions by trace repeat distance) and
@@ -28,63 +47,32 @@ func runChar(e *Engine) error {
 	var art report.ArtifactJSON
 	all := s.Char.Fig == 0 && !s.Char.Table1
 
-	if s.Char.Fig == 1 || all {
-		if err := e.stage("figure1", func() error {
-			series, err := rep.PopularityFigure(workload.IntSuite(), 100, 1000, s.Budget)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, "Figure 1. Dynamic instructions per 100 static traces (integer benchmarks).")
-			fmt.Fprintln(w, "Cumulative % of dynamic instructions from the top-k static traces:")
-			fmt.Fprint(w, stats.RenderSeries("top-k", series, "%.0f"))
-			fmt.Fprintln(w)
-			art.Figures = append(art.Figures, report.EncodeSeries("figure1", "Dynamic instructions per 100 static traces (int)", "top-k traces", "% dyn insts", series))
-			return nil
-		}); err != nil {
-			return err
+	for i, f := range charFigures {
+		if s.Char.Fig != i+1 && !all {
+			continue
 		}
-	}
-	if s.Char.Fig == 2 || all {
-		if err := e.stage("figure2", func() error {
-			series, err := rep.PopularityFigure(workload.FPSuite(), 50, 500, s.Budget)
+		id := fmt.Sprintf("figure%d", i+1)
+		if err := e.stage(id, func() error {
+			suite := workload.IntSuite()
+			if f.fp {
+				suite = workload.FPSuite()
+			}
+			x, xLabel := "top-k", "top-k traces"
+			var series []stats.Series
+			var err error
+			if f.step > 0 {
+				series, err = rep.PopularityFigure(suite, f.step, f.limit, s.Budget)
+			} else {
+				x, xLabel = "< d", "< distance"
+				series, err = rep.DistanceFigure(suite, s.Budget)
+			}
 			if err != nil {
 				return err
 			}
-			fmt.Fprintln(w, "Figure 2. Dynamic instructions per 50 static traces (floating point benchmarks).")
-			fmt.Fprint(w, stats.RenderSeries("top-k", series, "%.0f"))
+			fmt.Fprintln(w, f.caption)
+			fmt.Fprint(w, stats.RenderSeries(x, series, "%.0f"))
 			fmt.Fprintln(w)
-			art.Figures = append(art.Figures, report.EncodeSeries("figure2", "Dynamic instructions per 50 static traces (fp)", "top-k traces", "% dyn insts", series))
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if s.Char.Fig == 3 || all {
-		if err := e.stage("figure3", func() error {
-			series, err := rep.DistanceFigure(workload.IntSuite(), s.Budget)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, "Figure 3. Distance between trace repetitions (integer benchmarks).")
-			fmt.Fprintln(w, "Cumulative % of dynamic instructions from repetitions within distance d:")
-			fmt.Fprint(w, stats.RenderSeries("< d", series, "%.0f"))
-			fmt.Fprintln(w)
-			art.Figures = append(art.Figures, report.EncodeSeries("figure3", "Distance between trace repetitions (int)", "< distance", "% dyn insts", series))
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if s.Char.Fig == 4 || all {
-		if err := e.stage("figure4", func() error {
-			series, err := rep.DistanceFigure(workload.FPSuite(), s.Budget)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, "Figure 4. Distance between trace repetitions (floating point benchmarks).")
-			fmt.Fprint(w, stats.RenderSeries("< d", series, "%.0f"))
-			fmt.Fprintln(w)
-			art.Figures = append(art.Figures, report.EncodeSeries("figure4", "Distance between trace repetitions (fp)", "< distance", "% dyn insts", series))
+			art.Figures = append(art.Figures, report.EncodeSeries(id, f.title, xLabel, "% dyn insts", series))
 			return nil
 		}); err != nil {
 			return err

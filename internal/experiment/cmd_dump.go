@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"itr/internal/fault"
-	"itr/internal/isa"
 	"itr/internal/stats"
 	"itr/internal/trace"
 	"itr/internal/workload"
@@ -69,15 +68,15 @@ func runDump(e *Engine) error {
 			if end > uint64(prog.Len()) {
 				end = uint64(prog.Len())
 			}
+			tab := prog.DecodeTable()
 			var former trace.Former
 			for pc := s.Dump.From; pc < end; pc++ {
-				inst := prog.Fetch(pc)
-				d := isa.Decode(inst)
 				marker := "  "
-				if _, done := former.Step(pc, d); done {
+				if former.StepTerm(pc, tab.Word(pc)) {
+					former.Take()
 					marker = " <" // trace boundary
 				}
-				fmt.Fprintf(w, "%6d: %-28s%s\n", pc, inst.String(), marker)
+				fmt.Fprintf(w, "%6d: %-28s%s\n", pc, prog.Fetch(pc).String(), marker)
 			}
 		}
 

@@ -74,9 +74,9 @@ func TestSigOracleMatchesTraceFormation(t *testing.T) {
 	start := uint64(4) // first instruction of the inner body (addi r3)
 	var acc sig.Accumulator
 	for pc := start; ; pc++ {
-		d := isa.Decode(p.Fetch(pc))
-		acc.AddSignals(d)
-		if d.IsBranching() || acc.Full() {
+		w := isa.Decode(p.Fetch(pc)).Pack()
+		acc.Add(w)
+		if isa.EndsTrace(w, acc.Len()) {
 			break
 		}
 	}

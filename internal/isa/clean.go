@@ -108,26 +108,27 @@ func classify(d DecodeSignals) opKind {
 
 // ExecTrace executes one trace of clean instructions in place, starting at
 // st.PC. words[pc] is the packed Decode word of the instruction at pc; a PC
-// outside words decodes as halt. It stops after a branching instruction, a
-// halt, the MaxTraceLen-th instruction or the limit-th, whichever comes first.
-// It returns the number of instructions executed, the XOR of their words
-// (the trace signature), and whether the last one was a branching
-// instruction or a halt.
+// outside words decodes as halt. It stops after the instruction EndsTrace
+// ends the trace at, after a halt, or after the limit-th instruction,
+// whichever comes first. It returns the number of instructions executed, the
+// XOR of their words (the trace signature), whether EndsTrace ended the
+// trace, and whether the last instruction was a halt.
 //
 // Each instruction changes st's registers and PC, and mem, exactly as
 // ExecInto followed by ApplyRef would with mem as st.Mem. Two preconditions
 // make that hold without per-instruction flag tests: words holds clean
 // signals, as in a program's decode table, and st.R[0] is zero, as in every
 // state ApplyRef reaches from a reset.
-func (st *ArchState) ExecTrace(mem *Memory, words []uint64, limit int) (n int, sig uint64, branch, halt bool) {
+func (st *ArchState) ExecTrace(mem *Memory, words []uint64, limit int) (n int, sig uint64, ended, halt bool) {
 	pc := st.PC
-	for n < limit && n < MaxTraceLen && !branch && !halt {
+	for n < limit && !ended && !halt {
 		w := HaltWord
 		if pc < uint64(len(words)) {
 			w = words[pc]
 		}
 		sig ^= w
 		n++
+		ended = EndsTrace(w, n)
 		op := Opcode(w >> bitOpcode)
 		rs1, rs2, rd := w>>bitRsrc1&0x1f, w>>bitRsrc2&0x1f, w>>bitRdst&0x1f
 		imm := uint16(w >> bitImm)
@@ -156,20 +157,17 @@ func (st *ArchState) ExecTrace(mem *Memory, words []uint64, limit int) (n int, s
 		case kindFStore:
 			mem.Store(st.R[rs1]+sx16(imm), e.size, st.F[rs2])
 		case kindBranch:
-			branch = true
 			if taken, _ := branchTaken(op, st.R[rs1], st.R[rs2]); taken {
 				next = pc + 1 + sx16(imm)
 			}
 		case kindJump, kindJal:
 			// The direct target is split across imm, shamt and rsrc2 (see
 			// DirectTarget).
-			branch = true
 			next = uint64(imm) | (w>>bitShamt&0x1f)<<16 | rs2<<21
 			if e.kind == kindJal {
 				st.R[rd] = pc + 1
 			}
 		case kindJr, kindJalr:
-			branch = true
 			next = st.R[rs1]
 			if e.kind == kindJalr {
 				st.R[rd] = pc + 1
@@ -182,7 +180,7 @@ func (st *ArchState) ExecTrace(mem *Memory, words []uint64, limit int) (n int, s
 		pc = next
 	}
 	st.PC = pc
-	return n, sig, branch, halt
+	return n, sig, ended, halt
 }
 
 // ExecClean executes the clean word w at pc in one pass: it writes into *o

@@ -30,12 +30,12 @@ func stepBoth(t *testing.T, inst Instruction, pc uint64, st *ArchState) Outcome 
 
 	got := &ArchState{R: st.R, F: st.F, PC: pc}
 	gotMem := mem.Clone()
-	n, sig, branch, halt := got.ExecTrace(gotMem, words, 1)
+	n, sig, ended, halt := got.ExecTrace(gotMem, words, 1)
 
 	switch {
-	case n != 1 || sig != w || branch != d.IsBranching() || halt != o.Halt:
-		t.Fatalf("%v: ExecTrace n=%d sig=%#x branch=%v halt=%v, want 1 %#x %v %v",
-			inst, n, sig, branch, halt, w, d.IsBranching(), o.Halt)
+	case n != 1 || sig != w || ended != d.IsBranching() || halt != o.Halt:
+		t.Fatalf("%v: ExecTrace n=%d sig=%#x ended=%v halt=%v, want 1 %#x %v %v",
+			inst, n, sig, ended, halt, w, d.IsBranching(), o.Halt)
 	case got.R != ref.R:
 		t.Fatalf("%v at %d: integer registers differ\n got %x\nwant %x", inst, pc, got.R, ref.R)
 	case got.F != ref.F:
@@ -59,10 +59,10 @@ func stepBoth(t *testing.T, inst Instruction, pc uint64, st *ArchState) Outcome 
 	}
 	if got.PC >= stepImage {
 		// Past the image every PC decodes as a one-instruction halt trace.
-		n, sig, branch, halt := got.ExecTrace(gotMem, words, MaxTraceLen)
-		if n != 1 || sig != HaltWord || branch || !halt || got.PC != ref.PC+1 {
-			t.Fatalf("%v: out-of-image PC %d ran n=%d sig=%#x branch=%v halt=%v next=%d",
-				inst, ref.PC, n, sig, branch, halt, got.PC)
+		n, sig, ended, halt := got.ExecTrace(gotMem, words, MaxTraceLen)
+		if n != 1 || sig != HaltWord || ended || !halt || got.PC != ref.PC+1 {
+			t.Fatalf("%v: out-of-image PC %d ran n=%d sig=%#x ended=%v halt=%v next=%d",
+				inst, ref.PC, n, sig, ended, halt, got.PC)
 		}
 	}
 	return o
@@ -211,9 +211,9 @@ func TestExecTraceCases(t *testing.T) {
 	}
 }
 
-// TestExecTraceStops: a trace ends at its first branching instruction, at a
-// halt, at MaxTraceLen instructions or at the caller's limit, and its
-// signature is the XOR of the words it executed.
+// TestExecTraceStops: a trace ends where EndsTrace ends it (its first
+// branching instruction or its MaxTraceLen-th), and stops early at a halt or
+// at the caller's limit; its signature is the XOR of the words it executed.
 func TestExecTraceStops(t *testing.T) {
 	add := Decode(Instruction{Op: OpAddi, Rd: 1, Rs1: 1, Imm: 1}).Pack()
 	image := func(n int, last Instruction) []uint64 {
@@ -232,34 +232,61 @@ func TestExecTraceStops(t *testing.T) {
 	}
 	beq := Instruction{Op: OpBeq, Imm: negImm(4)}
 	cases := []struct {
-		name         string
-		words        []uint64
-		max          int
-		n            int
-		branch, halt bool
-		next         uint64
+		name        string
+		words       []uint64
+		max         int
+		n           int
+		ended, halt bool
+		next        uint64
 	}{
 		{"branch", image(5, beq), 16, 5, true, false, 1},
 		{"halt", image(3, Instruction{Op: OpHalt}), 16, 3, false, true, 3},
-		{"full", image(40, beq), 40, MaxTraceLen, false, false, MaxTraceLen},
-		{"halt-16th", image(MaxTraceLen, Instruction{Op: OpHalt}), 16, MaxTraceLen, false, true, MaxTraceLen},
+		{"full", image(40, beq), 40, MaxTraceLen, true, false, MaxTraceLen},
+		{"halt-16th", image(MaxTraceLen, Instruction{Op: OpHalt}), 16, MaxTraceLen, true, true, MaxTraceLen},
 		{"limit", image(40, beq), 7, 7, false, false, 7},
 		{"off-image", image(4, Instruction{Op: OpAddi}), 16, 5, false, true, 5},
 	}
 	for _, c := range cases {
 		st := &ArchState{}
-		n, sig, branch, halt := st.ExecTrace(NewMemory(), c.words, c.max)
+		n, sig, ended, halt := st.ExecTrace(NewMemory(), c.words, c.max)
 		ran := c.words[:min(c.n, len(c.words))]
 		want := xor(ran)
 		if c.n > len(c.words) {
 			want ^= HaltWord
 		}
-		if n != c.n || sig != want || branch != c.branch || halt != c.halt || st.PC != c.next {
-			t.Errorf("%s: n=%d sig=%#x branch=%v halt=%v pc=%d, want %d %#x %v %v %d",
-				c.name, n, sig, branch, halt, st.PC, c.n, want, c.branch, c.halt, c.next)
+		if n != c.n || sig != want || ended != c.ended || halt != c.halt || st.PC != c.next {
+			t.Errorf("%s: n=%d sig=%#x ended=%v halt=%v pc=%d, want %d %#x %v %v %d",
+				c.name, n, sig, ended, halt, st.PC, c.n, want, c.ended, c.halt, c.next)
 		}
 		if adds := uint64(min(c.n, len(c.words)-1)); st.R[1] != adds {
 			t.Errorf("%s: r1=%d after %d addi", c.name, st.R[1], adds)
+		}
+	}
+}
+
+// TestEndsTrace: the trace-formation rule ends a trace at a branching word
+// or at the MaxTraceLen-th word, and a halt ends it only as the 16th word.
+func TestEndsTrace(t *testing.T) {
+	word := func(op Opcode) uint64 { return Decode(Instruction{Op: op}).Pack() }
+	cases := []struct {
+		name string
+		w    uint64
+		n    int
+		want bool
+	}{
+		{"add-first", word(OpAdd), 1, false},
+		{"add-15th", word(OpAdd), MaxTraceLen - 1, false},
+		{"add-16th", word(OpAdd), MaxTraceLen, true},
+		{"beq-first", word(OpBeq), 1, true},
+		{"jr-mid", word(OpJr), 7, true},
+		{"j-16th", word(OpJ), MaxTraceLen, true},
+		{"halt-first", HaltWord, 1, false},
+		{"halt-15th", HaltWord, MaxTraceLen - 1, false},
+		{"halt-16th", HaltWord, MaxTraceLen, true},
+	}
+	for _, c := range cases {
+		if got := EndsTrace(c.w, c.n); got != c.want {
+			t.Errorf("%s: EndsTrace(%#x, %d) = %v, want %v", c.name, c.w, c.n, got, c.want)
 		}
 	}
 }

@@ -28,6 +28,13 @@ const NumRegs = 32
 // force-terminated (paper Section 1: "a limit of 16 instructions").
 const MaxTraceLen = 16
 
+// EndsTrace is the trace-formation rule (paper Section 1): the instruction
+// with packed signal word w, the n-th of its trace, ends the trace when it is
+// a branching instruction or n has reached MaxTraceLen. A halt is not part of
+// the rule: it stops a functional walk because the program stops there, while
+// the pipeline's fetch runs on past it down the wrong path.
+func EndsTrace(w uint64, n int) bool { return WordIsBranching(w) || n >= MaxTraceLen }
+
 // Flag bits within the 12-bit decoded control flags field of Table 2.
 // The paper lists exactly twelve flags: is_int, is_fp, is_signed/unsigned,
 // is_branch, is_uncond, is_ld, is_st, mem_left/right, is_RR, is_disp,

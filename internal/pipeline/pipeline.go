@@ -1178,7 +1178,7 @@ func (c *CPU) dispatchStage() {
 		// Trace formation at decode; trace ends dispatch into the ITR ROB
 		// and access the ITR cache (Section 2.2).
 		if c.former.StepTerm(fi.pc, w) {
-			ev := c.former.Take(w)
+			ev := c.former.Take()
 			flags |= slotTraceEnd
 			if c.det != nil {
 				itrSeq, _ := c.det.DispatchTrace(ev, wrongPath)

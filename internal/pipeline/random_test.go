@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"itr/internal/cache"
 	"itr/internal/isa"
 	"itr/internal/program"
 	"itr/internal/stats"
@@ -126,5 +127,37 @@ func TestPipelineTraceStreamMatchesWalker(t *testing.T) {
 	if diff < -12 || diff > 12 {
 		t.Fatalf("trace streams disagree: walker %d, pipeline %d (diff %d)",
 			walkerEvents, committedTraces, diff)
+	}
+}
+
+// TestPipelineTracesMatchTraceSig ties the pipeline's trace former to the
+// decode table's static walk: after a fault-free run of each suite
+// benchmark, every resident ITR-cache line holds DecodeTable.TraceSig of its
+// start PC. Only committed traces install, so wrong-path traces (which run
+// past halts and may start anywhere) cannot leave a line behind.
+func TestPipelineTracesMatchTraceSig(t *testing.T) {
+	for _, p := range workload.Suite() {
+		prog, err := workload.CachedProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu, err := New(prog, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := cpu.Run(20_000); res.Termination != TermBudget {
+			t.Fatalf("%s: termination %v", p.Name, res.Termination)
+		}
+		tab := prog.DecodeTable()
+		lines := 0
+		cpu.Checker().Cache().Visit(func(ln *cache.Line) {
+			lines++
+			if want := tab.TraceSig(ln.Key); ln.Value != want {
+				t.Errorf("%s: ITR cache line %d holds %#x, TraceSig %#x", p.Name, ln.Key, ln.Value, want)
+			}
+		})
+		if lines == 0 {
+			t.Errorf("%s: no resident ITR-cache lines", p.Name)
+		}
 	}
 }

@@ -78,12 +78,12 @@ func (t *DecodeTable) Word(pc uint64) uint64 {
 }
 
 // TraceSig returns the fault-free signature of the static trace starting at
-// pc: the XOR of the words from pc up to and including the first branching
-// word or halt, at most isa.MaxTraceLen of them. A trace that runs off the
-// image end ends at the halt word Word returns there, and an out-of-image pc
-// returns the halt word itself. The per-PC array behind it is built on the
-// first call, so programs that never ask for a signature (the sweep and
-// characterization paths) do not pay for it.
+// pc: the XOR of the words from pc up to and including the one isa.EndsTrace
+// ends the trace at, or the first halt if that comes sooner. A trace that
+// runs off the image end ends at the halt word Word returns there, and an
+// out-of-image pc returns the halt word itself. The per-PC array behind it
+// is built on the first call, so programs that never ask for a signature
+// (the sweep and characterization paths) do not pay for it.
 func (t *DecodeTable) TraceSig(pc uint64) uint64 {
 	t.traceOnce.Do(t.buildTraceSigs)
 	if pc >= uint64(len(t.traceSigs)) {
@@ -92,20 +92,67 @@ func (t *DecodeTable) TraceSig(pc uint64) uint64 {
 	return t.traceSigs[pc]
 }
 
-// buildTraceSigs walks the static trace at every pc with the trace-formation
-// rule.
+// buildTraceSigs walks the static trace at every pc.
 func (t *DecodeTable) buildTraceSigs() {
 	sigs := make([]uint64, len(t.words))
 	for pc := range sigs {
-		var acc sig.Accumulator
-		for cur := uint64(pc); ; cur++ {
-			w := t.Word(cur)
-			acc.Add(w)
-			if isa.WordIsBranching(w) || acc.Full() || isa.WordOpcode(w) == isa.OpHalt {
-				break
-			}
-		}
-		sigs[pc] = acc.Value()
+		sigs[pc], _ = t.walk(uint64(pc))
 	}
 	t.traceSigs = sigs
+}
+
+// walk follows the static trace starting at pc until isa.EndsTrace ends it
+// or a halt stops the program, and returns the trace's signature and the PC
+// of its last instruction.
+func (t *DecodeTable) walk(pc uint64) (value, last uint64) {
+	var acc sig.Accumulator
+	for ; ; pc++ {
+		w := t.Word(pc)
+		acc.Add(w)
+		if isa.EndsTrace(w, acc.Len()) || isa.WordOpcode(w) == isa.OpHalt {
+			return acc.Value(), pc
+		}
+	}
+}
+
+// StaticTraceCount walks the image statically (without executing) and
+// returns the number of distinct trace start PCs reachable from the entry.
+// A trace's successors come from its last instruction: both ways of a
+// conditional branch, a direct jump's target (plus the return point of
+// jal), and the next PC after a trace the length cap ended. A halt has
+// none, and neither has a register-indirect jump, whose target is not
+// statically knowable (jalr's return point is not followed either), so
+// programs using them may undercount; the dynamic count of
+// trace.Characterize is the paper's metric. workload.Build calibrates
+// against this count on every attempt, so it walks only reachable starts
+// and never builds TraceSig's per-PC array.
+func (p *Program) StaticTraceCount() int {
+	t := p.DecodeTable()
+	seen := make([]bool, len(t.words))
+	count := 0
+	pending := []uint64{p.Entry}
+	for len(pending) > 0 {
+		pc := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		if pc >= uint64(len(seen)) || seen[pc] {
+			continue
+		}
+		seen[pc] = true
+		count++
+		_, last := t.walk(pc)
+		switch d := t.Signals(last); {
+		case !d.IsBranching():
+			if d.Opcode != isa.OpHalt {
+				pending = append(pending, last+1)
+			}
+		case !d.HasFlag(isa.FlagUncond):
+			pending = append(pending, last+1, last+1+uint64(int64(int16(d.Imm))))
+		case d.HasFlag(isa.FlagDirect):
+			pending = append(pending, d.DirectTarget())
+			if d.Opcode == isa.OpJal {
+				pending = append(pending, last+1)
+			}
+		}
+	}
+	return count
 }

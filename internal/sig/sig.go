@@ -6,15 +6,12 @@
 // faulty signal bit anywhere in the trace changes the signature; only an even
 // number of faults in the same signal of different instructions can cancel —
 // outside the single-event-upset model the paper (and this reproduction)
-// assumes.
+// assumes. Accumulator is the one signature builder: the trace former, the
+// static trace walk and the rename signature all fold words through it.
+// Where a trace ends is not its concern: that rule is isa.EndsTrace.
 package sig
 
-import (
-	"fmt"
-	"math/bits"
-
-	"itr/internal/isa"
-)
+import "fmt"
 
 // Accumulator combines decode-signal words into a trace signature. The zero
 // value is an empty accumulator ready for use.
@@ -29,34 +26,14 @@ func (a *Accumulator) Add(word uint64) {
 	a.n++
 }
 
-// AddSignals folds one instruction's decode signals into the signature.
-func (a *Accumulator) AddSignals(d isa.DecodeSignals) { a.Add(d.Pack()) }
-
 // Len returns the number of instructions accumulated since the last Reset.
 func (a *Accumulator) Len() int { return a.n }
-
-// Full reports whether the trace has reached the maximum trace length and
-// must terminate (paper: limit of 16 instructions).
-func (a *Accumulator) Full() bool { return a.n >= isa.MaxTraceLen }
 
 // Value returns the current signature.
 func (a *Accumulator) Value() uint64 { return a.sig }
 
 // Reset clears the accumulator in preparation for the next trace.
 func (a *Accumulator) Reset() { a.sig, a.n = 0, 0 }
-
-// Of computes the signature of a complete instruction sequence.
-func Of(insts []isa.Instruction) uint64 {
-	var a Accumulator
-	for _, inst := range insts {
-		a.AddSignals(isa.Decode(inst))
-	}
-	return a.Value()
-}
-
-// Parity returns the even-parity bit of a signature, used to parity-protect
-// ITR cache lines (Section 2.4): true when v has an odd number of set bits.
-func Parity(v uint64) bool { return bits.OnesCount64(v)%2 == 1 }
 
 // ControlState is the one-hot-protected encoding of the ITR ROB control bits
 // {chk, miss, retry} (Section 2.4). Exactly one of the four architected bits

@@ -9,7 +9,7 @@ import (
 
 func TestAccumulatorBasics(t *testing.T) {
 	var a Accumulator
-	if a.Len() != 0 || a.Value() != 0 || a.Full() {
+	if a.Len() != 0 || a.Value() != 0 {
 		t.Fatal("zero accumulator not empty")
 	}
 	a.Add(0xff)
@@ -20,19 +20,6 @@ func TestAccumulatorBasics(t *testing.T) {
 	a.Reset()
 	if a.Len() != 0 || a.Value() != 0 {
 		t.Fatal("reset incomplete")
-	}
-}
-
-func TestAccumulatorFullAt16(t *testing.T) {
-	var a Accumulator
-	for i := 0; i < isa.MaxTraceLen; i++ {
-		if a.Full() {
-			t.Fatalf("full at %d", i)
-		}
-		a.Add(uint64(i))
-	}
-	if !a.Full() {
-		t.Fatal("not full at 16")
 	}
 }
 
@@ -95,37 +82,36 @@ func TestSignatureOrderInsensitive(t *testing.T) {
 	}
 }
 
+// of accumulates the signature of an instruction sequence from the packed
+// words isa.Decode gives it.
+func of(insts []isa.Instruction) uint64 {
+	var a Accumulator
+	for _, inst := range insts {
+		a.Add(isa.Decode(inst).Pack())
+	}
+	return a.Value()
+}
+
 func TestOfMatchesAccumulator(t *testing.T) {
 	insts := []isa.Instruction{
 		{Op: isa.OpAddi, Rd: 1, Imm: 5},
 		{Op: isa.OpAdd, Rd: 2, Rs1: 1, Rs2: 1},
 		{Op: isa.OpBne, Rs1: 2, Rs2: 0, Imm: 3},
 	}
-	var a Accumulator
+	var want uint64
 	for _, inst := range insts {
-		a.AddSignals(isa.Decode(inst))
+		want ^= isa.Decode(inst).Pack()
 	}
-	if Of(insts) != a.Value() {
-		t.Fatal("Of disagrees with manual accumulation")
+	if of(insts) != want {
+		t.Fatal("accumulated signature is not the XOR of the packed words")
 	}
 }
 
 func TestOfDistinguishesSequences(t *testing.T) {
 	a := []isa.Instruction{{Op: isa.OpAddi, Rd: 1, Imm: 5}}
 	b := []isa.Instruction{{Op: isa.OpAddi, Rd: 1, Imm: 6}}
-	if Of(a) == Of(b) {
+	if of(a) == of(b) {
 		t.Fatal("different immediates must produce different signatures")
-	}
-}
-
-func TestParity(t *testing.T) {
-	if Parity(0) || !Parity(1) || Parity(0x3) || !Parity(0x7) {
-		t.Fatal("parity basics wrong")
-	}
-	if err := quick.Check(func(v uint64, bit uint8) bool {
-		return Parity(v) != Parity(v^(1<<uint(bit%64)))
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

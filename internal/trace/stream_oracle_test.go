@@ -18,8 +18,7 @@ func runStream(p *program.Program, limit int64, fn func(trace.Event) bool) int64
 	var former trace.Former
 	stop := false
 	executed, _ := program.Run(p, limit, func(pc uint64, _ isa.Instruction, _ isa.Outcome) bool {
-		ev, done := former.StepWord(pc, tab.Word(pc))
-		if done && !fn(ev) {
+		if former.StepTerm(pc, tab.Word(pc)) && !fn(former.Take()) {
 			stop = true
 			return false
 		}
@@ -173,7 +172,7 @@ func TestStreamEndsLikeRunOracle(t *testing.T) {
 			continue
 		}
 		for i, ev := range gotEv {
-			if ev.Len != c.want[i] || ev.Partial != c.partial[i] || ev.Branch {
+			if ev.Len != c.want[i] || ev.Partial != c.partial[i] {
 				t.Errorf("%s: event %d is %+v, want len %d partial %v", c.name, i, ev, c.want[i], c.partial[i])
 			}
 		}

@@ -1,11 +1,14 @@
 // Package trace implements trace formation and the program-repetition
 // characterization of the paper's Section 1.
 //
-// Instructions are grouped into traces that terminate either on a branching
-// instruction or on reaching 16 instructions. A *static* trace is identified
-// by its start PC: from a fixed start PC the instruction sequence of the
-// trace is deterministic (the first branching instruction always terminates
-// it), which is precisely why a PC-indexed signature cache works.
+// Instructions are grouped into traces by one rule, isa.EndsTrace: a trace
+// ends at a branching instruction or at its 16th instruction. A *static*
+// trace is identified by its start PC: from a fixed start PC the instruction
+// sequence of the trace is deterministic (the first branching instruction
+// always terminates it), which is precisely why a PC-indexed signature cache
+// works. Former applies the rule to the pipeline's decode stream, Stream to a
+// functional run (through isa.ExecTrace), and program.DecodeTable to the
+// static image.
 package trace
 
 import (
@@ -21,12 +24,10 @@ type Event struct {
 	StartPC uint64 // static trace identity (ITR cache key)
 	Len     int    // dynamic instructions in this instance
 	Sig     uint64 // XOR signature of the instance's decode signals
-	Branch  bool   // terminated by a branching instruction (vs length limit)
 	// Partial marks a trace truncated by end-of-stream (a budget cut or a
-	// halt in Stream, or Former.Flush) rather than terminated by the
-	// architecture's trace-formation rule. Partial
-	// instances carry a prefix signature and are excluded from
-	// signature-stability accounting.
+	// halt in Stream, or Former.Flush) rather than ended by
+	// isa.EndsTrace. Partial instances carry a prefix signature and are
+	// excluded from signature-stability accounting.
 	Partial bool
 }
 
@@ -35,78 +36,42 @@ type Event struct {
 type Former struct {
 	acc     sig.Accumulator
 	startPC uint64
-	open    bool
 }
 
-// Step feeds one instruction (in program order). If the instruction
-// terminates a trace, the completed Event is returned with done == true.
-func (f *Former) Step(pc uint64, d isa.DecodeSignals) (ev Event, done bool) {
-	return f.StepWord(pc, d.Pack())
-}
-
-// StepWord is Step for callers that already hold the instruction's packed
-// signal word — the decode-memoization fast path (program.DecodeTable): one
-// XOR plus a flag test per dynamic instruction, no signal-vector build. The
-// common mid-trace step inlines into the caller; only a trace-terminating
-// instruction (roughly one in five) pays the outlined completion call.
-func (f *Former) StepWord(pc uint64, w uint64) (Event, bool) {
-	if f.StepTerm(pc, w) {
-		return f.complete(w), true
-	}
-	return Event{}, false
-}
-
-// StepTerm folds one instruction into the open trace and reports whether it
-// terminates the trace. It exists as the inlinable core of StepWord for the
-// per-dispatch hot loop: a caller holding the packed word tests termination
-// here (no Event materializes mid-trace) and collects the completed trace
-// with Take only on the terminating instruction.
+// StepTerm folds the instruction at pc, with packed signal word w, into the
+// open trace (opening one at pc if none is) and reports whether it ends the
+// trace. It inlines into the pipeline's dispatch loop: no Event materializes
+// mid-trace, and the caller collects the finished trace with Take only on the
+// terminating instruction.
 func (f *Former) StepTerm(pc uint64, w uint64) bool {
-	if !f.open {
+	if f.acc.Len() == 0 {
 		f.startPC = pc
-		f.open = true
 	}
 	f.acc.Add(w)
-	return isa.WordIsBranching(w) || f.acc.Full()
+	return isa.EndsTrace(w, f.acc.Len())
 }
 
-// Take closes the trace StepTerm just reported terminated, returning its
-// Event. w must be the same word passed to the terminating StepTerm.
-func (f *Former) Take(w uint64) Event { return f.complete(w) }
-
-// complete closes the open trace: the terminating instruction's word has
-// already been folded into the accumulator. Kept out of line so StepWord
-// stays within the compiler's inlining budget.
-//
-//go:noinline
-func (f *Former) complete(w uint64) Event {
-	ev := Event{StartPC: f.startPC, Len: f.acc.Len(), Sig: f.acc.Value(), Branch: isa.WordIsBranching(w)}
+// Take closes the open trace and returns it as an Event. Call it when
+// StepTerm reports the end of a trace.
+func (f *Former) Take() Event {
+	ev := Event{StartPC: f.startPC, Len: f.acc.Len(), Sig: f.acc.Value()}
 	f.acc.Reset()
-	f.open = false
 	return ev
 }
 
-// Pending returns the number of instructions accumulated into the currently
-// open trace (0 if no trace is open).
-func (f *Former) Pending() int { return f.acc.Len() }
-
-// Flush terminates any open trace at end of stream.
+// Flush terminates any open trace at end of stream, as a Partial event.
 func (f *Former) Flush() (ev Event, ok bool) {
-	if !f.open {
+	if f.acc.Len() == 0 {
 		return Event{}, false
 	}
-	ev = Event{StartPC: f.startPC, Len: f.acc.Len(), Sig: f.acc.Value(), Partial: true}
-	f.acc.Reset()
-	f.open = false
+	ev = f.Take()
+	ev.Partial = true
 	return ev, true
 }
 
 // Reset abandons any open trace (used on pipeline flushes: the re-fetched
 // instructions restart trace formation at the restart PC).
-func (f *Former) Reset() {
-	f.acc.Reset()
-	f.open = false
-}
+func (f *Former) Reset() { f.acc.Reset() }
 
 // traceStat accumulates per-static-trace statistics.
 type traceStat struct {

@@ -6,23 +6,29 @@ import (
 
 	"itr/internal/isa"
 	"itr/internal/program"
-	"itr/internal/sig"
 )
 
-func decodeOf(op isa.Opcode) isa.DecodeSignals {
-	return isa.Decode(isa.Instruction{Op: op})
+func wordOf(op isa.Opcode) uint64 { return isa.Decode(isa.Instruction{Op: op}).Pack() }
+
+// step feeds the word w at pc to f as the pipeline's dispatch does, taking
+// the trace when StepTerm reports its end.
+func step(f *Former, pc, w uint64) (Event, bool) {
+	if f.StepTerm(pc, w) {
+		return f.Take(), true
+	}
+	return Event{}, false
 }
 
 func TestFormerTerminatesOnBranch(t *testing.T) {
 	var f Former
-	if _, done := f.Step(10, decodeOf(isa.OpAdd)); done {
+	if _, done := step(&f, 10, wordOf(isa.OpAdd)); done {
 		t.Fatal("non-branch terminated trace")
 	}
-	ev, done := f.Step(11, decodeOf(isa.OpBeq))
+	ev, done := step(&f, 11, wordOf(isa.OpBeq))
 	if !done {
 		t.Fatal("branch did not terminate trace")
 	}
-	if ev.StartPC != 10 || ev.Len != 2 || !ev.Branch {
+	if ev.StartPC != 10 || ev.Len != 2 || ev.Partial {
 		t.Fatalf("event: %+v", ev)
 	}
 }
@@ -30,23 +36,23 @@ func TestFormerTerminatesOnBranch(t *testing.T) {
 func TestFormerTerminatesAt16(t *testing.T) {
 	var f Former
 	for i := 0; i < isa.MaxTraceLen-1; i++ {
-		if _, done := f.Step(uint64(i), decodeOf(isa.OpAdd)); done {
+		if _, done := step(&f, uint64(i), wordOf(isa.OpAdd)); done {
 			t.Fatalf("terminated early at %d", i)
 		}
 	}
-	ev, done := f.Step(15, decodeOf(isa.OpAdd))
+	ev, done := step(&f, 15, wordOf(isa.OpAdd))
 	if !done {
 		t.Fatal("did not terminate at 16")
 	}
-	if ev.Len != 16 || ev.Branch {
+	if ev.Len != 16 || ev.Partial {
 		t.Fatalf("event: %+v", ev)
 	}
 }
 
 func TestFormerNextTraceStartsAfterTerminator(t *testing.T) {
 	var f Former
-	f.Step(10, decodeOf(isa.OpBeq)) // 1-instruction trace
-	ev, done := f.Step(42, decodeOf(isa.OpJ))
+	step(&f, 10, wordOf(isa.OpBeq)) // 1-instruction trace
+	ev, done := step(&f, 42, wordOf(isa.OpJ))
 	if !done || ev.StartPC != 42 {
 		t.Fatalf("second trace: %+v done=%v", ev, done)
 	}
@@ -60,69 +66,83 @@ func TestFormerSignatureMatchesAccumulation(t *testing.T) {
 	}
 	var f Former
 	var ev Event
+	var want uint64
 	done := false
 	for i, inst := range insts {
-		ev, done = f.Step(uint64(100+i), isa.Decode(inst))
+		w := isa.Decode(inst).Pack()
+		want ^= w
+		ev, done = step(&f, uint64(100+i), w)
 	}
 	if !done {
 		t.Fatal("trace not closed")
 	}
-	if ev.Sig != sig.Of(insts) {
-		t.Fatalf("sig %#x, want %#x", ev.Sig, sig.Of(insts))
+	if ev.Sig != want {
+		t.Fatalf("sig %#x, want %#x", ev.Sig, want)
 	}
 }
 
 func TestFormerFlushAndReset(t *testing.T) {
 	var f Former
-	f.Step(5, decodeOf(isa.OpAdd))
-	if f.Pending() != 1 {
-		t.Fatalf("pending = %d", f.Pending())
-	}
+	step(&f, 5, wordOf(isa.OpAdd))
 	ev, ok := f.Flush()
-	if !ok || ev.StartPC != 5 || ev.Len != 1 || ev.Branch {
+	if !ok || ev.StartPC != 5 || ev.Len != 1 || ev.Sig != wordOf(isa.OpAdd) {
 		t.Fatalf("flush: %+v ok=%v", ev, ok)
 	}
 	if _, ok := f.Flush(); ok {
 		t.Fatal("double flush succeeded")
 	}
 
-	f.Step(6, decodeOf(isa.OpAdd))
+	step(&f, 6, wordOf(isa.OpAdd))
 	f.Reset()
-	if f.Pending() != 0 {
-		t.Fatal("reset left pending instructions")
+	if ev, ok := f.Flush(); ok {
+		t.Fatalf("reset left an open trace: %+v", ev)
 	}
-	ev, done := f.Step(9, decodeOf(isa.OpBeq))
+	ev, done := step(&f, 9, wordOf(isa.OpBeq))
 	if !done || ev.StartPC != 9 || ev.Len != 1 {
 		t.Fatalf("post-reset trace: %+v", ev)
 	}
 }
 
 // Property: the trace former partitions any instruction stream — every
-// instruction lands in exactly one trace, and every trace has 1..16
-// instructions with branches only at trace ends.
+// instruction lands in exactly one trace, every trace has 1..16
+// instructions, and only isa.EndsTrace ends one: a complete trace ends at a
+// branch or at 16 instructions, no branch sits inside a trace, and a halt
+// ends nothing (the pipeline fetches past it down the wrong path).
 func TestPropertyFormerPartitionsStream(t *testing.T) {
-	ops := []isa.Opcode{isa.OpAdd, isa.OpLw, isa.OpSw, isa.OpBeq, isa.OpJ, isa.OpMul}
+	ops := []isa.Opcode{isa.OpAdd, isa.OpLw, isa.OpSw, isa.OpBeq, isa.OpJ, isa.OpMul, isa.OpHalt}
 	if err := quick.Check(func(sel []uint8) bool {
 		var f Former
-		total := 0
+		words := make([]uint64, len(sel))
 		var events []Event
 		for i, s := range sel {
-			op := ops[int(s)%len(ops)]
-			ev, done := f.Step(uint64(i), decodeOf(op))
-			if done {
+			words[i] = wordOf(ops[int(s)%len(ops)])
+			if ev, done := step(&f, uint64(i), words[i]); done {
 				events = append(events, ev)
 			}
 		}
 		if ev, ok := f.Flush(); ok {
 			events = append(events, ev)
 		}
-		for _, ev := range events {
-			if ev.Len < 1 || ev.Len > isa.MaxTraceLen {
+		at := 0
+		for i, ev := range events {
+			if ev.Len < 1 || ev.Len > isa.MaxTraceLen || ev.StartPC != uint64(at) {
 				return false
 			}
-			total += ev.Len
+			if ev.Partial && i != len(events)-1 {
+				return false // only the flushed tail is partial
+			}
+			tr := words[at : at+ev.Len]
+			for _, w := range tr[:ev.Len-1] {
+				if isa.WordIsBranching(w) {
+					return false
+				}
+			}
+			if ends := isa.WordIsBranching(tr[ev.Len-1]) || ev.Len == isa.MaxTraceLen; ends == ev.Partial {
+				return false
+			}
+			at += ev.Len
 		}
-		return total == len(sel)
+		return at == len(sel)
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +287,7 @@ func TestStreamEarlyStop(t *testing.T) {
 
 func TestStaticTraceCountOnLoop(t *testing.T) {
 	p := loopProgram(t)
-	static := StaticTraceCount(p)
+	static := p.StaticTraceCount()
 	// Dynamic observation must agree, modulo the never-executed halt path
 	// (here the halt IS executed, so counts match exactly).
 	c := Characterize(p, 0)
@@ -291,13 +311,13 @@ func TestCharacterizeRunsProgram(t *testing.T) {
 
 func TestFlushMarksPartial(t *testing.T) {
 	var f Former
-	f.Step(5, decodeOf(isa.OpAdd))
+	step(&f, 5, wordOf(isa.OpAdd))
 	ev, ok := f.Flush()
 	if !ok || !ev.Partial {
 		t.Fatalf("flush event: %+v", ev)
 	}
 	// Regular terminations are never partial.
-	ev, done := f.Step(6, decodeOf(isa.OpBeq))
+	ev, done := step(&f, 6, wordOf(isa.OpBeq))
 	if !done || ev.Partial {
 		t.Fatalf("branch-terminated event marked partial: %+v", ev)
 	}
@@ -336,7 +356,7 @@ func TestStaticTraceCountNeverTakenTargetsAddNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static := StaticTraceCount(p)
+	static := p.StaticTraceCount()
 	dynamic := Characterize(p, 0).StaticTraces()
 	if static != dynamic {
 		t.Fatalf("static walk %d != dynamic %d", static, dynamic)

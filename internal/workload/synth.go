@@ -6,7 +6,6 @@ import (
 	"itr/internal/isa"
 	"itr/internal/program"
 	"itr/internal/stats"
-	"itr/internal/trace"
 )
 
 // Synthesizer layout constants.
@@ -60,7 +59,7 @@ func Build(p Profile) (*program.Program, error) {
 		}
 		// The structural walk counts one never-executed trace: the halt
 		// trace on the exit path.
-		got := trace.StaticTraceCount(prog) - 1
+		got := prog.StaticTraceCount() - 1
 		if got == p.StaticTraces {
 			return prog, nil
 		}
