@@ -755,6 +755,28 @@ func BenchmarkCleanExec(b *testing.B) {
 	})
 }
 
+// BenchmarkTraceRecords measures the one-time trace-record build a program's
+// first trace stream pays: gcc's image (the suite's largest) predecoded in
+// one backward pass, reported per static instruction as ns/inst. It
+// allocates the record array and nothing else.
+func BenchmarkTraceRecords(b *testing.B) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := workload.CachedProgram(prof)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, words := prog.DecodeTable().Records()
+	image := words[:prog.Len()]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		isa.TraceRecords(image)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(image)), "ns/inst")
+}
+
 // BenchmarkTraceStream measures end-to-end functional execution with trace
 // formation — the event-generation phase of every sweep — over 200,000
 // dynamic instructions per op, and reports the per-instruction cost as

@@ -216,27 +216,36 @@ func plan(prog *program.Program, cfg CampaignConfig) (campaignPlan, error) {
 		return campaignPlan{}, fmt.Errorf("campaign pilot: %w", err)
 	}
 	snaps := pilotSeries(pilot, cfg.Experiment.WindowCycles, cfg.Experiment.EffectiveSnapshotInterval())
-	decodeSpace := pilot.DecodeEvents()
-	if decodeSpace < 100 {
-		return campaignPlan{}, fmt.Errorf("campaign: window too small (%d decode events)", decodeSpace)
+	injections, err := sample(pilot.DecodeEvents(), cfg)
+	if err != nil {
+		return campaignPlan{}, err
 	}
+	points := make([]int64, len(injections))
+	for i, inj := range injections {
+		points[i] = inj.DecodeIndex
+	}
+	return campaignPlan{injections, prune(snaps, points)}, nil
+}
 
-	// Sample injections: decode index in the first half of the window so
-	// every fault has at least half the window of observation; bit uniform
-	// over the 64 Table 2 signal bits.
+// sample draws cfg.Faults injections from a pilot's decodeSpace decode
+// events: decode index in the first half of the window so every fault has
+// at least half the window of observation; bit uniform over the 64 Table 2
+// signal bits.
+func sample(decodeSpace int64, cfg CampaignConfig) ([]Injection, error) {
+	if decodeSpace < 100 {
+		return nil, fmt.Errorf("campaign: window too small (%d decode events)", decodeSpace)
+	}
 	rng := stats.NewRNG(cfg.Seed)
 	lo := decodeSpace / 20
 	hi := decodeSpace / 2
 	injections := make([]Injection, cfg.Faults)
-	points := make([]int64, cfg.Faults)
 	for i := range injections {
 		injections[i] = Injection{
 			DecodeIndex: lo + int64(rng.Uint64n(uint64(hi-lo))),
 			Bit:         rng.Intn(isa.SignalBits),
 		}
-		points[i] = injections[i].DecodeIndex
 	}
-	return campaignPlan{injections, prune(snaps, points)}, nil
+	return injections, nil
 }
 
 // inject runs a planned campaign's injections on the worker pool, with

@@ -93,7 +93,14 @@ func byCycle(s *pipeline.Snapshot) int64  { return s.Cycle }
 // pilotSeries runs a fault-free pilot through the window, capturing a
 // resumable snapshot every interval decode events (none when interval is
 // zero). It serves campaigns whose fault points are drawn from the pilot's
-// own decode-event space, so cannot be known while it runs.
+// own decode-event space, so cannot be known while it runs: from the decode
+// events below half the window's total (see sample).
+//
+// Capturing stops once no later snapshot can precede a fault point: at D
+// decode events and cycle t, the window's total is at most
+// D + (window-t)·MaxDecodesPerCycle, so once D is at least
+// (window-t)·MaxDecodesPerCycle every point lies below D. The pilot still
+// runs to the window's end, so the decode-event space is unchanged.
 func pilotSeries(cpu *pipeline.CPU, window, interval int64) (snaps snapSeries) {
 	if interval <= 0 {
 		cpu.Run(window)
@@ -103,6 +110,10 @@ func pilotSeries(cpu *pipeline.CPU, window, interval int64) (snaps snapSeries) {
 		res := cpu.RunUntilDecode(window-cpu.CycleCount(), next)
 		if res.Termination != pipeline.TermBudget || cpu.CycleCount() >= window {
 			return snaps // machine terminated or window exhausted
+		}
+		if cpu.DecodeEvents() >= (window-cpu.CycleCount())*cpu.MaxDecodesPerCycle() {
+			cpu.Run(window - cpu.CycleCount())
+			return snaps
 		}
 		snaps = append(snaps, cpu.Snapshot())
 	}

@@ -293,3 +293,71 @@ func TestNearestSnapshotIdx(t *testing.T) {
 		t.Fatalf("no snapshots: got %+v, want cold", got)
 	}
 }
+
+// TestPilotCutoffMatchesPrunedCaptureAll: the pilot's capture cutoff only
+// skips snapshots no injection resumes from. For every coverage benchmark
+// in each redundancy mode, a campaign plan samples the same injections and
+// retains the same snapshots (compared by decode events) as a pilot that
+// captures through the whole window before pruning, while capturing fewer.
+func TestPilotCutoffMatchesPrunedCaptureAll(t *testing.T) {
+	modes := []pipeline.RedundancyMode{pipeline.RedundancyNone, pipeline.RedundancyDualDecode, pipeline.RedundancyTimeRedundant}
+	for _, mode := range modes {
+		captured, all := int64(0), 0
+		for _, prof := range workload.CoverageSuite() {
+			prog, err := workload.CachedProgram(prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultCampaignConfig()
+			cfg.Experiment = quickConfig()
+			cfg.Experiment.Pipeline.Redundancy = mode
+			probe := &pipeline.Probe{}
+			cfg.Experiment.Pipeline.Probe = probe
+			got, err := plan(prog, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			captured += probe.SnapshotCaptures.Load()
+
+			cfg.Experiment.Pipeline.Probe = nil
+			ref, err := pipeline.New(prog, cfg.Experiment.pipelineConfig(core.ModeObserve))
+			if err != nil {
+				t.Fatal(err)
+			}
+			window, interval := cfg.Experiment.WindowCycles, cfg.Experiment.EffectiveSnapshotInterval()
+			var snaps snapSeries
+			for next := interval; ; next = ref.DecodeEvents() + interval {
+				res := ref.RunUntilDecode(window-ref.CycleCount(), next)
+				if res.Termination != pipeline.TermBudget || ref.CycleCount() >= window {
+					break
+				}
+				snaps = append(snaps, ref.Snapshot())
+			}
+			all += len(snaps)
+			injections, err := sample(ref.DecodeEvents(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.injections, injections) {
+				t.Fatalf("%v %s: the plan sampled different injections", mode, prof.Name)
+			}
+			points := make([]int64, len(injections))
+			for i, inj := range injections {
+				points[i] = inj.DecodeIndex
+			}
+			key := func(s snapSeries) (k []int64) {
+				for _, snap := range s {
+					k = append(k, snap.DecodeEvents)
+				}
+				return k
+			}
+			if g, w := key(got.snaps), key(prune(snaps, points)); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%v %s: retained snapshots at decode events %v, capture-all then prune %v", mode, prof.Name, g, w)
+			}
+		}
+		if captured >= int64(all) {
+			t.Errorf("%v: the pilots captured %d snapshots, capturing all takes %d", mode, captured, all)
+		}
+		t.Logf("%v: %d captures, %d without the cutoff", mode, captured, all)
+	}
+}

@@ -6,10 +6,10 @@ package isa
 // the flags of every dynamic instruction. Fault-free execution need not: its
 // signals are Decode's, and Decode derives the flags, num_rdst and mem_size
 // fields from the opcode alone. A 256-entry table indexed by opcode therefore
-// holds the choices ExecInto would make from those fields. Two executors read
-// it and reuse ExecInto's arithmetic helpers: ExecTrace runs a whole trace
-// straight on the registers and memory, and ExecClean runs one instruction,
-// writing the Outcome the pipeline and the commit shadows compare.
+// holds the choices ExecInto would make from those fields. ExecClean reads it
+// and reuses ExecInto's arithmetic helpers to run one instruction, writing
+// the Outcome the pipeline and the commit shadows compare; the trace records
+// ExecTrace runs from take their operand forms from it (record.go).
 
 // opKind is the execution path ExecInto takes for a clean opcode.
 type opKind uint8
@@ -106,83 +106,6 @@ func classify(d DecodeSignals) opKind {
 	return kindALUImm
 }
 
-// ExecTrace executes one trace of clean instructions in place, starting at
-// st.PC. words[pc] is the packed Decode word of the instruction at pc; a PC
-// outside words decodes as halt. It stops after the instruction EndsTrace
-// ends the trace at, after a halt, or after the limit-th instruction,
-// whichever comes first. It returns the number of instructions executed, the
-// XOR of their words (the trace signature), whether EndsTrace ended the
-// trace, and whether the last instruction was a halt.
-//
-// Each instruction changes st's registers and PC, and mem, exactly as
-// ExecInto followed by ApplyRef would with mem as st.Mem. Two preconditions
-// make that hold without per-instruction flag tests: words holds clean
-// signals, as in a program's decode table, and st.R[0] is zero, as in every
-// state ApplyRef reaches from a reset.
-func (st *ArchState) ExecTrace(mem *Memory, words []uint64, limit int) (n int, sig uint64, ended, halt bool) {
-	pc := st.PC
-	for n < limit && !ended && !halt {
-		w := HaltWord
-		if pc < uint64(len(words)) {
-			w = words[pc]
-		}
-		sig ^= w
-		n++
-		ended = EndsTrace(w, n)
-		op := Opcode(w >> bitOpcode)
-		rs1, rs2, rd := w>>bitRsrc1&0x1f, w>>bitRsrc2&0x1f, w>>bitRdst&0x1f
-		imm := uint16(w >> bitImm)
-		next := pc + 1
-		switch e := cleanOps[op]; e.kind {
-		case kindALU:
-			st.R[rd] = aluOp(op, st.R[rs1], st.R[rs2], uint8(w>>bitShamt)&0x1f, imm)
-		case kindALUImm:
-			st.R[rd] = aluOp(op, st.R[rs1], uint64(imm), uint8(w>>bitShamt)&0x1f, imm)
-		case kindALUSImm:
-			st.R[rd] = aluOp(op, st.R[rs1], sx16(imm), uint8(w>>bitShamt)&0x1f, imm)
-		case kindFPU:
-			st.F[rd] = fpuOp(op, st.F[rs1], st.F[rs2], st.R[rs1])
-		case kindLoad:
-			st.R[rd] = mem.Load(st.R[rs1]+sx16(imm), e.size)
-		case kindLoadS:
-			st.R[rd] = signExtend(mem.Load(st.R[rs1]+sx16(imm), e.size), e.size)
-		case kindLwl:
-			st.R[rd] = st.R[rd]&0x0000ffff | mem.Load((st.R[rs1]+sx16(imm))&^3, 4)&0xffff0000
-		case kindLwr:
-			st.R[rd] = st.R[rd]&0xffff0000 | mem.Load((st.R[rs1]+sx16(imm))&^3, 4)&0x0000ffff
-		case kindFLoad:
-			st.F[rd] = mem.Load(st.R[rs1]+sx16(imm), e.size)
-		case kindStore:
-			mem.Store(st.R[rs1]+sx16(imm), e.size, st.R[rs2])
-		case kindFStore:
-			mem.Store(st.R[rs1]+sx16(imm), e.size, st.F[rs2])
-		case kindBranch:
-			if taken, _ := branchTaken(op, st.R[rs1], st.R[rs2]); taken {
-				next = pc + 1 + sx16(imm)
-			}
-		case kindJump, kindJal:
-			// The direct target is split across imm, shamt and rsrc2 (see
-			// DirectTarget).
-			next = uint64(imm) | (w>>bitShamt&0x1f)<<16 | rs2<<21
-			if e.kind == kindJal {
-				st.R[rd] = pc + 1
-			}
-		case kindJr, kindJalr:
-			next = st.R[rs1]
-			if e.kind == kindJalr {
-				st.R[rd] = pc + 1
-			}
-		case kindHalt:
-			halt = true
-		}
-		// Writes to the hardwired zero register are dropped.
-		st.R[0] = 0
-		pc = next
-	}
-	st.PC = pc
-	return n, sig, ended, halt
-}
-
 // ExecClean executes the clean word w at pc in one pass: it writes into *o
 // the Outcome ExecInto writes for UnpackSignals(w), r0 destinations and
 // Illegal included, and applies it to st as ApplyRef does. It is the
@@ -227,7 +150,7 @@ func (st *ArchState) ExecClean(o *Outcome, w, pc uint64) {
 		}
 	case kindJump, kindJal:
 		o.Branch, o.Taken = true, true
-		o.NextPC = uint64(imm) | (w>>bitShamt&0x1f)<<16 | rs2<<21
+		o.NextPC = wordTarget(w)
 		if e.kind == kindJal {
 			st.writeInt(o, rd, pc+1)
 		}

@@ -10,9 +10,15 @@ import (
 // jr or jalr to a register value at or past it leaves the image.
 const stepImage = 64
 
+// traceImage returns the trace records of an image of clean words and the
+// words ExecTrace reads beside them: the image followed by HaltWord.
+func traceImage(words []uint64) (recs, ws []uint64) {
+	return TraceRecords(words), append(words[:len(words):len(words)], HaltWord)
+}
+
 // stepBoth executes inst at pc on three copies of st: through ExecInto and
-// ApplyRef, through a one-instruction ExecTrace over an image of stepImage
-// words, and through ExecClean. It fails t unless all three leave registers,
+// ApplyRef, through a one-instruction ExecTrace over the records of an image
+// of stepImage words, and through ExecClean. It fails t unless all three leave registers,
 // PC and memory identical and ExecClean's Outcome equals ExecInto's in every
 // field, and returns the reference outcome. st.Mem must be a *Memory.
 func stepBoth(t *testing.T, inst Instruction, pc uint64, st *ArchState) Outcome {
@@ -21,6 +27,7 @@ func stepBoth(t *testing.T, inst Instruction, pc uint64, st *ArchState) Outcome 
 	w := d.Pack()
 	words := make([]uint64, stepImage)
 	words[pc] = w
+	recs, ws := traceImage(words)
 	mem := st.Mem.(*Memory)
 
 	ref := &ArchState{R: st.R, F: st.F, PC: pc, Mem: mem.Clone()}
@@ -30,7 +37,7 @@ func stepBoth(t *testing.T, inst Instruction, pc uint64, st *ArchState) Outcome 
 
 	got := &ArchState{R: st.R, F: st.F, PC: pc}
 	gotMem := mem.Clone()
-	n, sig, ended, halt := got.ExecTrace(gotMem, words, 1)
+	n, sig, ended, halt := got.ExecTrace(gotMem, recs, ws, 1)
 
 	switch {
 	case n != 1 || sig != w || ended != d.IsBranching() || halt != o.Halt:
@@ -59,7 +66,7 @@ func stepBoth(t *testing.T, inst Instruction, pc uint64, st *ArchState) Outcome 
 	}
 	if got.PC >= stepImage {
 		// Past the image every PC decodes as a one-instruction halt trace.
-		n, sig, ended, halt := got.ExecTrace(gotMem, words, MaxTraceLen)
+		n, sig, ended, halt := got.ExecTrace(gotMem, recs, ws, MaxTraceLen)
 		if n != 1 || sig != HaltWord || ended || !halt || got.PC != ref.PC+1 {
 			t.Fatalf("%v: out-of-image PC %d ran n=%d sig=%#x ended=%v halt=%v next=%d",
 				inst, ref.PC, n, sig, ended, halt, got.PC)
@@ -212,8 +219,9 @@ func TestExecTraceCases(t *testing.T) {
 }
 
 // TestExecTraceStops: a trace ends where EndsTrace ends it (its first
-// branching instruction or its MaxTraceLen-th), and stops early at a halt or
-// at the caller's limit; its signature is the XOR of the words it executed.
+// branching instruction or its MaxTraceLen-th), and stops early at a halt,
+// at the halt past the image end, or at the caller's limit; a PC outside the
+// image runs one halt; its signature is the XOR of the words it executed.
 func TestExecTraceStops(t *testing.T) {
 	add := Decode(Instruction{Op: OpAddi, Rd: 1, Rs1: 1, Imm: 1}).Pack()
 	image := func(n int, last Instruction) []uint64 {
@@ -224,41 +232,48 @@ func TestExecTraceStops(t *testing.T) {
 		words[n-1] = Decode(last).Pack()
 		return words
 	}
-	xor := func(words []uint64) (s uint64) {
-		for _, w := range words {
-			s ^= w
-		}
-		return s
-	}
 	beq := Instruction{Op: OpBeq, Imm: negImm(4)}
 	cases := []struct {
 		name        string
 		words       []uint64
+		start       uint64
 		max         int
 		n           int
 		ended, halt bool
 		next        uint64
 	}{
-		{"branch", image(5, beq), 16, 5, true, false, 1},
-		{"halt", image(3, Instruction{Op: OpHalt}), 16, 3, false, true, 3},
-		{"full", image(40, beq), 40, MaxTraceLen, true, false, MaxTraceLen},
-		{"halt-16th", image(MaxTraceLen, Instruction{Op: OpHalt}), 16, MaxTraceLen, true, true, MaxTraceLen},
-		{"limit", image(40, beq), 7, 7, false, false, 7},
-		{"off-image", image(4, Instruction{Op: OpAddi}), 16, 5, false, true, 5},
+		{"branch", image(5, beq), 0, 16, 5, true, false, 1},
+		{"halt", image(3, Instruction{Op: OpHalt}), 0, 16, 3, false, true, 3},
+		{"full", image(40, beq), 0, 40, MaxTraceLen, true, false, MaxTraceLen},
+		{"branch-mid-image", image(40, beq), 30, 16, 10, true, false, 36},
+		{"halt-16th", image(MaxTraceLen, Instruction{Op: OpHalt}), 0, 16, MaxTraceLen, true, true, MaxTraceLen},
+		{"limit", image(40, beq), 0, 7, 7, false, false, 7},
+		{"limit-16", image(40, beq), 20, 16, MaxTraceLen, true, false, 36},
+		{"off-image", image(4, Instruction{Op: OpAddi}), 0, 16, 5, false, true, 5},
+		{"off-image-16th", image(MaxTraceLen-1, Instruction{Op: OpAddi}), 0, 16, MaxTraceLen, true, true, MaxTraceLen},
+		{"at-image-end", image(4, beq), 4, 16, 1, false, true, 5},
+		{"outside", image(4, beq), 1 << 40, 16, 1, false, true, 1<<40 + 1},
 	}
 	for _, c := range cases {
-		st := &ArchState{}
-		n, sig, ended, halt := st.ExecTrace(NewMemory(), c.words, c.max)
-		ran := c.words[:min(c.n, len(c.words))]
-		want := xor(ran)
-		if c.n > len(c.words) {
-			want ^= HaltWord
+		st := &ArchState{PC: c.start}
+		recs, ws := traceImage(c.words)
+		n, sig, ended, halt := st.ExecTrace(NewMemory(), recs, ws, c.max)
+		want, adds := uint64(0), uint64(0)
+		for pc := c.start; pc < c.start+uint64(c.n); pc++ {
+			w := HaltWord
+			if pc < uint64(len(c.words)) {
+				w = c.words[pc]
+			}
+			want ^= w
+			if w == add {
+				adds++
+			}
 		}
 		if n != c.n || sig != want || ended != c.ended || halt != c.halt || st.PC != c.next {
 			t.Errorf("%s: n=%d sig=%#x ended=%v halt=%v pc=%d, want %d %#x %v %v %d",
 				c.name, n, sig, ended, halt, st.PC, c.n, want, c.ended, c.halt, c.next)
 		}
-		if adds := uint64(min(c.n, len(c.words)-1)); st.R[1] != adds {
+		if st.R[1] != adds {
 			t.Errorf("%s: r1=%d after %d addi", c.name, st.R[1], adds)
 		}
 	}

@@ -548,6 +548,16 @@ func (c *CPU) Committed() *isa.ArchState { return c.committed }
 // injector samples injection points from this space).
 func (c *CPU) DecodeEvents() int64 { return c.decodeEvents }
 
+// MaxDecodesPerCycle bounds the decode events one cycle adds: dispatch
+// decodes at most FetchWidth instructions a cycle, and a redundancy mode
+// decodes each of them twice.
+func (c *CPU) MaxDecodesPerCycle() int64 {
+	if c.cfg.Redundancy != RedundancyNone {
+		return 2 * int64(c.cfg.FetchWidth)
+	}
+	return int64(c.cfg.FetchWidth)
+}
+
 // CommittedInsts returns the number of committed instructions so far.
 func (c *CPU) CommittedInsts() int64 { return c.committedCount }
 

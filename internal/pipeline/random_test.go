@@ -7,6 +7,7 @@ import (
 	"itr/internal/isa"
 	"itr/internal/program"
 	"itr/internal/stats"
+	"itr/internal/trace"
 	"itr/internal/workload"
 )
 
@@ -92,18 +93,14 @@ func TestPropertyRandomProgramsLockstep(t *testing.T) {
 }
 
 // The coverage simulator and the pipeline's ITR checker must agree on the
-// trace stream: same dispatch counts and (fault-free) zero mismatches over
-// the same committed instruction window.
+// trace stream: the traces the checker has retired (dispatched, minus
+// squashed, minus still in flight) are exactly the complete traces of the
+// functional stream over the instructions the pipeline committed.
 func TestPipelineTraceStreamMatchesWalker(t *testing.T) {
 	prog := randomProgram(t, 0xfeed)
 	const limit = 20_000
 
-	// Walker view.
-	events, _ := workload.EventsOf(prog, limit)
-
-	// Pipeline view: count committed trace ends.
-	cfg := DefaultConfig()
-	cpu, err := New(prog, cfg)
+	cpu, err := New(prog, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,21 +109,17 @@ func TestPipelineTraceStreamMatchesWalker(t *testing.T) {
 			t.Fatalf("termination %v", res.Termination)
 		}
 	}
-	// Committed trace ends == walker events over the same instruction
-	// window, modulo the trailing partial trace and the pipeline's
-	// overshoot within the final cycle; compare with a small tolerance.
-	walkerEvents := int64(len(events))
-	pipeEnds := cpu.Checker().Stats().Writes + cpu.Checker().Stats().Hits - int64(cpu.Checker().PendingTraces())
-	// Hits+Writes counts checked/installed traces including speculative
-	// dispatches that were later squashed; instead compare dispatched
-	// minus squashed.
+	complete := int64(0)
+	trace.Stream(prog, cpu.CommittedInsts(), func(ev trace.Event) bool {
+		if !ev.Partial {
+			complete++
+		}
+		return true
+	})
 	st := cpu.Checker().Stats()
-	committedTraces := st.Dispatched - st.Squashed - int64(cpu.Checker().PendingTraces())
-	_ = pipeEnds
-	diff := committedTraces - walkerEvents
-	if diff < -12 || diff > 12 {
-		t.Fatalf("trace streams disagree: walker %d, pipeline %d (diff %d)",
-			walkerEvents, committedTraces, diff)
+	if retired := st.Dispatched - st.Squashed - int64(cpu.Checker().PendingTraces()); retired != complete {
+		t.Fatalf("over %d committed instructions: pipeline retired %d traces, walker formed %d complete",
+			cpu.CommittedInsts(), retired, complete)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"itr/internal/isa"
+	"itr/internal/workload"
 )
 
 func TestDualDecodeDetectsAndRecoversInline(t *testing.T) {
@@ -116,6 +117,47 @@ func TestRedundancyModeString(t *testing.T) {
 	for _, m := range []RedundancyMode{RedundancyNone, RedundancyDualDecode, RedundancyTimeRedundant, RedundancyMode(9)} {
 		if m.String() == "" {
 			t.Fatalf("empty name for %d", int(m))
+		}
+	}
+}
+
+// TestMaxDecodesPerCycleBounds: in every redundancy mode, no cycle of a
+// fault-free run of each coverage benchmark adds more decode events than
+// MaxDecodesPerCycle, and the plain and dual-decode frontends reach the
+// bound, so it is the tightest per-cycle bound for them.
+func TestMaxDecodesPerCycleBounds(t *testing.T) {
+	for _, mode := range []RedundancyMode{RedundancyNone, RedundancyDualDecode, RedundancyTimeRedundant} {
+		peak := int64(0)
+		for _, prof := range workload.CoverageSuite() {
+			prog, err := workload.CachedProgram(prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			cfg.Redundancy = mode
+			cpu, err := New(prog, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound := cpu.MaxDecodesPerCycle()
+			for cycle := 0; cycle < 3000; cycle++ {
+				before := cpu.DecodeEvents()
+				if res := cpu.Run(1); res.Termination != TermBudget {
+					t.Fatalf("%v %s: termination %v", mode, prof.Name, res.Termination)
+				}
+				d := cpu.DecodeEvents() - before
+				if d > bound {
+					t.Fatalf("%v %s: cycle %d added %d decode events, bound %d", mode, prof.Name, cycle, d, bound)
+				}
+				peak = max(peak, d)
+			}
+		}
+		want := int64(DefaultConfig().FetchWidth)
+		if mode == RedundancyDualDecode {
+			want *= 2
+		}
+		if mode != RedundancyTimeRedundant && peak != want {
+			t.Errorf("%v: peak %d decode events in a cycle, want the bound %d", mode, peak, want)
 		}
 	}
 }

@@ -15,23 +15,31 @@ import (
 // instance. The table turns the per-dynamic-instruction decode of the
 // functional runner, the trace former, and the signature oracle into an array
 // index. For the same reason the fault-free signature of every static trace
-// is a property of the image: TraceSig serves it from a second per-PC array,
-// built once on first use.
+// is a property of the image, and so are the instructions and length of the
+// trace starting at any PC: TraceSig serves the first from a second per-PC
+// array, and Records the predecoded trace records functional streams run
+// from, each built once on first use.
 //
 // A DecodeTable never changes once built, except that its trace signature
-// array is filled on the first TraceSig call, once, under a sync.Once, before
-// any read. It is safe for concurrent use by any number of goroutines (the
+// and trace record arrays are each filled on first use, once, under a
+// sync.Once, before any read. It is safe for concurrent use by any number of goroutines (the
 // parallel sweep engine shares one table per cached program across all
 // workers). Fault injection never mutates the table: injectors corrupt the
 // per-dynamic-instance copy of the signals after the table lookup, exactly as
 // a transient upsets one decode event in hardware while the instruction image
 // stays clean.
 type DecodeTable struct {
-	sigs  []isa.DecodeSignals
+	sigs []isa.DecodeSignals
+	// words holds one packed word per static instruction and, past the
+	// image end, isa.HaltWord: the words isa.ExecTrace reads beside the
+	// trace records.
 	words []uint64
 
 	traceOnce sync.Once
 	traceSigs []uint64 // see TraceSig
+
+	recOnce sync.Once
+	recs    []uint64 // see Records
 }
 
 // Out-of-image fetches decode as halt (isa.HaltWord packed), mirroring
@@ -42,22 +50,29 @@ var haltSignals = isa.Decode(isa.Instruction{Op: isa.OpHalt})
 func newDecodeTable(insts []isa.Instruction) *DecodeTable {
 	t := &DecodeTable{
 		sigs:  make([]isa.DecodeSignals, len(insts)),
-		words: make([]uint64, len(insts)),
+		words: make([]uint64, len(insts)+1),
 	}
 	for i, inst := range insts {
 		d := isa.Decode(inst)
 		t.sigs[i] = d
 		t.words[i] = d.Pack()
 	}
+	t.words[len(insts)] = isa.HaltWord
 	return t
 }
 
 // Len returns the number of static instructions covered by the table.
 func (t *DecodeTable) Len() int { return len(t.sigs) }
 
-// Words returns the packed signal words of the whole image, indexed by pc.
-// The slice is shared and must not be modified.
-func (t *DecodeTable) Words() []uint64 { return t.words }
+// Records returns the image's trace records (isa.TraceRecords) and the
+// packed words isa.ExecTrace reads beside them: one per static instruction
+// and a halt past the image end. The records are built on the first call,
+// so only a program whose trace stream runs pays for them. Both slices are
+// shared and must not be modified.
+func (t *DecodeTable) Records() (recs, words []uint64) {
+	t.recOnce.Do(func() { t.recs = isa.TraceRecords(t.words[:len(t.sigs)]) })
+	return t.recs, t.words
+}
 
 // Signals returns the decode-signal vector of the instruction at pc.
 // Out-of-image pcs (possible under PC faults) decode as halt.
@@ -94,7 +109,7 @@ func (t *DecodeTable) TraceSig(pc uint64) uint64 {
 
 // buildTraceSigs walks the static trace at every pc.
 func (t *DecodeTable) buildTraceSigs() {
-	sigs := make([]uint64, len(t.words))
+	sigs := make([]uint64, len(t.sigs))
 	for pc := range sigs {
 		sigs[pc], _ = t.walk(uint64(pc))
 	}
@@ -128,7 +143,7 @@ func (t *DecodeTable) walk(pc uint64) (value, last uint64) {
 // and never builds TraceSig's per-PC array.
 func (p *Program) StaticTraceCount() int {
 	t := p.DecodeTable()
-	seen := make([]bool, len(t.words))
+	seen := make([]bool, len(t.sigs))
 	count := 0
 	pending := []uint64{p.Entry}
 	for len(pending) > 0 {

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -86,19 +87,68 @@ func TestDecodeTableOutOfRange(t *testing.T) {
 	}
 }
 
+// TestTraceRecordsMatchWalk: the trace records' one backward length pass
+// agrees with the static walk at every PC, and past the image end, on the
+// corner image and on random instruction soups whose branches and halts
+// leave traces of every length from 1 to MaxTraceLen. The records are
+// paired with the table's words, which end in the halt word past the image.
+func TestTraceRecordsMatchWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	images := [][]isa.Instruction{cornerInstructions()}
+	for i := 0; i < 50; i++ {
+		soup := make([]isa.Instruction, 1+rng.Intn(400))
+		for j := range soup {
+			switch r := rng.Intn(40); {
+			case r == 0:
+				soup[j] = isa.Instruction{Op: isa.OpHalt}
+			case r < 4:
+				soup[j] = isa.Instruction{Op: isa.OpBne, Imm: uint16(rng.Intn(9) - 4)}
+			case r == 4:
+				soup[j] = isa.Instruction{Op: isa.Opcode(rng.Intn(256))}
+			default:
+				soup[j] = isa.Instruction{Op: isa.OpAdd, Rd: 1, Rs1: 1, Rs2: 2}
+			}
+		}
+		images = append(images, soup)
+	}
+	seen := make(map[int]bool)
+	for _, insts := range images {
+		tab := (&Program{Insts: insts}).DecodeTable()
+		recs, words := tab.Records()
+		if len(recs) != len(insts)+1 || len(words) != len(recs) || words[len(insts)] != isa.HaltWord {
+			t.Fatalf("%d records and %d words for %d instructions", len(recs), len(words), len(insts))
+		}
+		for pc, r := range recs {
+			_, last := tab.walk(uint64(pc))
+			if got, want := isa.RecordLen(r), int(last)-pc+1; got != want {
+				t.Fatalf("pc %d of %d: record length %d, walk %d", pc, len(insts), got, want)
+			}
+			seen[isa.RecordLen(r)] = true
+		}
+	}
+	for n := 1; n <= isa.MaxTraceLen; n++ {
+		if !seen[n] {
+			t.Errorf("no trace of length %d drawn", n)
+		}
+	}
+}
+
 // TestDecodeTableConcurrent publishes the table, and builds its lazy trace
-// signature array, from many goroutines at once; all callers must observe
-// the same table and the same signatures (run under -race in CI).
+// signature and trace record arrays, from many goroutines at once; all
+// callers must observe the same table, the same signatures and the same
+// records (run under -race in CI).
 func TestDecodeTableConcurrent(t *testing.T) {
 	p := &Program{Insts: cornerInstructions()[:64]}
 	tabs := make([]*DecodeTable, 16)
 	sigs := make([][]uint64, len(tabs))
+	recs := make([][]uint64, len(tabs))
 	var wg sync.WaitGroup
 	for i := range tabs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			tabs[i] = p.DecodeTable()
+			recs[i], _ = tabs[i].Records()
 			for pc := range p.Insts {
 				sigs[i] = append(sigs[i], tabs[i].TraceSig(uint64(pc)))
 			}
@@ -111,6 +161,9 @@ func TestDecodeTableConcurrent(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sigs[i], sigs[0]) {
 			t.Fatalf("goroutine %d read different trace signatures", i)
+		}
+		if &recs[i][0] != &recs[0][0] {
+			t.Fatalf("goroutine %d read a different trace record array", i)
 		}
 	}
 }

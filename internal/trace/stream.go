@@ -11,14 +11,16 @@ import (
 // the run ends mid-trace). Returning false from fn stops the run. It returns
 // the number of dynamic instructions executed.
 //
-// Each iteration runs one whole trace: isa.ExecTrace executes the decode
-// table's clean words in place on the registers and memory, folding each word
-// into the signature, and the loop hands the finished trace to fn. A trace
-// that isa.EndsTrace did not end, because the budget or a halt (a PC outside
-// the image decodes as one) cut it short, is delivered as Partial, as
-// Former.Flush would deliver it.
+// Each iteration runs one whole trace: isa.ExecTrace runs the decode table's
+// predecoded trace records from the current PC in one straight-line loop,
+// in place on the registers and memory, folding each executed word into the
+// signature, and the loop hands the finished trace to fn. The records carry
+// each static trace's length, so no instruction is tested for the trace end.
+// A trace that isa.EndsTrace did not end, because the budget or a halt (a PC
+// outside the image decodes as one) cut it short, is delivered as Partial,
+// as Former.Flush would deliver it.
 func Stream(p *program.Program, limit int64, fn func(Event) bool) int64 {
-	words := p.DecodeTable().Words()
+	recs, words := p.DecodeTable().Records()
 	mem := isa.NewMemory()
 	st := &isa.ArchState{Mem: mem, PC: p.Entry}
 	executed := int64(0)
@@ -28,7 +30,7 @@ func Stream(p *program.Program, limit int64, fn func(Event) bool) int64 {
 			room = int(limit - executed)
 		}
 		start := st.PC
-		n, sig, ended, halt := st.ExecTrace(mem, words, room)
+		n, sig, ended, halt := st.ExecTrace(mem, recs, words, room)
 		executed += int64(n)
 		ev := Event{StartPC: start, Len: n, Sig: sig, Partial: !ended}
 		if !fn(ev) || halt {

@@ -6,9 +6,10 @@
 // trace is identified by its start PC: from a fixed start PC the instruction
 // sequence of the trace is deterministic (the first branching instruction
 // always terminates it), which is precisely why a PC-indexed signature cache
-// works. Former applies the rule to the pipeline's decode stream, Stream to a
-// functional run (through isa.ExecTrace), and program.DecodeTable to the
-// static image.
+// works. Former applies the rule to the pipeline's decode stream, and
+// program.DecodeTable to the static image: its static walk, and the length
+// pass of the trace records Stream runs a functional program from (through
+// isa.ExecTrace, one straight-line loop per trace).
 package trace
 
 import (

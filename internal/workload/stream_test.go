@@ -179,15 +179,19 @@ func TestStreamEventSlicesMatchesCachedEvents(t *testing.T) {
 
 // TestStreamEventSlicesConstantMemory: streaming allocates the same bytes at
 // 1M and 4M instructions — one block buffer plus a fixed slack for the
-// functional machine — so memory no longer grows with the budget.
+// functional machine — so memory no longer grows with the budget. The
+// program's one-time tables (its decode table and the trace records the
+// first stream builds) are built before measuring.
 func TestStreamEventSlicesConstantMemory(t *testing.T) {
 	p, err := ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CachedProgram(p); err != nil {
+	prog, err := CachedProgram(p)
+	if err != nil {
 		t.Fatal(err)
 	}
+	prog.DecodeTable().Records()
 	allocated := func(budget int64) uint64 {
 		var before, after runtime.MemStats
 		runtime.GC()
