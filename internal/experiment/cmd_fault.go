@@ -30,13 +30,13 @@ func bindFault(fs *flag.FlagSet, s *Spec) {
 	fs.IntVar(&s.Campaign.CacheFaults, "cache", s.Campaign.CacheFaults, "run a Section 2.4 ITR-cache fault study with this many injections per benchmark")
 	fs.IntVar(&s.Campaign.RenameFaults, "rename", s.Campaign.RenameFaults, "run the rename-protection study with this many injections per benchmark")
 	fs.StringVar(&s.JSONPath, "json", s.JSONPath, "also write the Figure 8 campaign results to this JSON file")
-	fs.IntVar(&s.Workers, "workers", s.Workers, "Figure 8 worker-pool width (0 = GOMAXPROCS); each benchmark's pool also runs the next benchmark's pilot as its first job; the -pc, -cache and -rename studies always run GOMAXPROCS-wide; results are identical at any width")
+	fs.IntVar(&s.Workers, "workers", s.Workers, "fault worker-pool width (0 = GOMAXPROCS) for the Figure 8 campaign and the -pc, -cache and -rename studies; each benchmark's campaign pool also runs the next benchmark's pilot as its first job; results are identical at any width")
 	fs.Int64Var(&s.Campaign.SnapshotInterval, "snapshot-interval", s.Campaign.SnapshotInterval,
 		fmt.Sprintf("decode events between pilot snapshots for campaign fast-forward (0 = default %d, negative = disabled); results are identical either way", fault.DefaultSnapshotInterval))
 	fs.BoolVar(&s.Campaign.LatencyHist, "latency-hist", s.Campaign.LatencyHist,
 		"print the detection-latency distribution (cycles and trace length from injection to detection)")
 	fs.BoolVar(&s.Campaign.Exact, "exact", s.Campaign.Exact,
-		"disable decided-outcome early exits: simulate every injection's full window (reference path; categories are identical either way)")
+		"disable decided-outcome early exits: simulate every injection's full window, in the Figure 8 campaign and the -pc, -cache and -rename studies alike (reference path; results are identical either way)")
 }
 
 // printLatencyHist renders one detection-latency histogram as a log2-bucket
@@ -223,7 +223,7 @@ func runFault(e *Engine) error {
 				if err != nil {
 					return err
 				}
-				res, err := fault.RunPCFaultCampaign(prog, cfg.Experiment, s.Campaign.PCFaults, s.Seed)
+				res, err := fault.RunPCFaultStudy(prog, cfg, s.Campaign.PCFaults)
 				if err != nil {
 					return err
 				}
@@ -249,7 +249,7 @@ func runFault(e *Engine) error {
 					return err
 				}
 				for _, parity := range []bool{false, true} {
-					res, err := fault.RunCacheFaultCampaign(prog, cfg.Experiment, parity, s.Campaign.CacheFaults, s.Seed)
+					res, err := fault.RunCacheFaultStudy(prog, cfg, parity, s.Campaign.CacheFaults)
 					if err != nil {
 						return err
 					}
@@ -280,7 +280,7 @@ func runFault(e *Engine) error {
 				if err != nil {
 					return err
 				}
-				res, err := fault.RunRenameCampaign(prog, cfg.Experiment, s.Campaign.RenameFaults, s.Seed)
+				res, err := fault.RunRenameStudy(prog, cfg, s.Campaign.RenameFaults)
 				if err != nil {
 					return err
 				}

@@ -148,6 +148,9 @@ func (e *Engine) registerMetrics() {
 	e.reg.RegisterCounter("itr_injections_total", &e.camp.Injections)
 	e.reg.RegisterCounter("itr_injection_cycles_simulated_total", &e.camp.CyclesSimulated)
 	e.reg.RegisterCounter("itr_injection_cycles_saved_total", &e.camp.CyclesSaved)
+	e.reg.RegisterCounter("itr_study_runs_total", &e.camp.StudyRuns)
+	e.reg.RegisterCounter("itr_study_cycles_simulated_total", &e.camp.StudyCyclesSimulated)
+	e.reg.RegisterCounter("itr_study_runs_decided_early_total", &e.camp.StudyRunsDecidedEarly)
 	e.reg.RegisterGaugeFunc("itr_uptime_seconds", func() int64 {
 		return int64(time.Since(e.started).Seconds())
 	})
@@ -328,6 +331,9 @@ func (e *Engine) telemetrySnapshot() Telemetry {
 	t.DetectorDetections = e.probe.DetectorDetections.Load()
 	t.InjectionCyclesSimulated = e.camp.CyclesSimulated.Load()
 	t.InjectionCyclesSaved = e.camp.CyclesSaved.Load()
+	t.StudyRuns = e.camp.StudyRuns.Load()
+	t.StudyCyclesSimulated = e.camp.StudyCyclesSimulated.Load()
+	t.StudyRunsDecidedEarly = e.camp.StudyRunsDecidedEarly.Load()
 	e.mu.Lock()
 	t.InjectionsDecidedEarly = e.budget.DecidedEarly
 	t.VerifyRunsForked = e.budget.VerifyForked

@@ -139,6 +139,14 @@ type Telemetry struct {
 	// CyclesSavedByClass breaks InjectionCyclesSaved down by Figure 8
 	// outcome category.
 	CyclesSavedByClass map[string]int64 `json:"cyclesSavedByClass,omitempty"`
+	// The side studies' runs (PC, ITR-cache and rename; a rename injection
+	// is two runs), which the injection counters above leave out:
+	// StudyRuns counts them, StudyCyclesSimulated is the pipeline cycles
+	// they simulated, and StudyRunsDecidedEarly counts those the
+	// decided-outcome engine stopped before their window's end.
+	StudyRuns             int64 `json:"studyRuns,omitempty"`
+	StudyCyclesSimulated  int64 `json:"studyCyclesSimulated,omitempty"`
+	StudyRunsDecidedEarly int64 `json:"studyRunsDecidedEarly,omitempty"`
 }
 
 // Version returns a git-describe-style identifier for the running build:

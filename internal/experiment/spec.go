@@ -37,9 +37,9 @@ type Spec struct {
 	// Warmup primes the ITR cache before measurement (coverage only).
 	Warmup int64 `json:"warmup,omitempty"`
 	// Workers is the worker-pool width (0 = GOMAXPROCS). Results are
-	// identical at any width. For fault it is the Figure 8 pool's width,
-	// whose first job on each benchmark is the next benchmark's pilot (the
-	// PC, cache and rename studies always run GOMAXPROCS-wide); for sim it
+	// identical at any width. For fault it is the width of the Figure 8
+	// pool, whose first job on each benchmark is the next benchmark's
+	// pilot, and of the PC, cache and rename studies' pools; for sim it
 	// caps runtime parallelism; dump ignores it.
 	Workers int `json:"workers,omitempty"`
 	// Seed makes fault-injection sampling reproducible (fault only;
@@ -165,9 +165,10 @@ type CampaignSpec struct {
 	// instructions) from injection to first detection, with quantiles.
 	LatencyHist bool `json:"latencyHist,omitempty"`
 	// Exact switches off the decided-outcome engine's early exits: every
-	// injection simulates its full observation window instead of stopping
-	// once its classification is settled. Results are identical either
-	// way; exact mode exists as the reference path for identity checks.
+	// injection, in the campaign and in the PC, cache and rename studies,
+	// simulates its full observation window instead of stopping once its
+	// classification is settled. Results are identical either way; exact
+	// mode exists as the reference path for identity checks.
 	Exact bool `json:"exact,omitempty"`
 }
 

@@ -55,6 +55,14 @@ type Progress struct {
 	// the decided-outcome engine skipped (zero under Config.Exact).
 	CyclesSimulated obs.Counter
 	CyclesSaved     obs.Counter
+	// StudyRuns, StudyCyclesSimulated and StudyRunsDecidedEarly account
+	// the side studies' runs (PC, ITR-cache and rename; a rename injection
+	// is two runs), which the counters above leave out: runs completed,
+	// pipeline cycles they simulated, and runs the decided-outcome engine
+	// stopped before their window's end (zero under Config.Exact).
+	StudyRuns             obs.Counter
+	StudyCyclesSimulated  obs.Counter
+	StudyRunsDecidedEarly obs.Counter
 }
 
 // DefaultCampaignConfig returns a scaled-down campaign (raise Faults to 1000

@@ -5,6 +5,7 @@ import (
 	"itr/internal/core"
 	"itr/internal/isa"
 	"itr/internal/pipeline"
+	"itr/internal/program"
 )
 
 // The decided-outcome engine: stop each injection run as soon as its Figure 8
@@ -59,6 +60,11 @@ const (
 	// would waste the sweep's oracle lookups.
 	faultySweepBackoff = 8
 )
+
+// probeCycles returns the length of the next chunk runDecided simulates
+// before it probes again. Tests draw it at random instead: a sound settle
+// rule decides every run the same however its probes fall.
+var probeCycles = func() int64 { return decideProbeCycles }
 
 // runBudget records one injection's simulation work for the campaign's
 // cycles-saved accounting. It deliberately lives outside Detail so the
@@ -130,49 +136,94 @@ func (b *Budget) Merge(o Budget) {
 	}
 }
 
+// settleRule is what one run's classifier reads, and so what runDecided
+// must prove final before it stops the run.
+type settleRule struct {
+	// horizon is the last decode event that may carry the fault's
+	// corruption. Everything decoded at or before an injection's horizon
+	// may carry corrupted signals: the injected event itself, plus the
+	// trace former's open partial trace, which folds the corrupted signals
+	// into a trace event dispatched up to MaxTraceLen-1 decode events
+	// later. A pcFault run learns its horizon when the flip fires.
+	horizon int64
+	// full selects the verify-run rules: the full protocol's retry and
+	// machine-check machinery means even already-detected runs must wait
+	// for the backend to settle before their recovery facts are final.
+	full bool
+	// pcFault selects the PC study's rules: the first detection decides
+	// the run outright, since that class outranks every other; and a run
+	// that has not diverged is never decided, since its class compares the
+	// whole window's mispredicts with the fault-free pilot's.
+	pcFault bool
+	// renameSigs is the fault-free rename-signature oracle
+	// (pipeline.RenameTraceSigs) the rename checker's cache is audited
+	// against, for machines that carry one.
+	renameSigs []uint64
+	// exact switches early exits off: the run simulates its whole window
+	// in one probe.
+	exact bool
+}
+
+// decodeRule is the rule for a run whose fault corrupts decode event
+// DecodeIndex's signals or rename indexes.
+func decodeRule(decodeIndex int64, full, exact bool) settleRule {
+	return settleRule{horizon: decodeIndex + isa.MaxTraceLen, full: full, exact: exact}
+}
+
 // runDecided simulates cpu, restored to snap, in probe-sized chunks until
-// the injection's classification facts are settled or the machine genuinely
-// terminates. It returns the final cumulative Result exactly as a single
-// cpu.Run of the whole window would (chunked stepping is
-// trajectory-identical and the Result counters are cumulative), and whether
-// the run exited early. bud receives the cycles simulated since snap, the
-// window cycles an early exit skipped, and any failed convergence proof.
-//
-// full selects the verify-run rules: the full protocol's retry and
-// machine-check machinery means even already-detected runs must wait for the
-// backend to settle before their recovery facts are final. exact switches
-// early exits off: the run simulates its whole window in one probe.
-func runDecided(cpu *pipeline.CPU, cur *goldenCursor, snap *pipeline.Snapshot, oracle *SigOracle, inj Injection, window int64, full, exact bool, bud *runBudget) (res pipeline.Result, early bool) {
+// the run's classification facts, as rule names them, are settled or the
+// machine genuinely terminates. It returns the final cumulative Result
+// exactly as a single cpu.Run of the whole window would (chunked stepping
+// is trajectory-identical and the Result counters are cumulative), and
+// whether the run exited early. window is the cycle count the run ends at.
+// bud receives the cycles simulated since snap, the window cycles an early
+// exit skipped, and any failed convergence proof.
+func runDecided(cpu *pipeline.CPU, cur *goldenCursor, snap *pipeline.Snapshot, oracle *SigOracle, rule settleRule, window int64, bud *runBudget) (res pipeline.Result, early bool) {
 	defer func() {
 		bud.simulated += cpu.CycleCount() - snap.Cycle
 		if early {
 			bud.saved += window - cpu.CycleCount()
 		}
 	}()
-	probe := int64(decideProbeCycles)
-	if exact {
-		probe = window
-	}
-	// Everything decoded at or before taintHorizon may carry corrupted
-	// signals: the injected event itself, plus the trace former's open
-	// partial trace, which folds the corrupted signals into a trace event
-	// dispatched up to MaxTraceLen-1 decode events later.
-	taintHorizon := inj.DecodeIndex + isa.MaxTraceLen
+	horizon, known := rule.horizon, !rule.pcFault
 	cleanCommit := int64(-1)
 	sweepHold := 0
 	for {
+		probe := window
+		if !rule.exact {
+			probe = probeCycles()
+		}
 		res = cpu.Run(max(min(window-cpu.CycleCount(), probe), 0))
 		if res.Termination != pipeline.TermBudget || cpu.CycleCount() >= window {
 			return res, false
+		}
+		d := cpu.Detector()
+		if rule.pcFault {
+			if d.Stats().Mismatches > 0 {
+				return res, true
+			}
+			if !known {
+				// The flip corrupts the trace it lands in, which ends at
+				// most MaxTraceLen instructions, none taking more than
+				// MaxDecodesPerCycle decode events, after the first
+				// instruction fetched through the flipped PC. The bound on
+				// that instruction is read at the first probe after the
+				// flip, so it may overshoot by up to one probe of decodes.
+				mark, fired := cpu.PCFaultDecode()
+				if !fired {
+					continue
+				}
+				horizon, known = mark+isa.MaxTraceLen*cpu.MaxDecodesPerCycle(), true
+			}
 		}
 		// Phase 0 — drain: wait until no structure can still hold corrupted
 		// decode signals. A corrupted uop stalling forever keeps us here
 		// until the watchdog terminates the run, which is the sound outcome.
 		if cleanCommit < 0 {
-			if cpu.DecodeEvents() <= taintHorizon {
+			if cpu.DecodeEvents() <= horizon {
 				continue
 			}
-			if oldest, ok := cpu.OldestInFlightDecode(); ok && oldest <= taintHorizon {
+			if oldest, ok := cpu.OldestInFlightDecode(); ok && oldest <= horizon {
 				continue
 			}
 			cleanCommit = cpu.CommittedInsts()
@@ -186,27 +237,30 @@ func runDecided(cpu *pipeline.CPU, cur *goldenCursor, snap *pipeline.Snapshot, o
 			continue
 		}
 		// Phase 2 — decide.
-		d := cpu.Detector()
 		diverged := cur.diverged
+		if rule.pcFault && !diverged {
+			continue
+		}
 		// Observe runs that already detected need no quiescence: detection
 		// is monotone and observe mode never retries. Undetected runs — and
 		// every full-protocol run, whose retry/machine-check resolution is
 		// still in flight — must show the backend can produce no further
 		// event, and (ITR only) that no faulty signature is resident to
-		// seed one later.
-		if full || d.Stats().Mismatches == 0 {
-			if !d.Settled(cleanCommit, diverged) {
+		// seed one later. A rename checker, which only full-protocol runs
+		// carry, must show the same of its own cache.
+		if rule.full || d.Stats().Mismatches == 0 {
+			rc := cpu.RenameChecker()
+			if !d.Settled(cleanCommit, diverged) || rc != nil && !rc.Settled(cleanCommit, diverged) {
 				continue
 			}
-			if ck := cpu.Checker(); ck != nil {
-				if sweepHold > 0 {
-					sweepHold--
-					continue
-				}
-				if faultyResident(ck, oracle) {
-					sweepHold = faultySweepBackoff - 1
-					continue
-				}
+			if sweepHold > 0 {
+				sweepHold--
+				continue
+			}
+			ck := cpu.Checker()
+			if ck != nil && faultyResident(ck, oracle.TrueSig) || rc != nil && faultyResident(rc, rule.renameSig) {
+				sweepHold = faultySweepBackoff - 1
+				continue
 			}
 		}
 		if !diverged {
@@ -227,6 +281,42 @@ func runDecided(cpu *pipeline.CPU, cur *goldenCursor, snap *pipeline.Snapshot, o
 	}
 }
 
+// sideStudy is what the PC, ITR-cache and rename studies' runs share: the
+// observation window, the Exact switch, the signature oracle their ITR
+// caches are audited against, and where their accounting goes.
+type sideStudy struct {
+	window   int64
+	exact    bool
+	oracle   *SigOracle
+	progress *Progress
+}
+
+func newSideStudy(prog *program.Program, cfg Config) sideStudy {
+	return sideStudy{window: cfg.WindowCycles, exact: cfg.Exact, oracle: NewSigOracle(prog)}
+}
+
+// decide runs one of the study's runs, restored to snap, through runDecided
+// under rule until cycle end, and publishes its accounting from a's worker.
+func (s *sideStudy) decide(a *arena, cpu *pipeline.CPU, cur *goldenCursor, snap *pipeline.Snapshot, rule settleRule, end int64) pipeline.Result {
+	rule.exact = s.exact
+	var bud runBudget
+	res, early := runDecided(cpu, cur, snap, s.oracle, rule, end, &bud)
+	if p := s.progress; p != nil {
+		p.StudyRuns.AddAt(uint32(a.worker), 1)
+		p.StudyCyclesSimulated.AddAt(uint32(a.worker), bud.simulated)
+		if early {
+			p.StudyRunsDecidedEarly.AddAt(uint32(a.worker), 1)
+		}
+	}
+	return res
+}
+
+// renameSig returns the fault-free rename signature of the static trace
+// starting at pc; every out-of-image pc shares the halt's entry.
+func (r settleRule) renameSig(pc uint64) uint64 {
+	return r.renameSigs[min(pc, uint64(len(r.renameSigs)-1))]
+}
+
 // preFault advances the observe machine, restored to snap, hook-free to just
 // before the fault's decode event and captures the verify run's fork point
 // there. The prefix is fault-free, so splitting the run is
@@ -245,13 +335,13 @@ func preFault(cpu *pipeline.CPU, snap *pipeline.Snapshot, inj Injection, window 
 	return cpu.Snapshot()
 }
 
-// faultyResident reports whether any ITR cache line holds a signature that
-// disagrees with the fault-free oracle — persistent corrupted evidence that
-// a future faithful access could still trip over.
-func faultyResident(ck *core.Checker, oracle *SigOracle) bool {
+// faultyResident reports whether any line of ck's signature cache holds a
+// signature that disagrees with the fault-free trueSig — persistent
+// corrupted evidence that a future faithful access could still trip over.
+func faultyResident(ck *core.Checker, trueSig func(pc uint64) uint64) bool {
 	faulty := false
 	ck.Cache().Visit(func(ln *cache.Line) {
-		if !faulty && ln.Value != oracle.TrueSig(ln.Key) {
+		if !faulty && ln.Value != trueSig(ln.Key) {
 			faulty = true
 		}
 	})

@@ -139,10 +139,11 @@ type Config struct {
 	// either way. EffectiveSnapshotInterval resolves the semantics.
 	SnapshotInterval int64
 	// Exact switches off the decided-outcome engine's early exits and its
-	// pre-fault verify fork, so every injection run simulates its full
-	// observation window — the reference path. The default (false) lets
-	// each run stop as soon as its classification is settled. Details are
-	// equal either way; only the campaign Budget's cycle accounting differs.
+	// pre-fault verify fork, so every injection run — the campaign's and
+	// the PC, cache and rename studies' — simulates its full observation
+	// window: the reference path. The default (false) lets each run stop
+	// as soon as its classification is settled. Details and study outcomes
+	// are equal either way; only the cycle accounting differs.
 	Exact bool
 }
 
@@ -268,7 +269,7 @@ func runOne(oracle *SigOracle, cfg Config, inj Injection, snaps snapSeries, ar *
 	}
 	var injPt injectionPoint
 	cpu.SetFaultHook(hook(inj, cpu, &injPt))
-	res, early := runDecided(cpu, cur, snap, oracle, inj, cfg.WindowCycles, false, cfg.Exact, bud)
+	res, early := runDecided(cpu, cur, snap, oracle, decodeRule(inj.DecodeIndex, false, cfg.Exact), cfg.WindowCycles, bud)
 	bud.decidedEarly = early
 
 	det.NaturalSDC = cur.diverged
@@ -294,7 +295,7 @@ func runOne(oracle *SigOracle, cfg Config, inj Injection, snaps snapSeries, ar *
 	// The category is ITR-specific — rival backends hold no signature cache,
 	// so an undetected fault of theirs classifies as plain Undet.
 	if ck := cpu.Checker(); ck != nil && !det.Detected {
-		det.FaultyResident = faultyResident(ck, oracle)
+		det.FaultyResident = faultyResident(ck, oracle.TrueSig)
 	}
 
 	det.Category = classify(det)
@@ -326,7 +327,7 @@ func runOne(oracle *SigOracle, cfg Config, inj Injection, snaps snapSeries, ar *
 		}
 		var vinjPt injectionPoint
 		vcpu.SetFaultHook(hook(inj, vcpu, &vinjPt))
-		vres, _ := runDecided(vcpu, vcur, vsnap, oracle, inj, cfg.WindowCycles, true, cfg.Exact || cfg.Checkpoint, bud)
+		vres, _ := runDecided(vcpu, vcur, vsnap, oracle, decodeRule(inj.DecodeIndex, true, cfg.Exact || cfg.Checkpoint), cfg.WindowCycles, bud)
 		if presnap != nil {
 			// The fork skipped re-simulating snap.Cycle→presnap.Cycle.
 			bud.saved += presnap.Cycle - snap.Cycle

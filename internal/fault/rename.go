@@ -83,26 +83,46 @@ type renamePass struct {
 	snaps snapSeries
 }
 
-// renamePasses returns the study's two passes, both starting cold.
-func renamePasses(cfg Config) [2]renamePass {
-	ext := cfg.pipelineConfig(core.ModeFull)
-	ext.RenameITREnabled = true
-	return [2]renamePass{{pcfg: cfg.pipelineConfig(core.ModeObserve)}, {pcfg: ext}}
+// renameStudy is a rename campaign's shared state: its two passes and the
+// fault-free rename signatures pass 2's runs are decided against.
+type renameStudy struct {
+	sideStudy
+	passes     [2]renamePass
+	renameSigs []uint64 // pipeline.RenameTraceSigs
 }
 
-// runRenameFault evaluates inj in both passes on a's machines, each run
-// resuming from its pass's latest snapshot before the injected decode event.
-func runRenameFault(a *arena, passes [2]renamePass, window int64, inj RenameInjection) (o renameOutcome, err error) {
+// newRenameStudy returns the study with both passes starting cold: no
+// resume points yet.
+func newRenameStudy(prog *program.Program, cfg Config) *renameStudy {
+	ext := cfg.pipelineConfig(core.ModeFull)
+	ext.RenameITREnabled = true
+	return &renameStudy{
+		sideStudy:  newSideStudy(prog, cfg),
+		passes:     [2]renamePass{{pcfg: cfg.pipelineConfig(core.ModeObserve)}, {pcfg: ext}},
+		renameSigs: pipeline.RenameTraceSigs(prog.DecodeTable()),
+	}
+}
+
+// run evaluates inj in both passes on a's machines, each run resuming from
+// its pass's latest snapshot before the injected decode event and stopping
+// once the decided-outcome engine settles its facts: pass 1 under the
+// observe rule, pass 2 under the full-protocol rule, which also audits the
+// rename checker against the fault-free rename signatures.
+func (s *renameStudy) run(a *arena, inj RenameInjection) (o renameOutcome, err error) {
 	var cpus [2]*pipeline.CPU
 	var curs [2]*goldenCursor
-	for i, p := range passes {
+	for i, p := range s.passes {
 		var snap *pipeline.Snapshot
 		if cpus[i], snap, err = a.reset(p.pcfg, p.snaps.before(byDecode, inj.DecodeIndex)); err != nil {
 			return o, fmt.Errorf("rename fault pass %d: %w", i+1, err)
 		}
 		curs[i] = a.attach(cpus[i], snap)
 		cpus[i].SetRenameFaultHook(renameHook(inj))
-		cpus[i].Run(window - cpus[i].CycleCount())
+		rule := decodeRule(inj.DecodeIndex, i == 1, s.exact)
+		if i == 1 {
+			rule.renameSigs = s.renameSigs
+		}
+		s.decide(a, cpus[i], curs[i], snap, rule, s.window)
 	}
 	rst := cpus[1].RenameChecker().Stats()
 	return renameOutcome{
@@ -119,57 +139,12 @@ type renameOutcome struct {
 	withoutSDC, frontendDetected, detected, recovered, withSDC bool
 }
 
-// RunRenameCampaign injects n randomized rename-index faults, drawn up front
-// and run on the worker pool.
-func RunRenameCampaign(prog *program.Program, cfg Config, n int, seed uint64) (RenameCampaignResult, error) {
+// RunRenameStudy injects n randomized rename-index faults drawn from
+// cc.Seed, each run in both passes under cc.Experiment on a cc.Workers-wide
+// pool, and publishes the runs' accounting to cc.Progress.
+func RunRenameStudy(prog *program.Program, cc CampaignConfig, n int) (RenameCampaignResult, error) {
 	var res RenameCampaignResult
-	if n <= 0 {
-		return res, fmt.Errorf("rename campaign: non-positive count %d", n)
-	}
-	// A profiling run in pass 1's configuration measures the decode-event
-	// space, as the main campaign's pilot does.
-	passes := renamePasses(cfg)
-	prof, err := pipeline.New(prog, passes[0].pcfg)
-	if err != nil {
-		return res, fmt.Errorf("rename profile: %w", err)
-	}
-	prof.Run(cfg.WindowCycles)
-	space := prof.DecodeEvents()
-	if space < 100 {
-		return res, fmt.Errorf("rename campaign: window too small (%d decode events)", space)
-	}
-
-	rng := stats.NewRNG(seed)
-	lo, hi := space/20, space/2
-	injs := make([]RenameInjection, n)
-	points := make([]int64, n)
-	for i := range injs {
-		injs[i] = RenameInjection{
-			DecodeIndex: lo + int64(rng.Uint64n(uint64(hi-lo))),
-			Operand:     rng.Intn(3),
-			Mask:        uint8(1 + rng.Intn(31)),
-		}
-		points[i] = injs[i].DecodeIndex
-	}
-	if cfg.EffectiveSnapshotInterval() > 0 {
-		// One pilot per pass captures that pass's resume points; the two
-		// run side by side on the pool.
-		snaps, err := runPool(prog, 0, len(passes), nil, func(_ *arena, i int) (snapSeries, error) {
-			cpu, err := pipeline.New(prog, passes[i].pcfg)
-			if err != nil {
-				return nil, fmt.Errorf("rename pilot: %w", err)
-			}
-			return pilotAt(cpu, cfg.WindowCycles, points, false), nil
-		})
-		if err != nil {
-			return res, err
-		}
-		passes[0].snaps, passes[1].snaps = snaps[0], snaps[1]
-	}
-
-	outs, err := runPool(prog, 0, n, nil, func(a *arena, i int) (renameOutcome, error) {
-		return runRenameFault(a, passes, cfg.WindowCycles, injs[i])
-	})
+	outs, err := renameOutcomes(prog, cc, n)
 	if err != nil {
 		return res, err
 	}
@@ -194,4 +169,57 @@ func RunRenameCampaign(prog *program.Program, cfg Config, n int, seed uint64) (R
 		}
 	}
 	return res, nil
+}
+
+// RunRenameCampaign is RunRenameStudy at seed, GOMAXPROCS wide, without
+// telemetry.
+func RunRenameCampaign(prog *program.Program, cfg Config, n int, seed uint64) (RenameCampaignResult, error) {
+	return RunRenameStudy(prog, CampaignConfig{Experiment: cfg, Seed: seed}, n)
+}
+
+// renameOutcomes draws RunRenameStudy's faults and returns each one's
+// outcome, in draw order.
+func renameOutcomes(prog *program.Program, cc CampaignConfig, n int) ([]renameOutcome, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("rename campaign: non-positive count %d", n)
+	}
+	cfg := cc.Experiment
+	st := newRenameStudy(prog, cfg)
+	st.progress = cc.Progress
+	// Pass 1's pilot measures the decode-event space, as the main
+	// campaign's pilot does, capturing pass 1's resume points on the way.
+	pilot, err := pipeline.New(prog, st.passes[0].pcfg)
+	if err != nil {
+		return nil, fmt.Errorf("rename pilot: %w", err)
+	}
+	interval := cfg.EffectiveSnapshotInterval()
+	snaps := pilotSeries(pilot, cfg.WindowCycles, interval)
+	space := pilot.DecodeEvents()
+	if space < 100 {
+		return nil, fmt.Errorf("rename campaign: window too small (%d decode events)", space)
+	}
+
+	rng := stats.NewRNG(cc.Seed)
+	lo, hi := space/20, space/2
+	injs := make([]RenameInjection, n)
+	points := make([]int64, n)
+	for i := range injs {
+		injs[i] = RenameInjection{
+			DecodeIndex: lo + int64(rng.Uint64n(uint64(hi-lo))),
+			Operand:     rng.Intn(3),
+			Mask:        uint8(1 + rng.Intn(31)),
+		}
+		points[i] = injs[i].DecodeIndex
+	}
+	st.passes[0].snaps = prune(snaps, points)
+	if interval > 0 {
+		// Restore rejects a configuration mismatch, so pass 2's pilot
+		// captures its own resume points.
+		ext, err := pipeline.New(prog, st.passes[1].pcfg)
+		if err != nil {
+			return nil, fmt.Errorf("rename pilot: %w", err)
+		}
+		st.passes[1].snaps = pilotAt(ext, cfg.WindowCycles, points, false)
+	}
+	return runPool(prog, cc.Workers, n, nil, func(a *arena, i int) (renameOutcome, error) { return st.run(a, injs[i]) })
 }

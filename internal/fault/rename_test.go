@@ -5,12 +5,12 @@ import "testing"
 func TestRenameFaultBlindSpotAndFix(t *testing.T) {
 	p := testProgram(t)
 	cfg := quickConfig()
-	a, passes := &arena{prog: p}, renamePasses(cfg)
+	a, st := &arena{prog: p}, newRenameStudy(p, cfg)
 	// Find an injection causing SDC without the extension.
 	var chosen *renameOutcome
 	for idx := int64(300); idx < 330 && chosen == nil; idx++ {
 		inj := RenameInjection{DecodeIndex: idx, Operand: 0, Mask: 0x1f}
-		o, err := runRenameFault(a, passes, cfg.WindowCycles, inj)
+		o, err := st.run(a, inj)
 		if err != nil {
 			t.Fatal(err)
 		}

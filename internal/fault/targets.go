@@ -68,16 +68,16 @@ type pcFault struct {
 // also the clean reference run: a faulty run counts as branch-repaired only
 // with more mispredicts than the pilot's fault-free window.
 type pcStudy struct {
-	pcfg   pipeline.Config
-	snaps  snapSeries
-	ref    pipeline.Result
-	window int64
+	sideStudy
+	pcfg  pipeline.Config
+	snaps snapSeries
+	ref   pipeline.Result
 }
 
 // newPCStudy runs the pilot, capturing a resume point just before each
 // fault unless snapshots are disabled.
 func newPCStudy(prog *program.Program, cfg Config, faults []pcFault) (*pcStudy, error) {
-	st := &pcStudy{pcfg: cfg.pipelineConfig(core.ModeObserve), window: cfg.WindowCycles}
+	st := &pcStudy{sideStudy: newSideStudy(prog, cfg), pcfg: cfg.pipelineConfig(core.ModeObserve)}
 	pilot, err := pipeline.New(prog, st.pcfg)
 	if err != nil {
 		return nil, fmt.Errorf("pc fault pilot: %w", err)
@@ -93,9 +93,10 @@ func newPCStudy(prog *program.Program, cfg Config, faults []pcFault) (*pcStudy, 
 	return st, nil
 }
 
-// run injects f, resuming from the latest snapshot before the fault cycle.
-// The fault is scheduled after the restore, which overwrites the machine's
-// PC-fault schedule.
+// run injects f, resuming from the latest snapshot before the fault cycle,
+// and stops once the decided-outcome engine settles the class (see
+// settleRule.pcFault). The fault is scheduled after the restore, which
+// overwrites the machine's PC-fault schedule.
 func (s *pcStudy) run(a *arena, f pcFault) (PCOutcome, error) {
 	cpu, snap, err := a.reset(s.pcfg, s.snaps.before(byCycle, f.cycle))
 	if err != nil {
@@ -103,7 +104,7 @@ func (s *pcStudy) run(a *arena, f pcFault) (PCOutcome, error) {
 	}
 	cur := a.attach(cpu, snap)
 	cpu.SchedulePCFault(f.cycle, f.bit)
-	res := cpu.Run(s.window - cpu.CycleCount())
+	res := s.decide(a, cpu, cur, snap, settleRule{pcFault: true}, s.window)
 
 	switch {
 	case len(cpu.Detector().Detections()) > 0:
@@ -123,14 +124,36 @@ func (s *pcStudy) run(a *arena, f pcFault) (PCOutcome, error) {
 	}
 }
 
-// RunPCFaultCampaign injects n randomized PC faults, drawn up front and run
-// on the worker pool.
-func RunPCFaultCampaign(prog *program.Program, cfg Config, n int, seed uint64) (PCFaultResult, error) {
+// RunPCFaultStudy injects n randomized PC faults drawn from cc.Seed, each
+// run under cc.Experiment on a cc.Workers-wide pool, and publishes the runs'
+// accounting to cc.Progress.
+func RunPCFaultStudy(prog *program.Program, cc CampaignConfig, n int) (PCFaultResult, error) {
 	res := PCFaultResult{Counts: make(map[PCOutcome]int)}
-	if n <= 0 {
-		return res, fmt.Errorf("pc fault campaign: non-positive count %d", n)
+	outs, err := pcOutcomes(prog, cc, n)
+	if err != nil {
+		return res, err
 	}
-	rng := stats.NewRNG(seed)
+	for _, out := range outs {
+		res.Total++
+		res.Counts[out]++
+	}
+	return res, nil
+}
+
+// RunPCFaultCampaign is RunPCFaultStudy at seed, GOMAXPROCS wide, without
+// telemetry.
+func RunPCFaultCampaign(prog *program.Program, cfg Config, n int, seed uint64) (PCFaultResult, error) {
+	return RunPCFaultStudy(prog, CampaignConfig{Experiment: cfg, Seed: seed}, n)
+}
+
+// pcOutcomes draws RunPCFaultStudy's faults up front and returns each
+// one's outcome, in draw order.
+func pcOutcomes(prog *program.Program, cc CampaignConfig, n int) ([]PCOutcome, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("pc fault campaign: non-positive count %d", n)
+	}
+	cfg := cc.Experiment
+	rng := stats.NewRNG(cc.Seed)
 	// Flips within the image dominate; one extra bit allows out-of-image
 	// excursions (fetching past the image returns halts).
 	bitRange := bits.Len64(uint64(prog.Len())) + 1
@@ -141,17 +164,10 @@ func RunPCFaultCampaign(prog *program.Program, cfg Config, n int, seed uint64) (
 	}
 	st, err := newPCStudy(prog, cfg, faults)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	outs, err := runPool(prog, 0, n, nil, func(a *arena, i int) (PCOutcome, error) { return st.run(a, faults[i]) })
-	if err != nil {
-		return res, err
-	}
-	for _, out := range outs {
-		res.Total++
-		res.Counts[out]++
-	}
-	return res, nil
+	st.progress = cc.Progress
+	return runPool(prog, cc.Workers, n, nil, func(a *arena, i int) (PCOutcome, error) { return st.run(a, faults[i]) })
 }
 
 // ---- ITR cache line faults (paper Section 2.4) ----
@@ -187,17 +203,17 @@ type CacheFaultResult struct {
 // setting's machine configuration and, unless snapshots are disabled, the
 // warm machine every injection resumes from.
 type cacheStudy struct {
+	sideStudy
 	pcfg       pipeline.Config
 	warmCycles int64
 	warm       *pipeline.Snapshot
-	window     int64
 }
 
 func newCacheStudy(prog *program.Program, cfg Config, parity bool, warmCycles int64) (*cacheStudy, error) {
 	if name := detect.Canonical(cfg.Pipeline.Detector); name != detect.NameITR {
 		return nil, fmt.Errorf("cache fault study targets the ITR signature cache; detector backend %q has none", name)
 	}
-	st := &cacheStudy{pcfg: cfg.pipelineConfig(core.ModeFull), warmCycles: warmCycles, window: cfg.WindowCycles}
+	st := &cacheStudy{sideStudy: newSideStudy(prog, cfg), pcfg: cfg.pipelineConfig(core.ModeFull), warmCycles: warmCycles}
 	st.pcfg.ITR.Parity = parity
 	if cfg.EffectiveSnapshotInterval() > 0 {
 		pilot, err := pipeline.New(prog, st.pcfg)
@@ -224,6 +240,11 @@ type cacheOutcome struct {
 	sdc bool
 }
 
+// run injects f once the cache is warm and observes the window that
+// follows, stopping once the decided-outcome engine settles the outcome:
+// every decode is faithful, so the run is final once no resident line
+// disagrees with the oracle, the checker has settled and the machine has
+// provably re-converged (or diverged, which is sticky).
 func (s *cacheStudy) run(a *arena, f cacheFault) (cacheOutcome, error) {
 	cpu, snap, err := a.reset(s.pcfg, s.warm)
 	if err != nil {
@@ -240,7 +261,7 @@ func (s *cacheStudy) run(a *arena, f cacheFault) (cacheOutcome, error) {
 	}
 	lines[f.pick%uint64(len(lines))].Value ^= 1 << uint(f.bit&63)
 
-	res := cpu.Run(s.window)
+	res := s.decide(a, cpu, cur, snap, settleRule{horizon: cpu.DecodeEvents(), full: true}, cpu.CycleCount()+s.window)
 	out := CacheMasked
 	switch {
 	case cpu.Checker().Stats().ParityRecovers > 0:
@@ -255,24 +276,12 @@ func (s *cacheStudy) run(a *arena, f cacheFault) (cacheOutcome, error) {
 // of the window, at least 1000 cycles.
 func cacheWarmCycles(cfg Config) int64 { return max(cfg.WindowCycles/4, 1000) }
 
-// RunCacheFaultCampaign injects n randomized ITR-cache line faults, drawn up
-// front and run on the worker pool.
-func RunCacheFaultCampaign(prog *program.Program, cfg Config, parity bool, n int, seed uint64) (CacheFaultResult, error) {
+// RunCacheFaultStudy injects n randomized ITR-cache line faults drawn from
+// cc.Seed, each run under cc.Experiment with the given parity setting on a
+// cc.Workers-wide pool, and publishes the runs' accounting to cc.Progress.
+func RunCacheFaultStudy(prog *program.Program, cc CampaignConfig, parity bool, n int) (CacheFaultResult, error) {
 	res := CacheFaultResult{Counts: make(map[CacheFaultOutcome]int)}
-	if n <= 0 {
-		return res, fmt.Errorf("cache fault campaign: non-positive count %d", n)
-	}
-	rng := stats.NewRNG(seed)
-	faults := make([]cacheFault, n)
-	for i := range faults {
-		faults[i].pick = rng.Uint64()
-		faults[i].bit = rng.Intn(64)
-	}
-	st, err := newCacheStudy(prog, cfg, parity, cacheWarmCycles(cfg))
-	if err != nil {
-		return res, err
-	}
-	outs, err := runPool(prog, 0, n, nil, func(a *arena, i int) (cacheOutcome, error) { return st.run(a, faults[i]) })
+	outs, err := cacheOutcomes(prog, cc, parity, n)
 	if err != nil {
 		return res, err
 	}
@@ -284,4 +293,30 @@ func RunCacheFaultCampaign(prog *program.Program, cfg Config, parity bool, n int
 		}
 	}
 	return res, nil
+}
+
+// RunCacheFaultCampaign is RunCacheFaultStudy at seed, GOMAXPROCS wide,
+// without telemetry.
+func RunCacheFaultCampaign(prog *program.Program, cfg Config, parity bool, n int, seed uint64) (CacheFaultResult, error) {
+	return RunCacheFaultStudy(prog, CampaignConfig{Experiment: cfg, Seed: seed}, parity, n)
+}
+
+// cacheOutcomes draws RunCacheFaultStudy's faults up front and returns each
+// one's outcome, in draw order.
+func cacheOutcomes(prog *program.Program, cc CampaignConfig, parity bool, n int) ([]cacheOutcome, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("cache fault campaign: non-positive count %d", n)
+	}
+	rng := stats.NewRNG(cc.Seed)
+	faults := make([]cacheFault, n)
+	for i := range faults {
+		faults[i].pick = rng.Uint64()
+		faults[i].bit = rng.Intn(64)
+	}
+	st, err := newCacheStudy(prog, cc.Experiment, parity, cacheWarmCycles(cc.Experiment))
+	if err != nil {
+		return nil, err
+	}
+	st.progress = cc.Progress
+	return runPool(prog, cc.Workers, n, nil, func(a *arena, i int) (cacheOutcome, error) { return st.run(a, faults[i]) })
 }

@@ -183,3 +183,59 @@ func TestPCFaultScheduling(t *testing.T) {
 		t.Fatal("machine wedged after PC fault")
 	}
 }
+
+// TestPCFaultDecodeBoundsFirstFlippedDecode: the first decode event at which
+// a PC-faulted run's fetched PCs leave a fault-free run's is the first
+// instruction fetched through the flipped PC. PCFaultDecode, read in the
+// cycle the flip fires, bounds its index within one fetch queue.
+func TestPCFaultDecodeBoundsFirstFlippedDecode(t *testing.T) {
+	p := loopProgram(t, 200, 30)
+	decodes := func(cpu *CPU) *[]uint64 {
+		pcs := new([]uint64)
+		cpu.SetFaultHook(func(_ int64, pc uint64, _ bool, d isa.DecodeSignals) isa.DecodeSignals {
+			*pcs = append(*pcs, pc)
+			return d
+		})
+		return pcs
+	}
+	checked := 0
+	for _, cycle := range []int64{100, 257, 1000, 3001} {
+		for _, bit := range []int{1, 2, 5} {
+			ref, _ := New(p, DefaultConfig())
+			want := decodes(ref)
+			ref.Run(cycle + 400)
+			cpu, _ := New(p, DefaultConfig())
+			got := decodes(cpu)
+			cpu.SchedulePCFault(cycle, bit)
+			if _, fired := cpu.PCFaultDecode(); fired {
+				t.Fatal("PC fault reported fired before the run")
+			}
+			mark, fired := int64(0), false
+			for !fired && cpu.CycleCount() < cycle+400 {
+				cpu.Run(1)
+				mark, fired = cpu.PCFaultDecode()
+			}
+			if !fired {
+				t.Fatalf("cycle %d bit %d: PC fault never fired", cycle, bit)
+			}
+			cpu.Run(cycle + 400 - cpu.CycleCount())
+			first := int64(0)
+			for i := range min(len(*got), len(*want)) {
+				if (*got)[i] != (*want)[i] {
+					first = int64(i) + 1 // decode indices count from 1
+					break
+				}
+			}
+			if first == 0 {
+				continue // the flipped fetch was squashed before it decoded
+			}
+			checked++
+			if first > mark || mark-first > int64(DefaultConfig().FetchQueue) {
+				t.Errorf("cycle %d bit %d: first flipped decode %d, bound %d", cycle, bit, first, mark)
+			}
+		}
+	}
+	if checked < 6 {
+		t.Fatalf("only %d of 12 flips reached decode", checked)
+	}
+}

@@ -476,6 +476,17 @@ func (c *CPU) SchedulePCFault(cycle int64, bit int) {
 	c.pcFaultDone = false
 }
 
+// PCFaultDecode reports whether the scheduled PC fault has fired and, once
+// it has, a bound on the decode index of the first instruction fetched
+// through the flipped PC: that instruction, if it is ever decoded, is
+// decoded at or below the returned index. It has been decoded already, or
+// it waits in the fetch queue behind instructions that each take at most
+// the decode events one instruction can. The bound is tightest right after
+// the flip.
+func (c *CPU) PCFaultDecode() (int64, bool) {
+	return c.decodeEvents + int64(c.fqLen())*c.MaxDecodesPerCycle()/int64(c.cfg.FetchWidth), c.pcFaultDone
+}
+
 // SetCommitObserver installs the committed-instruction observer.
 func (c *CPU) SetCommitObserver(o CommitObserver) { c.observer = o }
 

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"itr/internal/isa"
+	"itr/internal/program"
 	"itr/internal/sig"
 )
 
@@ -59,6 +60,15 @@ func (r RenameIndexes) pack() uint64 {
 		w |= 1 << 18
 	}
 	return w
+}
+
+// RenameTraceSigs returns the fault-free rename signature of the static
+// trace starting at every PC of tab's image, with one more entry past the
+// image end for the halt every out-of-image PC decodes as
+// (DecodeTable.FoldTraces): the signature a rename checker holds for a trace
+// whose instructions all presented their true map indexes.
+func RenameTraceSigs(tab *program.DecodeTable) []uint64 {
+	return tab.FoldTraces(func(d isa.DecodeSignals) uint64 { return renameIndexesOf(d).pack() })
 }
 
 // RenameFaultHook lets an injector corrupt the rename-map indexes of one

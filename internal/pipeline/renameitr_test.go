@@ -3,7 +3,10 @@ package pipeline
 import (
 	"testing"
 
+	"itr/internal/cache"
 	"itr/internal/isa"
+	"itr/internal/program"
+	"itr/internal/workload"
 )
 
 // renameFaultOnce corrupts the Src1 rename index of the first matching
@@ -165,5 +168,40 @@ func TestApplyRenameIndexesOnlyTouchesRegisters(t *testing.T) {
 	// differs from the executed one only in the register fields.
 	if d.Pack() == d2.Pack() {
 		t.Fatal("corrupted index should change the executed vector")
+	}
+}
+
+// TestRenameTraceSigsMatchFaultFreeCache: every line a fault-free run leaves
+// in the rename checker's cache holds RenameTraceSigs' signature for its
+// start PC, on the loop nest and on a synthesized benchmark with wrong
+// paths, jumps and cold code.
+func TestRenameTraceSigsMatchFaultFreeCache(t *testing.T) {
+	prof, err := workload.ByName("vortex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := workload.CachedProgram(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*program.Program{loopProgram(t, 20, 30), bench} {
+		cfg := DefaultConfig()
+		cfg.RenameITREnabled = true
+		cpu, err := New(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu.Run(60_000)
+		sigs := RenameTraceSigs(p.DecodeTable())
+		lines := 0
+		cpu.RenameChecker().Cache().Visit(func(ln *cache.Line) {
+			lines++
+			if want := sigs[min(ln.Key, uint64(len(sigs)-1))]; ln.Value != want {
+				t.Errorf("%s: line %#x holds %#x, static rename signature %#x", p.Name, ln.Key, ln.Value, want)
+			}
+		})
+		if lines == 0 {
+			t.Fatalf("%s: no rename signature resident", p.Name)
+		}
 	}
 }

@@ -116,6 +116,23 @@ func (t *DecodeTable) buildTraceSigs() {
 	t.traceSigs = sigs
 }
 
+// FoldTraces folds f over the static trace starting at every PC, the walk
+// TraceSig folds the packed words over: entry pc is the XOR of f over the
+// decode signals of that trace, and one more entry, past the image end,
+// holds f of the halt every out-of-image PC decodes as. Each call builds a
+// fresh slice.
+func (t *DecodeTable) FoldTraces(f func(isa.DecodeSignals) uint64) []uint64 {
+	folds := make([]uint64, len(t.sigs)+1)
+	for pc := range t.sigs {
+		_, last := t.walk(uint64(pc))
+		for q := pc; q <= int(last); q++ {
+			folds[pc] ^= f(t.Signals(uint64(q)))
+		}
+	}
+	folds[len(t.sigs)] = f(haltSignals)
+	return folds
+}
+
 // walk follows the static trace starting at pc until isa.EndsTrace ends it
 // or a halt stops the program, and returns the trace's signature and the PC
 // of its last instruction.

@@ -93,6 +93,31 @@ func TestDecodeTableOutOfRange(t *testing.T) {
 // leave traces of every length from 1 to MaxTraceLen. The records are
 // paired with the table's words, which end in the halt word past the image.
 func TestTraceRecordsMatchWalk(t *testing.T) {
+	seen := make(map[int]bool)
+	for _, insts := range traceImages() {
+		tab := (&Program{Insts: insts}).DecodeTable()
+		recs, words := tab.Records()
+		if len(recs) != len(insts)+1 || len(words) != len(recs) || words[len(insts)] != isa.HaltWord {
+			t.Fatalf("%d records and %d words for %d instructions", len(recs), len(words), len(insts))
+		}
+		for pc, r := range recs {
+			_, last := tab.walk(uint64(pc))
+			if got, want := isa.RecordLen(r), int(last)-pc+1; got != want {
+				t.Fatalf("pc %d of %d: record length %d, walk %d", pc, len(insts), got, want)
+			}
+			seen[isa.RecordLen(r)] = true
+		}
+	}
+	for n := 1; n <= isa.MaxTraceLen; n++ {
+		if !seen[n] {
+			t.Errorf("no trace of length %d drawn", n)
+		}
+	}
+}
+
+// traceImages returns the corner image and 50 random instruction soups whose
+// branches and halts leave traces of every length from 1 to MaxTraceLen.
+func traceImages() [][]isa.Instruction {
 	rng := rand.New(rand.NewSource(25))
 	images := [][]isa.Instruction{cornerInstructions()}
 	for i := 0; i < 50; i++ {
@@ -111,24 +136,23 @@ func TestTraceRecordsMatchWalk(t *testing.T) {
 		}
 		images = append(images, soup)
 	}
-	seen := make(map[int]bool)
-	for _, insts := range images {
+	return images
+}
+
+// TestFoldTracesMatchesTraceSig: folding the packed signal word over every
+// static trace reproduces TraceSig at every PC, and the entry past the image
+// end is the halt word TraceSig returns for an out-of-image PC.
+func TestFoldTracesMatchesTraceSig(t *testing.T) {
+	for _, insts := range traceImages() {
 		tab := (&Program{Insts: insts}).DecodeTable()
-		recs, words := tab.Records()
-		if len(recs) != len(insts)+1 || len(words) != len(recs) || words[len(insts)] != isa.HaltWord {
-			t.Fatalf("%d records and %d words for %d instructions", len(recs), len(words), len(insts))
+		folds := tab.FoldTraces(isa.DecodeSignals.Pack)
+		if len(folds) != len(insts)+1 {
+			t.Fatalf("%d folds for %d instructions", len(folds), len(insts))
 		}
-		for pc, r := range recs {
-			_, last := tab.walk(uint64(pc))
-			if got, want := isa.RecordLen(r), int(last)-pc+1; got != want {
-				t.Fatalf("pc %d of %d: record length %d, walk %d", pc, len(insts), got, want)
+		for pc, f := range folds {
+			if want := tab.TraceSig(uint64(pc)); f != want {
+				t.Fatalf("pc %d of %d: fold %#x, TraceSig %#x", pc, len(insts), f, want)
 			}
-			seen[isa.RecordLen(r)] = true
-		}
-	}
-	for n := 1; n <= isa.MaxTraceLen; n++ {
-		if !seen[n] {
-			t.Errorf("no trace of length %d drawn", n)
 		}
 	}
 }
