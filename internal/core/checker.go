@@ -79,33 +79,14 @@ type Stats struct {
 	ChunksChecked int64
 }
 
-// Checker drives the ITR cache and ITR ROB through the dispatch/commit
-// protocol of Section 2.2. The pipeline calls DispatchTrace when decode
-// completes a trace, Poll whenever an instruction is ready to commit,
-// CommitTraceEnd when the trace-terminating instruction commits, and
-// RollbackTo on branch-misprediction squashes.
+// Checker is the paper's ITR backend: dispatch reads the ITR cache for the
+// trace's reference signature, and retiring a missed trace installs its
+// signature. The embedded Frame runs the rest of the Section 2.2 protocol;
+// the Checker adds parity repair of a faulty cache line (Section 2.4).
 type Checker struct {
+	Frame
 	cfg   Config
-	mode  Mode
 	cache *cache.Cache
-	rob   *ROB
-
-	checkerVals
-
-	detections []Detection
-}
-
-// checkerVals is the Checker's plain mutable state, captured and restored
-// with one assignment. It must stay comparable: no slices, maps or pointers
-// to mutable data. The round-trip tests compare it with ==, so a slice field
-// added here fails to compile.
-type checkerVals struct {
-	retryArmed bool
-	retryPC    uint64
-
-	now int64 // committed-instruction count, provided by the pipeline
-
-	stats Stats
 }
 
 // NewChecker builds a checker for the given configuration and mode.
@@ -115,46 +96,23 @@ func NewChecker(cfg Config, mode Mode) (*Checker, error) {
 	if err != nil {
 		return nil, err
 	}
-	if mode != ModeFull && mode != ModeObserve {
-		return nil, fmt.Errorf("unknown checker mode %d", mode)
+	f, err := NewFrame(mode)
+	if err != nil {
+		return nil, err
 	}
-	return &Checker{cfg: cfg, mode: mode, cache: c, rob: NewROB(64)}, nil
+	return &Checker{Frame: f, cfg: cfg, cache: c}, nil
 }
 
 // Cache exposes the ITR cache (fault injection targets it; the classifier
 // probes it for MayITR outcomes).
 func (c *Checker) Cache() *cache.Cache { return c.cache }
 
-// SetNow provides the current committed-instruction count; installs stamp
-// their cache line with it so the checkpointing extension can decide whether
-// a machine-checked line postdates the last checkpoint.
-func (c *Checker) SetNow(committed int64) { c.now = committed }
-
-// Stats returns a copy of the event counters.
-func (c *Checker) Stats() Stats { return c.stats }
-
-// MismatchCount implements Detector.
-func (c *Checker) MismatchCount() *int64 { return &c.stats.Mismatches }
-
-// Detections returns all signature mismatches observed so far.
-func (c *Checker) Detections() []Detection {
-	out := make([]Detection, len(c.detections))
-	copy(out, c.detections)
-	return out
-}
-
-// Full reports whether trace dispatch must stall for ITR ROB space.
-func (c *Checker) Full() bool { return c.rob.Full() }
-
-// PendingTraces returns the number of in-flight trace entries.
-func (c *Checker) PendingTraces() int { return c.rob.Len() }
-
 // DispatchTrace allocates an ITR ROB entry for a completed trace and
 // performs the dispatch-time ITR cache access (read). It returns the entry's
 // sequence number for branch checkpoints. ok is false when the ITR ROB is
 // full and dispatch must stall.
 func (c *Checker) DispatchTrace(ev trace.Event, wrongPath bool) (seq uint64, ok bool) {
-	if c.rob.Full() {
+	if c.Full() {
 		return 0, false
 	}
 	entry := ROBEntry{StartPC: ev.StartPC, Sig: ev.Sig, Len: ev.Len, WrongPath: wrongPath}
@@ -166,17 +124,12 @@ func (c *Checker) DispatchTrace(ev trace.Event, wrongPath bool) (seq uint64, ok 
 		} else {
 			entry.State = sig.CtrlChkRetry
 		}
+		c.stats.Hits++
 	} else {
 		entry.State = sig.CtrlMiss
-	}
-	c.stats.Dispatched++
-	if entry.State.Miss() {
 		c.stats.Misses++
-	} else {
-		c.stats.Hits++
 	}
-	seq, _ = c.rob.Alloc(entry)
-	return seq, true
+	return c.Dispatch(entry)
 }
 
 // HeadState returns the control state of the oldest in-flight trace.
@@ -189,133 +142,35 @@ func (c *Checker) HeadState() (sig.ControlState, bool) {
 	return h.State, true
 }
 
-// record notes a detection exactly once per ITR ROB entry.
-func (c *Checker) record(h *ROBEntry) {
-	if h.detRecorded {
-		return
-	}
-	h.detRecorded = true
-	c.stats.Mismatches++
-	c.detections = append(c.detections, Detection{
-		StartPC:   h.StartPC,
-		AccessSig: h.Sig,
-		CachedSig: h.CachedSig,
-		Seq:       c.rob.HeadSeq(),
-		OnRetry:   c.retryArmed && c.retryPC == h.StartPC,
-	})
-}
-
-// Poll implements the paper's commit rule: every instruction that is ready
-// to commit polls the ITR ROB head entry. A set retry bit flushes the
-// processor immediately — even before the faulting trace's terminating
-// instruction commits — which is how ITR rescues faults that would
-// otherwise deadlock the machine mid-trace.
+// Poll is the frame's commit rule with parity protection: when the retried
+// trace mismatches again and parity exposes a fault in the ITR cache line
+// itself, the line is repaired with the freshly generated signature and
+// commit proceeds (Section 2.4) instead of raising a machine check.
 func (c *Checker) Poll() Action {
 	h := c.rob.Head()
-	if h == nil {
-		// The committing instruction's trace is still forming; its check
-		// happens when the trace terminates. (The final, partial trace of
-		// a program is never checked.)
-		return Action{Kind: ActionProceed}
-	}
-	if !h.State.Valid() {
-		// A fault on the control bits themselves: the one-hot encoding
-		// makes it detectable (Section 2.4). Treat conservatively as a
-		// retry.
-		c.record(h)
-		if c.mode == ModeObserve {
-			h.State = sig.CtrlChk
-			return Action{Kind: ActionProceed}
-		}
-		pc := h.StartPC
-		c.stats.Retries++
-		c.flushForRetry(pc)
-		return Action{Kind: ActionRetry, RestartPC: pc}
-	}
-
-	switch {
-	case h.State == sig.CtrlNone:
-		return Action{Kind: ActionStall}
-
-	case h.State.Retry():
-		c.record(h)
-		if c.mode == ModeObserve {
-			return Action{Kind: ActionProceed}
-		}
-		if c.retryArmed && c.retryPC == h.StartPC {
-			// Second mismatch for the same trace: the copy in the ITR
-			// cache is the faulty one.
+	if c.cfg.Parity && c.mode == ModeFull && h != nil && h.State.Retry() && c.retryArmed && c.retryPC == h.StartPC {
+		if ln, ok := c.cache.Probe(h.StartPC); ok && cache.Parity64(ln.Value) != ln.Parity {
+			c.record(h)
 			c.retryArmed = false
-			if c.cfg.Parity {
-				if ln, ok := c.cache.Probe(h.StartPC); ok && cache.Parity64(ln.Value) != ln.Parity {
-					// Parity exposes an ITR cache line fault: repair the
-					// line with the freshly generated signature and
-					// continue (Section 2.4).
-					ln.Value = h.Sig
-					ln.Parity = cache.Parity64(h.Sig)
-					ln.Checked = true
-					h.State = sig.CtrlChk
-					c.stats.ParityRecovers++
-					return Action{Kind: ActionParityRecovered}
-				}
-			}
-			// The previous instance executed with a fault and corrupted
-			// architectural state: abort (or roll back to a coarse-grain
-			// checkpoint if the pipeline has one). RestartPC names the
-			// offending trace so checkpointed recovery can repair its ITR
-			// cache line.
-			c.stats.MachineChecks++
-			return Action{Kind: ActionMachineCheck, RestartPC: h.StartPC}
+			ln.Value = h.Sig
+			ln.Parity = cache.Parity64(h.Sig)
+			ln.Checked = true
+			h.State = sig.CtrlChk
+			c.stats.ParityRecovers++
+			return Action{Kind: ActionParityRecovered}
 		}
-		// First mismatch: flush and restart from the start PC of the new
-		// trace to determine which instance is faulty.
-		c.stats.Retries++
-		pc := h.StartPC
-		c.flushForRetry(pc)
-		return Action{Kind: ActionRetry, RestartPC: pc}
-
-	default: // CtrlMiss or CtrlChk
-		return Action{Kind: ActionProceed}
 	}
-}
-
-// PollQuick reports whether Poll would certainly return ActionProceed with no
-// side effects: no head entry, or a head entry whose state is exactly CtrlMiss
-// or CtrlChk. It is small enough to inline, so the pipeline's commit loop can
-// skip the full Poll call on the overwhelmingly common fault-free path. Any
-// other state (including corrupted non-one-hot encodings) returns false and
-// must go through Poll.
-func (c *Checker) PollQuick() bool {
-	r := c.rob
-	if r.head == r.tail {
-		return true
-	}
-	s := r.entries[r.head&r.mask].State
-	return s == sig.CtrlMiss || s == sig.CtrlChk
+	return c.Frame.Poll()
 }
 
 // CommitTraceEnd is called when the trace-terminating instruction of the
-// oldest trace commits (after Poll allowed it). It installs missed
-// signatures, completes retry bookkeeping and frees the head entry.
+// oldest trace commits (after Poll allowed it). It installs a missed
+// signature, then retires the head entry.
 func (c *Checker) CommitTraceEnd() {
-	h := c.rob.Head()
-	if h == nil {
-		return
-	}
-	switch {
-	case h.State.Miss():
-		// Install the (unchecked) signature at commit.
+	if h := c.rob.Head(); h != nil && h.State.Miss() {
 		c.install(h)
-		c.disarmIf(h.StartPC)
-	case h.State == sig.CtrlChk:
-		if c.retryArmed && c.retryPC == h.StartPC {
-			// The retried instance matches: the earlier mismatch was a
-			// transient in the (squashed) new instance. Recovered.
-			c.retryArmed = false
-			c.stats.Recoveries++
-		}
 	}
-	c.rob.PopHead()
+	c.Retire()
 }
 
 // install writes a trace signature into the ITR cache at commit time.
@@ -329,61 +184,15 @@ func (c *Checker) install(h *ROBEntry) {
 	}
 }
 
-// flushForRetry arms the retry state and clears the ITR ROB: the pipeline
-// flushes everything and refetches from the trace's start PC.
-func (c *Checker) flushForRetry(pc uint64) {
-	c.retryArmed = true
-	c.retryPC = pc
-	c.stats.Squashed += int64(c.rob.Len())
-	c.rob.Clear()
-}
-
-// disarmIf clears retry state when the retried trace resolved through a
-// different path (e.g. it missed after an intervening eviction).
-func (c *Checker) disarmIf(pc uint64) {
-	if c.retryArmed && c.retryPC == pc {
-		c.retryArmed = false
-	}
-}
-
-// RollbackTo squashes ITR ROB entries younger than the branch checkpoint
-// keepSeq (branch misprediction recovery, Section 2.2).
-func (c *Checker) RollbackTo(keepSeq uint64) {
-	before := c.rob.Len()
-	c.rob.SquashAfter(keepSeq)
-	c.stats.Squashed += int64(before - c.rob.Len())
-}
-
-// FlushAll squashes every in-flight entry (used by full-pipeline flushes
-// that are not ITR retries, e.g. external restarts).
-func (c *Checker) FlushAll() {
-	c.stats.Squashed += int64(c.rob.Len())
-	c.rob.Clear()
-}
-
-// RetryArmed reports whether a retry is outstanding (for tests).
-func (c *Checker) RetryArmed() (uint64, bool) { return c.retryPC, c.retryArmed }
-
 // Settled implements Detector. The ITR compare resolves at dispatch (the
 // cache lookup assigns chk/retry/miss immediately), so the only sources of
-// future events are an armed retry and in-flight entries whose dispatch
-// already observed a mismatch (retry state) or whose control state is
-// corrupted (invalid / still-pending). Faithful future dispatches resolve to
-// chk or miss against true-signature lines; mismatches against a faulty
+// future events are the frame's: an armed retry and in-flight entries whose
+// dispatch already observed a mismatch (retry state) or whose control state
+// is corrupted (invalid / still-pending). Faithful future dispatches resolve
+// to chk or miss against true-signature lines; mismatches against a faulty
 // *resident* line are possible, but auditing cache contents needs the
 // fault-free oracle and is the caller's job per the interface contract.
-func (c *Checker) Settled(cleanCommit int64, diverged bool) bool {
-	if c.retryArmed {
-		return false
-	}
-	settled := true
-	c.rob.Visit(func(e *ROBEntry) {
-		if e.State != sig.CtrlChk && e.State != sig.CtrlMiss {
-			settled = false
-		}
-	})
-	return settled
-}
+func (c *Checker) Settled(cleanCommit int64, diverged bool) bool { return c.Quiet() }
 
 // SafeToCheckpoint reports whether every committed trace has been verified
 // against an earlier instance: a checkpoint taken now is only rolled back to
@@ -408,30 +217,17 @@ func (c *Checker) SignatureStamp(pc uint64) (stamp int64, found bool) {
 func (c *Checker) DiscardSignature(pc uint64) { c.cache.Invalidate(pc) }
 
 // CheckerState is an immutable capture of a Checker's mutable state: the
-// plain state by value (retry bookkeeping, timebase, counters), plus the ITR
-// cache as a flat cache.State (one allocation, no map index), a clone of the
-// ITR ROB, and the detection log shared copy-on-write with the checker: the
-// capture is capacity-clamped, entries are append-only, and a restored
-// checker adopts the log by reference so its next append grows a fresh
-// array. A state is never written through, so one state may be restored into
-// many checkers concurrently.
+// frame's capture, plus the ITR cache as a flat cache.State (one allocation,
+// no map index). A state is never written through, so one state may be
+// restored into many checkers concurrently.
 type CheckerState struct {
-	v          checkerVals
-	cache      *cache.State
-	rob        *ROB
-	detections []Detection
+	FrameState
+	cache *cache.State
 }
-
-func (*CheckerState) detectorState() {}
 
 // CaptureState snapshots the checker's mutable state.
 func (c *Checker) CaptureState() DetectorState {
-	return &CheckerState{
-		v:          c.checkerVals,
-		cache:      c.cache.CaptureState(),
-		rob:        c.rob.Clone(),
-		detections: c.detections[:len(c.detections):len(c.detections)],
-	}
+	return &CheckerState{FrameState: c.Capture(), cache: c.cache.CaptureState()}
 }
 
 // RestoreState overwrites the checker's mutable state with state, preserving
@@ -447,14 +243,5 @@ func (c *Checker) RestoreState(state DetectorState) error {
 	if err := c.cache.RestoreState(s.cache); err != nil {
 		return err
 	}
-	if err := c.rob.CopyFrom(s.rob); err != nil {
-		return err
-	}
-	c.checkerVals = s.v
-	// Adopt the captured log by reference: it is capacity-clamped, so the
-	// checker's next detection grows a fresh backing array and the capture
-	// stays immutable. Never truncate-and-reuse c.detections here — its
-	// backing array may be visible to an earlier capture.
-	c.detections = s.detections
-	return nil
+	return c.Restore(&s.FrameState)
 }

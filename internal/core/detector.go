@@ -8,55 +8,45 @@ import "itr/internal/trace"
 // same seam so the pipeline, fault campaigns, snapshots and experiment
 // engine drive them identically.
 //
-// The protocol mirrors the Section 2.2 commit rule: the pipeline calls
-// DispatchTrace when decode completes a trace (stalling while Full reports
-// true), PollQuick/Poll for every instruction that is ready to commit,
-// CommitTraceEnd when the trace-terminating instruction commits, SetNow with
-// the committed-instruction count each cycle, RollbackTo on branch
-// misprediction squashes and FlushAll on whole-pipeline flushes.
+// Every backend embeds a Frame, which owns the Section 2.2 in-flight
+// protocol: the trace FIFO, flush-and-retry, the machine check, a pending
+// post-commit verdict, the timebase, the counters and the detection log.
+// The pipeline takes the frame once (Base) and calls its Full, PollQuick,
+// SetNow, RollbackTo and FlushAll directly; the methods below are each
+// backend's policy. The pipeline calls DispatchTrace when decode completes a
+// trace (stalling while the frame is full), Poll for every instruction that
+// is ready to commit and PollQuick does not clear, and CommitTraceEnd when
+// the trace-terminating instruction commits.
 //
 // Implementations are single-threaded: a detector belongs to one CPU and is
 // only called from its cycle loop. Captured DetectorStates, however, must be
 // immutable so one capture can be restored into many detectors concurrently
 // (the campaign run arenas do exactly that).
 type Detector interface {
+	// Base returns the backend's embedded frame (promoted from Frame).
+	Base() *Frame
 	// DispatchTrace ingests a completed trace, returning the in-flight
 	// sequence number used by branch checkpoints. ok is false when the
-	// detector's in-flight window is full and dispatch must stall.
+	// in-flight window is full and dispatch must stall. The backend picks
+	// the reference the trace is compared against: the ITR cache, the
+	// static trace signature, or none before commit.
 	DispatchTrace(ev trace.Event, wrongPath bool) (seq uint64, ok bool)
-	// Full reports whether trace dispatch must stall for in-flight space.
-	Full() bool
-	// PollQuick reports whether Poll would certainly return ActionProceed
-	// with no side effects; the commit loop uses it to skip Poll on the
-	// overwhelmingly common fault-free path.
-	PollQuick() bool
 	// Poll is the per-commit verdict for the instruction at the head of the
-	// machine's commit stream.
+	// machine's commit stream (the frame's rule, plus ITR's parity repair).
 	Poll() Action
 	// CommitTraceEnd retires the oldest in-flight trace after its
 	// terminating instruction committed (backend bookkeeping: signature
 	// install, replay fold, shadow execution).
 	CommitTraceEnd()
-	// SetNow provides the current committed-instruction count, the
-	// timebase for checkpoint-safety decisions.
-	SetNow(committed int64)
-	// RollbackTo squashes in-flight entries younger than the branch
-	// checkpoint keepSeq.
-	RollbackTo(keepSeq uint64)
-	// FlushAll squashes every in-flight entry (whole-pipeline flushes that
-	// are not backend-initiated retries).
-	FlushAll()
-	// RetryArmed reports an outstanding flush-and-retry, and for which PC.
-	RetryArmed() (pc uint64, armed bool)
 	// SafeToCheckpoint reports whether a coarse-grain checkpoint taken now
 	// could later be rolled back to safely — i.e. no committed state is
 	// still awaiting verification by this backend (for ITR: no unchecked
 	// cache lines; for chunked replay: no open chunk).
 	SafeToCheckpoint() bool
 	// SignatureStamp returns the committed-instruction stamp of the
-	// backend's evidence about pc (the ITR cache line install stamp, or a
-	// pending replay chunk's start). Checkpointed recovery compares it to
-	// the checkpoint's commit horizon to decide whether rollback can help.
+	// backend's evidence about pc (the ITR cache line install stamp, or the
+	// pending verdict's stamp). Checkpointed recovery compares it to the
+	// checkpoint's commit horizon to decide whether rollback can help.
 	// found is false when the backend holds no evidence for pc.
 	SignatureStamp(pc uint64) (stamp int64, found bool)
 	// DiscardSignature drops the backend's (possibly fault-corrupted)
@@ -81,18 +71,6 @@ type Detector interface {
 	// later, unrelated accesses (a faulty resident ITR cache line); the
 	// caller audits that state separately where it can consult an oracle.
 	Settled(cleanCommit int64, diverged bool) bool
-	// Stats returns a copy of the backend's event counters.
-	Stats() Stats
-	// MismatchCount returns a pointer to the running mismatch total
-	// (Stats().Mismatches without the struct copy). The pipeline caches
-	// the pointer at construction and loads through it on every trace
-	// retirement to decide whether a detection needs a cycle stamp, so
-	// the returned address must stay valid and current for the detector's
-	// lifetime — a pointer to the live counter field, not to a copy
-	// (RestoreState must update the counter in place).
-	MismatchCount() *int64
-	// Detections returns all mismatches observed so far.
-	Detections() []Detection
 	// CaptureState snapshots the detector's mutable state. The capture is
 	// immutable and safe to restore concurrently into many detectors.
 	CaptureState() DetectorState
@@ -102,17 +80,11 @@ type Detector interface {
 }
 
 // DetectorState marks a backend's opaque immutable state capture. Each
-// backend type-asserts its own concrete state in RestoreState; the marker
-// method keeps arbitrary types from slipping through the interface. Backends
-// outside this package opt in by embedding BaseDetectorState.
+// backend type-asserts its own concrete state in RestoreState. Every
+// capture embeds its frame's FrameState, whose unexported method seals the
+// interface against arbitrary types.
 type DetectorState interface {
-	detectorState()
+	frame() *FrameState
 }
-
-// BaseDetectorState is embedded by backend state types in other packages to
-// satisfy the sealed DetectorState interface.
-type BaseDetectorState struct{}
-
-func (BaseDetectorState) detectorState() {}
 
 var _ Detector = (*Checker)(nil)

@@ -20,17 +20,6 @@ type ROBEntry struct {
 	detRecorded bool // detection already reported for this entry
 }
 
-// MarkDetected marks the entry's detection as reported, returning true the
-// first time. Detector backends use it to record at most one detection per
-// in-flight entry no matter how many commits poll it.
-func (e *ROBEntry) MarkDetected() bool {
-	if e.detRecorded {
-		return false
-	}
-	e.detRecorded = true
-	return true
-}
-
 // ROB is the ITR ROB: a ring of trace entries in dispatch order. Entries are
 // addressed by absolute sequence number so branch-misprediction rollback can
 // name the entry recorded in the branch's checkpoint, exactly as the paper

@@ -16,10 +16,11 @@
 //     behind commit in an offset-decorrelated address space, catching
 //     control-flow corruption that slips past the per-trace compare.
 //
-// Backends are selected by name through pipeline.Config.Detector and share
-// the ITR checker's dispatch/poll/commit protocol, snapshot machinery and
-// stats, so fault campaigns, energy accounting and the experiment engine
-// drive all of them identically.
+// Backends are selected by name through pipeline.Config.Detector. Each
+// embeds a core.Frame, the in-flight protocol the ITR checker runs on
+// (trace FIFO, flush-and-retry, machine check, pending post-commit verdict,
+// counters, detection log and their capture), so fault campaigns, energy
+// accounting and the experiment engine drive all of them identically.
 package detect
 
 import (
@@ -112,18 +113,4 @@ func New(name string, prog *program.Program, cfg core.Config, mode core.Mode, op
 		return NewDME(prog, mode, opts)
 	}
 	return nil, fmt.Errorf("unknown detector backend %q (have %s)", name, strings.Join(Names(), ", "))
-}
-
-func checkMode(mode core.Mode) error {
-	if mode != core.ModeFull && mode != core.ModeObserve {
-		return fmt.Errorf("unknown detector mode %d", mode)
-	}
-	return nil
-}
-
-// clampDetections capacity-clamps a detection log for a capture, so the
-// owner's next append grows a fresh backing array and the capture stays
-// immutable (the same copy-on-write discipline core.CheckerState uses).
-func clampDetections(d []core.Detection) []core.Detection {
-	return d[:len(d):len(d)]
 }

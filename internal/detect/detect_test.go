@@ -154,17 +154,22 @@ func TestRestoreRejectsForeignState(t *testing.T) {
 }
 
 // driveBackend feeds a detector n traces of p's fault-free stream, starting
-// at trace skip, with the signature of trace bad corrupted. Each trace
-// commits right after its dispatch (observe mode, so nothing stalls or
-// flushes).
-func driveBackend(d core.Detector, p *program.Program, skip, n, bad int) {
+// at trace skip, with the signature of trace bad corrupted. sigs, when set,
+// replaces each trace's signature with sigs[StartPC] (a rename checker's
+// view of the same stream). Each trace commits right after its dispatch
+// whatever the verdict, so in full mode retries and machine checks pile up
+// in the state.
+func driveBackend(d core.Detector, p *program.Program, sigs []uint64, skip, n, bad int) {
 	i := 0
 	trace.Stream(p, 0, func(ev trace.Event) bool {
 		if i >= skip {
+			if sigs != nil {
+				ev.Sig = sigs[ev.StartPC]
+			}
 			if i == bad {
 				ev.Sig ^= 1 << 7
 			}
-			d.SetNow(int64(i))
+			d.Base().SetNow(int64(i))
 			d.DispatchTrace(ev, false)
 			d.Poll()
 			d.CommitTraceEnd()
@@ -174,44 +179,58 @@ func driveBackend(d core.Detector, p *program.Program, skip, n, bad int) {
 	})
 }
 
-// TestBackendStateRoundTrip: each rival backend's RestoreState puts back
-// exactly the plain state CaptureState took, whatever ran in between.
-// Comparing repTFDVals and dmeVals with == also keeps them comparable: a
-// slice field added to either fails to compile.
-func TestBackendStateRoundTrip(t *testing.T) {
+// TestStateRoundTrip: every backend's RestoreState puts back exactly the
+// plain state CaptureState took, whatever ran in between: the frame's (the
+// retry, pending verdict, timebase and counters) and the backend's own.
+// Comparing the plain-state structs with == also keeps them comparable: a
+// slice field added to one fails to compile.
+func TestStateRoundTrip(t *testing.T) {
 	p := testProg(t)
-	rep, err := NewRepTFD(p, core.ModeObserve, Options{ChunkTraces: 4})
-	if err != nil {
-		t.Fatal(err)
+	// A rename checker is an ITR checker fed per-trace folds of the
+	// rename-map indexes instead of the decode signatures.
+	renameSigs := p.DecodeTable().FoldTraces(func(d isa.DecodeSignals) uint64 {
+		return uint64(d.Rsrc1) | uint64(d.Rsrc2)<<5 | uint64(d.Rdst)<<10
+	})
+	cfg := core.Config{Entries: 16, Assoc: 2}
+	rows := []struct {
+		name, backend string
+		sigs          []uint64
+		// same compares the backend's own plain state with its capture's.
+		same func(d core.Detector, s core.DetectorState) bool
+	}{
+		{NameITR, NameITR, nil, nil},
+		{"rename", NameITR, renameSigs, nil},
+		{NameRepTFD, NameRepTFD, nil, func(d core.Detector, s core.DetectorState) bool {
+			return d.(*RepTFD).repTFDVals == s.(*RepTFDState).v
+		}},
+		{NameDME, NameDME, nil, func(d core.Detector, s core.DetectorState) bool {
+			return d.(*DME).resync == s.(*DMEState).resync
+		}},
 	}
-	driveBackend(rep, p, 0, 30, 21)
-	rs := rep.CaptureState().(*RepTFDState)
-	driveBackend(rep, p, 30, 30, 41)
-	if rep.repTFDVals == rs.v {
-		t.Fatal("reptfd: plain state unchanged by further execution")
-	}
-	if err := rep.RestoreState(rs); err != nil {
-		t.Fatal(err)
-	}
-	if rep.repTFDVals != rs.v {
-		t.Fatalf("reptfd: plain state did not round-trip:\ngot  %+v\nwant %+v", rep.repTFDVals, rs.v)
-	}
-
-	dme, err := NewDME(p, core.ModeObserve, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveBackend(dme, p, 0, 30, 21)
-	ds := dme.CaptureState().(*DMEState)
-	driveBackend(dme, p, 30, 30, 41)
-	if dme.dmeVals == ds.v {
-		t.Fatal("dme: plain state unchanged by further execution")
-	}
-	if err := dme.RestoreState(ds); err != nil {
-		t.Fatal(err)
-	}
-	if dme.dmeVals != ds.v {
-		t.Fatalf("dme: plain state did not round-trip:\ngot  %+v\nwant %+v", dme.dmeVals, ds.v)
+	for _, mode := range []core.Mode{core.ModeFull, core.ModeObserve} {
+		for _, row := range rows {
+			t.Run(row.name+"/"+modeName(mode), func(t *testing.T) {
+				d, err := New(row.backend, p, cfg, mode, Options{ChunkTraces: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				driveBackend(d, p, row.sigs, 0, 30, 21)
+				st := d.CaptureState()
+				driveBackend(d, p, row.sigs, 30, 30, 41)
+				if d.Base().SameVals(st) {
+					t.Fatal("plain state unchanged by further execution; the round trip would be vacuous")
+				}
+				if err := d.RestoreState(st); err != nil {
+					t.Fatal(err)
+				}
+				if !d.Base().SameVals(st) {
+					t.Fatal("frame plain state did not round-trip")
+				}
+				if row.same != nil && !row.same(d, st) {
+					t.Fatal("backend plain state did not round-trip")
+				}
+			})
+		}
 	}
 }
 

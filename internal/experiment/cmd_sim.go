@@ -133,7 +133,7 @@ func runSim(e *Engine) error {
 			fmt.Fprintf(w, "                %d mismatches, %d retries, %d recoveries, %d machine checks\n",
 				st.Mismatches, st.Retries, st.Recoveries, st.MachineChecks)
 		} else if d := cpu.Detector(); d != nil {
-			st := d.Stats()
+			st := d.Base().Stats()
 			fmt.Fprintf(w, "%s detector: %d traces dispatched, %d insts replayed, %d chunks checked\n",
 				detect.Canonical(s.Detector), st.Dispatched, st.ReplayedInsts, st.ChunksChecked)
 			fmt.Fprintf(w, "                %d mismatches, %d retries, %d recoveries, %d machine checks\n",

@@ -199,7 +199,7 @@ func runDecided(cpu *pipeline.CPU, cur *goldenCursor, snap *pipeline.Snapshot, o
 		}
 		d := cpu.Detector()
 		if rule.pcFault {
-			if d.Stats().Mismatches > 0 {
+			if d.Base().Mismatches() > 0 {
 				return res, true
 			}
 			if !known {
@@ -248,7 +248,7 @@ func runDecided(cpu *pipeline.CPU, cur *goldenCursor, snap *pipeline.Snapshot, o
 		// event, and (ITR only) that no faulty signature is resident to
 		// seed one later. A rename checker, which only full-protocol runs
 		// carry, must show the same of its own cache.
-		if rule.full || d.Stats().Mismatches == 0 {
+		if rule.full || d.Base().Mismatches() == 0 {
 			rc := cpu.RenameChecker()
 			if !d.Settled(cleanCommit, diverged) || rc != nil && !rc.Settled(cleanCommit, diverged) {
 				continue

@@ -18,50 +18,54 @@ import (
 // three detector backends, several worker widths, and runs started both from
 // pilot snapshots and from cycle 0.
 func TestDecidedClassificationMatchesExact(t *testing.T) {
+	t.Parallel()
 	p := testProgram(t)
 	for _, backend := range []string{"itr", "reptfd", "dme"} {
 		for _, workers := range []int{1, 4} {
 			for _, seed := range []uint64{0x17b, 0xdead} {
 				for _, interval := range []int64{0, -1} {
 					name := fmt.Sprintf("%s/w%d/seed %#x/interval %d", backend, workers, seed, interval)
-					base := DefaultCampaignConfig()
-					base.Faults = 40
-					base.Seed = seed
-					base.Workers = workers
-					base.Experiment = quickConfig()
-					base.Experiment.Pipeline.Detector = backend
-					base.Experiment.SnapshotInterval = interval
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						base := DefaultCampaignConfig()
+						base.Faults = 40
+						base.Seed = seed
+						base.Workers = workers
+						base.Experiment = quickConfig()
+						base.Experiment.Pipeline.Detector = backend
+						base.Experiment.SnapshotInterval = interval
 
-					exact := base
-					exact.Experiment.Exact = true
-					fast := base
+						exact := base
+						exact.Experiment.Exact = true
+						fast := base
 
-					eres, err := RunCampaign("exact", p, exact)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fres, err := RunCampaign("fast", p, fast)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(fres.Counts, eres.Counts) {
-						t.Errorf("%s: counts %v != exact %v", name, fres.Counts, eres.Counts)
-					}
-					if fres.RecoveryAttempted != eres.RecoveryAttempted ||
-						fres.RecoveryConfirmed != eres.RecoveryConfirmed {
-						t.Errorf("%s: recovery %d/%d != exact %d/%d", name,
-							fres.RecoveryConfirmed, fres.RecoveryAttempted,
-							eres.RecoveryConfirmed, eres.RecoveryAttempted)
-					}
-					for i := range eres.Details {
-						if fres.Details[i] != eres.Details[i] {
-							t.Errorf("%s: injection %d\n fast  %+v\n exact %+v",
-								name, i, fres.Details[i], eres.Details[i])
+						eres, err := RunCampaign("exact", p, exact)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-					if eres.Budget.CyclesSaved != 0 {
-						t.Errorf("%s: exact path reported %d cycles saved", name, eres.Budget.CyclesSaved)
-					}
+						fres, err := RunCampaign("fast", p, fast)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(fres.Counts, eres.Counts) {
+							t.Errorf("%s: counts %v != exact %v", name, fres.Counts, eres.Counts)
+						}
+						if fres.RecoveryAttempted != eres.RecoveryAttempted ||
+							fres.RecoveryConfirmed != eres.RecoveryConfirmed {
+							t.Errorf("%s: recovery %d/%d != exact %d/%d", name,
+								fres.RecoveryConfirmed, fres.RecoveryAttempted,
+								eres.RecoveryConfirmed, eres.RecoveryAttempted)
+						}
+						for i := range eres.Details {
+							if fres.Details[i] != eres.Details[i] {
+								t.Errorf("%s: injection %d\n fast  %+v\n exact %+v",
+									name, i, fres.Details[i], eres.Details[i])
+							}
+						}
+						if eres.Budget.CyclesSaved != 0 {
+							t.Errorf("%s: exact path reported %d cycles saved", name, eres.Budget.CyclesSaved)
+						}
+					})
 				}
 			}
 		}
@@ -255,6 +259,7 @@ chase:  ld    r8, 8(r6)
 // series owns more than one page, and the sample holds both SDCs and masked
 // faults.
 func TestMultiPageCampaignSound(t *testing.T) {
+	t.Parallel()
 	p, err := asm.Assemble("multipage", multiPageSrc)
 	if err != nil {
 		t.Fatal(err)

@@ -276,7 +276,7 @@ func runOne(oracle *SigOracle, cfg Config, inj Injection, snaps snapSeries, ar *
 	det.Deadlock = res.Termination == pipeline.TermDeadlock
 	det.SpcFired = res.SpcFired > 0
 
-	detections := cpu.Detector().Detections()
+	detections := cpu.Detector().Base().Detections()
 	det.Detected = len(detections) > 0
 	if stamps := cpu.DetectionStamps(); det.Detected && injPt.fired && len(stamps) > 0 {
 		// Stamps were reset at the Restore and the snapshot's prefix is
@@ -334,7 +334,7 @@ func runOne(oracle *SigOracle, cfg Config, inj Injection, snaps snapSeries, ar *
 			bud.verifyForked = true
 		}
 		det.Verified = true
-		det.RecoveredInFull = vcpu.Detector().Stats().Recoveries > 0
+		det.RecoveredInFull = vcpu.Detector().Base().Stats().Recoveries > 0
 		det.MachineCheck = vres.Termination == pipeline.TermMachineCheck
 		det.SDCUnderITR = vcur.diverged
 		det.CheckpointRecovered = cfg.Checkpoint && vres.CheckpointRollbacks > 0 &&

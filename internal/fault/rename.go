@@ -127,7 +127,7 @@ func (s *renameStudy) run(a *arena, inj RenameInjection) (o renameOutcome, err e
 	rst := cpus[1].RenameChecker().Stats()
 	return renameOutcome{
 		withoutSDC:       curs[0].diverged,
-		frontendDetected: len(cpus[0].Detector().Detections()) > 0,
+		frontendDetected: cpus[0].Detector().Base().Mismatches() > 0,
 		detected:         rst.Mismatches > 0,
 		recovered:        rst.Recoveries > 0,
 		withSDC:          curs[1].diverged,

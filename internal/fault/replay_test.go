@@ -19,6 +19,7 @@ import (
 // percentages are unchanged by the optimization. It holds both on the exact
 // path and with the decided-outcome engine's early exits.
 func TestCampaignSnapshotFastPathBitIdentical(t *testing.T) {
+	t.Parallel()
 	variants := []struct {
 		name     string
 		interval int64
@@ -31,6 +32,7 @@ func TestCampaignSnapshotFastPathBitIdentical(t *testing.T) {
 	p := testProgram(t)
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
+			t.Parallel()
 			for _, exact := range []bool{true, false} {
 				t.Run(fmt.Sprintf("exact=%v", exact), func(t *testing.T) {
 					base := DefaultCampaignConfig()
@@ -300,6 +302,7 @@ func TestNearestSnapshotIdx(t *testing.T) {
 // retains the same snapshots (compared by decode events) as a pilot that
 // captures through the whole window before pruning, while capturing fewer.
 func TestPilotCutoffMatchesPrunedCaptureAll(t *testing.T) {
+	t.Parallel()
 	modes := []pipeline.RedundancyMode{pipeline.RedundancyNone, pipeline.RedundancyDualDecode, pipeline.RedundancyTimeRedundant}
 	for _, mode := range modes {
 		captured, all := int64(0), 0

@@ -34,6 +34,7 @@ func studyPrograms(t *testing.T) map[string]*program.Program {
 // serial, lockstep-reference harness it replaced, at every snapshot setting
 // (-1 disables snapshots) and at pool widths 1 and 4.
 func TestSideStudiesSnapshotAndWidthIdentical(t *testing.T) {
+	t.Parallel()
 	type study struct {
 		name string
 		run  func(*program.Program, CampaignConfig) (any, error)
@@ -96,7 +97,9 @@ func TestSideStudiesSnapshotAndWidthIdentical(t *testing.T) {
 // log-uniform so that runs of probes a few cycles apart are common, instead
 // of a fixed 512: a settle rule that only holds between the fixed probes
 // shows up as an outcome that depends on when the engine asked. It returns
-// the function that restores the fixed probe.
+// the function that restores the fixed probe. A test that calls it swaps a
+// package-level variable every decided run reads, so it must not be
+// parallel; the parallel tests only start once it has finished.
 func jitterProbes(t *testing.T) func() {
 	t.Helper()
 	var mu sync.Mutex
@@ -181,11 +184,20 @@ func TestSideStudiesDecidedMatchExact(t *testing.T) {
 		decided.StudyCyclesSimulated.Load(), exact.StudyCyclesSimulated.Load())
 }
 
-// TestPCPilotIsCleanReference proves hoisting the PC study's clean reference
-// run sound: the pilot — stopped at every fault's resume point, then run on
-// to the window's end — ends in exactly the Result of one straight run.
+// TestPCPilotIsCleanReference proves the PC study's clean reference sound:
+// the pilot — stopped at every fault's resume point, then run on to the
+// window's end on first need — ends in exactly the Result of one straight
+// run, and it runs on only when a run asks.
 func TestPCPilotIsCleanReference(t *testing.T) {
-	for name, p := range studyPrograms(t) {
+	progs := studyPrograms(t)
+	prof, err := workload.ByName("vortex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if progs["vortex"], err = workload.CachedProgram(prof); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range progs {
 		cfg := quickConfig()
 		cpu, err := pipeline.New(p, cfg.pipelineConfig(core.ModeObserve))
 		if err != nil {
@@ -197,8 +209,14 @@ func TestPCPilotIsCleanReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.ref != want {
-			t.Errorf("%s: pilot Result %+v, straight run %+v", name, st.ref, want)
+		if got := st.pilot.CycleCount(); got != 8_999 {
+			t.Errorf("%s: pilot ran to cycle %d before any run needed the reference, want 8999", name, got)
+		}
+		if got := st.reference(); got != want {
+			t.Errorf("%s: pilot Result %+v, straight run %+v", name, got, want)
+		}
+		if got := st.reference(); got != want {
+			t.Errorf("%s: second reference() %+v, want %+v", name, got, want)
 		}
 		// Cycle 1 needs no snapshot (cold is already before it) and the two
 		// faults at cycle 700 share one.

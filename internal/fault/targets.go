@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"itr/internal/cache"
 	"itr/internal/core"
@@ -71,11 +72,14 @@ type pcStudy struct {
 	sideStudy
 	pcfg  pipeline.Config
 	snaps snapSeries
-	ref   pipeline.Result
+
+	pilot   *pipeline.CPU // stopped at the last resume point
+	refOnce sync.Once
+	ref     pipeline.Result
 }
 
-// newPCStudy runs the pilot, capturing a resume point just before each
-// fault unless snapshots are disabled.
+// newPCStudy runs the pilot up to the last fault, capturing a resume point
+// just before each fault unless snapshots are disabled.
 func newPCStudy(prog *program.Program, cfg Config, faults []pcFault) (*pcStudy, error) {
 	st := &pcStudy{sideStudy: newSideStudy(prog, cfg), pcfg: cfg.pipelineConfig(core.ModeObserve)}
 	pilot, err := pipeline.New(prog, st.pcfg)
@@ -89,8 +93,16 @@ func newPCStudy(prog *program.Program, cfg Config, faults []pcFault) (*pcStudy, 
 		}
 		st.snaps = pilotAt(pilot, st.window, points, true)
 	}
-	st.ref = pilot.Run(st.window - pilot.CycleCount())
+	st.pilot = pilot
 	return st, nil
+}
+
+// reference returns the fault-free Result over the window. Only an
+// undiverged, undetected run reads it, so the pilot runs on to the
+// window's end on the first such run, not up front.
+func (s *pcStudy) reference() pipeline.Result {
+	s.refOnce.Do(func() { s.ref = s.pilot.Run(s.window - s.pilot.CycleCount()) })
+	return s.ref
 }
 
 // run injects f, resuming from the latest snapshot before the fault cycle,
@@ -107,13 +119,13 @@ func (s *pcStudy) run(a *arena, f pcFault) (PCOutcome, error) {
 	res := s.decide(a, cpu, cur, snap, settleRule{pcFault: true}, s.window)
 
 	switch {
-	case len(cpu.Detector().Detections()) > 0:
+	case cpu.Detector().Base().Mismatches() > 0:
 		return PCDetectedITR, nil
 	case res.Termination == pipeline.TermDeadlock:
 		return PCDeadlock, nil
 	case res.SpcFired > 0:
 		return PCDetectedSpc, nil
-	case !cur.diverged && res.Mispredicts > s.ref.Mispredicts:
+	case !cur.diverged && res.Mispredicts > s.reference().Mispredicts:
 		// Extra repair events relative to the fault-free run: the branch
 		// unit redirected the corrupted path and no damage remains.
 		return PCDetectedBranch, nil

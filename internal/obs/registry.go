@@ -58,11 +58,6 @@ func (r *Registry) RegisterGaugeFunc(name string, f func() int64) {
 	r.register(name, metric{gauge: f})
 }
 
-// RegisterHist exposes an existing histogram under name.
-func (r *Registry) RegisterHist(name string, h *Hist) {
-	r.register(name, metric{hist: h})
-}
-
 // Hist returns the histogram registered under name, creating and
 // registering a fresh one on first use.
 func (r *Registry) Hist(name string) *Hist {

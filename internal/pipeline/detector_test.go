@@ -41,7 +41,7 @@ func TestDetectorBackendsDetectInjectedFault(t *testing.T) {
 			}
 			cpu.SetFaultHook(firstArchFlip(9_000, 40))
 			cpu.Run(40_000)
-			det := cpu.Detector()
+			det := cpu.Detector().Base()
 			if det.Stats().Mismatches == 0 {
 				t.Fatalf("backend %s missed the injected fault: %+v", name, det.Stats())
 			}
@@ -54,7 +54,7 @@ func TestDetectorBackendsDetectInjectedFault(t *testing.T) {
 
 // TestDetectorStateRoundTrip is the capture/restore property test: for every
 // backend, a state captured through the Detector interface survives arbitrary
-// further execution and restores bit-identically — the detector's plain
+// further execution and restores bit-identically — the frame's plain
 // by-value state, observable stats and detection log come back exactly as
 // captured.
 func TestDetectorStateRoundTrip(t *testing.T) {
@@ -76,42 +76,32 @@ func TestDetectorStateRoundTrip(t *testing.T) {
 
 			det := cpu.Detector()
 			st := det.CaptureState()
-			wantStats := det.Stats()
-			wantDetections := det.Detections()
+			wantStats := det.Base().Stats()
+			wantDetections := det.Base().Detections()
 			if len(wantDetections) == 0 {
 				t.Fatalf("backend %s: no detection before capture; the round trip would be vacuous", name)
 			}
 
 			// Mutate: keep executing well past the capture point.
 			cpu.Run(budget - cpu.CycleCount())
-			if det.Stats() == wantStats {
+			if det.Base().Stats() == wantStats {
 				t.Fatalf("backend %s: stats unchanged after further execution", name)
 			}
 
 			if err := det.RestoreState(st); err != nil {
 				t.Fatal(err)
 			}
-			if live, captured := detectorVals(det, st); !live.Equal(captured) {
-				t.Fatalf("plain state did not round-trip:\ngot  %+v\nwant %+v", live, captured)
+			if !det.Base().SameVals(st) {
+				t.Fatal("frame plain state did not round-trip")
 			}
-			if got := det.Stats(); got != wantStats {
+			if got := det.Base().Stats(); got != wantStats {
 				t.Fatalf("stats did not round-trip:\ngot  %+v\nwant %+v", got, wantStats)
 			}
-			if got := det.Detections(); !reflect.DeepEqual(got, wantDetections) {
+			if got := det.Base().Detections(); !reflect.DeepEqual(got, wantDetections) {
 				t.Fatalf("detection log did not round-trip: got %d entries, want %d", len(got), len(wantDetections))
 			}
 		})
 	}
-}
-
-// detectorVals returns a backend's live embedded by-value state struct
-// (checkerVals, repTFDVals, dmeVals) and the copy its capture holds (field
-// v). They are unexported in the backends' packages, so this compares them by
-// reflection; the backends' own round-trip tests compare them with ==.
-func detectorVals(det core.Detector, st core.DetectorState) (live, captured reflect.Value) {
-	captured = reflect.ValueOf(st).Elem().FieldByName("v")
-	live = reflect.ValueOf(det).Elem().FieldByName(captured.Type().Name())
-	return live, captured
 }
 
 // TestDetectorSnapshotResumeBitIdentical extends the snapshot layer's
@@ -166,10 +156,10 @@ func TestDetectorSnapshotResumeBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(coldStream[prefix:], warmStream) {
 				t.Fatal("faulty commit streams differ between cold run and snapshot resume")
 			}
-			if cs, ws := cold.Detector().Stats(), warm.Detector().Stats(); cs != ws {
+			if cs, ws := cold.Detector().Base().Stats(), warm.Detector().Base().Stats(); cs != ws {
 				t.Fatalf("detector stats differ:\ncold %+v\nwarm %+v", cs, ws)
 			}
-			if !reflect.DeepEqual(cold.Detector().Detections(), warm.Detector().Detections()) {
+			if !reflect.DeepEqual(cold.Detector().Base().Detections(), warm.Detector().Base().Detections()) {
 				t.Fatal("detections differ between cold run and snapshot resume")
 			}
 		})
@@ -224,7 +214,7 @@ func TestDetectorSnapshotResumeFullMode(t *testing.T) {
 			if cold.Committed().R != warm.Committed().R || cold.Committed().PC != warm.Committed().PC {
 				t.Fatal("final architectural registers differ")
 			}
-			if cs, ws := cold.Detector().Stats(), warm.Detector().Stats(); cs != ws {
+			if cs, ws := cold.Detector().Base().Stats(), warm.Detector().Base().Stats(); cs != ws {
 				t.Fatalf("detector stats differ:\ncold %+v\nwarm %+v", cs, ws)
 			}
 		})
@@ -255,7 +245,7 @@ func TestDetectorProbeCounters(t *testing.T) {
 			if got := probe.DetectorPolls.Load(); got < res.Committed {
 				t.Fatalf("probe polls = %d, want >= committed instructions (%d)", got, res.Committed)
 			}
-			want := cpu.Detector().Stats().Mismatches
+			want := cpu.Detector().Base().Mismatches()
 			if got := probe.DetectorDetections.Load(); got != want {
 				t.Fatalf("probe detections = %d, detector reports %d mismatches", got, want)
 			}

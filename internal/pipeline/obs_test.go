@@ -137,7 +137,7 @@ func TestDetectionStamps(t *testing.T) {
 				return d
 			})
 			cpu.Run(40_000)
-			dets := cpu.Detector().Detections()
+			dets := cpu.Detector().Base().Detections()
 			stamps := cpu.DetectionStamps()
 			if len(dets) == 0 {
 				t.Fatalf("backend %s did not detect the injected flip", backend)

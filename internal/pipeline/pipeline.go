@@ -294,8 +294,11 @@ type CPU struct {
 
 	pred *Predictor
 	// det is the attached detection backend; every backend, the default ITR
-	// checker included, is driven through the interface.
+	// checker included, is driven through the interface. frame is its
+	// embedded in-flight protocol, taken once at construction so the
+	// per-commit calls (PollQuick, SetNow) are direct and inline.
 	det           core.Detector
+	frame         *core.Frame
 	renameChecker *core.Checker
 
 	slots   robSlots // SoA uop columns; ring length is a power of two ≥ cfg.ROBSize
@@ -339,12 +342,8 @@ type CPU struct {
 	// detStamps timestamps each detector mismatch observed by this machine
 	// since construction or the last Restore; detStamped is the detector
 	// mismatch count already stamped (rewound alongside the detector).
-	// detMismatch points at the detector's live mismatch counter
-	// (Detector.MismatchCount, cached at construction) so the per-trace
-	// retirement check is one load, not an interface call.
-	detStamps   []DetectionStamp
-	detStamped  int64
-	detMismatch *int64
+	detStamps  []DetectionStamp
+	detStamped int64
 }
 
 // machine is the CPU's plain mutable state: the fields a Snapshot captures
@@ -444,7 +443,7 @@ func New(prog *program.Program, cfg Config) (*CPU, error) {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}
 		c.det = det
-		c.detMismatch = det.MismatchCount()
+		c.frame = det.Base()
 	}
 	if cfg.RenameITREnabled {
 		if !cfg.ITREnabled {
@@ -516,7 +515,7 @@ func (c *CPU) checkpointRecover(faultyTracePC uint64) (restartPC uint64, ok bool
 	c.committed.Rollback(c.mem, &c.ckpt)
 	c.ckptRollbacks++
 	c.det.DiscardSignature(faultyTracePC)
-	c.det.FlushAll()
+	c.frame.FlushAll()
 	if c.renameChecker != nil {
 		c.renameChecker.DiscardSignature(faultyTracePC)
 		c.renameChecker.FlushAll()
@@ -611,8 +610,8 @@ func (c *CPU) RunUntilDecode(maxCycles, stopDecode int64) Result {
 			p.DetectorPolls.AddAt(c.obsShard, d)
 			c.detPollsSeen = c.detPolls
 		}
-		if c.det != nil {
-			m := c.det.Stats().Mismatches
+		if c.frame != nil {
+			m := c.frame.Mismatches()
 			if d := m - c.detDetectionsSeen; d > 0 {
 				p.DetectorDetections.AddAt(c.obsShard, d)
 			}
@@ -706,9 +705,9 @@ func (c *CPU) commitStage() {
 			// always squashed by the mispredicted branch ahead of them.
 			panic("pipeline: wrong-path uop reached commit")
 		}
-		if c.det != nil {
+		if c.frame != nil {
 			c.detPolls++
-			if !c.det.PollQuick() {
+			if !c.frame.PollQuick() {
 				a := c.det.Poll()
 				// Slow polls are where mismatches surface, so stamping
 				// here keeps detection-latency tracking off the
@@ -716,7 +715,7 @@ func (c *CPU) commitStage() {
 				// default backend, whose slow polls are routine (one per
 				// checked trace) and overwhelmingly mismatch-free.
 				c.cfg.Trace.Emit(obs.EvDetectorPoll, c.cycle, int64(a.Kind))
-				if *c.detMismatch > c.detStamped {
+				if c.frame.Mismatches() > c.detStamped {
 					c.stampDetections()
 				}
 				if c.act(a) {
@@ -753,8 +752,8 @@ func (c *CPU) commitStage() {
 			c.spec.overlay.commitStore(out.MemAddr)
 		}
 		c.committedCount++
-		if c.det != nil {
-			c.det.SetNow(c.committedCount)
+		if c.frame != nil {
+			c.frame.SetNow(c.committedCount)
 		}
 		c.lastCommitCycle = c.cycle
 		if c.observer != nil {
@@ -767,7 +766,7 @@ func (c *CPU) commitStage() {
 				// The counter load keeps the no-mismatch case (every
 				// fault-free trace) call-free.
 				c.det.CommitTraceEnd()
-				if *c.detMismatch > c.detStamped {
+				if c.frame.Mismatches() > c.detStamped {
 					c.stampDetections()
 				}
 			}
@@ -813,7 +812,7 @@ func (c *CPU) act(a core.Action) bool {
 // polls, and rival-backend trace retirements whose counter advanced),
 // never per commit.
 func (c *CPU) stampDetections() {
-	m := *c.detMismatch
+	m := c.frame.Mismatches()
 	for c.detStamped < m {
 		c.detStamped++
 		c.detStamps = append(c.detStamps, DetectionStamp{Cycle: c.cycle, Committed: c.committedCount})
@@ -838,8 +837,8 @@ func (c *CPU) itrFlush(restartPC uint64) {
 	// retry caused this flush has already cleared itself (and armed its
 	// retry state); FlushAll on an empty window is a no-op, so flushing
 	// both keeps the two in-flight windows aligned trace-for-trace.
-	if c.det != nil {
-		c.det.FlushAll()
+	if c.frame != nil {
+		c.frame.FlushAll()
 	}
 	if c.renameChecker != nil {
 		c.renameChecker.FlushAll()
@@ -971,8 +970,8 @@ func (c *CPU) repairMispredict(seq uint64, target uint64) {
 	// The branch terminated its trace, so it owns the youngest surviving
 	// ITR ROB entry; roll back to the checkpoint noted at its dispatch.
 	if idx := c.slot(seq); c.slots.flags[idx]&slotTraceEnd != 0 {
-		if c.det != nil {
-			c.det.RollbackTo(c.slots.itrSeq[idx])
+		if c.frame != nil {
+			c.frame.RollbackTo(c.slots.itrSeq[idx])
 		}
 		if c.renameChecker != nil {
 			c.renameChecker.RollbackTo(c.slots.renameSeq[idx])
@@ -1072,7 +1071,7 @@ func (c *CPU) dispatchStage() {
 		if c.robLen() == c.robCap {
 			return // ROB full
 		}
-		if c.det != nil && c.det.Full() {
+		if c.frame != nil && c.frame.Full() {
 			return // detector in-flight window full: stall decode (Section 2.2)
 		}
 		if c.renameChecker != nil && c.renameChecker.Full() {

@@ -179,7 +179,7 @@ func (c *CPU) Restore(s *Snapshot) error {
 		// Re-seed the probe's detection delta base and the stamp cursor:
 		// the detector's mismatch counter just rewound to the snapshot's
 		// value, and stamps of the abandoned trajectory are meaningless.
-		c.detDetectionsSeen = c.det.Stats().Mismatches
+		c.detDetectionsSeen = c.frame.Mismatches()
 		c.detStamps = c.detStamps[:0]
 		c.detStamped = c.detDetectionsSeen
 	}

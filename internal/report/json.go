@@ -199,12 +199,6 @@ type ArtifactJSON struct {
 	Perf      []PerfJSON     `json:"perf,omitempty"`
 }
 
-// Empty reports whether no artifact section is populated.
-func (a ArtifactJSON) Empty() bool {
-	return len(a.Figures) == 0 && len(a.Table1) == 0 && len(a.Coverage) == 0 &&
-		a.Headline == nil && len(a.Campaigns) == 0 && len(a.Energy) == 0 && len(a.Perf) == 0
-}
-
 // WriteJSON writes any exportable value as indented JSON.
 func WriteJSON(w io.Writer, v interface{}) error {
 	enc := json.NewEncoder(w)
