@@ -14,7 +14,9 @@
 package itr_test
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"itr/internal/cache"
 	"itr/internal/core"
@@ -487,9 +489,17 @@ func BenchmarkPipelineCycle(b *testing.B) {
 
 // BenchmarkDetectorOverhead measures per-cycle pipeline cost under each
 // detection backend against a detector-off machine, so the price of each
-// backend's work behind the core.Detector interface is visible as ns/cycle
-// side by side.
+// backend's work behind the core.Detector interface is visible side by side.
+// The four machines are built and warmed up alike before the timer starts,
+// then run in rounds of one fixed-length chunk each (rotating which goes
+// first), so host drift lands on every backend instead of on whichever one
+// happened to run during it. b.N is the cycle count each machine runs, so
+// ns/op is the sum of the four per-cycle costs. The reported metrics are
+// medians over rounds — each backend's ns/cycle and each detector's overhead
+// over off within a round — so a burst of host load that hits a few chunks
+// does not move them.
 func BenchmarkDetectorOverhead(b *testing.B) {
+	const warmCycles, chunkCycles = 100_000, 5_000
 	prof, err := workload.ByName("gap")
 	if err != nil {
 		b.Fatal(err)
@@ -498,30 +508,51 @@ func BenchmarkDetectorOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	backends := []struct {
-		name     string
-		detector string
-		enabled  bool
-	}{
-		{"off", "", false},
-		{"itr", "itr", true},
-		{"reptfd", "reptfd", true},
-		{"dme", "dme", true},
+	backends := []string{"off", "itr", "reptfd", "dme"}
+	cpus := make([]*pipeline.CPU, len(backends))
+	rounds := (b.N + chunkCycles - 1) / chunkCycles
+	nsPerCycle := make([][]float64, len(backends)) // [backend][round]
+	for i, name := range backends {
+		cfg := pipeline.DefaultConfig()
+		cfg.ITREnabled = name != "off"
+		if cfg.ITREnabled {
+			cfg.Detector = name
+		}
+		if cpus[i], err = pipeline.New(prog, cfg); err != nil {
+			b.Fatal(err)
+		}
+		cpus[i].Run(warmCycles)
+		nsPerCycle[i] = make([]float64, rounds)
 	}
-	for _, bk := range backends {
-		b.Run(bk.name, func(b *testing.B) {
-			cfg := pipeline.DefaultConfig()
-			cfg.ITREnabled = bk.enabled
-			cfg.Detector = bk.detector
-			cpu, err := pipeline.New(prog, cfg)
-			if err != nil {
-				b.Fatal(err)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for r := 0; r < rounds; r++ {
+		n := min(chunkCycles, b.N-r*chunkCycles)
+		for j := range cpus {
+			i := (j + r) % len(cpus)
+			start := time.Now()
+			res := cpus[i].Run(int64(n))
+			nsPerCycle[i][r] = float64(time.Since(start).Nanoseconds()) / float64(n)
+			if res.Termination != pipeline.TermBudget {
+				b.Fatalf("%s: run ended early (%v)", backends[i], res.Termination)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			res := cpu.Run(int64(b.N))
-			b.ReportMetric(res.IPC(), "ipc")
-		})
+		}
+	}
+	b.StopTimer()
+	median := func(v []float64) float64 {
+		v = slices.Clone(v)
+		slices.Sort(v)
+		return (v[(len(v)-1)/2] + v[len(v)/2]) / 2
+	}
+	overhead := make([]float64, rounds)
+	for i, name := range backends {
+		b.ReportMetric(median(nsPerCycle[i]), name+"-ns/cycle")
+		if i > 0 {
+			for r := range overhead {
+				overhead[r] = 100 * (nsPerCycle[i][r]/nsPerCycle[0][r] - 1)
+			}
+			b.ReportMetric(median(overhead), name+"-overhead-%")
+		}
 	}
 }
 

@@ -6,19 +6,19 @@
 // Associativity spans the full design space of the paper's Section 3:
 // direct-mapped, 2/4/8/16-way, and fully associative.
 //
-// The engine is the inner loop of the design-space sweep (tens of millions
-// of lookups per figure), so its layout is chosen for simulation speed, not
-// hardware fidelity: all lines live in one flat array (stable pointers, one
-// allocation), tag scans run over a separate compact key array (8 bytes per
-// way instead of a full Line), and high-associativity sets — where a linear
-// scan would be O(entries) — carry a map index plus an intrusive LRU list
-// giving O(1) lookup and O(1) victim selection.
+// The caches a run builds are the pipeline's 2-way ITR cache and the
+// coverage simulators that cannot share core.SimBank's recency stacks
+// (CheckedLRU ones), so the layout is chosen for small, low-associativity
+// sets: all lines live in one flat array (stable pointers, one allocation),
+// tag scans run over a separate compact key array (8 bytes per way instead
+// of a full Line), and victims come from a minimum-stamp scan of the set.
+// Wider geometries, fully associative included, run the same scans at
+// O(ways) per access.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // Replacement selects a victim line within a set.
@@ -93,23 +93,7 @@ type Cache struct {
 	// fill counts valid lines per set; steady-state inserts skip the
 	// free-way scan entirely once a set is full.
 	fill []int32
-	// idx accelerates key lookup for high-associativity sets, where a
-	// linear way scan (fine in hardware, O(assoc) here) dominates
-	// simulation time. nil for low associativities, where the scan's
-	// cache-friendly compare loop beats a hashed map access.
-	idx map[uint64]int32
-	// prev/next/heads/tails form an intrusive LRU list per set (most
-	// recent at head, least recent at tail), maintained only alongside
-	// idx: victim selection in an indexed set is O(1) instead of an
-	// O(assoc) minimum-stamp scan per eviction.
-	prev, next   []int32
-	heads, tails []int32
 }
-
-// indexedAssocMin is the associativity at which Lookup/Probe switch from a
-// linear way scan to the map index. Below it the scan's cache-friendly
-// compare loop beats a hashed map access.
-const indexedAssocMin = 32
 
 // FullyAssociative requests a single set spanning all entries.
 const FullyAssociative = 0
@@ -132,7 +116,7 @@ func New(entries, assoc int, repl Replacement) (*Cache, error) {
 		return nil, fmt.Errorf("unknown replacement policy %d", repl)
 	}
 	numSets := entries / assoc
-	c := &Cache{
+	return &Cache{
 		lines:   make([]Line, entries),
 		keys:    make([]uint64, entries),
 		assoc:   assoc,
@@ -140,18 +124,7 @@ func New(entries, assoc int, repl Replacement) (*Cache, error) {
 		setMask: uint64(numSets - 1),
 		repl:    repl,
 		fill:    make([]int32, numSets),
-	}
-	if assoc >= indexedAssocMin {
-		c.idx = make(map[uint64]int32, entries)
-		c.prev = make([]int32, entries)
-		c.next = make([]int32, entries)
-		c.heads = make([]int32, numSets)
-		c.tails = make([]int32, numSets)
-		for i := range c.heads {
-			c.heads[i], c.tails[i] = -1, -1
-		}
-	}
-	return c, nil
+	}, nil
 }
 
 // MustNew is New but panics on configuration error; for tests and tables of
@@ -183,82 +156,6 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // indexes), so low bits index directly as in a hardware PC-indexed structure.
 func (c *Cache) setIndex(key uint64) uint64 { return key & c.setMask }
 
-// ---- intrusive LRU list (indexed sets only) ----
-
-// unlink removes line i from its set's LRU list.
-func (c *Cache) unlink(i int32, set int) {
-	p, n := c.prev[i], c.next[i]
-	if p >= 0 {
-		c.next[p] = n
-	} else {
-		c.heads[set] = n
-	}
-	if n >= 0 {
-		c.prev[n] = p
-	} else {
-		c.tails[set] = p
-	}
-}
-
-// pushFront makes line i the most recently used of its set.
-func (c *Cache) pushFront(i int32, set int) {
-	h := c.heads[set]
-	c.prev[i], c.next[i] = -1, h
-	if h >= 0 {
-		c.prev[h] = i
-	} else {
-		c.tails[set] = i
-	}
-	c.heads[set] = i
-}
-
-// touch moves an already-listed line to the front of its set's LRU list.
-func (c *Cache) touch(i int32, set int) {
-	if c.heads[set] == i {
-		return
-	}
-	c.unlink(i, set)
-	c.pushFront(i, set)
-}
-
-// rebuildAux reconstructs keys, fill and — for indexed caches — the map
-// index and LRU lists from the line array. Used by the (cold) restore paths;
-// LRU stamps are the durable representation of recency, and the lists are
-// re-derived from them.
-func (c *Cache) rebuildAux() {
-	for i := range c.fill {
-		c.fill[i] = 0
-	}
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			c.keys[i] = c.lines[i].Key
-			c.fill[i/c.assoc]++
-		} else {
-			c.keys[i] = 0
-		}
-	}
-	if c.idx == nil {
-		return
-	}
-	clear(c.idx)
-	for i := range c.heads {
-		c.heads[i], c.tails[i] = -1, -1
-	}
-	valid := make([]int32, 0, len(c.lines))
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			c.idx[c.lines[i].Key] = int32(i)
-			valid = append(valid, int32(i))
-		}
-	}
-	// Oldest first, so successive pushFront calls leave the most recently
-	// used line at the head — the order victim selection depends on.
-	sort.Slice(valid, func(a, b int) bool { return c.lines[valid[a]].lru < c.lines[valid[b]].lru })
-	for _, i := range valid {
-		c.pushFront(i, int(i)/c.assoc)
-	}
-}
-
 // Lookup finds key, updating LRU state and the Referenced flag on a hit.
 // The returned pointer stays valid until the line is evicted; callers may
 // update Value/Checked/Parity/Aux through it.
@@ -269,9 +166,6 @@ func (c *Cache) Lookup(key uint64) (*Line, bool) {
 		ln.lru = c.clock
 		ln.Referenced = true
 		c.stats.Hits++
-		if c.idx != nil {
-			c.touch(i, int(i)/c.assoc)
-		}
 		return ln, true
 	}
 	c.stats.Misses++
@@ -288,12 +182,6 @@ func (c *Cache) Probe(key uint64) (*Line, bool) {
 
 // find returns the index of the valid line holding key, or -1.
 func (c *Cache) find(key uint64) int32 {
-	if c.idx != nil {
-		if i, ok := c.idx[key]; ok {
-			return i
-		}
-		return -1
-	}
 	base := int(c.setIndex(key)) * c.assoc
 	for i := base; i < base+c.assoc; i++ {
 		// The key slot can be stale after an invalidation, so confirm
@@ -324,9 +212,6 @@ func (c *Cache) InsertGet(key, value uint64) (ln *Line, evicted Line, wasEvicted
 		ln = &c.lines[i]
 		ln.Value = value
 		ln.lru = c.clock
-		if c.idx != nil {
-			c.touch(i, int(i)/c.assoc)
-		}
 		return ln, Line{}, false
 	}
 
@@ -350,40 +235,16 @@ func (c *Cache) InsertGet(key, value uint64) (ln *Line, evicted Line, wasEvicted
 		if !evicted.Referenced {
 			c.stats.EvictionsUnreferenced++
 		}
-		if c.idx != nil {
-			delete(c.idx, evicted.Key)
-			c.unlink(int32(victim), si)
-		}
 	} else {
 		c.fill[si]++
 	}
 	c.lines[victim] = Line{Key: key, Value: value, Valid: true, lru: c.clock}
 	c.keys[victim] = key
-	if c.idx != nil {
-		c.idx[key] = int32(victim)
-		c.pushFront(int32(victim), si)
-	}
 	return &c.lines[victim], evicted, wasEvicted
 }
 
 // pickVictim chooses a victim index within the (full) set si per the policy.
 func (c *Cache) pickVictim(si int) int {
-	if c.idx != nil {
-		// The LRU list makes victim selection O(1): the tail is the
-		// least recently used line. CheckedLRU walks from the tail toward
-		// recency for the oldest checked line — the same line a full
-		// minimum-stamp scan over checked lines would pick.
-		if c.repl == ReplCheckedLRU {
-			for i := c.tails[si]; i >= 0; i = c.prev[i] {
-				if c.lines[i].Checked {
-					return int(i)
-				}
-			}
-			// No checked line in the set: the optimization breaks down
-			// here (as the paper notes) and we fall back to plain LRU.
-		}
-		return int(c.tails[si])
-	}
 	base := si * c.assoc
 	switch c.repl {
 	case ReplCheckedLRU:
@@ -413,8 +274,8 @@ func (c *Cache) pickVictim(si int) int {
 
 // State is an immutable, flat capture of a cache's complete state: every line
 // (valid or not, preserving LRU ordering) in one contiguous array, plus the
-// scalar counters. Capturing costs a single allocation, and no map index or
-// LRU list is built for a copy that will never be looked up. A State is never
+// scalar counters. Capturing costs a single allocation, and the key array and
+// fill counts are left out: RestoreState rederives them. A State is never
 // written through, so one state may be restored into many caches
 // concurrently.
 type State struct {
@@ -451,7 +312,14 @@ func (c *Cache) RestoreState(s *State) error {
 	copy(c.lines, s.lines)
 	c.clock = s.clock
 	c.stats = s.stats
-	c.rebuildAux()
+	clear(c.fill)
+	for i := range c.lines {
+		c.keys[i] = 0
+		if c.lines[i].Valid {
+			c.keys[i] = c.lines[i].Key
+			c.fill[i/c.assoc]++
+		}
+	}
 	return nil
 }
 
@@ -461,10 +329,6 @@ func (c *Cache) RestoreState(s *State) error {
 func (c *Cache) Invalidate(key uint64) bool {
 	if i := c.find(key); i >= 0 {
 		si := int(i) / c.assoc
-		if c.idx != nil {
-			delete(c.idx, key)
-			c.unlink(i, si)
-		}
 		c.lines[i] = Line{}
 		c.keys[i] = 0
 		c.fill[si]--
@@ -474,8 +338,8 @@ func (c *Cache) Invalidate(key uint64) bool {
 }
 
 // Visit calls fn for every valid line. Mutating lines through the pointer is
-// allowed — except Key and Valid, which the key scan and index depend on;
-// inserting or invalidating during a visit is not.
+// allowed — except Key and Valid, which the key scan depends on; inserting
+// or invalidating during a visit is not.
 func (c *Cache) Visit(fn func(*Line)) {
 	for i := range c.lines {
 		if c.lines[i].Valid {

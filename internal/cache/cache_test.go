@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -332,5 +335,114 @@ func TestPropertyOccupancyBounded(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// cacheOp is one step of a replayed access sequence: a lookup that may mark
+// its hit line checked, an insert, or an invalidation.
+type cacheOp struct {
+	kind  uint8 // 0 lookup, 1 insert, 2 invalidate
+	key   uint64
+	check bool
+}
+
+// randomOps draws n operations over keys in [0, keySpace), weighted toward
+// lookups and inserts as in the ITR cache's dispatch/commit traffic.
+func randomOps(rng *rand.Rand, n int, keySpace uint64) []cacheOp {
+	ops := make([]cacheOp, n)
+	for i := range ops {
+		op := cacheOp{key: rng.Uint64() % keySpace, check: rng.Intn(3) == 0}
+		switch r := rng.Intn(20); {
+		case r < 10:
+			op.kind = 0
+		case r < 19:
+			op.kind = 1
+		default:
+			op.kind = 2
+		}
+		ops[i] = op
+	}
+	return ops
+}
+
+// applyOps runs ops on c and returns the lines it evicted, in order.
+func applyOps(c *Cache, ops []cacheOp) []Line {
+	var evicted []Line
+	for i, op := range ops {
+		switch op.kind {
+		case 0:
+			if ln, hit := c.Lookup(op.key); hit && op.check {
+				ln.Checked = true
+			}
+		case 1:
+			ln, ev, was := c.InsertGet(op.key, uint64(i))
+			ln.Aux = uint64(i) * 3
+			ln.Checked = op.check
+			if was {
+				evicted = append(evicted, ev)
+			}
+		case 2:
+			c.Invalidate(op.key)
+		}
+	}
+	return evicted
+}
+
+func visitLines(c *Cache) []Line {
+	var out []Line
+	c.Visit(func(ln *Line) { out = append(out, *ln) })
+	return out
+}
+
+// TestRestoreStateReplaysLikeUncapturedTwin captures a cache mid-run,
+// mutates it, restores the capture, and then replays one operation sequence
+// on the restored cache and on a twin that never left the captured point:
+// both must agree on statistics, on every evicted line in order, and on
+// their resident contents — for a fully associative and for the paper's
+// 2-way geometry, under both replacement policies.
+func TestRestoreStateReplaysLikeUncapturedTwin(t *testing.T) {
+	geoms := []struct {
+		name           string
+		entries, assoc int
+		keySpace       uint64
+	}{
+		{"fa/256", 256, FullyAssociative, 400},
+		{"2-way/1024", 1024, 2, 2048},
+	}
+	for _, g := range geoms {
+		for _, repl := range []Replacement{ReplLRU, ReplCheckedLRU} {
+			t.Run(fmt.Sprintf("%s/repl-%d", g.name, repl), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(g.entries) + int64(repl)))
+				prefix := randomOps(rng, 4000, g.keySpace)
+				mutate := randomOps(rng, 3000, g.keySpace)
+				replay := randomOps(rng, 6000, g.keySpace)
+
+				c := MustNew(g.entries, g.assoc, repl)
+				twin := MustNew(g.entries, g.assoc, repl)
+				applyOps(c, prefix)
+				applyOps(twin, prefix)
+				st := c.CaptureState()
+				if len(applyOps(c, mutate)) == 0 {
+					t.Fatal("mutation phase evicted nothing; the test would not exercise victim order")
+				}
+				if err := c.RestoreState(st); err != nil {
+					t.Fatal(err)
+				}
+
+				gotEv, wantEv := applyOps(c, replay), applyOps(twin, replay)
+				if len(wantEv) == 0 {
+					t.Fatal("replay evicted nothing")
+				}
+				if c.Stats() != twin.Stats() {
+					t.Fatalf("stats: restored %+v, twin %+v", c.Stats(), twin.Stats())
+				}
+				if !reflect.DeepEqual(gotEv, wantEv) {
+					t.Fatalf("evictions diverge: restored %d lines, twin %d", len(gotEv), len(wantEv))
+				}
+				if !reflect.DeepEqual(visitLines(c), visitLines(twin)) {
+					t.Fatal("resident lines diverge after replay")
+				}
+			})
+		}
 	}
 }

@@ -178,20 +178,10 @@ func NewSimBank(configs []Config, warmupInsts int64) (*SimBank, error) {
 		b.members[i].sim = sim
 	}
 	for _, d := range demands {
+		// groupable admits only power-of-two entry counts that the ways
+		// divide, so a group's lanes are distinct powers of two: at most 63
+		// of them, within the 64 lanes a referenced bitmask holds.
 		sets, ways := d.sets, d.ways
-		if len(ways) > 64 {
-			// The referenced bitmask holds 64 lanes; beyond that (never the
-			// case for real design spaces) members run standalone.
-			for _, mi := range d.members {
-				sim, err := NewCoverageSim(b.members[mi].cfg)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", b.members[mi].cfg, err)
-				}
-				b.sims = append(b.sims, sim)
-				b.members[mi].sim = sim
-			}
-			continue
-		}
 		g := newReplayGroup(sets, ways)
 		b.groups = append(b.groups, g)
 		for _, mi := range d.members {

@@ -22,10 +22,11 @@ import (
 //
 // Within the paper's 18-configuration design space this collapses 18 cache
 // simulations per event into 8 stack updates (e.g. fa/256, fa/512 and
-// fa/1024 share the single-set stack; dm/1024, 2-way/512 and 4-way/256 share
-// the 256-set stack), which is where the single-pass sweep's speedup over
-// the per-cell replay comes from. Per-lane coverage accounting rides on the
-// stack entries, so every lane's Result is bit-identical to a standalone
+// fa/1024 share the single-set stack; dm/256, 2-way/512 and 4-way/1024 share
+// the 256-set stack, since a Config names its entry count, not its set
+// count), which is where the single-pass sweep's speedup over the per-cell
+// replay comes from. Per-lane coverage accounting rides on the stack
+// entries, so every lane's Result is bit-identical to a standalone
 // CoverageSim's — a property the core and report tests enforce.
 //
 // Per-entry lane state is two words. Coverage needs, per lane, a referenced
@@ -98,8 +99,8 @@ func packEvent(ev trace.Event, warm bool) uint64 {
 }
 
 // groupIndexedCapMin is the stack depth at which the list layout (with a key
-// map) replaces the positional array layout, mirroring the cache engine's
-// indexing threshold.
+// map) replaces the positional array layout: past it, the array layout's
+// O(depth) shift per touch costs more than a map access.
 const groupIndexedCapMin = 32
 
 // metaRefBits is the width of the referenced bitmask in an entry's meta

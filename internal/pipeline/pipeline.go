@@ -941,31 +941,9 @@ func (c *CPU) repairMispredict(seq uint64, target uint64) {
 		c.slots.wakeHead[c.slot(s)] = wakeNone
 	}
 	for s := c.robHead; s < c.robTail; s++ {
-		idx := c.slot(s)
-		if c.slots.issued.get(idx) {
-			continue // already in the completion wheel; never waits again
+		if idx := c.slot(s); !c.slots.issued.get(idx) {
+			c.registerSources(idx) // issued uops never wait again
 		}
-		srcs := c.slots.srcs[idx*3 : idx*3+3 : idx*3+3]
-		pending := uint64(0)
-		for k := uint64(0); k < 3; k++ {
-			w := srcs[k]
-			if w == 0 {
-				continue
-			}
-			if w < srcWordPhantom {
-				pseq := w & srcSeqMask
-				pidx := pseq & c.robMask
-				if pseq < c.robHead || pseq >= c.robTail || c.slots.done.get(pidx) {
-					srcs[k] = 0
-					continue
-				}
-				c.slots.wakeNext[idx*3+k] = c.slots.wakeHead[pidx]
-				c.slots.wakeHead[pidx] = idx*3 + k
-			}
-			pending++
-		}
-		c.slots.pending[idx] = pending
-		c.slots.ready.put(idx, pending == 0)
 	}
 	// The branch terminated its trace, so it owns the youngest surviving
 	// ITR ROB entry; roll back to the checkpoint noted at its dispatch.
@@ -1255,12 +1233,19 @@ func (c *CPU) collectSources(idx uint64, d isa.DecodeSignals) {
 		srcs[2] = srcWordPhantom
 	}
 
-	// Wakeup bookkeeping. This slot is a fresh producer: abandon whatever
-	// list a previous occupant left. Then resolve each operand once, here:
-	// words whose producer already completed (or left the window) clear to
-	// ready; the rest register on their producer's wakeup list and are never
-	// polled again.
+	// This slot is a fresh producer: abandon whatever wakeup list a previous
+	// occupant left.
 	c.slots.wakeHead[idx] = wakeNone
+	c.registerSources(idx)
+}
+
+// registerSources resolves slot idx's source words once: a word whose
+// producer already completed (or left the window) clears to ready; the rest
+// register on their producer's wakeup list and are never polled again. It
+// then sets the slot's pending count and ready bit. Dispatch calls it for
+// each new uop, and a mispredict repair for each unissued survivor.
+func (c *CPU) registerSources(idx uint64) {
+	srcs := c.slots.srcs[idx*3 : idx*3+3 : idx*3+3]
 	pending := uint64(0)
 	for k := uint64(0); k < 3; k++ {
 		w := srcs[k]
