@@ -203,8 +203,8 @@ func (c *Cache) Insert(key, value uint64) (evicted Line, wasEvicted bool) {
 
 // InsertGet is Insert returning the installed line as well, so callers that
 // decorate fresh lines (Aux, Stamp, Parity, Checked) do not pay a second
-// lookup — the miss path of the coverage sweep calls this once per miss
-// instead of Insert plus Probe.
+// lookup — the coverage simulator's miss path and the ITR checker's
+// commit-time install call this once instead of Insert plus Probe.
 func (c *Cache) InsertGet(key, value uint64) (ln *Line, evicted Line, wasEvicted bool) {
 	c.stats.Inserts++
 	c.clock++

@@ -175,13 +175,11 @@ func (c *Checker) CommitTraceEnd() {
 
 // install writes a trace signature into the ITR cache at commit time.
 func (c *Checker) install(h *ROBEntry) {
-	c.cache.Insert(h.StartPC, h.Sig)
+	ln, _, _ := c.cache.InsertGet(h.StartPC, h.Sig)
 	c.stats.Writes++
-	if ln, ok := c.cache.Probe(h.StartPC); ok {
-		ln.Aux = uint64(h.Len)
-		ln.Parity = cache.Parity64(h.Sig)
-		ln.Stamp = c.now
-	}
+	ln.Aux = uint64(h.Len)
+	ln.Parity = cache.Parity64(h.Sig)
+	ln.Stamp = c.now
 }
 
 // Settled implements Detector. The ITR compare resolves at dispatch (the

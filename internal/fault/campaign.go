@@ -43,9 +43,8 @@ type CampaignConfig struct {
 }
 
 // Progress accumulates live campaign telemetry across injection workers and
-// benchmarks. Injections is sharded per worker and merged on read, so a
-// progress ticker can read it while the campaign runs without making the
-// workers contend. Pair it with a pipeline.Probe on
+// benchmarks. Its counters are lock-free, so a progress ticker can read
+// them while the campaign runs. Pair it with a pipeline.Probe on
 // Experiment.Pipeline.Probe for cycle/decode/restore counts.
 type Progress struct {
 	// Injections counts completed injection experiments.
@@ -305,9 +304,9 @@ func inject(b Benchmark, p campaignPlan, cfg CampaignConfig, ahead func()) (Camp
 		}
 		ring.Emit(obs.EvInjectClassify, inj.DecodeIndex, detected)
 		if cfg.Progress != nil {
-			cfg.Progress.Injections.AddAt(uint32(a.worker), 1)
-			cfg.Progress.CyclesSimulated.AddAt(uint32(a.worker), budgets[i].simulated)
-			cfg.Progress.CyclesSaved.AddAt(uint32(a.worker), budgets[i].saved)
+			cfg.Progress.Injections.Add(1)
+			cfg.Progress.CyclesSimulated.Add(budgets[i].simulated)
+			cfg.Progress.CyclesSaved.Add(budgets[i].saved)
 		}
 		ends[i] = time.Now()
 		return d, err

@@ -302,10 +302,10 @@ func (s *sideStudy) decide(a *arena, cpu *pipeline.CPU, cur *goldenCursor, snap 
 	var bud runBudget
 	res, early := runDecided(cpu, cur, snap, s.oracle, rule, end, &bud)
 	if p := s.progress; p != nil {
-		p.StudyRuns.AddAt(uint32(a.worker), 1)
-		p.StudyCyclesSimulated.AddAt(uint32(a.worker), bud.simulated)
+		p.StudyRuns.Add(1)
+		p.StudyCyclesSimulated.Add(bud.simulated)
 		if early {
-			p.StudyRunsDecidedEarly.AddAt(uint32(a.worker), 1)
+			p.StudyRunsDecidedEarly.Add(1)
 		}
 	}
 	return res

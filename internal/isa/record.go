@@ -36,10 +36,13 @@ const (
 type recKind uint8
 
 const (
-	// rNop has no architectural effect beyond PC+1: nop, an invalid opcode
-	// (an annulled operation), and an integer load or ALU write to r0,
-	// which is dropped.
-	rNop recKind = iota
+	// rTrap is an invalid opcode: an annulled operation, which ExecClean
+	// reports as Illegal and ExecTrace runs as rNop. It is the zero kind,
+	// so every opcode fusedOps leaves out is one.
+	rTrap recKind = iota
+	// rNop has no architectural effect beyond PC+1: nop, and an integer
+	// load or ALU write to r0, which is dropped.
+	rNop
 	// rAdd through rLwr write the integer register rd; record makes them
 	// rNop when rd is r0.
 	rAdd
@@ -93,12 +96,13 @@ const (
 	rHalt
 )
 
-// fusedOps is the record kind of each opcode. The opcodes it leaves at
-// rNop are nop and the invalid ones, whose clean execution has no effect
-// (cleanOps kinds kindNop and kindTrap); TestExecTraceMatchesExecInto runs
-// every opcode against ExecInto, so an opcode added without a kind here
-// fails it.
+// fusedOps is the execution kind of each opcode, the one per-opcode table
+// both clean executors dispatch on: ExecClean directly and ExecTrace through
+// the records. The opcodes it leaves at rTrap are the invalid ones;
+// TestExecTraceMatchesExecInto runs every opcode against ExecInto, so an
+// opcode added without a kind here fails it.
 var fusedOps = [256]recKind{
+	OpNop: rNop,
 	OpAdd: rAdd, OpSub: rSub, OpAnd: rAnd, OpOr: rOr, OpXor: rXor,
 	OpSll: rSll, OpSrl: rSrl, OpSra: rSra, OpSlt: rSlt, OpSltu: rSltu,
 	OpMul: rMul, OpDiv: rDiv,
@@ -114,24 +118,20 @@ var fusedOps = [256]recKind{
 
 // record predecodes the clean word w, trace length aside.
 func record(w uint64) uint64 {
-	op := Opcode(w >> bitOpcode)
-	e := cleanOps[op]
-	k := fusedOps[op]
+	k := fusedOps[Opcode(w>>bitOpcode)]
 	rs1, rs2, rd := w>>bitRsrc1&0x1f, w>>bitRsrc2&0x1f, w>>bitRdst&0x1f
 	imm16 := uint16(w >> bitImm)
 	var imm int32
-	switch e.kind {
-	case kindALUImm:
-		imm = int32(imm16)
-	case kindALUSImm, kindLoad, kindLoadS, kindLwl, kindLwr, kindFLoad,
-		kindStore, kindFStore, kindBranch:
-		imm = int32(int16(imm16))
-	case kindJump, kindJal:
-		imm = int32(wordTarget(w))
-	case kindALU:
+	switch { // the kind ranges follow the declaration order above
+	case k >= rAdd && k <= rDiv:
 		imm = int32(w >> bitShamt & 0x1f)
-	}
-	if k == rLui {
+	case k == rAndI || k == rOrI || k == rXorI:
+		imm = int32(imm16)
+	case k == rAddI || k == rSltI || k >= rLb && k <= rBgeu:
+		imm = int32(int16(imm16))
+	case k == rJ || k == rJal:
+		imm = int32(wordTarget(w))
+	case k == rLui:
 		imm = int32(uint32(imm16) << 16)
 	}
 	// Integer writes to the hardwired zero register are dropped: such a

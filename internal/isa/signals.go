@@ -129,17 +129,10 @@ func SignalField(pos int) string {
 // HasFlag reports whether the given control flag is set.
 func (d DecodeSignals) HasFlag(f uint16) bool { return d.Flags&f != 0 }
 
-// WordHasFlag reports whether control flag f is set in a packed signal word,
-// without unpacking the full vector. It is the decode-memoization fast path:
-// hot loops that hold precomputed packed words (program.DecodeTable) test
-// flags directly on the word.
-func WordHasFlag(w uint64, f uint16) bool {
-	return (w>>bitFlags)&uint64(f&FlagsMask) != 0
-}
-
 // WordIsBranching reports whether a packed signal word describes a
-// control-transfer instruction (the trace-terminating condition).
-func WordIsBranching(w uint64) bool { return WordHasFlag(w, FlagBranch) }
+// control-transfer instruction (the trace-terminating condition), testing
+// the flag on the word without unpacking the vector.
+func WordIsBranching(w uint64) bool { return w>>bitFlags&uint64(FlagBranch) != 0 }
 
 // WordOpcode extracts the opcode field from a packed signal word.
 func WordOpcode(w uint64) Opcode { return Opcode(w >> bitOpcode) }

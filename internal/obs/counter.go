@@ -1,6 +1,6 @@
-// Package obs is the unified observability layer: sharded lock-free
-// counters, fixed-bucket log2 histograms, a bounded ring-buffer event
-// tracer, a named-metric registry with Prometheus-text and expvar
+// Package obs is the unified observability layer: lock-free counters,
+// fixed-bucket log2 histograms, a bounded ring-buffer event tracer, a
+// named-metric registry with Prometheus-text and expvar
 // exposition, and a live telemetry HTTP endpoint.
 //
 // The probe structs threaded through pipeline, fault, and report
@@ -12,61 +12,25 @@ package obs
 
 import "sync/atomic"
 
-// NumShards is the number of independent cells in a Counter. It must be a
-// power of two (AddAt masks the shard index with NumShards-1). Eight covers
-// the campaign worker pool on typical core counts without making the
-// counters unreasonably large (8 cache lines each).
-const NumShards = 8
-
-// cell is one counter shard, padded out to a cache line so shards written
-// by different workers never false-share.
-type cell struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonic (by convention) event counter sharded across
-// NumShards cache-line-padded cells. Writers on distinct shards never touch
-// the same cache line, so a worker pool incrementing its own shard scales
-// without contention; Load folds the shards on read, which is the rare
-// path (progress ticks, manifest finalization, /metrics scrapes).
+// Counter is a monotonic (by convention) lock-free event counter. Its
+// writers publish at run boundaries (the end of a pipeline run, a snapshot
+// capture or restore, a finished injection), never per cycle, so one atomic
+// word serves a whole worker pool without measurable contention; readers
+// (progress ticks, manifest finalization, /metrics scrapes) load it live.
 //
 // The zero value is ready to use. Counters must not be copied after first
 // use (hand around *Counter, as the probe structs do).
 type Counter struct {
-	cells [NumShards]cell
+	n atomic.Int64
 }
 
-// Add adds d on shard 0. Single-writer call sites (the pilot run, the
-// engine goroutine) use this; concurrent writers should spread over shards
-// with AddAt.
-func (c *Counter) Add(d int64) { c.cells[0].n.Add(d) }
+// Add adds d to the counter. It is safe for concurrent use.
+func (c *Counter) Add(d int64) { c.n.Add(d) }
 
-// AddAt adds d on the shard selected by shard (masked into range), letting
-// concurrent writers — pipeline CPUs, campaign workers — each pound a
-// private cache line.
-func (c *Counter) AddAt(shard uint32, d int64) {
-	c.cells[shard&(NumShards-1)].n.Add(d)
-}
+// Load returns the counter's value. The result is exact once writers have
+// quiesced; while they are running it is a point-in-time read.
+func (c *Counter) Load() int64 { return c.n.Load() }
 
-// Load returns the sum over all shards. The result is exact once writers
-// have quiesced; while they are running it is a linearization-free snapshot
-// (never less than a previously observed quiesced value, as shards only
-// grow under the monotonic convention).
-func (c *Counter) Load() int64 {
-	var sum int64
-	for i := range c.cells {
-		sum += c.cells[i].n.Load()
-	}
-	return sum
-}
-
-// Store resets the counter to v (written to shard 0, other shards zeroed).
-// Only for tests and single-writer re-baselining; racing Store with AddAt
-// loses updates by design.
-func (c *Counter) Store(v int64) {
-	c.cells[0].n.Store(v)
-	for i := 1; i < NumShards; i++ {
-		c.cells[i].n.Store(0)
-	}
-}
+// Store resets the counter to v. Only for tests and single-writer
+// re-baselining; racing Store with Add loses updates by design.
+func (c *Counter) Store(v int64) { c.n.Store(v) }

@@ -11,21 +11,6 @@ import (
 	"time"
 )
 
-func TestCounterShards(t *testing.T) {
-	var c Counter
-	c.Add(3)
-	c.AddAt(1, 4)
-	c.AddAt(NumShards+1, 5) // masks onto shard 1
-	c.AddAt(7, -2)
-	if got := c.Load(); got != 10 {
-		t.Fatalf("Load = %d, want 10", got)
-	}
-	c.Store(42)
-	if got := c.Load(); got != 42 {
-		t.Fatalf("after Store, Load = %d, want 42", got)
-	}
-}
-
 func TestHistQuantiles(t *testing.T) {
 	var h Hist
 	if h.Quantile(0.5) != 0 || h.Count() != 0 {
@@ -227,7 +212,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
-// TestConcurrentHammer drives sharded counters, a histogram, per-worker
+// TestConcurrentHammer drives a shared counter, a histogram, per-worker
 // rings, and concurrent registry reads from a worker pool; run under
 // -race it is the tentpole's data-race regression test.
 func TestConcurrentHammer(t *testing.T) {
@@ -247,7 +232,7 @@ func TestConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			ring := tr.Ring(fmt.Sprintf("worker-%d", w))
 			for i := 0; i < perWorker; i++ {
-				c.AddAt(uint32(w), 1)
+				c.Add(1)
 				h.Observe(int64(i))
 				ring.Emit(EvInjectStart, int64(i), int64(w))
 			}

@@ -114,7 +114,7 @@ func series(base, labels, extra string) string {
 
 // WritePrometheus writes the registry in the Prometheus text exposition
 // format (version 0.0.4), series sorted by metric name. Counter and gauge
-// values are point-in-time folds of their shards; histograms expose
+// values are point-in-time reads; histograms expose
 // cumulative _bucket{le=...} series plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	names, ms := r.snapshot()

@@ -10,8 +10,8 @@ import (
 
 // TestProbeExactCounts pins the telemetry contract on a deterministic
 // workload: the shared probe's merged counters must equal the machine's own
-// Result counters exactly — sharding and run-boundary delta publication
-// must lose nothing.
+// Result counters exactly — run-boundary delta publication must lose
+// nothing.
 func TestProbeExactCounts(t *testing.T) {
 	p := loopProgram(t, 6, 24)
 	cfg := DefaultConfig()

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"itr/internal/core"
 	"itr/internal/detect"
@@ -84,11 +83,9 @@ type Config struct {
 	Trace *obs.Ring
 }
 
-// Probe accumulates telemetry across pipeline runs. Fields are sharded
-// lock-free counters (obs.Counter), so a single probe can be shared by
-// every CPU of a campaign — each CPU adds on its own shard, so concurrent
-// workers never contend on a cache line — and read live by a progress
-// ticker or /metrics scrape. Counters are updated at run boundaries (end
+// Probe accumulates telemetry across pipeline runs. Fields are lock-free
+// counters (obs.Counter), so a single probe can be shared by every CPU of a
+// campaign and read live by a progress ticker or /metrics scrape. Counters are updated at run boundaries (end
 // of each Run/RunUntilDecode call and each Restore), not per cycle, so
 // probing is free on the hot path.
 type Probe struct {
@@ -334,11 +331,6 @@ type CPU struct {
 	detPollsSeen      int64
 	detDetectionsSeen int64
 
-	// obsShard selects this CPU's shard in the shared probe's counters,
-	// assigned round-robin at construction so concurrent campaign workers
-	// publish to distinct cache lines.
-	obsShard uint32
-
 	// detStamps timestamps each detector mismatch observed by this machine
 	// since construction or the last Restore; detStamped is the detector
 	// mismatch count already stamped (rewound alongside the detector).
@@ -415,23 +407,19 @@ type DetectionStamp struct {
 // campaign snapshots are fault-free, so there stamp i is detection i.
 func (c *CPU) DetectionStamps() []DetectionStamp { return c.detStamps }
 
-// obsShardSeq distributes CPUs over probe shards round-robin.
-var obsShardSeq atomic.Uint32
-
 // New builds a CPU over prog with the given configuration.
 func New(prog *program.Program, cfg Config) (*CPU, error) {
 	cfg = cfg.normalize()
 	c := &CPU{
-		cfg:      cfg,
-		prog:     prog,
-		decode:   prog.DecodeTable(),
-		mem:      isa.NewMemory(),
-		pred:     NewPredictor(cfg.BTBEntries, cfg.BTBAssoc, cfg.GshareBits),
-		slots:    newRobSlots(nextPow2(cfg.ROBSize)),
-		robCap:   cfg.ROBSize,
-		fq:       make([]fetchedInst, nextPow2(cfg.FetchQueue)),
-		machine:  machine{fetchPC: prog.Entry, expectedPC: prog.Entry},
-		obsShard: obsShardSeq.Add(1),
+		cfg:     cfg,
+		prog:    prog,
+		decode:  prog.DecodeTable(),
+		mem:     isa.NewMemory(),
+		pred:    NewPredictor(cfg.BTBEntries, cfg.BTBAssoc, cfg.GshareBits),
+		slots:   newRobSlots(nextPow2(cfg.ROBSize)),
+		robCap:  cfg.ROBSize,
+		fq:      make([]fetchedInst, nextPow2(cfg.FetchQueue)),
+		machine: machine{fetchPC: prog.Entry, expectedPC: prog.Entry},
 	}
 	c.robMask = uint64(c.slots.capacity - 1)
 	c.fqMask = uint64(len(c.fq) - 1)
@@ -603,17 +591,17 @@ func (c *CPU) RunUntilDecode(maxCycles, stopDecode int64) Result {
 		c.stepCycle()
 	}
 	if p := c.cfg.Probe; p != nil {
-		p.Cycles.AddAt(c.obsShard, c.cycle-start)
-		p.DecodeEvents.AddAt(c.obsShard, c.decodeEvents-decodeStart)
+		p.Cycles.Add(c.cycle - start)
+		p.DecodeEvents.Add(c.decodeEvents - decodeStart)
 		c.publishCowCopies(p)
 		if d := c.detPolls - c.detPollsSeen; d > 0 {
-			p.DetectorPolls.AddAt(c.obsShard, d)
+			p.DetectorPolls.Add(d)
 			c.detPollsSeen = c.detPolls
 		}
 		if c.frame != nil {
 			m := c.frame.Mismatches()
 			if d := m - c.detDetectionsSeen; d > 0 {
-				p.DetectorDetections.AddAt(c.obsShard, d)
+				p.DetectorDetections.Add(d)
 			}
 			c.detDetectionsSeen = m
 		}

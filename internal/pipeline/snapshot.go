@@ -93,8 +93,8 @@ func (c *CPU) publishCowCopies(p *Probe) {
 	if n := c.mem.CopiedPages(); n > c.memCopiedSeen {
 		delta := n - c.memCopiedSeen
 		c.memCopiedSeen = n
-		p.SnapshotPagesCopied.AddAt(c.obsShard, delta)
-		p.SnapshotBytesCopied.AddAt(c.obsShard, delta*isa.PageBytes)
+		p.SnapshotPagesCopied.Add(delta)
+		p.SnapshotBytesCopied.Add(delta * isa.PageBytes)
 	}
 }
 
@@ -137,8 +137,8 @@ func (c *CPU) Snapshot() *Snapshot {
 		s.renameChecker = c.renameChecker.CaptureState()
 	}
 	if p := c.cfg.Probe; p != nil {
-		p.SnapshotCaptures.AddAt(c.obsShard, 1)
-		p.SnapshotPagesShared.AddAt(c.obsShard, int64(s.arch.Mem.SharedPages()))
+		p.SnapshotCaptures.Add(1)
+		p.SnapshotPagesShared.Add(int64(s.arch.Mem.SharedPages()))
 		c.publishCowCopies(p)
 	}
 	c.cfg.Trace.Emit(obs.EvSnapshotCapture, c.cycle, int64(s.arch.Mem.NumPages()))
@@ -202,7 +202,7 @@ func (c *CPU) Restore(s *Snapshot) error {
 	copy(c.fq, s.fq) // same ring length: the configs matched
 
 	if p := c.cfg.Probe; p != nil {
-		p.SnapshotRestores.AddAt(c.obsShard, 1)
+		p.SnapshotRestores.Add(1)
 		c.publishCowCopies(p)
 	}
 	c.cfg.Trace.Emit(obs.EvSnapshotRestore, s.Cycle, 0)

@@ -27,7 +27,7 @@ type Probe struct {
 
 // observe folds one stream traversal's accounting into the engine's probe,
 // if it has one. Stream traversals are orders of magnitude rarer than the
-// events inside them, so these use the unsharded add.
+// events inside them, so they publish once per traversal.
 func (e *Engine) observe(info workload.StreamInfo) {
 	if e.Probe == nil {
 		return
