@@ -300,16 +300,25 @@ func snapshotBenchCPU(b *testing.B) *pipeline.CPU {
 	return cpu
 }
 
-// BenchmarkSnapshotCapture measures Snapshot() itself. Memory capture is
-// copy-on-write, so the cost is one page-table walk with zero page copies and
-// allocations scale with the machine-state side (ROB, predictors, ITR cache
-// lines), not the memory footprint.
+// BenchmarkSnapshotCapture measures Snapshot() over a pilot-like series: the
+// machine runs fault.DefaultSnapshotInterval decode events between captures,
+// outside the timer, as the campaign pilot does. Memory capture is
+// copy-on-write, so the memory side is one page-table walk with zero page
+// copies. The BTB and ITR-cache lines are captured as chunks shared with the
+// previous capture wherever unchanged, so B/op counts the chunks the
+// interval rewrote plus the flat parts (recency stamps, gshare, ROB, wheel,
+// fetch queue). Re-capturing a machine that did not move would share every
+// chunk and understate the cost.
 func BenchmarkSnapshotCapture(b *testing.B) {
 	cpu := snapshotBenchCPU(b)
+	cpu.Snapshot() // the series' first capture: the base the timed ones share with
 	b.ReportAllocs()
 	b.ResetTimer()
 	var s *pipeline.Snapshot
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cpu.RunUntilDecode(1<<20, cpu.DecodeEvents()+fault.DefaultSnapshotInterval)
+		b.StartTimer()
 		s = cpu.Snapshot()
 	}
 	b.ReportMetric(float64(s.MemPages()), "mem-pages")

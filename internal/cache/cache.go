@@ -11,14 +11,17 @@
 // (CheckedLRU ones), so the layout is chosen for small, low-associativity
 // sets: all lines live in one flat array (stable pointers, one allocation),
 // tag scans run over a separate compact key array (8 bytes per way instead
-// of a full Line), and victims come from a minimum-stamp scan of the set.
-// Wider geometries, fully associative included, run the same scans at
-// O(ways) per access.
+// of a full Line), and victims come from a minimum-stamp scan of the set's
+// entries in a parallel recency-stamp array. Wider geometries, fully
+// associative included, run the same scans at O(ways) per access. Captured
+// states hold the lines as Chunks, so a snapshot series shares the lines
+// that did not change between captures.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Replacement selects a victim line within a set.
@@ -36,10 +39,19 @@ const (
 )
 
 // Line is one cache line. Value semantics are owned by the caller (the ITR
-// layer stores trace signatures).
+// layer stores trace signatures). Its recency stamp lives outside it, in the
+// cache's parallel LRU array, so a hit leaves the line itself unchanged and
+// snapshot captures keep sharing it.
 type Line struct {
 	Key   uint64
 	Value uint64
+	// Aux carries caller-defined per-line metadata (the ITR layer stores
+	// the instruction count of the trace that installed the signature).
+	Aux uint64
+	// Stamp is a caller-defined installation timestamp (the ITR layer
+	// stores the committed-instruction count at install, which the
+	// checkpointing extension compares against checkpoint ages).
+	Stamp int64
 	Valid bool
 	// Referenced records whether the line has hit at least once since it
 	// was inserted. Evicting a line with Referenced == false is exactly the
@@ -49,17 +61,8 @@ type Line struct {
 	// Checked records whether the line's signature has been confirmed
 	// against a newly executed instance (used by ReplCheckedLRU).
 	Checked bool
-	// Aux carries caller-defined per-line metadata (the ITR layer stores
-	// the instruction count of the trace that installed the signature).
-	Aux uint64
-	// Stamp is a caller-defined installation timestamp (the ITR layer
-	// stores the committed-instruction count at install, which the
-	// checkpointing extension compares against checkpoint ages).
-	Stamp int64
 	// Parity is the caller-maintained parity bit over Value (Section 2.4).
 	Parity bool
-
-	lru uint64
 }
 
 // Stats counts cache events since construction or the last ResetStats.
@@ -83,7 +86,10 @@ type Cache struct {
 	// keys touches an eighth of the memory a scan over whole Lines would.
 	// A slot's key may be stale after an invalidation, so a key match is
 	// confirmed against the Line before it counts.
-	keys    []uint64
+	keys []uint64
+	// lru holds each line's recency stamp (the clock at its last hit or
+	// install), parallel to lines.
+	lru     []uint64
 	assoc   int
 	numSets int
 	setMask uint64
@@ -93,6 +99,9 @@ type Cache struct {
 	// fill counts valid lines per set; steady-state inserts skip the
 	// free-way scan entirely once a set is full.
 	fill []int32
+	// synced is the line table as last captured into or restored from: the
+	// base the next CaptureState shares unchanged chunks with.
+	synced *Chunks[Line]
 }
 
 // FullyAssociative requests a single set spanning all entries.
@@ -119,6 +128,7 @@ func New(entries, assoc int, repl Replacement) (*Cache, error) {
 	return &Cache{
 		lines:   make([]Line, entries),
 		keys:    make([]uint64, entries),
+		lru:     make([]uint64, entries),
 		assoc:   assoc,
 		numSets: numSets,
 		setMask: uint64(numSets - 1),
@@ -162,8 +172,8 @@ func (c *Cache) setIndex(key uint64) uint64 { return key & c.setMask }
 func (c *Cache) Lookup(key uint64) (*Line, bool) {
 	if i := c.find(key); i >= 0 {
 		c.clock++
+		c.lru[i] = c.clock
 		ln := &c.lines[i]
-		ln.lru = c.clock
 		ln.Referenced = true
 		c.stats.Hits++
 		return ln, true
@@ -211,7 +221,7 @@ func (c *Cache) InsertGet(key, value uint64) (ln *Line, evicted Line, wasEvicted
 	if i := c.find(key); i >= 0 {
 		ln = &c.lines[i]
 		ln.Value = value
-		ln.lru = c.clock
+		c.lru[i] = c.clock
 		return ln, Line{}, false
 	}
 
@@ -238,7 +248,8 @@ func (c *Cache) InsertGet(key, value uint64) (ln *Line, evicted Line, wasEvicted
 	} else {
 		c.fill[si]++
 	}
-	c.lines[victim] = Line{Key: key, Value: value, Valid: true, lru: c.clock}
+	c.lines[victim] = Line{Key: key, Value: value, Valid: true}
+	c.lru[victim] = c.clock
 	c.keys[victim] = key
 	return &c.lines[victim], evicted, wasEvicted
 }
@@ -253,7 +264,7 @@ func (c *Cache) pickVictim(si int) int {
 			if !c.lines[i].Checked {
 				continue
 			}
-			if best < 0 || c.lines[i].lru < c.lines[best].lru {
+			if best < 0 || c.lru[i] < c.lru[best] {
 				best = i
 			}
 		}
@@ -264,7 +275,7 @@ func (c *Cache) pickVictim(si int) int {
 	default:
 		best := base
 		for i := base + 1; i < base+c.assoc; i++ {
-			if c.lines[i].lru < c.lines[best].lru {
+			if c.lru[i] < c.lru[best] {
 				best = i
 			}
 		}
@@ -272,14 +283,16 @@ func (c *Cache) pickVictim(si int) int {
 	}
 }
 
-// State is an immutable, flat capture of a cache's complete state: every line
-// (valid or not, preserving LRU ordering) in one contiguous array, plus the
-// scalar counters. Capturing costs a single allocation, and the key array and
-// fill counts are left out: RestoreState rederives them. A State is never
-// written through, so one state may be restored into many caches
-// concurrently.
+// State is an immutable capture of a cache's complete state: every line
+// (valid or not) as chunks shared with the cache's previous capture wherever
+// they are unchanged, the recency stamps as one flat copy (every hit rewrites
+// one, so they would unshare the line chunks), plus the scalar counters. The
+// key array and fill counts are left out: RestoreState rederives them. A
+// State is never written through, so one state may be restored into many
+// caches concurrently.
 type State struct {
-	lines   []Line
+	lines   *Chunks[Line]
+	lru     []uint64
 	assoc   int
 	numSets int
 	repl    Replacement
@@ -287,19 +300,25 @@ type State struct {
 	stats   Stats
 }
 
-// CaptureState snapshots the cache's state into a single flat allocation.
+// CaptureState snapshots the cache's state. Line chunks that equal the
+// cache's last sync point (its previous capture, or the state it was last
+// restored from) are shared with it rather than copied.
 func (c *Cache) CaptureState() *State {
-	s := &State{
-		lines:   make([]Line, len(c.lines)),
+	c.synced = CaptureChunks(c.lines, c.synced)
+	return &State{
+		lines:   c.synced,
+		lru:     slices.Clone(c.lru),
 		assoc:   c.assoc,
 		numSets: c.numSets,
 		repl:    c.repl,
 		clock:   c.clock,
 		stats:   c.stats,
 	}
-	copy(s.lines, c.lines)
-	return s
 }
+
+// Sharing reports how many line chunks the capture shared with the cache's
+// previous sync point and how many it copied.
+func (s *State) Sharing() (shared, copied int) { return s.lines.Sharing() }
 
 // RestoreState overwrites the cache's entire state with s, preserving c's
 // identity so existing references stay valid. The geometry and replacement
@@ -309,7 +328,9 @@ func (c *Cache) RestoreState(s *State) error {
 		return fmt.Errorf("cache: cannot restore %d-set/%d-way/repl-%d state into %d-set/%d-way/repl-%d cache",
 			s.numSets, s.assoc, s.repl, c.numSets, c.assoc, c.repl)
 	}
-	copy(c.lines, s.lines)
+	s.lines.CopyTo(c.lines)
+	copy(c.lru, s.lru)
+	c.synced = s.lines
 	c.clock = s.clock
 	c.stats = s.stats
 	clear(c.fill)
@@ -331,6 +352,7 @@ func (c *Cache) Invalidate(key uint64) bool {
 		si := int(i) / c.assoc
 		c.lines[i] = Line{}
 		c.keys[i] = 0
+		c.lru[i] = 0
 		c.fill[si]--
 		return true
 	}

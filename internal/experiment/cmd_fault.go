@@ -10,6 +10,7 @@ import (
 
 	"itr/internal/detect"
 	"itr/internal/fault"
+	"itr/internal/isa"
 	"itr/internal/obs"
 	"itr/internal/report"
 	"itr/internal/stats"
@@ -192,8 +193,10 @@ func runFault(e *Engine) error {
 			fmt.Fprintln(w, "\nInjections by Table 2 field:")
 			for _, r := range rows {
 				fmt.Fprintf(w, "  %-8s", r.Benchmark)
-				for field, n := range r.Result.ByField {
-					fmt.Fprintf(w, " %s:%d", field, n)
+				for _, field := range signalFields() {
+					if n, ok := r.Result.ByField[field]; ok {
+						fmt.Fprintf(w, " %s:%d", field, n)
+					}
 				}
 				fmt.Fprintln(w)
 			}
@@ -302,4 +305,16 @@ func runFault(e *Engine) error {
 		}
 	}
 	return nil
+}
+
+// signalFields lists the Table 2 field names in packed bit order, the order
+// the -fields table prints them in.
+func signalFields() []string {
+	var fields []string
+	for pos := 0; pos < isa.SignalBits; pos++ {
+		if f := isa.SignalField(pos); len(fields) == 0 || fields[len(fields)-1] != f {
+			fields = append(fields, f)
+		}
+	}
+	return fields
 }

@@ -140,6 +140,8 @@ func (e *Engine) registerMetrics() {
 	e.reg.RegisterCounter("itr_snapshot_pages_shared_total", &e.probe.SnapshotPagesShared)
 	e.reg.RegisterCounter("itr_snapshot_pages_copied_total", &e.probe.SnapshotPagesCopied)
 	e.reg.RegisterCounter("itr_snapshot_bytes_copied_total", &e.probe.SnapshotBytesCopied)
+	e.reg.RegisterCounter("itr_snapshot_chunks_shared_total", &e.probe.SnapshotChunksShared)
+	e.reg.RegisterCounter("itr_snapshot_chunks_copied_total", &e.probe.SnapshotChunksCopied)
 	e.reg.RegisterCounter("itr_detector_polls_total", &e.probe.DetectorPolls)
 	e.reg.RegisterCounter("itr_detector_detections_total", &e.probe.DetectorDetections)
 	e.reg.RegisterCounter("itr_sweep_streams_generated_total", &e.sweep.StreamsGenerated)
@@ -323,6 +325,8 @@ func (e *Engine) telemetrySnapshot() Telemetry {
 	t.SnapshotPagesShared = e.probe.SnapshotPagesShared.Load()
 	t.SnapshotPagesCopied = e.probe.SnapshotPagesCopied.Load()
 	t.SnapshotBytesCopied = e.probe.SnapshotBytesCopied.Load()
+	t.SnapshotChunksShared = e.probe.SnapshotChunksShared.Load()
+	t.SnapshotChunksCopied = e.probe.SnapshotChunksCopied.Load()
 	t.StreamsGenerated = e.sweep.StreamsGenerated.Load()
 	t.EventsReplayed = e.sweep.EventsReplayed.Load()
 	t.SweepCells = e.sweep.CellsCompleted.Load()

@@ -32,15 +32,17 @@ func TestManifestGolden(t *testing.T) {
 			{Name: "art", Seconds: 2.3, Items: 1},
 		},
 		Telemetry: Telemetry{
-			CyclesSimulated:     1000,
-			DecodeEvents:        4000,
-			SnapshotRestores:    24,
-			SnapshotCaptures:    6,
-			SnapshotPagesShared: 5,
-			SnapshotPagesCopied: 3,
-			SnapshotBytesCopied: 12288,
-			Injections:          12,
-			InjectionsPerSec:    4.8,
+			CyclesSimulated:      1000,
+			DecodeEvents:         4000,
+			SnapshotRestores:     24,
+			SnapshotCaptures:     6,
+			SnapshotPagesShared:  5,
+			SnapshotPagesCopied:  3,
+			SnapshotBytesCopied:  12288,
+			SnapshotChunksShared: 700,
+			SnapshotChunksCopied: 68,
+			Injections:           12,
+			InjectionsPerSec:     4.8,
 		},
 	}
 	got, err := json.MarshalIndent(m, "", "  ")
@@ -128,6 +130,9 @@ func TestEngineFaultRun(t *testing.T) {
 	}
 	if tl.SnapshotPagesCopied < 0 || tl.SnapshotBytesCopied != tl.SnapshotPagesCopied*4096 {
 		t.Errorf("COW telemetry inconsistent: %d pages, %d bytes", tl.SnapshotPagesCopied, tl.SnapshotBytesCopied)
+	}
+	if tl.SnapshotChunksShared <= 0 || tl.SnapshotChunksCopied <= 0 {
+		t.Errorf("table chunk telemetry: %d shared, %d copied; want both > 0", tl.SnapshotChunksShared, tl.SnapshotChunksCopied)
 	}
 	if m.WallClockSeconds <= 0 {
 		t.Errorf("wallClockSeconds = %v; want > 0", m.WallClockSeconds)

@@ -106,6 +106,12 @@ type Telemetry struct {
 	SnapshotPagesShared int64 `json:"snapshotPagesShared,omitempty"`
 	SnapshotPagesCopied int64 `json:"snapshotPagesCopied,omitempty"`
 	SnapshotBytesCopied int64 `json:"snapshotBytesCopied,omitempty"`
+	// SnapshotChunksShared and SnapshotChunksCopied sum, over captures, the
+	// BTB and ITR-cache line chunks a capture shared with the table's
+	// previous capture (or restored state) because they were unchanged, and
+	// the chunks it copied.
+	SnapshotChunksShared int64 `json:"snapshotChunksShared,omitempty"`
+	SnapshotChunksCopied int64 `json:"snapshotChunksCopied,omitempty"`
 	// StreamsGenerated counts functional event-stream generations (one per
 	// benchmark per sweep or energy pass; a run's characterization figures
 	// share one per benchmark); EventsReplayed counts trace events traversed

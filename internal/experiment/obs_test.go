@@ -23,41 +23,64 @@ func faultSpec(manifestPath string) Spec {
 // same spec run twice produces byte-identical stage digests even though the
 // human-readable output carries a wall-clock timing that differs between
 // runs — the decoration is routed around the digest, not hashed "modulo"
-// anything.
+// anything. The fields case prints the per-field injection table, whose
+// rows come from a map and must still print in one order.
 func TestStageDigestsExactAcrossRuns(t *testing.T) {
-	dir := t.TempDir()
-	run := func(name string) (Manifest, string) {
-		t.Helper()
-		mp := filepath.Join(dir, name)
-		var out, errw bytes.Buffer
-		if err := New(faultSpec(mp), &out, &errw).Run(); err != nil {
-			t.Fatalf("engine run: %v\nstderr: %s", err, errw.String())
+	fields := func(mp string) Spec {
+		return Spec{
+			Kind:         "fault",
+			Bench:        "gap",
+			Workers:      2,
+			Campaign:     &CampaignSpec{Faults: 20, Window: 50_000, Fields: true},
+			ManifestPath: mp,
 		}
-		blob, err := os.ReadFile(mp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m Manifest
-		if err := json.Unmarshal(blob, &m); err != nil {
-			t.Fatal(err)
-		}
-		return m, out.String()
 	}
+	for _, tc := range []struct {
+		name string
+		spec func(manifestPath string) Spec
+	}{
+		{"default", faultSpec},
+		{"fields", fields},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			run := func(name string) (Manifest, string) {
+				t.Helper()
+				mp := filepath.Join(dir, name)
+				var out, errw bytes.Buffer
+				if err := New(tc.spec(mp), &out, &errw).Run(); err != nil {
+					t.Fatalf("engine run: %v\nstderr: %s", err, errw.String())
+				}
+				blob, err := os.ReadFile(mp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var m Manifest
+				if err := json.Unmarshal(blob, &m); err != nil {
+					t.Fatal(err)
+				}
+				return m, out.String()
+			}
 
-	a, outA := run("a.json")
-	b, _ := run("b.json")
+			a, outA := run("a.json")
+			b, _ := run("b.json")
 
-	if !strings.Contains(outA, " in ") {
-		t.Errorf("output lost its wall-clock decoration:\n%s", outA)
-	}
-	if len(a.Stages) == 0 || len(a.Stages) != len(b.Stages) {
-		t.Fatalf("stage lists differ: %d vs %d", len(a.Stages), len(b.Stages))
-	}
-	for i := range a.Stages {
-		if a.Stages[i].OutputDigest != b.Stages[i].OutputDigest {
-			t.Errorf("stage %s digest not reproducible: %s vs %s",
-				a.Stages[i].Name, a.Stages[i].OutputDigest, b.Stages[i].OutputDigest)
-		}
+			if !strings.Contains(outA, " in ") {
+				t.Errorf("output lost its wall-clock decoration:\n%s", outA)
+			}
+			if tc.name == "fields" && !strings.Contains(outA, "Injections by Table 2 field:") {
+				t.Errorf("output lacks the per-field table:\n%s", outA)
+			}
+			if len(a.Stages) == 0 || len(a.Stages) != len(b.Stages) {
+				t.Fatalf("stage lists differ: %d vs %d", len(a.Stages), len(b.Stages))
+			}
+			for i := range a.Stages {
+				if a.Stages[i].OutputDigest != b.Stages[i].OutputDigest {
+					t.Errorf("stage %s digest not reproducible: %s vs %s",
+						a.Stages[i].Name, a.Stages[i].OutputDigest, b.Stages[i].OutputDigest)
+				}
+			}
+		})
 	}
 }
 

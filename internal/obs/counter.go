@@ -30,7 +30,3 @@ func (c *Counter) Add(d int64) { c.n.Add(d) }
 // Load returns the counter's value. The result is exact once writers have
 // quiesced; while they are running it is a point-in-time read.
 func (c *Counter) Load() int64 { return c.n.Load() }
-
-// Store resets the counter to v. Only for tests and single-writer
-// re-baselining; racing Store with Add loses updates by design.
-func (c *Counter) Store(v int64) { c.n.Store(v) }

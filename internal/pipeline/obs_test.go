@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"itr/internal/cache"
 	"itr/internal/core"
 	"itr/internal/isa"
 	"itr/internal/obs"
@@ -105,6 +106,18 @@ func TestProbeSnapshotAndTraceEvents(t *testing.T) {
 	}
 	if captures != 1 || restores != 1 {
 		t.Errorf("ring has %d captures, %d restores, want 1 and 1", captures, restores)
+	}
+
+	// The first capture had no base, so it copied every BTB and ITR-cache
+	// chunk; a capture after the restore shares chunks with the snapshot.
+	tables := int64(cfg.BTBEntries/cache.ChunkLen + cfg.ITR.Entries/cache.ChunkLen)
+	if sh, cp := probe.SnapshotChunksShared.Load(), probe.SnapshotChunksCopied.Load(); sh != 0 || cp != tables {
+		t.Errorf("first capture: %d chunks shared, %d copied; want 0, %d", sh, cp, tables)
+	}
+	cpu.Snapshot()
+	sh, cp := probe.SnapshotChunksShared.Load(), probe.SnapshotChunksCopied.Load()-tables
+	if sh == 0 || sh+cp != tables {
+		t.Errorf("second capture: %d chunks shared, %d copied; want some shared, %d in all", sh, cp, tables)
 	}
 }
 

@@ -108,6 +108,12 @@ type Probe struct {
 	// the benchmark's whole footprint.
 	SnapshotPagesCopied obs.Counter
 	SnapshotBytesCopied obs.Counter
+	// SnapshotChunksShared counts the BTB and ITR-cache line chunks
+	// (cache.Chunks) captures took by reference from each table's previous
+	// sync point because they were unchanged; SnapshotChunksCopied counts
+	// the chunks they copied.
+	SnapshotChunksShared obs.Counter
+	SnapshotChunksCopied obs.Counter
 	// DetectorPolls counts commit-time detector polls (one per committing
 	// instruction while a detector is attached).
 	DetectorPolls obs.Counter

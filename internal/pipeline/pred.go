@@ -17,24 +17,36 @@
 //     machine checks, the sequential-PC check and a watchdog timer.
 package pipeline
 
+import (
+	"slices"
+
+	"itr/internal/cache"
+)
+
 // Predictor is the fetch unit's branch predictor: a BTB for target/identity
 // and a gshare direction predictor.
 type Predictor struct {
-	btb        []btbEntry
+	btb []btbEntry
+	// btbLRU holds each BTB entry's recency stamp, parallel to btb: every
+	// hit rewrites one, and keeping them out of the entries lets snapshot
+	// captures share the BTB chunks that hits alone touched.
+	btbLRU     []uint64
 	btbSets    int
 	btbAssoc   int
 	gshare     []uint8 // 2-bit counters
 	historyLen uint
 	history    uint64
 	clock      uint64
+	// synced is the BTB as last captured into or restored from: the base
+	// the next capture shares unchanged chunks with.
+	synced *cache.Chunks[btbEntry]
 }
 
 type btbEntry struct {
-	valid  bool
 	tag    uint64
 	target uint64
+	valid  bool
 	uncond bool
-	lru    uint64
 }
 
 // NewPredictor builds a predictor. btbEntries must be a power of two and
@@ -51,6 +63,7 @@ func NewPredictor(btbEntries, btbAssoc int, gshareBits uint) *Predictor {
 	}
 	return &Predictor{
 		btb:        make([]btbEntry, btbEntries),
+		btbLRU:     make([]uint64, btbEntries),
 		btbSets:    btbEntries / btbAssoc,
 		btbAssoc:   btbAssoc,
 		gshare:     make([]uint8, 1<<gshareBits),
@@ -58,20 +71,21 @@ func NewPredictor(btbEntries, btbAssoc int, gshareBits uint) *Predictor {
 	}
 }
 
-func (p *Predictor) btbSet(pc uint64) []btbEntry {
-	set := int(pc) & (p.btbSets - 1)
-	return p.btb[set*p.btbAssoc : (set+1)*p.btbAssoc]
+// btbBase returns the index of the first way of pc's BTB set.
+func (p *Predictor) btbBase(pc uint64) int {
+	return (int(pc) & (p.btbSets - 1)) * p.btbAssoc
 }
 
 // Predict returns the fetch unit's next-PC guess for the instruction at pc:
 // predicted-taken branches redirect to the BTB target, everything else falls
 // through. taken reports whether a redirect was predicted.
 func (p *Predictor) Predict(pc uint64) (next uint64, taken bool) {
-	for i := range p.btbSet(pc) {
-		e := &p.btbSet(pc)[i]
+	base := p.btbBase(pc)
+	for i := base; i < base+p.btbAssoc; i++ {
+		e := &p.btb[i]
 		if e.valid && e.tag == pc {
 			p.clock++
-			e.lru = p.clock
+			p.btbLRU[i] = p.clock
 			if e.uncond || p.direction(pc) {
 				return e.target, true
 			}
@@ -106,21 +120,22 @@ func (p *Predictor) Train(pc, target uint64, taken, uncond bool) {
 		return
 	}
 	// Install/refresh the BTB entry for taken branches.
-	set := p.btbSet(pc)
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == pc {
+	base := p.btbBase(pc)
+	victim := base
+	for i := base; i < base+p.btbAssoc; i++ {
+		if p.btb[i].valid && p.btb[i].tag == pc {
 			victim = i
 			break
 		}
-		if !set[i].valid {
+		if !p.btb[i].valid {
 			victim = i
-		} else if set[victim].valid && set[i].lru < set[victim].lru {
+		} else if p.btb[victim].valid && p.btbLRU[i] < p.btbLRU[victim] {
 			victim = i
 		}
 	}
 	p.clock++
-	set[victim] = btbEntry{valid: true, tag: pc, target: target, uncond: uncond, lru: p.clock}
+	p.btb[victim] = btbEntry{valid: true, tag: pc, target: target, uncond: uncond}
+	p.btbLRU[victim] = p.clock
 }
 
 func boolBit(b bool) uint64 {
@@ -130,21 +145,37 @@ func boolBit(b bool) uint64 {
 	return 0
 }
 
-// clone returns a deep copy of the predictor (snapshot capture).
-func (p *Predictor) clone() Predictor {
-	q := *p
-	q.btb = append([]btbEntry(nil), p.btb...)
-	q.gshare = append([]uint8(nil), p.gshare...)
-	return q
+// predictorState is an immutable capture of a Predictor's mutable state: the
+// BTB as chunks shared with the predictor's previous sync point wherever
+// they are unchanged, and flat copies of the recency stamps and gshare
+// counters.
+type predictorState struct {
+	btb            *cache.Chunks[btbEntry]
+	btbLRU         []uint64
+	gshare         []uint8
+	history, clock uint64
 }
 
-// copyFrom overwrites the predictor's state with src's, keeping the
-// receiver's tables (snapshot restore). Geometries must match; Restore has
-// already validated structural config equality.
-func (p *Predictor) copyFrom(src *Predictor) {
-	btb, gshare := p.btb, p.gshare
-	*p = *src
-	p.btb, p.gshare = btb, gshare
-	copy(p.btb, src.btb)
-	copy(p.gshare, src.gshare)
+// capture returns the predictor's state for a snapshot, sharing the BTB
+// chunks that are unchanged since the last sync point.
+func (p *Predictor) capture() predictorState {
+	p.synced = cache.CaptureChunks(p.btb, p.synced)
+	return predictorState{
+		btb:     p.synced,
+		btbLRU:  slices.Clone(p.btbLRU),
+		gshare:  slices.Clone(p.gshare),
+		history: p.history,
+		clock:   p.clock,
+	}
+}
+
+// restore overwrites the predictor's state with s, keeping the receiver's
+// tables (snapshot restore). Geometries must match; Restore has already
+// validated structural config equality.
+func (p *Predictor) restore(s *predictorState) {
+	s.btb.CopyTo(p.btb)
+	p.synced = s.btb
+	copy(p.btbLRU, s.btbLRU)
+	copy(p.gshare, s.gshare)
+	p.history, p.clock = s.history, s.clock
 }

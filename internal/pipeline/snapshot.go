@@ -25,9 +25,11 @@ import (
 //
 // Snapshots share no mutable state with the CPU that produced them: memory
 // pages are shared copy-on-write (the producing CPU copies a page before its
-// first post-capture store to it), everything else is deep-copied. One
-// snapshot may therefore be restored into many CPUs concurrently (the fault
-// campaign's worker pool does exactly this).
+// first post-capture store to it), the BTB and ITR-cache lines are held as
+// immutable chunks shared with earlier snapshots wherever unchanged
+// (cache.Chunks), and everything else is deep-copied. One snapshot may
+// therefore be restored into many CPUs concurrently (the fault campaign's
+// worker pool does exactly this).
 type Snapshot struct {
 	// Cycle is the cycle count at capture.
 	Cycle int64
@@ -47,7 +49,7 @@ type Snapshot struct {
 	specR, specF [isa.NumRegs]uint64
 	overlay      []specWord // the overlay's live entries
 
-	pred          Predictor
+	pred          predictorState
 	det           core.DetectorState
 	renameChecker core.DetectorState
 
@@ -107,7 +109,10 @@ func (c *CPU) publishCowCopies(p *Probe) {
 // by reference (no page copies), and the CPU's next store to any captured
 // page copies it first. Capture cost is therefore O(page-table), and the
 // copying the machine pays afterwards scales with the pages it actually
-// dirties before the next boundary, not with its whole footprint.
+// dirties before the next boundary, not with its whole footprint. The BTB
+// and the ITR-cache lines are compared chunk by chunk with their last sync
+// point (the previous capture, or the snapshot last restored), and only the
+// chunks that changed are copied.
 func (c *CPU) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Cycle:        c.cycle,
@@ -123,7 +128,7 @@ func (c *CPU) Snapshot() *Snapshot {
 		specF:   c.spec.arch.F,
 		overlay: c.spec.overlay.live(),
 
-		pred:  c.pred.clone(),
+		pred:  c.pred.capture(),
 		slots: c.slots.clone(),
 		fq:    slices.Clone(c.fq),
 	}
@@ -140,6 +145,15 @@ func (c *CPU) Snapshot() *Snapshot {
 		p.SnapshotCaptures.Add(1)
 		p.SnapshotPagesShared.Add(int64(s.arch.Mem.SharedPages()))
 		c.publishCowCopies(p)
+		shared, copied := s.pred.btb.Sharing()
+		for _, st := range []core.DetectorState{s.det, s.renameChecker} {
+			if cs, ok := st.(*core.CheckerState); ok { // ITR-cache lines
+				sh, cp := cs.Sharing()
+				shared, copied = shared+sh, copied+cp
+			}
+		}
+		p.SnapshotChunksShared.Add(int64(shared))
+		p.SnapshotChunksCopied.Add(int64(copied))
 	}
 	c.cfg.Trace.Emit(obs.EvSnapshotCapture, c.cycle, int64(s.arch.Mem.NumPages()))
 	return s
@@ -194,7 +208,7 @@ func (c *CPU) Restore(s *Snapshot) error {
 	c.spec.arch.R = s.specR
 	c.spec.arch.F = s.specF
 	c.spec.overlay.restore(s.overlay)
-	c.pred.copyFrom(&s.pred)
+	c.pred.restore(&s.pred)
 	c.slots.copyFrom(&s.slots)
 	for i := range c.wheel {
 		c.wheel[i] = append(c.wheel[i][:0], s.wheel[i]...)

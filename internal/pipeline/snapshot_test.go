@@ -2,12 +2,15 @@ package pipeline
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"itr/internal/cache"
 	"itr/internal/core"
 	"itr/internal/isa"
 	"itr/internal/program"
+	"itr/internal/workload"
 )
 
 type commitRecord struct {
@@ -226,13 +229,126 @@ func snapMemHash(s *Snapshot) uint64 {
 	return h
 }
 
+// tableCopy is a flat copy of the tables a snapshot holds as shared chunks
+// (the predictor's BTB and both checkers' ITR-cache lines) plus the state
+// beside them: the oracle the chunked form is checked against.
+type tableCopy struct {
+	btb             []btbEntry
+	btbLRU          []uint64
+	gshare          []uint8
+	history, clock  uint64
+	itr, rename     []cache.Line
+	itrSt, renameSt cache.Stats
+}
+
+func copyTables(c *CPU) tableCopy {
+	lines := func(ch *core.Checker) ([]cache.Line, cache.Stats) {
+		if ch == nil {
+			return nil, cache.Stats{}
+		}
+		var out []cache.Line
+		ch.Cache().Visit(func(ln *cache.Line) { out = append(out, *ln) })
+		return out, ch.Cache().Stats()
+	}
+	t := tableCopy{
+		btb:     slices.Clone(c.pred.btb),
+		btbLRU:  slices.Clone(c.pred.btbLRU),
+		gshare:  slices.Clone(c.pred.gshare),
+		history: c.pred.history,
+		clock:   c.pred.clock,
+	}
+	t.itr, t.itrSt = lines(c.Checker())
+	t.rename, t.renameSt = lines(c.RenameChecker())
+	return t
+}
+
+// TestSnapshotSeriesRestoresFlatTables models the pilot's snapshot series:
+// captures 2048 decode events apart, each sharing the BTB and ITR-cache
+// chunks the machine left unchanged since the capture before, while the
+// machine keeps running and rewriting its tables. Afterwards every snapshot
+// of the series must restore exactly the tables a flat copy took at its
+// capture — into a fresh CPU, and in shuffled order into one reused CPU
+// whose every restore moves the base its next capture shares against.
+func TestSnapshotSeriesRestoresFlatTables(t *testing.T) {
+	// gcc's first 16k decode events still install BTB and ITR-cache
+	// entries, so its series mixes shared and copied chunks.
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := workload.CachedProgram(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.RenameITREnabled = true
+	const budget = 40_000
+
+	pilot, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []*Snapshot
+	var want []tableCopy
+	var shared, copied [2]int // BTB, ITR cache; past the first capture
+	for k := int64(1); k <= 8; k++ {
+		pilot.RunUntilDecode(budget-pilot.CycleCount(), k*2048)
+		s := pilot.Snapshot()
+		snaps = append(snaps, s)
+		want = append(want, copyTables(pilot))
+		if k > 1 {
+			sh, cp := s.pred.btb.Sharing()
+			shared[0], copied[0] = shared[0]+sh, copied[0]+cp
+			sh, cp = s.det.(*core.CheckerState).Sharing()
+			shared[1], copied[1] = shared[1]+sh, copied[1]+cp
+		}
+	}
+	for i, table := range []string{"BTB", "ITR-cache"} {
+		if shared[i] == 0 || copied[i] == 0 {
+			t.Fatalf("series shared %d and copied %d %s chunks; want both > 0", shared[i], copied[i], table)
+		}
+	}
+	pilot.Run(budget - pilot.CycleCount())
+
+	reused, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{5, 0, 7, 3, 1, 6, 2, 4} {
+		fresh, err := New(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cpu := range []*CPU{fresh, reused} {
+			if err := cpu.Restore(snaps[i]); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(copyTables(cpu), want[i]) {
+				t.Fatalf("snapshot %d does not restore the tables captured", i)
+			}
+		}
+		// Run on and capture against the restored snapshot as base.
+		reused.RunUntilDecode(budget, snaps[i].DecodeEvents+500)
+		got := copyTables(reused)
+		s := reused.Snapshot()
+		if err := fresh.Restore(s); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(copyTables(fresh), got) {
+			t.Fatalf("capture after restoring snapshot %d is not exact", i)
+		}
+	}
+}
+
 // TestSnapshotConcurrentRestoreImmutable models the fault campaign's sharing
-// pattern: one pilot snapshot is restored into many CPUs concurrently, each
-// diverging under a different injected fault and storing into pages it shares
-// copy-on-write with the snapshot, while the pilot machine itself keeps
-// running past the capture point. The snapshot's memory view must come out
-// bit-identical, and under -race this proves concurrent restores never touch
-// shared pages unsynchronized.
+// pattern: two pilot snapshots of one series, which share their unchanged
+// BTB and ITR-cache chunks, are restored into many CPUs concurrently, each
+// diverging under a different injected fault, storing into pages it shares
+// copy-on-write with the snapshots, switching to the other snapshot and
+// capturing against the shared chunks, while the pilot machine itself keeps
+// running past the capture points. Both snapshots' memory views and tables
+// must come out bit-identical, and under -race this proves concurrent
+// restores never touch shared pages or chunks unsynchronized.
 func TestSnapshotConcurrentRestoreImmutable(t *testing.T) {
 	p := loopProgram(t, 60, 40)
 	cfg := DefaultConfig()
@@ -243,9 +359,21 @@ func TestSnapshotConcurrentRestoreImmutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pilot.RunUntilDecode(budget, 5_000)
-	snap := pilot.Snapshot()
-	before := snapMemHash(snap)
+	var snaps [2]*Snapshot
+	var memBefore [2]uint64
+	var tablesBefore [2]tableCopy
+	for i, stop := range []int64{5_000, 5_000 + 2048} {
+		pilot.RunUntilDecode(budget-pilot.CycleCount(), stop)
+		snaps[i] = pilot.Snapshot()
+		memBefore[i] = snapMemHash(snaps[i])
+		tablesBefore[i] = copyTables(pilot)
+	}
+	if sh, _ := snaps[1].pred.btb.Sharing(); sh == 0 {
+		t.Fatal("the second snapshot shares no BTB chunk with the first")
+	}
+	if sh, _ := snaps[1].det.(*core.CheckerState).Sharing(); sh == 0 {
+		t.Fatal("the second snapshot shares no ITR-cache chunk with the first")
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -257,28 +385,44 @@ func TestSnapshotConcurrentRestoreImmutable(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := cpu.Restore(snap); err != nil {
-				t.Errorf("worker %d: %v", w, err)
-				return
-			}
-			faultAt := snap.DecodeEvents + int64(100+13*w)
-			done := false
-			cpu.SetFaultHook(func(i int64, pc uint64, wrongPath bool, d isa.DecodeSignals) isa.DecodeSignals {
-				if !done && i == faultAt {
-					done = true
-					return d.FlipBit(w % isa.SignalBits)
+			for _, snap := range []*Snapshot{snaps[w%2], snaps[1-w%2]} {
+				if err := cpu.Restore(snap); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
 				}
-				return d
-			})
-			cpu.Run(budget - snap.Cycle)
+				faultAt := snap.DecodeEvents + int64(100+13*w)
+				done := false
+				cpu.SetFaultHook(func(i int64, pc uint64, wrongPath bool, d isa.DecodeSignals) isa.DecodeSignals {
+					if !done && i == faultAt {
+						done = true
+						return d.FlipBit(w % isa.SignalBits)
+					}
+					return d
+				})
+				cpu.RunUntilDecode(budget-snap.Cycle, snap.DecodeEvents+3000)
+				cpu.Snapshot()
+				cpu.Run(budget - cpu.CycleCount())
+			}
 		}(w)
 	}
-	// The capturing machine keeps dirtying pages it shares with the snapshot.
+	// The capturing machine keeps dirtying pages it shares with the snapshots.
 	pilot.Run(budget - pilot.CycleCount())
 	wg.Wait()
 
-	if after := snapMemHash(snap); after != before {
-		t.Fatalf("snapshot memory changed under concurrent restores: hash %#x -> %#x", before, after)
+	for i, snap := range snaps {
+		if after := snapMemHash(snap); after != memBefore[i] {
+			t.Fatalf("snapshot %d memory changed under concurrent restores: hash %#x -> %#x", i, memBefore[i], after)
+		}
+		cpu, err := New(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cpu.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(copyTables(cpu), tablesBefore[i]) {
+			t.Fatalf("snapshot %d tables changed under concurrent restores", i)
+		}
 	}
 }
 
