@@ -370,19 +370,6 @@ func (c *Cache) Visit(fn func(*Line)) {
 	}
 }
 
-// CountUnchecked returns the number of valid lines whose Checked flag is
-// clear. The coarse-grain checkpointing extension (Section 2.3) takes a
-// checkpoint when this reaches zero.
-func (c *Cache) CountUnchecked() int {
-	n := 0
-	c.Visit(func(ln *Line) {
-		if !ln.Checked {
-			n++
-		}
-	})
-	return n
-}
-
 // ResidentUnreferenced returns the number of valid lines never referenced
 // since insertion (still-pending missed instances at end of simulation).
 func (c *Cache) ResidentUnreferenced() int {

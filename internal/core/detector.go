@@ -38,15 +38,11 @@ type Detector interface {
 	// terminating instruction committed (backend bookkeeping: signature
 	// install, replay fold, shadow execution).
 	CommitTraceEnd()
-	// SafeToCheckpoint reports whether a coarse-grain checkpoint taken now
-	// could later be rolled back to safely — i.e. no committed state is
-	// still awaiting verification by this backend (for ITR: no unchecked
-	// cache lines; for chunked replay: no open chunk).
-	SafeToCheckpoint() bool
 	// SignatureStamp returns the committed-instruction stamp of the
 	// backend's evidence about pc (the ITR cache line install stamp, or the
 	// pending verdict's stamp). Checkpointed recovery compares it to the
-	// checkpoint's commit horizon to decide whether rollback can help.
+	// checkpoint's commit horizon to decide whether rollback can help: this
+	// is the only checkpoint-safety question the machine asks.
 	// found is false when the backend holds no evidence for pc.
 	SignatureStamp(pc uint64) (stamp int64, found bool)
 	// DiscardSignature drops the backend's (possibly fault-corrupted)

@@ -156,11 +156,6 @@ func (d *DME) Settled(cleanCommit int64, diverged bool) bool {
 	return !diverged && !d.resync && d.Quiet()
 }
 
-// SafeToCheckpoint: every committed trace has already been checked against
-// the second decode and the dual execution, so any point without a pending
-// verdict is safe.
-func (d *DME) SafeToCheckpoint() bool { return !d.Pending() }
-
 // DiscardSignature drops the pending verdict after a checkpoint rollback
 // and schedules a shadow re-anchor: the dual execution cannot rewind its
 // decorrelated memory to the checkpoint horizon, so it re-anchors its PC at

@@ -139,11 +139,6 @@ func (d *RepTFD) Settled(cleanCommit int64, diverged bool) bool {
 	return d.Quiet() && (d.chunkLen == 0 || d.chunkStartNow > cleanCommit)
 }
 
-// SafeToCheckpoint permits checkpoints only at chunk boundaries with no
-// verdict pending: an open chunk is committed-but-unverified state, the
-// exact hazard the strict checkpoint policy exists to exclude.
-func (d *RepTFD) SafeToCheckpoint() bool { return d.chunkLen == 0 && !d.Pending() }
-
 // DiscardSignature drops the pending verdict and the open chunk after a
 // checkpoint rollback; the rolled-back re-execution accumulates fresh
 // chunks.

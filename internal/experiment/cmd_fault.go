@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -125,18 +124,8 @@ func runFault(e *Engine) error {
 			return err
 		}
 		fmt.Fprint(w, report.Figure8Table(rows).String())
-		if s.JSONPath != "" {
-			f, err := os.Create(s.JSONPath)
-			if err != nil {
-				return err
-			}
-			if err := report.WriteJSON(f, report.EncodeCampaigns(rows)); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
+		if err := e.writeArtifact(report.EncodeCampaigns(rows)); err != nil {
+			return err
 		}
 		// The elapsed time is the one nondeterministic part of the stage
 		// output; route it around the digest so reruns hash identically.

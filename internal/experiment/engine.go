@@ -376,9 +376,10 @@ func (e *Engine) writeManifest() error {
 	return nil
 }
 
-// writeArtifact writes the run's machine-readable artifact bundle to the
-// spec's JSON path, if one was requested.
-func (e *Engine) writeArtifact(art report.ArtifactJSON) error {
+// writeArtifact writes the run's machine-readable artifact (a
+// report.ArtifactJSON bundle, or the fault campaigns' rows) to the spec's
+// JSON path, if one was requested.
+func (e *Engine) writeArtifact(art any) error {
 	if e.Spec.JSONPath == "" {
 		return nil
 	}

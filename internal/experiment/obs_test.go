@@ -24,7 +24,9 @@ func faultSpec(manifestPath string) Spec {
 // human-readable output carries a wall-clock timing that differs between
 // runs — the decoration is routed around the digest, not hashed "modulo"
 // anything. The fields case prints the per-field injection table, whose
-// rows come from a map and must still print in one order.
+// rows come from a map and must still print in one order. The checkpoint
+// case runs the Section 2.3 checkpointed verify on vortex, where rollback
+// recovers a detection-only fault.
 func TestStageDigestsExactAcrossRuns(t *testing.T) {
 	fields := func(mp string) Spec {
 		return Spec{
@@ -35,12 +37,22 @@ func TestStageDigestsExactAcrossRuns(t *testing.T) {
 			ManifestPath: mp,
 		}
 	}
+	checkpoint := func(mp string) Spec {
+		return Spec{
+			Kind:         "fault",
+			Bench:        "vortex",
+			Workers:      2,
+			Campaign:     &CampaignSpec{Faults: 10, Window: 40_000, Checkpoint: true},
+			ManifestPath: mp,
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		spec func(manifestPath string) Spec
 	}{
 		{"default", faultSpec},
 		{"fields", fields},
+		{"checkpoint", checkpoint},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -70,6 +82,9 @@ func TestStageDigestsExactAcrossRuns(t *testing.T) {
 			}
 			if tc.name == "fields" && !strings.Contains(outA, "Injections by Table 2 field:") {
 				t.Errorf("output lacks the per-field table:\n%s", outA)
+			}
+			if tc.name == "checkpoint" && !strings.Contains(outA, "Checkpoint extension:") {
+				t.Errorf("output lacks the checkpoint recovery line:\n%s", outA)
 			}
 			if len(a.Stages) == 0 || len(a.Stages) != len(b.Stages) {
 				t.Fatalf("stage lists differ: %d vs %d", len(a.Stages), len(b.Stages))

@@ -13,6 +13,10 @@ package isa
 //	 be done by rolling back to the previously taken coarse-grain
 //	 checkpoint instead of aborting the program."
 //
+// The pipeline does not wait for that condition, which run-once code can keep
+// false forever: it takes a checkpoint at every interval and rolls back only
+// when the detector's stamp shows the fault postdates it.
+//
 // Taking a checkpoint is O(page table) with zero page copies; the live memory
 // copies a captured page on its first store to it. Mem is frozen, so a
 // Checkpoint is immutable: it may be copied by value and rolled back into any

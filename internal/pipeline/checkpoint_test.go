@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"itr/internal/cache"
 	"itr/internal/isa"
 	"itr/internal/program"
 )
@@ -298,20 +299,33 @@ func assertSameCommitted(t *testing.T, got, want *CPU) {
 	}
 }
 
-func TestCheckpointStrictPolicyDeclines(t *testing.T) {
-	// The paper's literal condition: run-once init code leaves permanently
-	// unchecked ITR lines, so strict-policy takes are (mostly) declined.
+// TestCheckpointTakenEveryInterval pins the one take rule: a checkpoint is
+// taken at every interval boundary, even while run-once code leaves unchecked
+// ITR lines resident. Whether a rollback to it is sound is decided later, by
+// the detector's SignatureStamp.
+func TestCheckpointTakenEveryInterval(t *testing.T) {
 	p := missFaultProgram(t)
 	cfg := DefaultConfig()
 	cfg.CheckpointEnabled = true
-	cfg.CheckpointPolicy = CheckpointStrict
 	cfg.CheckpointIntervalCycles = 256
 	cpu, err := New(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := cpu.Run(500_000)
-	if res.CheckpointsDeclined == 0 {
-		t.Fatal("strict policy never declined despite unchecked run-once lines")
+	if res.Termination != TermHalt {
+		t.Fatalf("termination = %v", res.Termination)
+	}
+	unchecked := 0
+	cpu.Checker().Cache().Visit(func(ln *cache.Line) {
+		if !ln.Checked {
+			unchecked++
+		}
+	})
+	if unchecked == 0 {
+		t.Fatal("no unchecked ITR line left: the run does not exercise run-once code")
+	}
+	if want := res.Cycles / 256; res.CheckpointsTaken != want {
+		t.Fatalf("%d checkpoints over %d cycles, want %d", res.CheckpointsTaken, res.Cycles, want)
 	}
 }

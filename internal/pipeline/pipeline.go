@@ -48,12 +48,9 @@ type Config struct {
 	// instead of aborting the program, whenever the rollback is provably
 	// sufficient.
 	CheckpointEnabled bool
-	// CheckpointIntervalCycles is how often a checkpoint take is attempted
-	// (default 4096).
+	// CheckpointIntervalCycles is how often a checkpoint is taken (default
+	// 4096).
 	CheckpointIntervalCycles int64
-	// CheckpointPolicy selects the rollback-safety rule (default
-	// CheckpointStamped).
-	CheckpointPolicy CheckpointPolicy
 
 	// Redundancy selects a conventional frontend-protection baseline
 	// (structural duplication or time redundancy) to run instead of ITR.
@@ -121,25 +118,6 @@ type Probe struct {
 	DetectorDetections obs.Counter
 }
 
-// CheckpointPolicy is the rule deciding when checkpoints are taken and when
-// a rollback is known to undo the fault's damage.
-type CheckpointPolicy int
-
-// Checkpoint policies.
-const (
-	// CheckpointStamped takes a checkpoint at every interval and records
-	// install timestamps on ITR cache lines. A machine check rolls back
-	// only when the offending (faulty) line was installed after the
-	// checkpoint, which proves the corruption postdates the checkpointed
-	// state. Run-once code may leave permanently unchecked lines, but they
-	// cannot invalidate younger checkpoints under this rule.
-	CheckpointStamped CheckpointPolicy = iota + 1
-	// CheckpointStrict is the paper's literal Section 2.3 condition: take a
-	// checkpoint only when the ITR cache holds no unchecked lines. Sound,
-	// but on workloads with run-once code the condition may never hold.
-	CheckpointStrict
-)
-
 // DefaultConfig returns a 4-wide core in the spirit of the MIPS R10K with
 // the paper's headline ITR cache (2-way, 1024 signatures).
 func DefaultConfig() Config {
@@ -197,9 +175,6 @@ func (c Config) normalize() Config {
 	}
 	if c.CheckpointIntervalCycles == 0 {
 		c.CheckpointIntervalCycles = 4096
-	}
-	if c.CheckpointPolicy == 0 {
-		c.CheckpointPolicy = CheckpointStamped
 	}
 	return c
 }
@@ -261,9 +236,6 @@ type Result struct {
 	// CheckpointRollbacks counts machine checks converted into coarse-grain
 	// checkpoint rollbacks.
 	CheckpointRollbacks int64
-	// CheckpointsDeclined counts take attempts refused by the strict
-	// policy's unchecked-lines condition.
-	CheckpointsDeclined int64
 }
 
 // IPC returns committed instructions per cycle.
@@ -379,7 +351,6 @@ type machine struct {
 	lastCommitCycle int64
 	ckptTaken       int64
 	ckptRollbacks   int64
-	ckptDeclined    int64
 	redundancy      RedundancyStats
 	decodeEvents    int64
 	committedCount  int64
@@ -450,7 +421,7 @@ func New(prog *program.Program, cfg Config) (*CPU, error) {
 		c.renameChecker = rc
 	}
 	if cfg.CheckpointEnabled && !cfg.ITREnabled {
-		return nil, fmt.Errorf("pipeline: checkpointing requires a detector (its safety condition is the detector's SafeToCheckpoint query)")
+		return nil, fmt.Errorf("pipeline: checkpointing requires a detector (rollback is decided by the detector's SignatureStamp)")
 	}
 	return c, nil
 }
@@ -626,7 +597,6 @@ func (c *CPU) RunUntilDecode(maxCycles, stopDecode int64) Result {
 		ITRFlushes:          c.itrFlushes,
 		CheckpointsTaken:    c.ckptTaken,
 		CheckpointRollbacks: c.ckptRollbacks,
-		CheckpointsDeclined: c.ckptDeclined,
 	}
 }
 
@@ -641,21 +611,11 @@ func (c *CPU) stepCycle() {
 	c.fetchStage()
 	c.cycle++
 	if c.cfg.CheckpointEnabled && c.cycle%c.cfg.CheckpointIntervalCycles == 0 {
-		take := true
-		if c.cfg.CheckpointPolicy == CheckpointStrict {
-			// Section 2.3's literal condition, generalized per backend: no
-			// committed state is still awaiting verification.
-			take = c.det.SafeToCheckpoint()
-		}
-		if take {
-			c.ckpt = c.committed.Checkpoint(c.mem)
-			c.ckptCommit = c.committedCount
-			c.ckptTaken++
-			if c.ckptObserver != nil {
-				c.ckptObserver(true)
-			}
-		} else {
-			c.ckptDeclined++
+		c.ckpt = c.committed.Checkpoint(c.mem)
+		c.ckptCommit = c.committedCount
+		c.ckptTaken++
+		if c.ckptObserver != nil {
+			c.ckptObserver(true)
 		}
 	}
 	if c.cycle-c.lastCommitCycle > c.cfg.WatchdogCycles {
@@ -1121,7 +1081,7 @@ func (c *CPU) dispatchStage() {
 		c.slots.done.clear(idx)
 		c.slots.pc[idx] = fi.pc
 		c.slots.predNext[idx] = fi.predNext
-		c.slots.d[idx] = d
+		c.slots.sig[idx] = w
 		c.slots.decodeIndex[idx] = uint64(c.decodeEvents)
 		c.slots.lat[idx] = uint64(isa.LatCycles(d.Lat))
 

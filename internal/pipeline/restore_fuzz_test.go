@@ -19,7 +19,6 @@ var restoreMenu = [][]func(*Config){
 	{nil, func(c *Config) { c.RenameITREnabled = true }},
 	{nil, func(c *Config) { c.CheckpointEnabled = true }, func(c *Config) {
 		c.CheckpointEnabled = true
-		c.CheckpointPolicy = CheckpointStrict
 		c.CheckpointIntervalCycles = 512
 	}},
 	{nil, func(c *Config) { c.TACEnabled = true }},

@@ -62,8 +62,8 @@ const (
 )
 
 // robSlots is the column store. All word-sized columns are carved from one
-// backing slab, so cloning the whole store (snapshot capture) is three copies
-// (slab, signals, outcomes) instead of one per column.
+// backing slab, so cloning the whole store (snapshot capture) is two copies
+// (slab, outcomes) instead of one per column.
 type robSlots struct {
 	capacity int // ring length (power of two)
 
@@ -102,7 +102,11 @@ type robSlots struct {
 	wakeHead []uint64
 	wakeNext []uint64
 
-	d       []isa.DecodeSignals
+	// sig is the dispatched (possibly corrupted) decode signal vector in its
+	// packed form (isa.DecodeSignals.Pack); only TAC's premature-issue
+	// recompute unpacks it.
+	sig []uint64
+
 	outcome []isa.Outcome
 }
 
@@ -113,8 +117,7 @@ func slotBitWords(capacity int) int { return (capacity + 63) >> 6 }
 func newRobSlots(capacity int) robSlots {
 	s := robSlots{
 		capacity: capacity,
-		slab:     make([]uint64, 3*slotBitWords(capacity)+16*capacity),
-		d:        make([]isa.DecodeSignals, capacity),
+		slab:     make([]uint64, 3*slotBitWords(capacity)+17*capacity),
 		outcome:  make([]isa.Outcome, capacity),
 	}
 	s.carve()
@@ -146,6 +149,7 @@ func (s *robSlots) carve() {
 	s.pending = take(n)
 	s.wakeHead = take(n)
 	s.wakeNext = take(3 * n)
+	s.sig = take(n)
 }
 
 // wakeNone terminates a producer's wakeup list. Fresh slots hold zeroes
@@ -158,7 +162,6 @@ func (s *robSlots) clone() robSlots {
 	c := robSlots{
 		capacity: s.capacity,
 		slab:     append([]uint64(nil), s.slab...),
-		d:        append([]isa.DecodeSignals(nil), s.d...),
 		outcome:  append([]isa.Outcome(nil), s.outcome...),
 	}
 	c.carve()
@@ -170,6 +173,5 @@ func (s *robSlots) clone() robSlots {
 // caller (Restore) has already validated structural config equality.
 func (s *robSlots) copyFrom(src *robSlots) {
 	copy(s.slab, src.slab)
-	copy(s.d, src.d)
 	copy(s.outcome, src.outcome)
 }

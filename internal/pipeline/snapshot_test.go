@@ -36,9 +36,8 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 		{"itr", func(*Config) {}},
 		{"rename-itr", func(c *Config) { c.RenameITREnabled = true }},
 		{"checkpoint", func(c *Config) { c.CheckpointEnabled = true }},
-		{"checkpoint-strict", func(c *Config) {
+		{"checkpoint-256", func(c *Config) {
 			c.CheckpointEnabled = true
-			c.CheckpointPolicy = CheckpointStrict
 			c.CheckpointIntervalCycles = 256
 		}},
 		{"tac", func(c *Config) { c.TACEnabled = true }},

@@ -14,6 +14,8 @@ package pipeline
 // records issue/complete timestamps and asserts the ordering at commit; a
 // violation flushes the window and re-executes, exactly like an ITR retry.
 
+import "itr/internal/isa"
+
 // TACStats counts scheduler-check events.
 type TACStats struct {
 	// Checked counts commit-time ordering assertions evaluated.
@@ -49,7 +51,7 @@ func (c *CPU) tacPrematureIssue(seq uint64) {
 	// producers' results are exactly what a premature issue misses.
 	stale := *c.committed
 	stale.Mem = c.spec.overlay
-	c.slots.outcome[idx] = stale.Exec(c.slots.d[idx], c.slots.pc[idx])
+	c.slots.outcome[idx] = stale.Exec(isa.UnpackSignals(c.slots.sig[idx]), c.slots.pc[idx])
 	c.slots.flags[idx] |= slotTACViolated
 }
 
