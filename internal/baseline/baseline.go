@@ -143,17 +143,3 @@ func Compare(a Approach, w Workload, itrSpec energy.CacheSpec) (Comparison, erro
 	}
 	return c, nil
 }
-
-// CompareAll evaluates every approach on one workload.
-func CompareAll(w Workload, itrSpec energy.CacheSpec) ([]Comparison, error) {
-	approaches := []Approach{Unprotected, StructuralDuplication, TimeRedundant, ITR, ITRMissFallback}
-	out := make([]Comparison, 0, len(approaches))
-	for _, a := range approaches {
-		c, err := Compare(a, w, itrSpec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}

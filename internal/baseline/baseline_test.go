@@ -86,23 +86,6 @@ func TestUnprotectedIsFree(t *testing.T) {
 	}
 }
 
-func TestCompareAll(t *testing.T) {
-	all, err := CompareAll(workload(), energy.ITRCacheSinglePort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 5 {
-		t.Fatalf("approaches = %d", len(all))
-	}
-	seen := map[Approach]bool{}
-	for _, c := range all {
-		if seen[c.Approach] {
-			t.Fatalf("duplicate %v", c.Approach)
-		}
-		seen[c.Approach] = true
-	}
-}
-
 func TestCompareUnknownApproach(t *testing.T) {
 	if _, err := Compare(Approach(99), workload(), energy.ITRCacheSinglePort); err == nil {
 		t.Fatal("unknown approach accepted")

@@ -132,16 +132,6 @@ func (c *Checker) DispatchTrace(ev trace.Event, wrongPath bool) (seq uint64, ok 
 	return c.Dispatch(entry)
 }
 
-// HeadState returns the control state of the oldest in-flight trace.
-// ok is false when no trace is in flight.
-func (c *Checker) HeadState() (sig.ControlState, bool) {
-	h := c.rob.Head()
-	if h == nil {
-		return 0, false
-	}
-	return h.State, true
-}
-
 // Poll is the frame's commit rule with parity protection: when the retried
 // trace mismatches again and parity exposes a fault in the ITR cache line
 // itself, the line is repaired with the freshly generated signature and

@@ -41,9 +41,8 @@ func TestCheckerMissInstallHitMatch(t *testing.T) {
 	e := trace.Event{StartPC: 5, Len: 4, Sig: 0xabc}
 
 	dispatch(t, c, e)
-	st, ok := c.HeadState()
-	if !ok || !st.Miss() {
-		t.Fatalf("first dispatch state = %v", st)
+	if h := c.Head(); h == nil || !h.State.Miss() {
+		t.Fatalf("first dispatch head = %+v", h)
 	}
 	if a := pollCommit(c); a.Kind != ActionProceed {
 		t.Fatalf("miss commit action = %v", a.Kind)
@@ -55,8 +54,7 @@ func TestCheckerMissInstallHitMatch(t *testing.T) {
 	}
 
 	dispatch(t, c, e)
-	st, _ = c.HeadState()
-	if st != sig.CtrlChk {
+	if st := c.Head().State; st != sig.CtrlChk {
 		t.Fatalf("second dispatch state = %v", st)
 	}
 	if a := pollCommit(c); a.Kind != ActionProceed {
@@ -87,8 +85,7 @@ func TestCheckerMismatchRetriesThenRecovers(t *testing.T) {
 	pollCommit(c) // install
 
 	dispatch(t, c, faulty)
-	st, _ := c.HeadState()
-	if st != sig.CtrlChkRetry {
+	if st := c.Head().State; st != sig.CtrlChkRetry {
 		t.Fatalf("mismatch state = %v", st)
 	}
 	a := c.Poll()
@@ -284,8 +281,8 @@ func TestCheckerFlushAll(t *testing.T) {
 	if c.PendingTraces() != 0 {
 		t.Fatal("flush incomplete")
 	}
-	if _, ok := c.HeadState(); ok {
-		t.Fatal("head state on empty ROB")
+	if h := c.Head(); h != nil {
+		t.Fatalf("head %+v on empty ROB", h)
 	}
 }
 

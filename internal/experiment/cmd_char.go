@@ -87,14 +87,10 @@ func runChar(e *Engine) error {
 			fmt.Fprintln(w, "Table 1. Number of static traces for SPEC.")
 			t := stats.NewTable("benchmark", "suite", "measured", "paper")
 			for _, r := range rows {
-				suite := "SPECint"
-				if r.FP {
-					suite = "SPECfp"
-				}
-				t.AddRow(r.Benchmark, suite, r.Measured, r.Paper)
+				t.AddRow(r.Benchmark, r.Suite, r.Measured, r.Paper)
 			}
 			fmt.Fprint(w, t.String())
-			art.Table1 = report.EncodeTable1(rows)
+			art.Table1 = rows
 			return nil
 		}); err != nil {
 			return err

@@ -43,8 +43,7 @@ func runCoverage(e *Engine) error {
 			fmt.Fprintf(w, "  loss in fault recovery  coverage: %.1f%% average, %.1f%% max (%s)\n",
 				h.AvgRecoveryLoss, h.MaxRecoveryLoss, h.MaxRecoveryName)
 			fmt.Fprintln(w, "  (paper: 1.3% avg / 8.2% max detection; 2.5% avg / 15% max recovery, both vortex)")
-			hj := report.EncodeHeadline(h)
-			art.Headline = &hj
+			art.Headline = &h
 			return e.writeArtifact(art)
 		})
 	}

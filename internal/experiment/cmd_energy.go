@@ -63,7 +63,7 @@ func runEnergy(e *Engine) error {
 		fmt.Fprintf(w, "  I-unit (fetch+decode): %.1f cm^2\n", cmp.IUnitCM2)
 		fmt.Fprintf(w, "  ITR-cache-like BTB:    %.1f cm^2\n", cmp.ITRCacheCM2)
 		fmt.Fprintf(w, "  ratio: %.1fx (the ITR cache is about one seventh the I-unit area)\n", cmp.Ratio)
-		art.Energy = report.EncodeFigure9(rows)
+		art.Energy = rows
 		return nil
 	}); err != nil {
 		return err
@@ -89,7 +89,7 @@ func runEnergy(e *Engine) error {
 			fmt.Fprint(w, report.PerfTable(rows).String())
 			fmt.Fprintln(w, "(ITR and structural duplication protect the frontend without consuming")
 			fmt.Fprintln(w, " its bandwidth; conventional time redundancy pays for it in IPC.)")
-			art.Perf = report.EncodePerf(rows)
+			art.Perf = rows
 			return nil
 		}); err != nil {
 			return err

@@ -26,7 +26,9 @@ func faultSpec(manifestPath string) Spec {
 // anything. The fields case prints the per-field injection table, whose
 // rows come from a map and must still print in one order. The checkpoint
 // case runs the Section 2.3 checkpointed verify on vortex, where rollback
-// recovers a detection-only fault.
+// recovers a detection-only fault. The studies case adds the
+// detection-latency table and the PC, ITR-cache and rename side studies,
+// each its own stage.
 func TestStageDigestsExactAcrossRuns(t *testing.T) {
 	fields := func(mp string) Spec {
 		return Spec{
@@ -46,6 +48,16 @@ func TestStageDigestsExactAcrossRuns(t *testing.T) {
 			ManifestPath: mp,
 		}
 	}
+	studies := func(mp string) Spec {
+		return Spec{
+			Kind:    "fault",
+			Bench:   "art",
+			Workers: 2,
+			Campaign: &CampaignSpec{Faults: 6, Window: 20_000, LatencyHist: true,
+				PCFaults: 4, CacheFaults: 3, RenameFaults: 3},
+			ManifestPath: mp,
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		spec func(manifestPath string) Spec
@@ -53,6 +65,7 @@ func TestStageDigestsExactAcrossRuns(t *testing.T) {
 		{"default", faultSpec},
 		{"fields", fields},
 		{"checkpoint", checkpoint},
+		{"studies", studies},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -85,6 +98,20 @@ func TestStageDigestsExactAcrossRuns(t *testing.T) {
 			}
 			if tc.name == "checkpoint" && !strings.Contains(outA, "Checkpoint extension:") {
 				t.Errorf("output lacks the checkpoint recovery line:\n%s", outA)
+			}
+			if tc.name == "studies" {
+				if !strings.Contains(outA, "Detection latency (cycles") {
+					t.Errorf("output lacks the latency table:\n%s", outA)
+				}
+				staged := make(map[string]bool)
+				for _, st := range a.Stages {
+					staged[st.Name] = true
+				}
+				for _, name := range []string{"latency-hist", "pc-study", "cache-study", "rename-study"} {
+					if !staged[name] {
+						t.Errorf("no %s stage in %+v", name, a.Stages)
+					}
+				}
 			}
 			if len(a.Stages) == 0 || len(a.Stages) != len(b.Stages) {
 				t.Fatalf("stage lists differ: %d vs %d", len(a.Stages), len(b.Stages))

@@ -119,7 +119,7 @@ func TestParseSpecRejects(t *testing.T) {
 	}
 }
 
-// TestEffectiveSnapshotIntervalConvention pins the flag convention shared
+// TestSpecSnapshotIntervalConvention pins the flag convention shared
 // with -snapshot-interval: zero means the default, negative disables.
 func TestSpecSnapshotIntervalConvention(t *testing.T) {
 	blob := `{"kind": "fault", "campaign": {"snapshotInterval": -1}}`

@@ -40,6 +40,10 @@ type CampaignConfig struct {
 	// snapshot captures and each worker's injection start/classify events,
 	// with the worker's pipeline events interleaved on the same ring.
 	Tracer *obs.Tracer
+	// jitter, when nonzero, swaps every decided run's fixed probe grid for
+	// a random schedule seeded from jitter and the injection's index (see
+	// settleRule.jitter). Package tests set it; no command can.
+	jitter uint64
 }
 
 // Progress accumulates live campaign telemetry across injection workers and
@@ -289,7 +293,7 @@ func inject(b Benchmark, p campaignPlan, cfg CampaignConfig, ahead func()) (Camp
 		}
 		inj := p.injections[i]
 		ring.Emit(obs.EvInjectStart, inj.DecodeIndex, int64(inj.Bit))
-		d, err := runOne(oracle, wcfg, inj, p.snaps, a, &budgets[i])
+		d, err := runOne(oracle, wcfg, inj, jitterFor(cfg.jitter, i), p.snaps, a, &budgets[i])
 		detected := int64(0)
 		if err == nil && d.Detected {
 			detected = 1

@@ -1,11 +1,14 @@
 package fault
 
 import (
+	"math/bits"
+
 	"itr/internal/cache"
 	"itr/internal/core"
 	"itr/internal/isa"
 	"itr/internal/pipeline"
 	"itr/internal/program"
+	"itr/internal/stats"
 )
 
 // The decided-outcome engine: stop each injection run as soon as its Figure 8
@@ -60,11 +63,6 @@ const (
 	// would waste the sweep's oracle lookups.
 	faultySweepBackoff = 8
 )
-
-// probeCycles returns the length of the next chunk runDecided simulates
-// before it probes again. Tests draw it at random instead: a sound settle
-// rule decides every run the same however its probes fall.
-var probeCycles = func() int64 { return decideProbeCycles }
 
 // runBudget records one injection's simulation work for the campaign's
 // cycles-saved accounting. It deliberately lives outside Detail so the
@@ -162,12 +160,28 @@ type settleRule struct {
 	// exact switches early exits off: the run simulates its whole window
 	// in one probe.
 	exact bool
+	// jitter, when nonzero, seeds a log-uniform [1, decideProbeCycles]
+	// probe schedule in place of the fixed grid (see jitterFor). A sound
+	// rule decides every run the same however its probes fall, so a rule
+	// that only holds between grid points shows up as an outcome that
+	// depends on when the engine asked.
+	jitter uint64
 }
 
-// decodeRule is the rule for a run whose fault corrupts decode event
-// DecodeIndex's signals or rename indexes.
-func decodeRule(decodeIndex int64, full, exact bool) settleRule {
-	return settleRule{horizon: decodeIndex + isa.MaxTraceLen, full: full, exact: exact}
+// jitterFor returns the probe-schedule seed of a study's i-th injection
+// under the study's jitter seed: 0, the fixed grid, when jitter is 0. It
+// depends on nothing else, so a run probes the same at any worker width.
+func jitterFor(jitter uint64, i int) uint64 {
+	if jitter == 0 {
+		return 0
+	}
+	return stats.NewRNG(jitter).Fork(uint64(i)).Uint64() | 1
+}
+
+// decodeRule is the observe-run rule for a run whose fault corrupts decode
+// event DecodeIndex's signals or rename indexes.
+func decodeRule(decodeIndex int64) settleRule {
+	return settleRule{horizon: decodeIndex + isa.MaxTraceLen}
 }
 
 // runDecided simulates cpu, restored to snap, in probe-sized chunks until
@@ -188,10 +202,15 @@ func runDecided(cpu *pipeline.CPU, cur *goldenCursor, snap *pipeline.Snapshot, o
 	horizon, known := rule.horizon, !rule.pcFault
 	cleanCommit := int64(-1)
 	sweepHold := 0
+	probes := stats.NewRNG(rule.jitter)
 	for {
 		probe := window
-		if !rule.exact {
-			probe = probeCycles()
+		switch {
+		case rule.exact:
+		case rule.jitter == 0:
+			probe = decideProbeCycles
+		default:
+			probe = 1 + int64(probes.Uint64n(1<<probes.Intn(bits.Len(decideProbeCycles))))
 		}
 		res = cpu.Run(max(min(window-cpu.CycleCount(), probe), 0))
 		if res.Termination != pipeline.TermBudget || cpu.CycleCount() >= window {
@@ -283,22 +302,25 @@ func runDecided(cpu *pipeline.CPU, cur *goldenCursor, snap *pipeline.Snapshot, o
 
 // sideStudy is what the PC, ITR-cache and rename studies' runs share: the
 // observation window, the Exact switch, the signature oracle their ITR
-// caches are audited against, and where their accounting goes.
+// caches are audited against, where their accounting goes, and the
+// campaign's probe jitter seed (CampaignConfig.jitter).
 type sideStudy struct {
 	window   int64
 	exact    bool
 	oracle   *SigOracle
 	progress *Progress
+	jitter   uint64
 }
 
 func newSideStudy(prog *program.Program, cfg Config) sideStudy {
 	return sideStudy{window: cfg.WindowCycles, exact: cfg.Exact, oracle: NewSigOracle(prog)}
 }
 
-// decide runs one of the study's runs, restored to snap, through runDecided
-// under rule until cycle end, and publishes its accounting from a's worker.
-func (s *sideStudy) decide(a *arena, cpu *pipeline.CPU, cur *goldenCursor, snap *pipeline.Snapshot, rule settleRule, end int64) pipeline.Result {
-	rule.exact = s.exact
+// decide runs a run of the study's i-th injection, restored to snap,
+// through runDecided under rule until cycle end, and publishes its
+// accounting.
+func (s *sideStudy) decide(i int, cpu *pipeline.CPU, cur *goldenCursor, snap *pipeline.Snapshot, rule settleRule, end int64) pipeline.Result {
+	rule.exact, rule.jitter = s.exact, jitterFor(s.jitter, i)
 	var bud runBudget
 	res, early := runDecided(cpu, cur, snap, s.oracle, rule, end, &bud)
 	if p := s.progress; p != nil {

@@ -8,67 +8,221 @@ import (
 	"itr/internal/asm"
 	"itr/internal/core"
 	"itr/internal/isa"
+	"itr/internal/par"
 	"itr/internal/pipeline"
+	"itr/internal/program"
+	"itr/internal/workload"
 )
 
-// TestDecidedClassificationMatchesExact is the decided-outcome engine's
-// correctness bar: for fixed seeds, every injection's Detail — its
-// classification and every observe- and verify-run fact — must be identical
-// between the fast path and the exact run-to-completion path, across all
-// three detector backends, several worker widths, and runs started both from
-// pilot snapshots and from cycle 0.
+// The identity tables (this one for campaigns, TestSideStudiesDecidedMatchExact
+// for the side studies) hold the engine to its promise that no knob changes
+// an outcome. Each computes one exact reference per everything that fixes
+// the sample: a cold run that simulates every window whole, 4 workers wide.
+// Each knob setting is then one run compared with that reference per
+// injection.
+
+// jitterSeed seeds the table's jittered probe schedules (see
+// CampaignConfig.jitter).
+const jitterSeed = 0x9e3779b9
+
+// probes is how a table run decides its runs: on a jittered schedule or the
+// production grid with early exits, or exact, each window whole.
+type probes int
+
+const (
+	jittered probes = iota
+	fixed
+	exact
+)
+
+// knob is one table run's setting of everything that must not change its
+// outcomes.
+type knob struct {
+	workers  int
+	interval int64 // Config.SnapshotInterval
+	probes   probes
+}
+
+// refKnob is the setting of every exact reference.
+var refKnob = knob{workers: 4, interval: -1, probes: exact}
+
+// name is the case name of kn's run of the sample that kind and seed name.
+func (kn knob) name(kind string, seed uint64) string {
+	s := fmt.Sprintf("%s/w%d/seed %#x/interval %d", kind, kn.workers, seed, kn.interval)
+	switch kn.probes {
+	case fixed:
+		s += "/fixed"
+	case exact:
+		s += "/exact"
+	}
+	return s
+}
+
+// apply sets kn on cc.
+func (kn knob) apply(cc *CampaignConfig) {
+	cc.Workers = kn.workers
+	cc.Experiment.SnapshotInterval = kn.interval
+	cc.Experiment.Exact = kn.probes == exact
+	if kn.probes == jittered {
+		cc.jitter = jitterSeed
+	}
+}
+
+// tableProgram returns the table program called name: the loop nest
+// (testProgram) or a synthetic benchmark.
+func tableProgram(t *testing.T, name string) *program.Program {
+	t.Helper()
+	if name == "loop" {
+		return testProgram(t)
+	}
+	prof, err := workload.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := workload.CachedProgram(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// campaignKey is everything that fixes a campaign's sample and each of its
+// injections' Detail.
+type campaignKey struct {
+	prog    string
+	backend string
+	seed    uint64
+	faults  int
+	window  int64
+	ckpt    bool
+}
+
+// run runs k's campaign on p, the program k names, under kn. An exact run
+// that saves cycles is an error.
+func (k campaignKey) run(p *program.Program, kn knob) (CampaignResult, error) {
+	cc := DefaultCampaignConfig()
+	cc.Faults, cc.Seed = k.faults, k.seed
+	cc.Experiment = quickConfig()
+	cc.Experiment.WindowCycles = k.window
+	cc.Experiment.Pipeline.Detector = k.backend
+	cc.Experiment.Checkpoint = k.ckpt
+	kn.apply(&cc)
+	res, err := RunCampaign(k.prog, p, cc)
+	if b := res.Budget; err == nil && kn.probes == exact && (b.CyclesSaved != 0 || b.DecidedEarly != 0) {
+		err = fmt.Errorf("exact path saved %d cycles, decided %d runs early", b.CyclesSaved, b.DecidedEarly)
+	}
+	return res, err
+}
+
+var campaignRefs par.Memo[campaignKey, CampaignResult]
+
+// reference returns k's exact reference on p, computing it on first use.
+func (k campaignKey) reference(t *testing.T, p *program.Program) CampaignResult {
+	t.Helper()
+	ref, err := campaignRefs.Do(k, func() (CampaignResult, error) { return k.run(p, refKnob) })
+	if err != nil {
+		t.Fatalf("exact reference: %v", err)
+	}
+	return ref
+}
+
+// tally is what a campaign result adds up from its Details, without the
+// work accounting a knob may change.
+func tally(r CampaignResult) CampaignResult {
+	r.Benchmark, r.Budget, r.Details = "", Budget{}, nil
+	r.Snapshots, r.SnapshotPages, r.SnapshotOwnedPages = 0, 0, 0
+	return r
+}
+
+// TestDecidedClassificationMatchesExact is the campaign identity table, the
+// decided-outcome and snapshot layers' correctness bar: on the loop nest,
+// for every detector backend, each injection's Detail (its class and every
+// observe- and verify-run fact) and the result's tallies must equal the
+// exact reference's at every knob setting. The settings cover worker widths
+// 1 and 4, snapshot intervals -1 (cold), 0 (the default), 512 and 2000,
+// decided runs probed on the production grid and on jittered schedules,
+// exact runs at other widths and intervals, and the verify run's
+// checkpointing. Every case is a second run of its reference's campaign,
+// so the table also checks that a campaign run twice agrees with itself.
+// Exact runs, references included, save no cycles, and each run's snapshot
+// footprint is consistent with its interval.
 func TestDecidedClassificationMatchesExact(t *testing.T) {
 	t.Parallel()
-	p := testProgram(t)
+	type tcase struct {
+		key  campaignKey
+		knob knob
+	}
+	var cases []tcase
+	add := func(key campaignKey, knobs ...knob) {
+		for _, kn := range knobs {
+			cases = append(cases, tcase{key, kn})
+		}
+	}
 	for _, backend := range []string{"itr", "reptfd", "dme"} {
-		for _, workers := range []int{1, 4} {
-			for _, seed := range []uint64{0x17b, 0xdead} {
-				for _, interval := range []int64{0, -1} {
-					name := fmt.Sprintf("%s/w%d/seed %#x/interval %d", backend, workers, seed, interval)
-					t.Run(name, func(t *testing.T) {
-						t.Parallel()
-						base := DefaultCampaignConfig()
-						base.Faults = 40
-						base.Seed = seed
-						base.Workers = workers
-						base.Experiment = quickConfig()
-						base.Experiment.Pipeline.Detector = backend
-						base.Experiment.SnapshotInterval = interval
-
-						exact := base
-						exact.Experiment.Exact = true
-						fast := base
-
-						eres, err := RunCampaign("exact", p, exact)
-						if err != nil {
-							t.Fatal(err)
-						}
-						fres, err := RunCampaign("fast", p, fast)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(fres.Counts, eres.Counts) {
-							t.Errorf("%s: counts %v != exact %v", name, fres.Counts, eres.Counts)
-						}
-						if fres.RecoveryAttempted != eres.RecoveryAttempted ||
-							fres.RecoveryConfirmed != eres.RecoveryConfirmed {
-							t.Errorf("%s: recovery %d/%d != exact %d/%d", name,
-								fres.RecoveryConfirmed, fres.RecoveryAttempted,
-								eres.RecoveryConfirmed, eres.RecoveryAttempted)
-						}
-						for i := range eres.Details {
-							if fres.Details[i] != eres.Details[i] {
-								t.Errorf("%s: injection %d\n fast  %+v\n exact %+v",
-									name, i, fres.Details[i], eres.Details[i])
-							}
-						}
-						if eres.Budget.CyclesSaved != 0 {
-							t.Errorf("%s: exact path reported %d cycles saved", name, eres.Budget.CyclesSaved)
-						}
-					})
+		for _, seed := range []uint64{0x17b, 0xdead} {
+			key := campaignKey{"loop", backend, seed, 50, 20_000, false}
+			for _, workers := range []int{1, 4} {
+				for _, interval := range []int64{-1, 0} {
+					add(key, knob{workers, interval, jittered})
 				}
 			}
+			add(key, knob{4, 0, fixed})
 		}
+		add(campaignKey{"loop", backend, 0x17b, 50, 20_000, false}, knob{1, 512, fixed}, knob{1, 0, exact})
+	}
+	itr := campaignKey{"loop", "itr", 0x17b, 50, 20_000, false}
+	add(itr, knob{4, 2000, exact}, knob{4, 2000, fixed})
+	ckpt := itr
+	ckpt.ckpt = true
+	add(ckpt, knob{4, 2000, exact}, knob{4, 2000, fixed}, knob{1, 512, jittered})
+
+	for _, c := range cases {
+		kind := c.key.backend
+		if c.key.ckpt {
+			kind += "+checkpoint"
+		}
+		t.Run(c.knob.name(kind, c.key.seed), func(t *testing.T) {
+			t.Parallel()
+			p := tableProgram(t, c.key.prog)
+			want := c.key.reference(t, p)
+			got, err := c.key.run(p, c.knob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Details) != len(want.Details) {
+				t.Fatalf("%d injections, exact %d", len(got.Details), len(want.Details))
+			}
+			for i := range want.Details {
+				if got.Details[i] != want.Details[i] {
+					t.Errorf("injection %d\n got   %+v\n exact %+v", i, got.Details[i], want.Details[i])
+				}
+			}
+			if g, w := tally(got), tally(want); !reflect.DeepEqual(g, w) {
+				t.Errorf("tallies differ:\n got   %+v\n exact %+v", g, w)
+			}
+			checkFootprint(t, got, c.knob.interval)
+		})
+	}
+}
+
+// checkFootprint checks a campaign's snapshot accounting against the
+// interval it ran at: a cold campaign retains nothing, and a snapshot series
+// holds pages, references at least as many as it distinctly holds, and
+// shares its predecessors' unchanged pages when it has more than one
+// snapshot.
+func checkFootprint(t *testing.T, r CampaignResult, interval int64) {
+	t.Helper()
+	switch {
+	case interval < 0:
+		if r.Snapshots != 0 || r.SnapshotPages != 0 || r.SnapshotOwnedPages != 0 {
+			t.Errorf("cold path reported snapshots: %d (%d pages, %d distinct)", r.Snapshots, r.SnapshotPages, r.SnapshotOwnedPages)
+		}
+	case r.Snapshots == 0 || r.SnapshotOwnedPages == 0:
+		t.Errorf("fast path retained no snapshots: %d (%d distinct pages)", r.Snapshots, r.SnapshotOwnedPages)
+	case r.SnapshotOwnedPages > r.SnapshotPages:
+		t.Errorf("snapshot footprint inconsistent: %d referenced, %d distinct", r.SnapshotPages, r.SnapshotOwnedPages)
+	case r.Snapshots > 1 && r.SnapshotOwnedPages == r.SnapshotPages:
+		t.Errorf("%d snapshots share no pages (%d referenced, %d distinct)", r.Snapshots, r.SnapshotPages, r.SnapshotOwnedPages)
 	}
 }
 

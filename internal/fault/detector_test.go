@@ -73,29 +73,6 @@ func TestRivalBackendCampaigns(t *testing.T) {
 	}
 }
 
-// TestRivalBackendCampaignDeterministic: backend selection must not disturb
-// the campaign's determinism guarantee.
-func TestRivalBackendCampaignDeterministic(t *testing.T) {
-	p := testProgram(t)
-	cfg := DefaultCampaignConfig()
-	cfg.Faults = 6
-	cfg.Experiment.WindowCycles = 10_000
-	cfg.Experiment.Pipeline.Detector = detect.NameDME
-	a, err := RunCampaign("a", p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCampaign("b", p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range Categories() {
-		if a.Counts[c] != b.Counts[c] {
-			t.Fatalf("campaign not deterministic: %s %d vs %d", c, a.Counts[c], b.Counts[c])
-		}
-	}
-}
-
 // TestCacheFaultRejectsRivalBackend: the Section 2.4 study injects into the
 // ITR signature cache, which the rival backends do not have.
 func TestCacheFaultRejectsRivalBackend(t *testing.T) {

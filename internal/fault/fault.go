@@ -192,7 +192,7 @@ func DefaultConfig() Config {
 // from cycle 0 (the cold path; campaigns resume from pilot snapshots via
 // RunCampaign).
 func RunOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection) (Detail, error) {
-	return runOne(oracle, cfg, inj, nil, &arena{prog: prog}, &runBudget{})
+	return runOne(oracle, cfg, inj, 0, nil, &arena{prog: prog}, &runBudget{})
 }
 
 // arena is one pool worker's reusable machines, one per configuration.
@@ -251,9 +251,10 @@ func (a *arena) reset(pcfg pipeline.Config, snap *pipeline.Snapshot) (*pipeline.
 // Each run is one call into the decided-outcome engine (see decide.go),
 // which stops it as soon as its classification is settled unless cfg.Exact
 // is set. Outside exact mode, a verify run forks from a pre-fault capture of
-// the observe machine instead of re-simulating the detect-free prefix. bud
-// receives the run's simulated/saved cycle accounting.
-func runOne(oracle *SigOracle, cfg Config, inj Injection, snaps snapSeries, ar *arena, bud *runBudget) (Detail, error) {
+// the observe machine instead of re-simulating the detect-free prefix. Both
+// runs probe on the schedule jitter seeds (settleRule.jitter). bud receives
+// the run's simulated/saved cycle accounting.
+func runOne(oracle *SigOracle, cfg Config, inj Injection, jitter uint64, snaps snapSeries, ar *arena, bud *runBudget) (Detail, error) {
 	det := Detail{Injection: inj, LatencyCycles: -1, LatencyInsts: -1}
 	from := snaps.before(byDecode, inj.DecodeIndex)
 
@@ -269,7 +270,9 @@ func runOne(oracle *SigOracle, cfg Config, inj Injection, snaps snapSeries, ar *
 	}
 	var injPt injectionPoint
 	cpu.SetFaultHook(hook(inj, cpu, &injPt))
-	res, early := runDecided(cpu, cur, snap, oracle, decodeRule(inj.DecodeIndex, false, cfg.Exact), cfg.WindowCycles, bud)
+	rule := decodeRule(inj.DecodeIndex)
+	rule.exact, rule.jitter = cfg.Exact, jitter
+	res, early := runDecided(cpu, cur, snap, oracle, rule, cfg.WindowCycles, bud)
 	bud.decidedEarly = early
 
 	det.NaturalSDC = cur.diverged
@@ -327,7 +330,8 @@ func runOne(oracle *SigOracle, cfg Config, inj Injection, snaps snapSeries, ar *
 		}
 		var vinjPt injectionPoint
 		vcpu.SetFaultHook(hook(inj, vcpu, &vinjPt))
-		vres, _ := runDecided(vcpu, vcur, vsnap, oracle, decodeRule(inj.DecodeIndex, true, cfg.Exact || cfg.Checkpoint), cfg.WindowCycles, bud)
+		rule.full, rule.exact = true, cfg.Exact || cfg.Checkpoint
+		vres, _ := runDecided(vcpu, vcur, vsnap, oracle, rule, cfg.WindowCycles, bud)
 		if presnap != nil {
 			// The fork skipped re-simulating snap.Cycle→presnap.Cycle.
 			bud.saved += presnap.Cycle - snap.Cycle

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"reflect"
 	"testing"
 
 	"itr/internal/core"
@@ -322,41 +321,5 @@ func TestEffectiveSnapshotInterval(t *testing.T) {
 		if got := c.EffectiveSnapshotInterval(); got != tc.want {
 			t.Errorf("EffectiveSnapshotInterval(%d) = %d; want %d", tc.in, got, tc.want)
 		}
-	}
-}
-
-// TestCampaignSnapshotIntervalIdentical checks the promise printed in the
-// -snapshot-interval flag help: campaign results are identical with the
-// fast path on, off, or at a non-default spacing.
-func TestCampaignSnapshotIntervalIdentical(t *testing.T) {
-	p := testProgram(t)
-	base := DefaultCampaignConfig()
-	base.Faults = 8
-	base.Experiment.WindowCycles = 15_000
-
-	run := func(interval int64) CampaignResult {
-		cfg := base
-		cfg.Experiment.SnapshotInterval = interval
-		res, err := RunCampaign("test", p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := run(0) // default spacing
-	for _, interval := range []int64{-1, 2048} {
-		got := run(interval)
-		if !reflect.DeepEqual(got.Counts, want.Counts) {
-			t.Errorf("interval %d: counts %v != default %v", interval, got.Counts, want.Counts)
-		}
-		for i := range want.Details {
-			if got.Details[i].Category != want.Details[i].Category {
-				t.Errorf("interval %d: detail %d category %v != %v",
-					interval, i, got.Details[i].Category, want.Details[i].Category)
-			}
-		}
-	}
-	if want.Snapshots == 0 {
-		t.Error("default interval retained no snapshots; fast path did not engage")
 	}
 }

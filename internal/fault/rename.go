@@ -103,12 +103,13 @@ func newRenameStudy(prog *program.Program, cfg Config) *renameStudy {
 	}
 }
 
-// run evaluates inj in both passes on a's machines, each run resuming from
-// its pass's latest snapshot before the injected decode event and stopping
-// once the decided-outcome engine settles its facts: pass 1 under the
-// observe rule, pass 2 under the full-protocol rule, which also audits the
-// rename checker against the fault-free rename signatures.
-func (s *renameStudy) run(a *arena, inj RenameInjection) (o renameOutcome, err error) {
+// run evaluates inj, the study's k-th injection, in both passes on a's
+// machines, each run resuming from its pass's latest snapshot before the
+// injected decode event and stopping once the decided-outcome engine settles
+// its facts: pass 1 under the observe rule, pass 2 under the full-protocol
+// rule, which also audits the rename checker against the fault-free rename
+// signatures.
+func (s *renameStudy) run(a *arena, k int, inj RenameInjection) (o renameOutcome, err error) {
 	var cpus [2]*pipeline.CPU
 	var curs [2]*goldenCursor
 	for i, p := range s.passes {
@@ -118,11 +119,11 @@ func (s *renameStudy) run(a *arena, inj RenameInjection) (o renameOutcome, err e
 		}
 		curs[i] = a.attach(cpus[i], snap)
 		cpus[i].SetRenameFaultHook(renameHook(inj))
-		rule := decodeRule(inj.DecodeIndex, i == 1, s.exact)
+		rule := decodeRule(inj.DecodeIndex)
 		if i == 1 {
-			rule.renameSigs = s.renameSigs
+			rule.full, rule.renameSigs = true, s.renameSigs
 		}
-		s.decide(a, cpus[i], curs[i], snap, rule, s.window)
+		s.decide(k, cpus[i], curs[i], snap, rule, s.window)
 	}
 	rst := cpus[1].RenameChecker().Stats()
 	return renameOutcome{
@@ -143,11 +144,15 @@ type renameOutcome struct {
 // cc.Seed, each run in both passes under cc.Experiment on a cc.Workers-wide
 // pool, and publishes the runs' accounting to cc.Progress.
 func RunRenameStudy(prog *program.Program, cc CampaignConfig, n int) (RenameCampaignResult, error) {
-	var res RenameCampaignResult
 	outs, err := renameOutcomes(prog, cc, n)
 	if err != nil {
-		return res, err
+		return RenameCampaignResult{}, err
 	}
+	return tallyRename(outs), nil
+}
+
+// tallyRename aggregates a rename study's per-injection outcomes.
+func tallyRename(outs []renameOutcome) (res RenameCampaignResult) {
 	for _, o := range outs {
 		res.Total++
 		if o.withoutSDC {
@@ -168,7 +173,7 @@ func RunRenameStudy(prog *program.Program, cc CampaignConfig, n int) (RenameCamp
 			res.SDCWithExtension++
 		}
 	}
-	return res, nil
+	return res
 }
 
 // RunRenameCampaign is RunRenameStudy at seed, GOMAXPROCS wide, without
@@ -185,7 +190,7 @@ func renameOutcomes(prog *program.Program, cc CampaignConfig, n int) ([]renameOu
 	}
 	cfg := cc.Experiment
 	st := newRenameStudy(prog, cfg)
-	st.progress = cc.Progress
+	st.progress, st.jitter = cc.Progress, cc.jitter
 	// Pass 1's pilot measures the decode-event space, as the main
 	// campaign's pilot does, capturing pass 1's resume points on the way.
 	pilot, err := pipeline.New(prog, st.passes[0].pcfg)
@@ -221,5 +226,5 @@ func renameOutcomes(prog *program.Program, cc CampaignConfig, n int) ([]renameOu
 		}
 		st.passes[1].snaps = pilotAt(ext, cfg.WindowCycles, points, false)
 	}
-	return runPool(prog, cc.Workers, n, nil, func(a *arena, i int) (renameOutcome, error) { return st.run(a, injs[i]) })
+	return runPool(prog, cc.Workers, n, nil, func(a *arena, i int) (renameOutcome, error) { return st.run(a, i, injs[i]) })
 }

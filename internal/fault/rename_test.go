@@ -10,7 +10,7 @@ func TestRenameFaultBlindSpotAndFix(t *testing.T) {
 	var chosen *renameOutcome
 	for idx := int64(300); idx < 330 && chosen == nil; idx++ {
 		inj := RenameInjection{DecodeIndex: idx, Operand: 0, Mask: 0x1f}
-		o, err := st.run(a, inj)
+		o, err := st.run(a, 0, inj)
 		if err != nil {
 			t.Fatal(err)
 		}

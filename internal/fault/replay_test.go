@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,85 +10,6 @@ import (
 	"itr/internal/program"
 	"itr/internal/workload"
 )
-
-// TestCampaignSnapshotFastPathBitIdentical is the snapshot layer's
-// correctness bar: for a fixed seed, the snapshot fast-forward campaign must
-// produce Detail slices bit-identical to the cold path — same categories,
-// same observe- and verify-run facts, for every injection — so the Figure 8
-// percentages are unchanged by the optimization. It holds both on the exact
-// path and with the decided-outcome engine's early exits.
-func TestCampaignSnapshotFastPathBitIdentical(t *testing.T) {
-	t.Parallel()
-	variants := []struct {
-		name     string
-		interval int64
-		ckpt     bool
-	}{
-		{"default-interval", 0, false},
-		{"fine-interval", 2_000, false},
-		{"checkpoint-verify", 2_000, true}, // verify runs must fall back cold
-	}
-	p := testProgram(t)
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			t.Parallel()
-			for _, exact := range []bool{true, false} {
-				t.Run(fmt.Sprintf("exact=%v", exact), func(t *testing.T) {
-					base := DefaultCampaignConfig()
-					base.Faults = 50
-					base.Workers = 4
-					base.Experiment = quickConfig()
-					base.Experiment.Checkpoint = v.ckpt
-					base.Experiment.Exact = exact
-
-					cold := base
-					cold.Experiment.SnapshotInterval = -1
-					warm := base
-					warm.Experiment.SnapshotInterval = v.interval
-
-					cres, err := RunCampaign("cold", p, cold)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wres, err := RunCampaign("warm", p, warm)
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					if !reflect.DeepEqual(cres.Details, wres.Details) {
-						for i := range cres.Details {
-							if cres.Details[i] != wres.Details[i] {
-								t.Fatalf("Detail %d differs:\ncold %+v\nwarm %+v",
-									i, cres.Details[i], wres.Details[i])
-							}
-						}
-						t.Fatal("Detail slices differ")
-					}
-					if !reflect.DeepEqual(cres.Counts, wres.Counts) {
-						t.Fatalf("category counts differ:\ncold %+v\nwarm %+v", cres.Counts, wres.Counts)
-					}
-					if cres.Snapshots != 0 || cres.SnapshotPages != 0 {
-						t.Fatalf("cold path reported snapshots: %d (%d pages)", cres.Snapshots, cres.SnapshotPages)
-					}
-					if wres.Snapshots == 0 || wres.SnapshotPages == 0 {
-						t.Fatalf("fast path took no snapshots: %d (%d pages)", wres.Snapshots, wres.SnapshotPages)
-					}
-					// COW sharing: the series references at least as many pages as
-					// it distinctly holds, and every retained snapshot past the
-					// first shares its predecessor's unchanged pages.
-					if wres.SnapshotOwnedPages == 0 || wres.SnapshotOwnedPages > wres.SnapshotPages {
-						t.Fatalf("snapshot footprint inconsistent: %d referenced, %d distinct",
-							wres.SnapshotPages, wres.SnapshotOwnedPages)
-					}
-					if wres.Snapshots > 1 && wres.SnapshotOwnedPages == wres.SnapshotPages {
-						t.Fatalf("%d snapshots share no pages (%d referenced, %d distinct)",
-							wres.Snapshots, wres.SnapshotPages, wres.SnapshotOwnedPages)
-					}
-				})
-			}
-		})
-	}
-}
 
 // liveOutcomes executes p functionally, independently of any cursor, for n
 // steps, returning each step's PC and outcome.

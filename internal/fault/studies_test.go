@@ -1,187 +1,169 @@
 package fault
 
 import (
+	"fmt"
 	"reflect"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"itr/internal/core"
+	"itr/internal/par"
 	"itr/internal/pipeline"
 	"itr/internal/program"
-	"itr/internal/stats"
-	"itr/internal/workload"
 )
 
-// studyPrograms returns the hand-built loop nest and one synthetic benchmark,
-// so the identity tests cover both a single hot trace and a realistic mix.
-func studyPrograms(t *testing.T) map[string]*program.Program {
-	t.Helper()
-	prof, err := workload.ByName("art")
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := workload.CachedProgram(prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*program.Program{"loop": testProgram(t), "art": art}
+// studyKey is everything that fixes a side study's sample and each of its
+// injections' outcome.
+type studyKey struct {
+	prog   string
+	study  string // a studyRuns key
+	seed   uint64
+	n      int
+	window int64
 }
 
-// TestSideStudiesSnapshotAndWidthIdentical pins the side studies' contract:
+// studyRuns runs each side study, returning its per-injection outcomes and
+// their tally, the study's public result.
+var studyRuns = map[string]func(p *program.Program, cc CampaignConfig, n int) (outs, res any, err error){
+	"pc": func(p *program.Program, cc CampaignConfig, n int) (any, any, error) {
+		outs, err := pcOutcomes(p, cc, n)
+		return outs, tallyPC(outs), err
+	},
+	"cache-no-parity": func(p *program.Program, cc CampaignConfig, n int) (any, any, error) {
+		outs, err := cacheOutcomes(p, cc, false, n)
+		return outs, tallyCache(outs), err
+	},
+	"cache-parity": func(p *program.Program, cc CampaignConfig, n int) (any, any, error) {
+		outs, err := cacheOutcomes(p, cc, true, n)
+		return outs, tallyCache(outs), err
+	},
+	"rename": func(p *program.Program, cc CampaignConfig, n int) (any, any, error) {
+		outs, err := renameOutcomes(p, cc, n)
+		return outs, tallyRename(outs), err
+	},
+}
+
+// studyRun is one study run's outcomes, their tally and its accounting.
+type studyRun struct {
+	outs, res any
+	progress  *Progress
+}
+
+// run runs k's study on p, the program k names, under kn. An exact run
+// that stops early is an error.
+func (k studyKey) run(p *program.Program, kn knob) (studyRun, error) {
+	cc := CampaignConfig{Experiment: quickConfig(), Seed: k.seed, Progress: &Progress{}}
+	cc.Experiment.WindowCycles = k.window
+	kn.apply(&cc)
+	outs, res, err := studyRuns[k.study](p, cc, k.n)
+	if n := cc.Progress.StudyRunsDecidedEarly.Load(); err == nil && kn.probes == exact && n != 0 {
+		err = fmt.Errorf("%d exact runs stopped early", n)
+	}
+	return studyRun{outs, res, cc.Progress}, err
+}
+
+var studyRefs par.Memo[studyKey, studyRun]
+
+// reference returns k's exact reference on p, computing it on first use.
+func (k studyKey) reference(t *testing.T, p *program.Program) studyRun {
+	t.Helper()
+	ref, err := studyRefs.Do(k, func() (studyRun, error) { return k.run(p, refKnob) })
+	if err != nil {
+		t.Fatalf("exact reference: %v", err)
+	}
+	return ref
+}
+
+// TestSideStudiesDecidedMatchExact is the side studies' identity table:
 // resuming from pilot snapshots, spreading injections over the worker pool
-// and deciding runs early are invisible in the results. Each study must
-// return a result reflect.DeepEqual to the one recorded from the cold,
-// serial, lockstep-reference harness it replaced, at every snapshot setting
-// (-1 disables snapshots) and at pool widths 1 and 4.
-func TestSideStudiesSnapshotAndWidthIdentical(t *testing.T) {
+// and deciding runs early, on the production probe grid or a jittered one,
+// change no injection's outcome. On the loop nest and three synthetic
+// benchmarks, each study's per-injection outcomes at every knob setting must
+// equal its exact reference's, and every decided run must be accounted as a
+// study run, as the exact ones are. Where a result was recorded from the
+// cold, serial, lockstep-reference harness the studies replaced, the exact
+// reference's tally must equal it. Some decided runs must stop early.
+func TestSideStudiesDecidedMatchExact(t *testing.T) {
 	t.Parallel()
-	type study struct {
-		name string
-		run  func(*program.Program, CampaignConfig) (any, error)
-		want map[string]any // recorded result per program
+	var runs, early atomic.Int64
+	t.Cleanup(func() {
+		if early.Load() == 0 {
+			t.Errorf("none of %d decided runs stopped early", runs.Load())
+		}
+		t.Logf("%d of %d decided runs stopped early", early.Load(), runs.Load())
+	})
+	recorded := map[studyKey]any{
+		{"loop", "pc", 0x77, 8, 20_000}: PCFaultResult{Total: 8, Counts: map[PCOutcome]int{PCDetectedITR: 3, PCMasked: 2, PCDetectedSpc: 3}},
+		{"art", "pc", 0x77, 8, 20_000}:  PCFaultResult{Total: 8, Counts: map[PCOutcome]int{PCDetectedITR: 5, PCDetectedSpc: 3}},
+		{"loop", "cache-no-parity", 0x5, 6, 20_000}: CacheFaultResult{Total: 6,
+			Counts: map[CacheFaultOutcome]int{CacheFalseMachineCheck: 5, CacheMasked: 1}},
+		{"art", "cache-no-parity", 0x5, 6, 20_000}: CacheFaultResult{Total: 6,
+			Counts: map[CacheFaultOutcome]int{CacheFalseMachineCheck: 3, CacheMasked: 3}},
+		{"loop", "cache-parity", 0x5, 6, 20_000}: CacheFaultResult{Total: 6,
+			Counts: map[CacheFaultOutcome]int{CacheParityRepaired: 5, CacheMasked: 1}},
+		{"art", "cache-parity", 0x5, 6, 20_000}: CacheFaultResult{Total: 6,
+			Counts: map[CacheFaultOutcome]int{CacheParityRepaired: 3, CacheMasked: 3}},
+		{"loop", "rename", 0x42, 6, 20_000}: RenameCampaignResult{Total: 6, SDCWithoutExtension: 4, MaskedWithout: 2,
+			DetectedWithExtension: 6, RecoveredWithExtension: 6},
+		{"art", "rename", 0x42, 6, 20_000}: RenameCampaignResult{Total: 6, SDCWithoutExtension: 2, MaskedWithout: 4,
+			DetectedWithExtension: 6, RecoveredWithExtension: 6},
 	}
-	studies := []study{
-		{"pc", func(p *program.Program, cc CampaignConfig) (any, error) {
-			cc.Seed = 0x77
-			return RunPCFaultStudy(p, cc, 8)
-		}, map[string]any{
-			"loop": PCFaultResult{Total: 8, Counts: map[PCOutcome]int{PCDetectedITR: 3, PCMasked: 2, PCDetectedSpc: 3}},
-			"art":  PCFaultResult{Total: 8, Counts: map[PCOutcome]int{PCDetectedITR: 5, PCDetectedSpc: 3}},
-		}},
-		{"cache-no-parity", func(p *program.Program, cc CampaignConfig) (any, error) {
-			cc.Seed = 0x5
-			return RunCacheFaultStudy(p, cc, false, 6)
-		}, map[string]any{
-			"loop": CacheFaultResult{Total: 6, Counts: map[CacheFaultOutcome]int{CacheFalseMachineCheck: 5, CacheMasked: 1}},
-			"art":  CacheFaultResult{Total: 6, Counts: map[CacheFaultOutcome]int{CacheFalseMachineCheck: 3, CacheMasked: 3}},
-		}},
-		{"cache-parity", func(p *program.Program, cc CampaignConfig) (any, error) {
-			cc.Seed = 0x5
-			return RunCacheFaultStudy(p, cc, true, 6)
-		}, map[string]any{
-			"loop": CacheFaultResult{Total: 6, Counts: map[CacheFaultOutcome]int{CacheParityRepaired: 5, CacheMasked: 1}},
-			"art":  CacheFaultResult{Total: 6, Counts: map[CacheFaultOutcome]int{CacheParityRepaired: 3, CacheMasked: 3}},
-		}},
-		{"rename", func(p *program.Program, cc CampaignConfig) (any, error) {
-			cc.Seed = 0x42
-			return RunRenameStudy(p, cc, 6)
-		}, map[string]any{
-			"loop": RenameCampaignResult{Total: 6, SDCWithoutExtension: 4, MaskedWithout: 2,
-				DetectedWithExtension: 6, RecoveredWithExtension: 6},
-			"art": RenameCampaignResult{Total: 6, SDCWithoutExtension: 2, MaskedWithout: 4,
-				DetectedWithExtension: 6, RecoveredWithExtension: 6},
-		}},
-	}
-	for name, p := range studyPrograms(t) {
-		for _, st := range studies {
-			t.Run(name+"/"+st.name, func(t *testing.T) {
-				for _, interval := range []int64{-1, 0, 512} {
-					for _, workers := range []int{1, 4} {
-						cc := CampaignConfig{Experiment: quickConfig(), Workers: workers}
-						cc.Experiment.SnapshotInterval = interval
-						got, err := st.run(p, cc)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if want := st.want[name]; !reflect.DeepEqual(got, want) {
-							t.Errorf("interval %d, workers %d: %+v, want %+v", interval, workers, got, want)
-						}
+	for _, prog := range []string{"loop", "art", "vortex", "gcc"} {
+		for _, study := range []string{"pc", "cache-no-parity", "cache-parity", "rename"} {
+			t.Run(prog+"/"+study, func(t *testing.T) {
+				t.Parallel()
+				type tcase struct {
+					key  studyKey
+					knob knob
+				}
+				var cases []tcase
+				n := 4
+				if study == "pc" {
+					n = 6
+				}
+				for _, seed := range []uint64{0x17b, 0x2c9, 0x3e7} {
+					key := studyKey{prog, study, seed, n, 8_000}
+					for _, kn := range []knob{{1, -1, jittered}, {4, 0, jittered}, {4, 512, jittered}} {
+						cases = append(cases, tcase{key, kn})
 					}
 				}
-			})
-		}
-	}
-}
-
-// jitterProbes makes runDecided probe after a random 1 to 512 cycles,
-// log-uniform so that runs of probes a few cycles apart are common, instead
-// of a fixed 512: a settle rule that only holds between the fixed probes
-// shows up as an outcome that depends on when the engine asked. It returns
-// the function that restores the fixed probe. A test that calls it swaps a
-// package-level variable every decided run reads, so it must not be
-// parallel; the parallel tests only start once it has finished.
-func jitterProbes(t *testing.T) func() {
-	t.Helper()
-	var mu sync.Mutex
-	rng := stats.NewRNG(0x9e3779b9)
-	fixed := probeCycles
-	probeCycles = func() int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return 1 + int64(rng.Uint64n(1<<rng.Intn(10)))
-	}
-	return func() { probeCycles = fixed }
-}
-
-// TestSideStudiesDecidedMatchExact: deciding side-study runs early changes no
-// injection's outcome. On the loop nest and three synthetic benchmarks, over
-// several seeds and at every snapshot setting, each study's per-injection
-// outcomes with early exits, probed at random intervals, must equal those of
-// the same study with Exact set, which simulates every run's whole window
-// from cycle 0 (that the exact outcomes do not depend on the snapshot
-// setting is TestSideStudiesSnapshotAndWidthIdentical's contract); and the
-// decided runs must actually stop early, the exact ones never.
-func TestSideStudiesDecidedMatchExact(t *testing.T) {
-	progs := studyPrograms(t)
-	for _, name := range []string{"vortex", "gcc"} {
-		prof, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if progs[name], err = workload.CachedProgram(prof); err != nil {
-			t.Fatal(err)
-		}
-	}
-	studies := map[string]func(*program.Program, CampaignConfig) (any, error){
-		"pc": func(p *program.Program, cc CampaignConfig) (any, error) { return pcOutcomes(p, cc, 6) },
-		"cache-no-parity": func(p *program.Program, cc CampaignConfig) (any, error) {
-			return cacheOutcomes(p, cc, false, 4)
-		},
-		"cache-parity": func(p *program.Program, cc CampaignConfig) (any, error) {
-			return cacheOutcomes(p, cc, true, 4)
-		},
-		"rename": func(p *program.Program, cc CampaignConfig) (any, error) { return renameOutcomes(p, cc, 4) },
-	}
-	defer jitterProbes(t)()
-	var decided, exact Progress
-	for name, p := range progs {
-		for study, run := range studies {
-			t.Run(name+"/"+study, func(t *testing.T) {
-				for _, seed := range []uint64{0x17b, 0x2c9, 0x3e7} {
-					cc := CampaignConfig{Experiment: quickConfig(), Seed: seed, Workers: 2, Progress: &exact}
-					// A shorter window keeps the exact reference affordable
-					// under the race detector.
-					cc.Experiment.WindowCycles = 8_000
-					cc.Experiment.Exact = true
-					cc.Experiment.SnapshotInterval = -1
-					want, err := run(p, cc)
-					if err != nil {
-						t.Fatal(err)
+				for key := range recorded {
+					if key.prog != prog || key.study != study {
+						continue
 					}
 					for _, interval := range []int64{-1, 0, 512} {
-						cc.Experiment.Exact, cc.Progress = false, &decided
-						cc.Experiment.SnapshotInterval = interval
-						got, err := run(p, cc)
+						for _, workers := range []int{1, 4} {
+							cases = append(cases, tcase{key, knob{workers, interval, jittered}})
+						}
+					}
+					cases = append(cases, tcase{key, knob{4, 0, fixed}})
+				}
+
+				p := tableProgram(t, prog)
+				for _, c := range cases {
+					t.Run(c.knob.name(fmt.Sprintf("window %d", c.key.window), c.key.seed), func(t *testing.T) {
+						t.Parallel()
+						want := c.key.reference(t, p)
+						if rec, ok := recorded[c.key]; ok && !reflect.DeepEqual(want.res, rec) {
+							t.Errorf("exact %+v, recorded %+v", want.res, rec)
+						}
+						got, err := c.key.run(p, c.knob)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("seed %#x, interval %d: decided %+v, exact %+v", seed, interval, got, want)
+						if !reflect.DeepEqual(got.outs, want.outs) {
+							t.Errorf("outcomes %+v, exact %+v", got.outs, want.outs)
 						}
-					}
+						if g, w := got.progress.StudyRuns.Load(), want.progress.StudyRuns.Load(); g != w {
+							t.Errorf("%d runs accounted, exact %d", g, w)
+						}
+						runs.Add(got.progress.StudyRuns.Load())
+						early.Add(got.progress.StudyRunsDecidedEarly.Load())
+					})
 				}
 			})
 		}
 	}
-	if n := exact.StudyRunsDecidedEarly.Load(); n != 0 {
-		t.Errorf("%d exact runs stopped early", n)
-	}
-	runs, early := decided.StudyRuns.Load(), decided.StudyRunsDecidedEarly.Load()
-	if runs != 3*exact.StudyRuns.Load() || early == 0 {
-		t.Errorf("%d of %d decided runs stopped early (%d exact runs)", early, runs, exact.StudyRuns.Load())
-	}
-	t.Logf("%d of %d runs decided early; %d cycles simulated, %d under Exact", early, runs,
-		decided.StudyCyclesSimulated.Load(), exact.StudyCyclesSimulated.Load())
 }
 
 // TestPCPilotIsCleanReference proves the PC study's clean reference sound:
@@ -189,15 +171,8 @@ func TestSideStudiesDecidedMatchExact(t *testing.T) {
 // window's end on first need — ends in exactly the Result of one straight
 // run, and it runs on only when a run asks.
 func TestPCPilotIsCleanReference(t *testing.T) {
-	progs := studyPrograms(t)
-	prof, err := workload.ByName("vortex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if progs["vortex"], err = workload.CachedProgram(prof); err != nil {
-		t.Fatal(err)
-	}
-	for name, p := range progs {
+	for _, name := range []string{"loop", "art", "vortex"} {
+		p := tableProgram(t, name)
 		cfg := quickConfig()
 		cpu, err := pipeline.New(p, cfg.pipelineConfig(core.ModeObserve))
 		if err != nil {

@@ -105,18 +105,18 @@ func (s *pcStudy) reference() pipeline.Result {
 	return s.ref
 }
 
-// run injects f, resuming from the latest snapshot before the fault cycle,
-// and stops once the decided-outcome engine settles the class (see
-// settleRule.pcFault). The fault is scheduled after the restore, which
-// overwrites the machine's PC-fault schedule.
-func (s *pcStudy) run(a *arena, f pcFault) (PCOutcome, error) {
+// run injects f, the study's i-th fault, resuming from the latest snapshot
+// before the fault cycle, and stops once the decided-outcome engine settles
+// the class (see settleRule.pcFault). The fault is scheduled after the
+// restore, which overwrites the machine's PC-fault schedule.
+func (s *pcStudy) run(a *arena, i int, f pcFault) (PCOutcome, error) {
 	cpu, snap, err := a.reset(s.pcfg, s.snaps.before(byCycle, f.cycle))
 	if err != nil {
 		return "", fmt.Errorf("pc fault run: %w", err)
 	}
 	cur := a.attach(cpu, snap)
 	cpu.SchedulePCFault(f.cycle, f.bit)
-	res := s.decide(a, cpu, cur, snap, settleRule{pcFault: true}, s.window)
+	res := s.decide(i, cpu, cur, snap, settleRule{pcFault: true}, s.window)
 
 	switch {
 	case cpu.Detector().Base().Mismatches() > 0:
@@ -140,16 +140,21 @@ func (s *pcStudy) run(a *arena, f pcFault) (PCOutcome, error) {
 // run under cc.Experiment on a cc.Workers-wide pool, and publishes the runs'
 // accounting to cc.Progress.
 func RunPCFaultStudy(prog *program.Program, cc CampaignConfig, n int) (PCFaultResult, error) {
-	res := PCFaultResult{Counts: make(map[PCOutcome]int)}
 	outs, err := pcOutcomes(prog, cc, n)
 	if err != nil {
-		return res, err
+		return tallyPC(nil), err
 	}
+	return tallyPC(outs), nil
+}
+
+// tallyPC aggregates a PC study's per-injection outcomes.
+func tallyPC(outs []PCOutcome) PCFaultResult {
+	res := PCFaultResult{Counts: make(map[PCOutcome]int)}
 	for _, out := range outs {
 		res.Total++
 		res.Counts[out]++
 	}
-	return res, nil
+	return res
 }
 
 // RunPCFaultCampaign is RunPCFaultStudy at seed, GOMAXPROCS wide, without
@@ -178,8 +183,8 @@ func pcOutcomes(prog *program.Program, cc CampaignConfig, n int) ([]PCOutcome, e
 	if err != nil {
 		return nil, err
 	}
-	st.progress = cc.Progress
-	return runPool(prog, cc.Workers, n, nil, func(a *arena, i int) (PCOutcome, error) { return st.run(a, faults[i]) })
+	st.progress, st.jitter = cc.Progress, cc.jitter
+	return runPool(prog, cc.Workers, n, nil, func(a *arena, i int) (PCOutcome, error) { return st.run(a, i, faults[i]) })
 }
 
 // ---- ITR cache line faults (paper Section 2.4) ----
@@ -252,12 +257,12 @@ type cacheOutcome struct {
 	sdc bool
 }
 
-// run injects f once the cache is warm and observes the window that
-// follows, stopping once the decided-outcome engine settles the outcome:
-// every decode is faithful, so the run is final once no resident line
-// disagrees with the oracle, the checker has settled and the machine has
-// provably re-converged (or diverged, which is sticky).
-func (s *cacheStudy) run(a *arena, f cacheFault) (cacheOutcome, error) {
+// run injects f, the study's i-th fault, once the cache is warm and
+// observes the window that follows, stopping once the decided-outcome engine
+// settles the outcome: every decode is faithful, so the run is final once no
+// resident line disagrees with the oracle, the checker has settled and the
+// machine has provably re-converged (or diverged, which is sticky).
+func (s *cacheStudy) run(a *arena, i int, f cacheFault) (cacheOutcome, error) {
 	cpu, snap, err := a.reset(s.pcfg, s.warm)
 	if err != nil {
 		return cacheOutcome{}, fmt.Errorf("cache fault run: %w", err)
@@ -273,7 +278,7 @@ func (s *cacheStudy) run(a *arena, f cacheFault) (cacheOutcome, error) {
 	}
 	lines[f.pick%uint64(len(lines))].Value ^= 1 << uint(f.bit&63)
 
-	res := s.decide(a, cpu, cur, snap, settleRule{horizon: cpu.DecodeEvents(), full: true}, cpu.CycleCount()+s.window)
+	res := s.decide(i, cpu, cur, snap, settleRule{horizon: cpu.DecodeEvents(), full: true}, cpu.CycleCount()+s.window)
 	out := CacheMasked
 	switch {
 	case cpu.Checker().Stats().ParityRecovers > 0:
@@ -292,11 +297,16 @@ func cacheWarmCycles(cfg Config) int64 { return max(cfg.WindowCycles/4, 1000) }
 // cc.Seed, each run under cc.Experiment with the given parity setting on a
 // cc.Workers-wide pool, and publishes the runs' accounting to cc.Progress.
 func RunCacheFaultStudy(prog *program.Program, cc CampaignConfig, parity bool, n int) (CacheFaultResult, error) {
-	res := CacheFaultResult{Counts: make(map[CacheFaultOutcome]int)}
 	outs, err := cacheOutcomes(prog, cc, parity, n)
 	if err != nil {
-		return res, err
+		return tallyCache(nil), err
 	}
+	return tallyCache(outs), nil
+}
+
+// tallyCache aggregates an ITR-cache study's per-injection outcomes.
+func tallyCache(outs []cacheOutcome) CacheFaultResult {
+	res := CacheFaultResult{Counts: make(map[CacheFaultOutcome]int)}
 	for _, o := range outs {
 		res.Total++
 		res.Counts[o.out]++
@@ -304,7 +314,7 @@ func RunCacheFaultStudy(prog *program.Program, cc CampaignConfig, parity bool, n
 			res.SDC++
 		}
 	}
-	return res, nil
+	return res
 }
 
 // RunCacheFaultCampaign is RunCacheFaultStudy at seed, GOMAXPROCS wide,
@@ -329,6 +339,6 @@ func cacheOutcomes(prog *program.Program, cc CampaignConfig, parity bool, n int)
 	if err != nil {
 		return nil, err
 	}
-	st.progress = cc.Progress
-	return runPool(prog, cc.Workers, n, nil, func(a *arena, i int) (cacheOutcome, error) { return st.run(a, faults[i]) })
+	st.progress, st.jitter = cc.Progress, cc.jitter
+	return runPool(prog, cc.Workers, n, nil, func(a *arena, i int) (cacheOutcome, error) { return st.run(a, i, faults[i]) })
 }

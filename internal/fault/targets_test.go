@@ -17,8 +17,8 @@ func TestPCFaultMidTraceDetectedByITR(t *testing.T) {
 	}
 	a := &arena{prog: p}
 	sawITR := false
-	for _, f := range faults {
-		out, err := st.run(a, f)
+	for i, f := range faults {
+		out, err := st.run(a, i, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func hotCacheFault(t *testing.T, parity bool) (CacheFaultOutcome, bool) {
 	}
 	a := &arena{prog: p}
 	for pick := uint64(0); pick < 8; pick++ {
-		o, err := st.run(a, cacheFault{pick: pick, bit: 9})
+		o, err := st.run(a, int(pick), cacheFault{pick: pick, bit: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

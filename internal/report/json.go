@@ -11,7 +11,9 @@ import (
 
 // JSON export of experiment results, so regenerated figures can be archived,
 // diffed across runs, and consumed by external plotting tools. All types
-// marshal through stable, documented shapes.
+// marshal through stable, documented shapes: the wire forms below, and the
+// JSON tags of Table1Row, Headline, Figure9Row and PerfRow, whose fields
+// already are their wire shape.
 
 // SeriesJSON is the wire form of one figure series.
 type SeriesJSON struct {
@@ -97,106 +99,17 @@ func EncodeCampaigns(rows []Figure8Row) []CampaignJSON {
 	return out
 }
 
-// Table1JSON is the wire form of one Table 1 row.
-type Table1JSON struct {
-	Benchmark string `json:"benchmark"`
-	Suite     string `json:"suite"` // "SPECint" or "SPECfp"
-	Measured  int    `json:"measured"`
-	Paper     int    `json:"paper"`
-}
-
-// EncodeTable1 converts Table 1 rows into the wire form.
-func EncodeTable1(rows []Table1Row) []Table1JSON {
-	out := make([]Table1JSON, 0, len(rows))
-	for _, r := range rows {
-		suite := "SPECint"
-		if r.FP {
-			suite = "SPECfp"
-		}
-		out = append(out, Table1JSON{Benchmark: r.Benchmark, Suite: suite, Measured: r.Measured, Paper: r.Paper})
-	}
-	return out
-}
-
-// Figure9JSON is the wire form of one Figure 9 energy row (mJ).
-type Figure9JSON struct {
-	Benchmark      string  `json:"benchmark"`
-	ITRSinglePort  float64 `json:"itrSinglePortMJ"`
-	ITRDualPort    float64 `json:"itrDualPortMJ"`
-	ICacheRedFetch float64 `json:"icacheRedundantFetchMJ"`
-}
-
-// EncodeFigure9 converts Figure 9 rows into the wire form.
-func EncodeFigure9(rows []Figure9Row) []Figure9JSON {
-	out := make([]Figure9JSON, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, Figure9JSON{
-			Benchmark:      r.Benchmark,
-			ITRSinglePort:  r.ITRSinglePort,
-			ITRDualPort:    r.ITRDualPort,
-			ICacheRedFetch: r.ICacheRedFetch,
-		})
-	}
-	return out
-}
-
-// PerfJSON is the wire form of one frontend-protection performance row.
-type PerfJSON struct {
-	Benchmark        string  `json:"benchmark"`
-	BaseIPC          float64 `json:"baseIPC"`
-	ITRIPC           float64 `json:"itrIPC"`
-	DualDecodeIPC    float64 `json:"dualDecodeIPC"`
-	TimeRedundantIPC float64 `json:"timeRedundantIPC"`
-}
-
-// EncodePerf converts perf-comparison rows into the wire form.
-func EncodePerf(rows []PerfRow) []PerfJSON {
-	out := make([]PerfJSON, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, PerfJSON{
-			Benchmark:        r.Benchmark,
-			BaseIPC:          r.BaseIPC,
-			ITRIPC:           r.ITRIPC,
-			DualDecodeIPC:    r.DualDecodeIPC,
-			TimeRedundantIPC: r.TimeRedundantIPC,
-		})
-	}
-	return out
-}
-
-// HeadlineJSON is the wire form of the Section 3 headline summary.
-type HeadlineJSON struct {
-	AvgDetectionLossPct float64 `json:"avgDetectionLossPct"`
-	MaxDetectionLossPct float64 `json:"maxDetectionLossPct"`
-	MaxDetectionName    string  `json:"maxDetectionBenchmark"`
-	AvgRecoveryLossPct  float64 `json:"avgRecoveryLossPct"`
-	MaxRecoveryLossPct  float64 `json:"maxRecoveryLossPct"`
-	MaxRecoveryName     string  `json:"maxRecoveryBenchmark"`
-}
-
-// EncodeHeadline converts the headline summary into the wire form.
-func EncodeHeadline(h Headline) HeadlineJSON {
-	return HeadlineJSON{
-		AvgDetectionLossPct: h.AvgDetectionLoss,
-		MaxDetectionLossPct: h.MaxDetectionLoss,
-		MaxDetectionName:    h.MaxDetectionName,
-		AvgRecoveryLossPct:  h.AvgRecoveryLoss,
-		MaxRecoveryLossPct:  h.MaxRecoveryLoss,
-		MaxRecoveryName:     h.MaxRecoveryName,
-	}
-}
-
 // ArtifactJSON bundles every machine-readable artifact one command run
 // produced; empty sections are omitted from the encoding, so each command
 // writes exactly what it printed.
 type ArtifactJSON struct {
 	Figures   []FigureJSON   `json:"figures,omitempty"`
-	Table1    []Table1JSON   `json:"table1,omitempty"`
+	Table1    []Table1Row    `json:"table1,omitempty"`
 	Coverage  []CoverageJSON `json:"coverage,omitempty"`
-	Headline  *HeadlineJSON  `json:"headline,omitempty"`
+	Headline  *Headline      `json:"headline,omitempty"`
 	Campaigns []CampaignJSON `json:"campaigns,omitempty"`
-	Energy    []Figure9JSON  `json:"energy,omitempty"`
-	Perf      []PerfJSON     `json:"perf,omitempty"`
+	Energy    []Figure9Row   `json:"energy,omitempty"`
+	Perf      []PerfRow      `json:"perf,omitempty"`
 }
 
 // WriteJSON writes any exportable value as indented JSON.

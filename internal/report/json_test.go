@@ -75,3 +75,70 @@ func TestEncodeCampaigns(t *testing.T) {
 		t.Fatalf("category count: %d", len(out[0].Categories))
 	}
 }
+
+// TestArtifactJSONGolden pins the wire bytes of the Table 1, Section 3
+// headline, Figure 9 and perf sections that itr char, itr coverage
+// -headline and itr energy -perf write with -json.
+func TestArtifactJSONGolden(t *testing.T) {
+	art := ArtifactJSON{
+		Table1: []Table1Row{
+			{Benchmark: "gcc", Suite: "SPECint", Measured: 1234, Paper: 5678},
+			{Benchmark: "swim", Suite: "SPECfp", Measured: 12, Paper: 34},
+		},
+		Headline: &Headline{
+			AvgDetectionLoss: 1.3, MaxDetectionLoss: 8.2, MaxDetectionName: "vortex",
+			AvgRecoveryLoss: 2.5, MaxRecoveryLoss: 15, MaxRecoveryName: "vortex",
+		},
+		Energy: []Figure9Row{{Benchmark: "art", ITRSinglePort: 1.5, ITRDualPort: 2.25, ICacheRedFetch: 10}},
+		Perf:   []PerfRow{{Benchmark: "gap", BaseIPC: 2.5, ITRIPC: 2.4, DualDecodeIPC: 2.5, TimeRedundantIPC: 1.25}},
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, art); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{
+  "table1": [
+    {
+      "benchmark": "gcc",
+      "suite": "SPECint",
+      "measured": 1234,
+      "paper": 5678
+    },
+    {
+      "benchmark": "swim",
+      "suite": "SPECfp",
+      "measured": 12,
+      "paper": 34
+    }
+  ],
+  "headline": {
+    "avgDetectionLossPct": 1.3,
+    "maxDetectionLossPct": 8.2,
+    "maxDetectionBenchmark": "vortex",
+    "avgRecoveryLossPct": 2.5,
+    "maxRecoveryLossPct": 15,
+    "maxRecoveryBenchmark": "vortex"
+  },
+  "energy": [
+    {
+      "benchmark": "art",
+      "itrSinglePortMJ": 1.5,
+      "itrDualPortMJ": 2.25,
+      "icacheRedundantFetchMJ": 10
+    }
+  ],
+  "perf": [
+    {
+      "benchmark": "gap",
+      "baseIPC": 2.5,
+      "itrIPC": 2.4,
+      "dualDecodeIPC": 2.5,
+      "timeRedundantIPC": 1.25
+    }
+  ]
+}
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("artifact JSON:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -15,18 +15,18 @@ import (
 // consuming it, while conventional time redundancy fetches and decodes
 // everything twice.
 type PerfRow struct {
-	Benchmark string
+	Benchmark string `json:"benchmark"`
 	// BaseIPC is the unprotected core.
-	BaseIPC float64
+	BaseIPC float64 `json:"baseIPC"`
 	// ITRIPC is the core with the full ITR checker attached (the overhead
 	// is only ITR cache dispatch/commit work, not frontend bandwidth).
-	ITRIPC float64
+	ITRIPC float64 `json:"itrIPC"`
 	// DualDecodeIPC is structural duplication (no bandwidth cost, pure
 	// hardware cost).
-	DualDecodeIPC float64
+	DualDecodeIPC float64 `json:"dualDecodeIPC"`
 	// TimeRedundantIPC is conventional time redundancy (every instruction
 	// through the frontend twice).
-	TimeRedundantIPC float64
+	TimeRedundantIPC float64 `json:"timeRedundantIPC"`
 }
 
 // PerfComparison measures IPC for each protection scheme on the cycle-level

@@ -105,10 +105,10 @@ func (e *Engine) DistanceFigure(profiles []workload.Profile, budget int64) ([]st
 
 // Table1Row is one row of the paper's Table 1 reproduction.
 type Table1Row struct {
-	Benchmark string
-	FP        bool
-	Measured  int // static traces observed in the simulated window
-	Paper     int // the paper's Table 1 value
+	Benchmark string `json:"benchmark"`
+	Suite     string `json:"suite"`    // "SPECint" or "SPECfp"
+	Measured  int    `json:"measured"` // static traces observed in the simulated window
+	Paper     int    `json:"paper"`    // the paper's Table 1 value
 }
 
 // Table1 measures static trace counts for every benchmark.
@@ -122,9 +122,13 @@ func (e *Engine) Table1(budget int64) ([]Table1Row, error) {
 			if err != nil {
 				return fmt.Errorf("%s: %w", p.Name, err)
 			}
+			suite := "SPECint"
+			if p.FP {
+				suite = "SPECfp"
+			}
 			rows[i] = Table1Row{
 				Benchmark: p.Name,
-				FP:        p.FP,
+				Suite:     suite,
 				Measured:  c.StaticTraces(),
 				Paper:     p.StaticTraces,
 			}
@@ -233,12 +237,12 @@ func CoverageTable(cells []CoverageCell, metric string) *stats.Table {
 // configuration: "the average loss in fault detection coverage is 1.3% with
 // a maximum loss of 8.2% for vortex; recovery 2.5% average and 15% maximum".
 type Headline struct {
-	AvgDetectionLoss float64
-	MaxDetectionLoss float64
-	MaxDetectionName string
-	AvgRecoveryLoss  float64
-	MaxRecoveryLoss  float64
-	MaxRecoveryName  string
+	AvgDetectionLoss float64 `json:"avgDetectionLossPct"`
+	MaxDetectionLoss float64 `json:"maxDetectionLossPct"`
+	MaxDetectionName string  `json:"maxDetectionBenchmark"`
+	AvgRecoveryLoss  float64 `json:"avgRecoveryLossPct"`
+	MaxRecoveryLoss  float64 `json:"maxRecoveryLossPct"`
+	MaxRecoveryName  string  `json:"maxRecoveryBenchmark"`
 }
 
 // HeadlineCoverage computes the Section 3 headline over all 16 benchmarks.
@@ -336,10 +340,10 @@ func Figure8Table(rows []Figure8Row) *stats.Table {
 // (both port options) against redundantly fetching every instruction from
 // the I-cache.
 type Figure9Row struct {
-	Benchmark      string
-	ITRSinglePort  float64 // mJ
-	ITRDualPort    float64 // mJ
-	ICacheRedFetch float64 // mJ
+	Benchmark      string  `json:"benchmark"`
+	ITRSinglePort  float64 `json:"itrSinglePortMJ"`
+	ITRDualPort    float64 `json:"itrDualPortMJ"`
+	ICacheRedFetch float64 `json:"icacheRedundantFetchMJ"`
 }
 
 // Figure9 computes the energy comparison. Access counts are measured at the
