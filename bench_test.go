@@ -610,16 +610,17 @@ func BenchmarkCoverageReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkloadSynthesis measures benchmark program generation
-// (including the Table 1 calibration loop).
+// BenchmarkWorkloadSynthesis measures synthesizing all 16 benchmark
+// programs, each checked against its Table 1 static trace count: the
+// program-building share of every artifact run's setup.
 func BenchmarkWorkloadSynthesis(b *testing.B) {
-	prof, err := workload.ByName("parser")
-	if err != nil {
-		b.Fatal(err)
-	}
+	suite := workload.Suite()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := workload.Build(prof); err != nil {
-			b.Fatal(err)
+		for _, prof := range suite {
+			if _, err := workload.Build(prof); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ package program
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"itr/internal/isa"
@@ -81,6 +82,11 @@ type Builder struct {
 func NewBuilder(name string) *Builder {
 	return &Builder{name: name, labels: make(map[string]uint64)}
 }
+
+// Grow reserves capacity for at least n more instructions, so a builder
+// that knows roughly how long its program will be does not regrow the image
+// as it emits.
+func (b *Builder) Grow(n int) { b.insts = slices.Grow(b.insts, n) }
 
 // PC returns the index of the next instruction to be emitted.
 func (b *Builder) PC() uint64 { return uint64(len(b.insts)) }

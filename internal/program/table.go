@@ -155,8 +155,8 @@ func (t *DecodeTable) walk(pc uint64) (value, last uint64) {
 // none, and neither has a register-indirect jump, whose target is not
 // statically knowable (jalr's return point is not followed either), so
 // programs using them may undercount; the dynamic count of
-// trace.Characterize is the paper's metric. workload.Build calibrates
-// against this count on every attempt, so it walks only reachable starts
+// trace.Characterize is the paper's metric. workload.Build confirms every
+// synthesized program against this count, so it walks only reachable starts
 // and never builds TraceSig's per-PC array.
 func (p *Program) StaticTraceCount() int {
 	t := p.DecodeTable()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // profileJSON is the on-disk form of a custom benchmark profile. Example:
@@ -60,8 +61,9 @@ func ParseProfile(r io.Reader) (Profile, error) {
 	return p, nil
 }
 
-// ValidateProfile checks a profile's structural feasibility before the
-// (more expensive) calibration loop runs.
+// ValidateProfile checks a profile's structural feasibility before Build
+// assembles it: it rejects exactly the static trace targets Build cannot
+// meet.
 func ValidateProfile(p Profile) error {
 	if p.Name == "" {
 		return fmt.Errorf("profile needs a name")
@@ -69,7 +71,6 @@ func ValidateProfile(p Profile) error {
 	if len(p.Components) == 0 {
 		return fmt.Errorf("profile %s: at least one component required", p.Name)
 	}
-	hot := 0
 	for i, c := range p.Components {
 		if c.Traces < 1 {
 			return fmt.Errorf("profile %s: component %d has %d traces", p.Name, i, c.Traces)
@@ -77,14 +78,16 @@ func ValidateProfile(p Profile) error {
 		if c.Iters < 0 {
 			return fmt.Errorf("profile %s: component %d has negative iterations", p.Name, i)
 		}
-		hot += c.Traces
+		// The inner-loop counter is loaded from a 16-bit signed immediate.
+		if c.Iters > math.MaxInt16 {
+			return fmt.Errorf("profile %s: component %d has %d iterations, above the limit %d",
+				p.Name, i, c.Iters, math.MaxInt16)
+		}
 	}
-	// Rough overhead floor: setup trace per component, init, loop control.
-	// (wupwise sits at the floor exactly: 10 hot + 1 setup + 7 overhead.)
-	overhead := len(p.Components) + 6
-	if p.StaticTraces < hot+overhead {
+	if cold := coldTraces(p); cold < 0 {
+		hot := p.HotTraces()
 		return fmt.Errorf("profile %s: staticTraces %d below hot traces %d + overhead %d",
-			p.Name, p.StaticTraces, hot, overhead)
+			p.Name, p.StaticTraces, hot, p.StaticTraces-hot-cold)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -71,6 +72,12 @@ func TestValidateProfile(t *testing.T) {
 		{Profile{Name: "x", Components: []Component{{0, 1}}}, "traces"},
 		{Profile{Name: "x", Components: []Component{{5, -1}}}, "negative"},
 		{Profile{Name: "x", StaticTraces: 5, Components: []Component{{50, 1}}}, "below hot"},
+		// An fp profile pays one more init trace: wupwise's shape one
+		// trace below its target of 18 is infeasible.
+		{Profile{Name: "x", FP: true, StaticTraces: 17, Components: []Component{{10, 2600}}}, "below hot"},
+		// The inner-loop counter is a 16-bit signed immediate: 40000
+		// would wrap to -25536 and never count down to zero.
+		{Profile{Name: "x", StaticTraces: 100, Components: []Component{{20, 40000}}}, "above the limit"},
 	}
 	for i, c := range cases {
 		err := ValidateProfile(c.p)
@@ -78,9 +85,13 @@ func TestValidateProfile(t *testing.T) {
 			t.Errorf("case %d: err = %v, want %q", i, err, c.want)
 		}
 	}
-	good := Profile{Name: "ok", StaticTraces: 100, Components: []Component{{20, 5}}}
-	if err := ValidateProfile(good); err != nil {
-		t.Fatalf("good profile rejected: %v", err)
+	for _, good := range []Profile{
+		{Name: "ok", StaticTraces: 100, Components: []Component{{20, 5}}},
+		{Name: "max-iters", StaticTraces: 100, Components: []Component{{20, math.MaxInt16}}},
+	} {
+		if err := ValidateProfile(good); err != nil {
+			t.Errorf("good profile %s rejected: %v", good.Name, err)
+		}
 	}
 }
 

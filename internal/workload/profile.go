@@ -39,7 +39,7 @@ type Profile struct {
 	// FP selects a floating-point instruction mix (SPECfp stand-ins).
 	FP bool
 	// StaticTraces is the Table 1 target: the synthesizer pads with cold
-	// (executed-once) code until the program contains exactly this many
+	// (rarely executed) code so the program contains exactly this many
 	// static traces.
 	StaticTraces int
 	// Components are the hot loop nests, visited in order each outer cycle.

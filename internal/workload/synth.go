@@ -40,36 +40,59 @@ const (
 )
 
 // Build synthesizes the program for profile p. The returned program contains
-// exactly p.StaticTraces observable static traces; Build iterates cold-code
-// padding until the static trace count (computed by structural walk) matches.
+// exactly p.StaticTraces observable static traces: coldTraces sizes the cold
+// code from the layout's overhead, Build assembles once, and the structural
+// walk (StaticTraceCount) confirms the count.
 func Build(p Profile) (*program.Program, error) {
 	if len(p.Components) == 0 {
 		return nil, fmt.Errorf("profile %s: no components", p.Name)
 	}
-	// Initial guess: target minus hot traces minus per-component setup
-	// minus rough control overhead.
-	cold := p.StaticTraces - p.HotTraces() - len(p.Components) - 8
+	cold := coldTraces(p)
 	if cold < 0 {
-		cold = 0
+		return nil, fmt.Errorf("profile %s: infeasible static trace target %d (overhead alone exceeds it)",
+			p.Name, p.StaticTraces)
 	}
-	for attempt := 0; attempt < 12; attempt++ {
-		prog, err := assemble(p, cold)
-		if err != nil {
-			return nil, fmt.Errorf("assemble %s: %w", p.Name, err)
-		}
-		// The structural walk counts one never-executed trace: the halt
-		// trace on the exit path.
-		got := prog.StaticTraceCount() - 1
-		if got == p.StaticTraces {
-			return prog, nil
-		}
-		cold += p.StaticTraces - got
-		if cold < 0 {
-			return nil, fmt.Errorf("profile %s: infeasible static trace target %d (overhead alone exceeds it)",
-				p.Name, p.StaticTraces)
-		}
+	prog, err := assemble(p, cold)
+	if err != nil {
+		return nil, fmt.Errorf("assemble %s: %w", p.Name, err)
 	}
-	return nil, fmt.Errorf("profile %s: static trace calibration did not converge", p.Name)
+	// The structural walk counts one never-executed trace: the halt trace on
+	// the exit path.
+	if prog.StaticTraceCount()-1 != p.StaticTraces {
+		return nil, fmt.Errorf("profile %s: static trace calibration did not converge", p.Name)
+	}
+	return prog, nil
+}
+
+// coldTraces returns the cold count for which assemble lays out exactly
+// p.StaticTraces static traces (the halt trace aside), or a negative count
+// when the rest of the layout alone exceeds the target. Each term below is
+// one structural part of assemble's layout; every hot and cold body trace is
+// one trace, since its 3-12 instructions stay under isa.MaxTraceLen.
+func coldTraces(p Profile) int {
+	n := p.StaticTraces - p.HotTraces()
+	// Init terminators: the constants' trace, then the sixteen temp seeds
+	// fill a whole trace so their terminator is a trace of its own, then
+	// the memory seeds' trace.
+	n -= 4
+	// The eight fp seeds fill the memory seeds' trace too, so fp profiles
+	// pay one more terminator trace and need one cold trace fewer.
+	if p.FP {
+		n--
+	}
+	// One setup trace (the inner-count load) per component.
+	n -= len(p.Components)
+	// Outer-loop tail: the decrement-and-exit branch and the back jump.
+	n -= 2
+	// A run-once region is its guard plus cold-1 bodies: exactly cold
+	// traces.
+	if n <= runOnceColdMax {
+		return n
+	}
+	// A sliced region holds cold-3 traces (slice guards and bodies) and the
+	// countdown adds two (the decrement and the reset), one trace short of
+	// cold.
+	return n + 1
 }
 
 // coldSlices picks how many outer cycles the cold tail is spread across.
@@ -86,17 +109,11 @@ func coldSlices(cold int) int {
 
 // gen carries synthesis state.
 type gen struct {
-	b      *program.Builder
-	rng    *stats.RNG
-	fp     bool
-	labelN int
-	tempN  int
-	fpN    int
-}
-
-func (g *gen) newLabel(prefix string) string {
-	g.labelN++
-	return fmt.Sprintf("%s_%d", prefix, g.labelN)
+	b     *program.Builder
+	rng   *stats.RNG
+	fp    bool
+	tempN int
+	fpN   int
 }
 
 func (g *gen) nextTemp() isa.RegID {
@@ -120,24 +137,26 @@ func (g *gen) randFP() isa.RegID {
 // neverTaken emits a trace-terminating branch that is statically never taken
 // and whose taken-target is the next instruction (so it introduces no extra
 // static trace start). A small fraction are unconditional jumps to the next
-// instruction, which are always taken but land on the same start PC.
+// instruction, which are always taken but land on the same start PC. Both
+// are emitted resolved: displacement 0, or direct target PC+1.
 func (g *gen) neverTaken() {
-	l := g.newLabel("nt")
+	never := func(op isa.Opcode, rs1, rs2 isa.RegID) {
+		g.b.Emit(isa.Instruction{Op: op, Rs1: rs1, Rs2: rs2})
+	}
 	switch g.rng.Intn(6) {
 	case 0:
-		g.b.Branch(isa.OpBeq, regOne, regZero, l) // 1 == 0: never
+		never(isa.OpBeq, regOne, regZero) // 1 == 0: never
 	case 1:
-		g.b.Branch(isa.OpBne, regOne, regOne, l) // 1 != 1: never
+		never(isa.OpBne, regOne, regOne) // 1 != 1: never
 	case 2:
-		g.b.Branch(isa.OpBlt, regOne, regZero, l) // 1 < 0: never
+		never(isa.OpBlt, regOne, regZero) // 1 < 0: never
 	case 3:
-		g.b.Branch(isa.OpBge, regZero, regOne, l) // 0 >= 1: never
+		never(isa.OpBge, regZero, regOne) // 0 >= 1: never
 	case 4:
-		g.b.Branch(isa.OpBltu, regOne, regZero, l) // 1 <u 0: never
+		never(isa.OpBltu, regOne, regZero) // 1 <u 0: never
 	default:
-		g.b.Jump(l) // taken, to the next instruction
+		g.b.Emit(isa.Instruction{Op: isa.OpJ, Target: uint32(g.b.PC() + 1)}) // taken, to the next instruction
 	}
-	g.b.Label(l)
 }
 
 // payload emits n instructions of benchmark-flavoured straight-line code.
@@ -238,6 +257,10 @@ func (g *gen) trace() {
 func assemble(p Profile, cold int) (*program.Program, error) {
 	g := &gen{b: program.NewBuilder(p.Name), rng: stats.NewRNG(p.Seed), fp: p.FP}
 	b := g.b
+	// A body trace averages 7.5 instructions (2-11 payload plus its
+	// terminator); 8 per trace plus the fixed code covers the image with
+	// little slack, so the image never regrows.
+	b.Grow(8*(p.HotTraces()+cold) + 64)
 
 	sliced := cold > runOnceColdMax
 	slices := 0
@@ -286,13 +309,10 @@ func assemble(p Profile, cold int) (*program.Program, error) {
 		// One slice of the cold tail executes per outer cycle, selected by
 		// the regSlice countdown. Guards cost slices + control traces.
 		bodies := cold - slices - 3 // slice guards + countdown control traces
-		if bodies < 0 {
-			bodies = 0
-		}
 		per := bodies / slices
 		extra := bodies % slices
 		for s := 0; s < slices; s++ {
-			skip := g.newLabel("skipslice")
+			skip := fmt.Sprintf("skipslice_%d", s)
 			b.OpImm(isa.OpAddi, scratch1, 0, int16(s))
 			b.Branch(isa.OpBne, regSlice, scratch1, skip)
 			n := per

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -83,6 +84,56 @@ func TestBuildRejectsInfeasibleTarget(t *testing.T) {
 	p := Profile{Name: "tiny", StaticTraces: 3, Components: []Component{{10, 5}}}
 	if _, err := Build(p); err == nil {
 		t.Fatal("infeasible target accepted")
+	}
+}
+
+// coldTraces sizes the cold code from assemble's layout, so the first
+// assemble meets the target: for every suite profile, and for custom int and
+// fp profiles at the ValidateProfile floor (cold 0), at a lone run-once guard
+// (cold 1), on both sides of the run-once/sliced boundary and at two and
+// four slices. One trace below the floor, ValidateProfile and Build both
+// reject the target.
+func TestColdTracesFirstAssembleHitsTarget(t *testing.T) {
+	check := func(p Profile) int {
+		t.Helper()
+		cold := coldTraces(p)
+		prog, err := assemble(p, cold)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if got := prog.StaticTraceCount() - 1; got != p.StaticTraces {
+			t.Errorf("%s (cold %d): first assemble holds %d static traces, want %d", p.Name, cold, got, p.StaticTraces)
+		}
+		return cold
+	}
+	for _, p := range Suite() {
+		check(p)
+	}
+	// A target 150 traces above the floor still takes the run-once layout
+	// (cold 150 sliced would also meet it); one more takes the sliced
+	// layout, whose cold count is one above the traces it adds.
+	cases := []struct{ extra, cold int }{{0, 0}, {1, 1}, {150, 150}, {151, 152}, {1700, 1701}, {3300, 3301}}
+	for _, fp := range []bool{false, true} {
+		p := Profile{Name: "custom", FP: fp, Seed: 11, Components: []Component{{12, 40}, {30, 1}}}
+		floor := -coldTraces(p) // hot traces plus overhead, at target 0
+		for _, c := range cases {
+			p.Name = fmt.Sprintf("custom-fp=%v-floor+%d", fp, c.extra)
+			p.StaticTraces = floor + c.extra
+			if err := ValidateProfile(p); err != nil {
+				t.Errorf("%s rejected: %v", p.Name, err)
+			}
+			if cold := check(p); cold != c.cold {
+				t.Errorf("%s: cold %d, want %d", p.Name, cold, c.cold)
+			}
+		}
+		p.Name = fmt.Sprintf("custom-fp=%v-floor-1", fp)
+		p.StaticTraces = floor - 1
+		if ValidateProfile(p) == nil {
+			t.Errorf("%s: ValidateProfile accepted a target below the floor", p.Name)
+		}
+		if _, err := Build(p); err == nil {
+			t.Errorf("%s: Build accepted a target below the floor", p.Name)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-BenchmarkDecodeFull|BenchmarkDecodeMemoized|BenchmarkTraceStream|BenchmarkCoverageSweepSinglePass|BenchmarkSignatureAccumulate|BenchmarkITRCacheAccess|BenchmarkCoverageReplay|BenchmarkPipelineCycle|BenchmarkDetectorOverhead|BenchmarkFigure8Campaign|BenchmarkCampaignArenaReuse|BenchmarkSnapshotCapture|BenchmarkSnapshotRestore|BenchmarkPCFaults|BenchmarkCacheFaults|BenchmarkRenameProtection|BenchmarkCheckpointRecovery}"
+PATTERN="${BENCH_PATTERN:-BenchmarkDecodeFull|BenchmarkDecodeMemoized|BenchmarkTraceStream|BenchmarkCoverageSweepSinglePass|BenchmarkSignatureAccumulate|BenchmarkITRCacheAccess|BenchmarkCoverageReplay|BenchmarkPipelineCycle|BenchmarkDetectorOverhead|BenchmarkFigure8Campaign|BenchmarkCampaignArenaReuse|BenchmarkSnapshotCapture|BenchmarkSnapshotRestore|BenchmarkPCFaults|BenchmarkCacheFaults|BenchmarkRenameProtection|BenchmarkCheckpointRecovery|BenchmarkWorkloadSynthesis}"
 TIME="${BENCH_TIME:-1s}"
 COUNT="${BENCH_COUNT:-3}"
 MAX="${BENCH_MAX_REGRESSION_PCT:-5}"
