@@ -65,7 +65,7 @@ type Line struct {
 	Parity bool
 }
 
-// Stats counts cache events since construction or the last ResetStats.
+// Stats counts cache events since construction.
 type Stats struct {
 	Hits                  int64
 	Misses                int64
@@ -158,9 +158,6 @@ func (c *Cache) NumSets() int { return c.numSets }
 
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the event counters without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // setIndex maps a key to its set. Keys are trace start PCs (instruction
 // indexes), so low bits index directly as in a hardware PC-indexed structure.

@@ -232,19 +232,6 @@ func TestVisitAndCounts(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	c := MustNew(16, 2, ReplLRU)
-	c.Insert(1, 0)
-	c.Lookup(1)
-	c.ResetStats()
-	if s := c.Stats(); s != (Stats{}) {
-		t.Fatalf("stats not reset: %+v", s)
-	}
-	if _, hit := c.Lookup(1); !hit {
-		t.Fatal("reset stats must not drop contents")
-	}
-}
-
 func TestParity64(t *testing.T) {
 	if Parity64(0) {
 		t.Error("parity of 0")

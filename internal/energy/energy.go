@@ -29,13 +29,10 @@ const (
 	kCap  = 0.0901425 // nJ per size^alpha
 	mLine = 8.4424e-5 // nJ per line bit read
 
-	assocPerWay   = 0.10 // relative energy per extra way
-	assocCap      = 3.0  // CAM-style structures saturate
-	portOverhead  = 0.45 // relative energy per extra port
-	refTechNM     = 180  // calibration technology node
-	bitCellUM2    = 4.1  // SRAM cell area at 0.18 um, um^2 (6T cell)
-	layoutFactor  = 1.45 // array overhead: decoders, sense amps, wiring
-	portAreaExtra = 0.35 // area per extra port
+	assocPerWay  = 0.10 // relative energy per extra way
+	assocCap     = 3.0  // CAM-style structures saturate
+	portOverhead = 0.45 // relative energy per extra port
+	refTechNM    = 180  // calibration technology node
 )
 
 // CacheSpec describes a cache for the energy/area model.
@@ -92,20 +89,6 @@ func AccessEnergyNJ(s CacheSpec) (float64, error) {
 	}
 	portF := 1 + portOverhead*float64(s.Ports-1)
 	return base * assocF * portF * techScale(s.TechNM), nil
-}
-
-// AreaMM2 returns an analytic area estimate in square millimetres: bit cells
-// scaled by technology, layout overhead and porting.
-func AreaMM2(s CacheSpec) (float64, error) {
-	if err := s.Validate(); err != nil {
-		return 0, err
-	}
-	s = s.normalize()
-	bits := float64(s.SizeBytes * 8)
-	f := float64(s.TechNM) / refTechNM
-	cell := bitCellUM2 * f * f // um^2 per cell
-	portF := 1 + portAreaExtra*float64(s.Ports-1)
-	return bits * cell * layoutFactor * portF / 1e6, nil
 }
 
 // Reference specifications from the paper's Section 5.

@@ -107,23 +107,8 @@ func TestEnergyValidation(t *testing.T) {
 	if _, err := AccessEnergyNJ(CacheSpec{SizeBytes: 4, LineBytes: 8}); err == nil {
 		t.Fatal("line larger than cache accepted")
 	}
-	if _, err := AreaMM2(CacheSpec{SizeBytes: -1, LineBytes: 8}); err == nil {
+	if _, err := AccessEnergyNJ(CacheSpec{SizeBytes: -1, LineBytes: 8}); err == nil {
 		t.Fatal("negative size accepted")
-	}
-}
-
-func TestAreaModel(t *testing.T) {
-	itr, err := AreaMM2(ITRCacheSinglePort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	icache, _ := AreaMM2(Power4ICache)
-	if itr <= 0 || icache <= itr {
-		t.Fatalf("area ordering wrong: itr=%v icache=%v", itr, icache)
-	}
-	// 8 KiB at 0.18 um lands in the sub-mm^2 range.
-	if itr > 2.0 {
-		t.Fatalf("ITR cache area implausible: %v mm^2", itr)
 	}
 }
 

@@ -61,12 +61,6 @@ type Config struct {
 	// (paper Section 1), covering faults the frontend signature cannot see.
 	RenameITREnabled bool
 
-	// TACEnabled attaches the Timestamp-based Assertion Check for the
-	// out-of-order scheduler (Section 1's third regimen member): commit
-	// asserts that no instruction issued before its producers completed,
-	// and flushes on violation.
-	TACEnabled bool
-
 	// Probe, when non-nil, receives cross-run telemetry (cycles simulated,
 	// decode events, snapshot restores). One probe may be shared by many
 	// CPUs running concurrently; it never affects simulation results.
@@ -294,7 +288,6 @@ type CPU struct {
 
 	faultHook       FaultHook
 	renameFaultHook RenameFaultHook
-	schedFaultHook  SchedulerFaultHook
 	observer        CommitObserver
 	ckptObserver    CheckpointObserver
 
@@ -358,7 +351,6 @@ type machine struct {
 	spcFired        int64
 	mispredicts     int64
 	itrFlushes      int64
-	tac             TACStats
 
 	pcFaultCycle int64 // schedule: flip fetch PC at this cycle (0 = none)
 	pcFaultBit   int
@@ -680,14 +672,6 @@ func (c *CPU) commitStage() {
 		if c.renameChecker != nil && !c.renameChecker.PollQuick() && c.act(c.renameChecker.Poll()) {
 			return
 		}
-		// TAC (scheduler) assertion: flush and re-execute on an issue-order
-		// violation, before the stale result can commit.
-		if c.tacCommitCheck(flags) {
-			c.tac.Recovered++
-			c.itrFlush(c.slots.pc[idx])
-			return
-		}
-
 		pc := c.slots.pc[idx]
 		out := &c.slots.outcome[idx]
 		// Sequential-PC check (Section 2.5): a committing instruction's PC
@@ -698,11 +682,9 @@ func (c *CPU) commitStage() {
 		c.expectedPC = out.NextPC
 
 		c.committed.ApplyRef(out)
-		if out.MemWrite && flags&slotTACViolated == 0 {
+		if out.MemWrite {
 			// The store's effect is in committed memory now; release its
-			// overlay word. A TAC-violated uop commits a recomputed outcome
-			// whose store may not match the one dispatch put in the overlay,
-			// so its entry is left for the flush the violation triggers.
+			// overlay word.
 			c.spec.overlay.commitStore(out.MemAddr)
 		}
 		c.committedCount++
@@ -925,13 +907,6 @@ func (c *CPU) issueStage() {
 	// Walk the window one flag word at a time: one AND over the three bitset
 	// words yields exactly the issueable slots — readiness is maintained
 	// incrementally by wake, so no per-candidate operand polling happens here.
-	// An armed scheduler fault hook must also be offered the not-ready
-	// candidates, so hookMask drops the ready mask from the word and each
-	// candidate's ready bit is tested on its own instead.
-	var hookMask uint64
-	if c.schedFaultHook != nil {
-		hookMask = ^uint64(0)
-	}
 	for seq := c.robHead; seq < limit && issued < width; {
 		idx := c.slot(seq)
 		off := idx & 63
@@ -942,7 +917,7 @@ func (c *CPU) issueStage() {
 		if wrap := uint64(c.slots.capacity) - idx; wrap < span {
 			span = wrap // the ring wraps mid-word for rings shorter than 64
 		}
-		cand := ((readyCol[idx>>6] | hookMask) &^ (issuedCol[idx>>6] | doneCol[idx>>6])) >> off
+		cand := (readyCol[idx>>6] &^ (issuedCol[idx>>6] | doneCol[idx>>6])) >> off
 		if span < 64 {
 			cand &= 1<<span - 1
 		}
@@ -951,13 +926,6 @@ func (c *CPU) issueStage() {
 			cand &= cand - 1
 			s := seq + b
 			si := c.slot(s)
-			if hookMask != 0 && !readyCol.get(si) {
-				// A scheduler transient can fire the instruction anyway.
-				if !c.schedFaultHook(int64(c.slots.decodeIndex[si])) {
-					continue
-				}
-				c.tacPrematureIssue(s)
-			}
 			issuedCol.set(si)
 			dc := uint64(c.cycle + int64(c.slots.lat[si]))
 			c.slots.doneCycle[si] = dc
@@ -1081,7 +1049,6 @@ func (c *CPU) dispatchStage() {
 		c.slots.done.clear(idx)
 		c.slots.pc[idx] = fi.pc
 		c.slots.predNext[idx] = fi.predNext
-		c.slots.sig[idx] = w
 		c.slots.decodeIndex[idx] = uint64(c.decodeEvents)
 		c.slots.lat[idx] = uint64(isa.LatCycles(d.Lat))
 

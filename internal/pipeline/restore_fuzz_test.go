@@ -21,7 +21,6 @@ var restoreMenu = [][]func(*Config){
 		c.CheckpointEnabled = true
 		c.CheckpointIntervalCycles = 512
 	}},
-	{nil, func(c *Config) { c.TACEnabled = true }},
 	{nil, func(c *Config) { c.Redundancy = RedundancyDualDecode }, func(c *Config) { c.Redundancy = RedundancyTimeRedundant }},
 	{nil, func(c *Config) { c.ITR = core.Config{Entries: 256, Assoc: 4} }, func(c *Config) { c.ITREnabled = false }},
 	// Policy and observability: Restore ignores these.

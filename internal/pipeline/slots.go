@@ -51,12 +51,11 @@ const (
 // writes the whole word once; commit and writeback read it once and test
 // bits, instead of touching one bitset per boolean.
 const (
-	slotValid       = uint64(1) << iota // slot has been dispatched into at least once
-	slotWrongPath                       // fetched down a mispredicted path
-	slotTraceEnd                        // terminates a trace (itrSeq/renameSeq valid)
-	slotTACViolated                     // issued before its producers completed
+	slotValid     = uint64(1) << iota // slot has been dispatched into at least once
+	slotWrongPath                     // fetched down a mispredicted path
+	slotTraceEnd                      // terminates a trace (itrSeq/renameSeq valid)
 	// slotBranching/slotUncond memoize d.IsBranching() / the FlagUncond bit
-	// at dispatch so branch resolution never touches the signals column.
+	// at dispatch so branch resolution never needs the decode signals.
 	slotBranching
 	slotUncond
 )
@@ -86,7 +85,7 @@ type robSlots struct {
 	renameSeq []uint64
 	// decodeIndex and doneCycle are int64 values stored as uint64 (both are
 	// non-negative); lat is the memoized isa.LatCycles of the dispatched
-	// signals, so issue never reads the signals column.
+	// signals, so issue never needs the signals themselves.
 	decodeIndex []uint64
 	doneCycle   []uint64
 	lat         []uint64
@@ -102,11 +101,6 @@ type robSlots struct {
 	wakeHead []uint64
 	wakeNext []uint64
 
-	// sig is the dispatched (possibly corrupted) decode signal vector in its
-	// packed form (isa.DecodeSignals.Pack); only TAC's premature-issue
-	// recompute unpacks it.
-	sig []uint64
-
 	outcome []isa.Outcome
 }
 
@@ -117,7 +111,7 @@ func slotBitWords(capacity int) int { return (capacity + 63) >> 6 }
 func newRobSlots(capacity int) robSlots {
 	s := robSlots{
 		capacity: capacity,
-		slab:     make([]uint64, 3*slotBitWords(capacity)+17*capacity),
+		slab:     make([]uint64, 3*slotBitWords(capacity)+16*capacity),
 		outcome:  make([]isa.Outcome, capacity),
 	}
 	s.carve()
@@ -149,7 +143,6 @@ func (s *robSlots) carve() {
 	s.pending = take(n)
 	s.wakeHead = take(n)
 	s.wakeNext = take(3 * n)
-	s.sig = take(n)
 }
 
 // wakeNone terminates a producer's wakeup list. Fresh slots hold zeroes

@@ -20,11 +20,10 @@ import (
 // made.
 //
 // The entries live in an open-addressed table with linear probing and
-// backward-shift deletion, sized at twice the ROB ring so it stays at most
-// half full and never allocates after construction. It doubles should more
-// entries ever be live: with TAC off, a store whose outcome a premature
-// issue recomputed commits without releasing its dispatched word, which
-// then stays until the next flush.
+// backward-shift deletion, sized at twice the ROB ring. Every live entry
+// belongs to at least one in-flight store, so the table is never more than
+// half full and never allocates after construction; insert still doubles it
+// should more entries ever be live.
 type specWord struct {
 	addr uint64 // the 8-byte-aligned address
 	word uint64 // merged speculative value of the word

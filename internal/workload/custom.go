@@ -63,7 +63,8 @@ func ParseProfile(r io.Reader) (Profile, error) {
 
 // ValidateProfile checks a profile's structural feasibility before Build
 // assembles it: it rejects exactly the static trace targets Build cannot
-// meet.
+// meet, and every layout with a branch that could exceed its 16-bit
+// displacement (reckoning each body trace at its longest).
 func ValidateProfile(p Profile) error {
 	if p.Name == "" {
 		return fmt.Errorf("profile needs a name")
@@ -83,11 +84,22 @@ func ValidateProfile(p Profile) error {
 			return fmt.Errorf("profile %s: component %d has %d iterations, above the limit %d",
 				p.Name, i, c.Iters, math.MaxInt16)
 		}
+		if c.Traces > maxBranchTraces {
+			return fmt.Errorf("profile %s: component %d has %d traces, above the loop-branch limit %d",
+				p.Name, i, c.Traces, maxBranchTraces)
+		}
 	}
-	if cold := coldTraces(p); cold < 0 {
+	cold := coldTraces(p)
+	if cold < 0 {
 		hot := p.HotTraces()
 		return fmt.Errorf("profile %s: staticTraces %d below hot traces %d + overhead %d",
 			p.Name, p.StaticTraces, hot, p.StaticTraces-hot-cold)
+	}
+	if cold > runOnceColdMax {
+		if per := maxSliceBodies(cold); per > maxBranchTraces {
+			return fmt.Errorf("profile %s: staticTraces %d puts %d cold traces in one slice, above the slice-guard limit %d",
+				p.Name, p.StaticTraces, per, maxBranchTraces)
+		}
 	}
 	return nil
 }

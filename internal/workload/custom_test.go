@@ -78,6 +78,14 @@ func TestValidateProfile(t *testing.T) {
 		// The inner-loop counter is a 16-bit signed immediate: 40000
 		// would wrap to -25536 and never count down to zero.
 		{Profile{Name: "x", StaticTraces: 100, Components: []Component{{20, 40000}}}, "above the limit"},
+		// The inner loop's back branch spans the component's bodies in a
+		// 16-bit displacement.
+		{Profile{Name: "x", StaticTraces: 3000, Components: []Component{{maxBranchTraces + 1, 1}}}, "loop-branch limit"},
+		// A slice guard spans its slice's bodies in a 16-bit displacement:
+		// rejected before Build assembles the image (at 1<<61 it would
+		// never finish).
+		{Profile{Name: "big", StaticTraces: 100000, Components: []Component{{5, 2}}}, "slice-guard limit"},
+		{Profile{Name: "big", StaticTraces: 1 << 61, Components: []Component{{5, 2}}}, "slice-guard limit"},
 	}
 	for i, c := range cases {
 		err := ValidateProfile(c.p)
@@ -88,9 +96,12 @@ func TestValidateProfile(t *testing.T) {
 	for _, good := range []Profile{
 		{Name: "ok", StaticTraces: 100, Components: []Component{{20, 5}}},
 		{Name: "max-iters", StaticTraces: 100, Components: []Component{{20, math.MaxInt16}}},
+		{Name: "max-loop", StaticTraces: maxBranchTraces + 10, Components: []Component{{maxBranchTraces, 1}}},
 	} {
 		if err := ValidateProfile(good); err != nil {
 			t.Errorf("good profile %s rejected: %v", good.Name, err)
+		} else if _, err := Build(good); err != nil {
+			t.Errorf("good profile %s does not build: %v", good.Name, err)
 		}
 	}
 }

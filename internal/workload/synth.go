@@ -21,6 +21,13 @@ const (
 	// rarely-executed code stays distributed through the run (as in real
 	// benchmarks) rather than front-loaded.
 	runOnceColdMax = 150
+	// maxTraceInsts bounds a body trace: at most 11 payload instructions
+	// plus its terminator.
+	maxTraceInsts = 12
+	// maxBranchTraces is the most body traces a 16-bit branch displacement
+	// always spans: a slice guard jumps over its slice's bodies, and an
+	// inner loop's back branch over its component's.
+	maxBranchTraces = (1<<15 - 1) / maxTraceInsts
 )
 
 // Reserved registers.
@@ -105,6 +112,14 @@ func coldSlices(cold int) int {
 		s = 12
 	}
 	return s
+}
+
+// maxSliceBodies returns the body-trace count of the largest slice in a
+// sliced cold region of cold traces, as assemble splits it.
+func maxSliceBodies(cold int) int {
+	slices := coldSlices(cold)
+	bodies := cold - slices - 3
+	return (bodies + slices - 1) / slices
 }
 
 // gen carries synthesis state.

@@ -90,9 +90,10 @@ func TestBuildRejectsInfeasibleTarget(t *testing.T) {
 // coldTraces sizes the cold code from assemble's layout, so the first
 // assemble meets the target: for every suite profile, and for custom int and
 // fp profiles at the ValidateProfile floor (cold 0), at a lone run-once guard
-// (cold 1), on both sides of the run-once/sliced boundary and at two and
-// four slices. One trace below the floor, ValidateProfile and Build both
-// reject the target.
+// (cold 1), on both sides of the run-once/sliced boundary, at two and four
+// slices, and at the largest target whose twelve slices each fit a 16-bit
+// guard branch. One trace below the floor, ValidateProfile and Build both
+// reject the target; one trace above the largest, ValidateProfile does.
 func TestColdTracesFirstAssembleHitsTarget(t *testing.T) {
 	check := func(p Profile) int {
 		t.Helper()
@@ -112,7 +113,9 @@ func TestColdTracesFirstAssembleHitsTarget(t *testing.T) {
 	// A target 150 traces above the floor still takes the run-once layout
 	// (cold 150 sliced would also meet it); one more takes the sliced
 	// layout, whose cold count is one above the traces it adds.
-	cases := []struct{ extra, cold int }{{0, 0}, {1, 1}, {150, 150}, {151, 152}, {1700, 1701}, {3300, 3301}}
+	// Cold 32775 is 12 slice guards, 3 countdown traces and 12 slices of
+	// maxBranchTraces bodies.
+	cases := []struct{ extra, cold int }{{0, 0}, {1, 1}, {150, 150}, {151, 152}, {1700, 1701}, {3300, 3301}, {32774, 32775}}
 	for _, fp := range []bool{false, true} {
 		p := Profile{Name: "custom", FP: fp, Seed: 11, Components: []Component{{12, 40}, {30, 1}}}
 		floor := -coldTraces(p) // hot traces plus overhead, at target 0
@@ -133,6 +136,10 @@ func TestColdTracesFirstAssembleHitsTarget(t *testing.T) {
 		}
 		if _, err := Build(p); err == nil {
 			t.Errorf("%s: Build accepted a target below the floor", p.Name)
+		}
+		p.StaticTraces = floor + 32775
+		if ValidateProfile(p) == nil {
+			t.Errorf("custom-fp=%v: ValidateProfile accepted a slice past the guard's branch range", fp)
 		}
 	}
 }

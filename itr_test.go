@@ -157,7 +157,7 @@ func TestVersion(t *testing.T) {
 }
 
 func TestFacadeExtensionsCompose(t *testing.T) {
-	// The full regimen — parity, rename ITR, checkpointing, TAC — must run
+	// The full regimen — parity, rename ITR, checkpointing — must run
 	// fault-free through the facade without events.
 	b, err := itr.BenchmarkByName("art")
 	if err != nil {
@@ -171,7 +171,6 @@ func TestFacadeExtensionsCompose(t *testing.T) {
 	cfg.ITR.Parity = true
 	cfg.RenameITREnabled = true
 	cfg.CheckpointEnabled = true
-	cfg.TACEnabled = true
 	cpu, err := itr.NewCPU(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -181,8 +180,7 @@ func TestFacadeExtensionsCompose(t *testing.T) {
 		t.Fatalf("termination: %v", res.Termination)
 	}
 	if cpu.Checker().Stats().Mismatches != 0 ||
-		cpu.RenameChecker().Stats().Mismatches != 0 ||
-		cpu.TAC().Violations != 0 {
+		cpu.RenameChecker().Stats().Mismatches != 0 {
 		t.Fatal("fault-free regimen produced check events")
 	}
 	if res.CheckpointsTaken == 0 {
