@@ -135,7 +135,40 @@ func TestPipelineFaultFreeHasNoDetections(t *testing.T) {
 func TestPipelineBenchmarkLockstep(t *testing.T) {
 	// The synthesized benchmarks (with wrong paths, jumps, cold code, fp)
 	// must commit exactly the functional stream.
-	prof, err := workload.ByName("gap")
+	expectWorkloadLockstep(t, "gap", DefaultConfig(), 60_000)
+}
+
+// TestWorkloadLockstepOnOddROBs runs a synthesized benchmark in lockstep on
+// ROBs whose issue scan wraps differently from the default 128-entry ring:
+// 24 entries (capacity below the 32-slot ring, which is shorter than one
+// bitset word), 16 entries with a narrow window and fetch queue, and 200
+// entries (capacity below a four-word ring, so the window crosses words).
+func TestWorkloadLockstepOnOddROBs(t *testing.T) {
+	for _, v := range []struct {
+		name string
+		mod  func(*Config)
+	}{
+		{"rob24", func(c *Config) { c.ROBSize = 24 }},
+		{"rob16", func(c *Config) {
+			c.ROBSize = 16
+			c.IssueWindow = 8
+			c.FetchQueue = 4
+		}},
+		{"rob200", func(c *Config) { c.ROBSize = 200 }},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			v.mod(&cfg)
+			expectWorkloadLockstep(t, "gap", cfg, 20_000)
+		})
+	}
+}
+
+// expectWorkloadLockstep runs the named benchmark under cfg until limit
+// instructions commit and checks each commit against the functional stream.
+func expectWorkloadLockstep(t *testing.T, name string, cfg Config, limit int64) {
+	t.Helper()
+	prof, err := workload.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +176,8 @@ func TestPipelineBenchmarkLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const limit = 60_000
 	want := functionalStream(p, limit)
-	cpu, err := New(p, DefaultConfig())
+	cpu, err := New(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +200,7 @@ func TestPipelineBenchmarkLockstep(t *testing.T) {
 			t.Fatalf("unexpected termination %v", res.Termination)
 		}
 	}
-	if idx < limit/2 {
+	if int64(idx) < limit/2 {
 		t.Fatalf("too few commits compared: %d", idx)
 	}
 	if cpu.Checker().Stats().Mismatches != 0 {
