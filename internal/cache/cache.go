@@ -1,7 +1,8 @@
 // Package cache implements a generic set-associative cache engine with true
 // LRU replacement. It backs the ITR cache (keys are trace start PCs, values
-// are trace signatures) and the access-counting models used for the energy
-// comparison of the paper's Section 5.
+// are trace signatures) and the coverage simulators that cannot share
+// core.SimBank's recency stacks. It keeps no event counters: the access
+// counts behind Figure 9 come from the coverage simulator.
 //
 // Associativity spans the full design space of the paper's Section 3:
 // direct-mapped, 2/4/8/16-way, and fully associative.
@@ -40,8 +41,9 @@ const (
 
 // Line is one cache line. Value semantics are owned by the caller (the ITR
 // layer stores trace signatures). Its recency stamp lives outside it, in the
-// cache's parallel LRU array, so a hit leaves the line itself unchanged and
-// snapshot captures keep sharing it.
+// cache's parallel LRU array, so repeated hits leave the line unchanged and
+// snapshot captures keep sharing it; only its first hit changes it, by
+// setting Referenced.
 type Line struct {
 	Key   uint64
 	Value uint64
@@ -65,15 +67,6 @@ type Line struct {
 	Parity bool
 }
 
-// Stats counts cache events since construction.
-type Stats struct {
-	Hits                  int64
-	Misses                int64
-	Inserts               int64
-	Evictions             int64
-	EvictionsUnreferenced int64
-}
-
 // Cache is a set-associative cache. Use New to construct one; the zero value
 // is not usable.
 type Cache struct {
@@ -95,7 +88,6 @@ type Cache struct {
 	setMask uint64
 	clock   uint64
 	repl    Replacement
-	stats   Stats
 	// fill counts valid lines per set; steady-state inserts skip the
 	// free-way scan entirely once a set is full.
 	fill []int32
@@ -156,9 +148,6 @@ func (c *Cache) Assoc() int { return c.assoc }
 // NumSets returns the number of sets.
 func (c *Cache) NumSets() int { return c.numSets }
 
-// Stats returns a copy of the event counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // setIndex maps a key to its set. Keys are trace start PCs (instruction
 // indexes), so low bits index directly as in a hardware PC-indexed structure.
 func (c *Cache) setIndex(key uint64) uint64 { return key & c.setMask }
@@ -172,14 +161,12 @@ func (c *Cache) Lookup(key uint64) (*Line, bool) {
 		c.lru[i] = c.clock
 		ln := &c.lines[i]
 		ln.Referenced = true
-		c.stats.Hits++
 		return ln, true
 	}
-	c.stats.Misses++
 	return nil, false
 }
 
-// Probe finds key without updating LRU, Referenced, or statistics.
+// Probe finds key without updating LRU or Referenced.
 func (c *Cache) Probe(key uint64) (*Line, bool) {
 	if i := c.find(key); i >= 0 {
 		return &c.lines[i], true
@@ -213,7 +200,6 @@ func (c *Cache) Insert(key, value uint64) (evicted Line, wasEvicted bool) {
 // lookup — the coverage simulator's miss path and the ITR checker's
 // commit-time install call this once instead of Insert plus Probe.
 func (c *Cache) InsertGet(key, value uint64) (ln *Line, evicted Line, wasEvicted bool) {
-	c.stats.Inserts++
 	c.clock++
 	if i := c.find(key); i >= 0 {
 		ln = &c.lines[i]
@@ -238,10 +224,6 @@ func (c *Cache) InsertGet(key, value uint64) (ln *Line, evicted Line, wasEvicted
 		ev := &c.lines[victim]
 		evicted = *ev
 		wasEvicted = true
-		c.stats.Evictions++
-		if !evicted.Referenced {
-			c.stats.EvictionsUnreferenced++
-		}
 	} else {
 		c.fill[si]++
 	}
@@ -283,7 +265,7 @@ func (c *Cache) pickVictim(si int) int {
 // State is an immutable capture of a cache's complete state: every line
 // (valid or not) as chunks shared with the cache's previous capture wherever
 // they are unchanged, the recency stamps as one flat copy (every hit rewrites
-// one, so they would unshare the line chunks), plus the scalar counters. The
+// one, so they would unshare the line chunks), plus the LRU clock. The
 // key array and fill counts are left out: RestoreState rederives them. A
 // State is never written through, so one state may be restored into many
 // caches concurrently.
@@ -294,7 +276,6 @@ type State struct {
 	numSets int
 	repl    Replacement
 	clock   uint64
-	stats   Stats
 }
 
 // CaptureState snapshots the cache's state. Line chunks that equal the
@@ -309,7 +290,6 @@ func (c *Cache) CaptureState() *State {
 		numSets: c.numSets,
 		repl:    c.repl,
 		clock:   c.clock,
-		stats:   c.stats,
 	}
 }
 
@@ -329,7 +309,6 @@ func (c *Cache) RestoreState(s *State) error {
 	copy(c.lru, s.lru)
 	c.synced = s.lines
 	c.clock = s.clock
-	c.stats = s.stats
 	clear(c.fill)
 	for i := range c.lines {
 		c.keys[i] = 0
@@ -342,8 +321,8 @@ func (c *Cache) RestoreState(s *State) error {
 }
 
 // Invalidate removes key if present, returning whether it was resident.
-// Invalidations do not count as evictions in the statistics (they model
-// recovery actions such as discarding a parity-faulty ITR line, Section 2.4).
+// Invalidations are not evictions: they model recovery actions such as
+// discarding a parity-faulty ITR line (Section 2.4).
 func (c *Cache) Invalidate(key uint64) bool {
 	if i := c.find(key); i >= 0 {
 		si := int(i) / c.assoc
@@ -365,18 +344,6 @@ func (c *Cache) Visit(fn func(*Line)) {
 			fn(&c.lines[i])
 		}
 	}
-}
-
-// ResidentUnreferenced returns the number of valid lines never referenced
-// since insertion (still-pending missed instances at end of simulation).
-func (c *Cache) ResidentUnreferenced() int {
-	n := 0
-	c.Visit(func(ln *Line) {
-		if !ln.Referenced {
-			n++
-		}
-	})
-	return n
 }
 
 // Parity64 returns the even-parity bit of v (true when v has odd popcount).

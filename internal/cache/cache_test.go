@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -59,24 +60,25 @@ func TestLookupMissThenHit(t *testing.T) {
 	if !ln.Referenced {
 		t.Fatal("hit must set Referenced")
 	}
-	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.Inserts != 1 {
-		t.Fatalf("stats: %+v", s)
+	if _, hit := c.Lookup(6); hit {
+		t.Fatal("absent key hit")
 	}
 }
 
 func TestProbeDoesNotDisturb(t *testing.T) {
 	c := MustNew(16, 2, ReplLRU)
 	c.Insert(5, 500)
+	c.Insert(5+8, 1300) // same set; 5 is now least recently used
 	ln, ok := c.Probe(5)
 	if !ok || ln.Referenced {
 		t.Fatalf("probe: ok=%v ref=%v", ok, ln.Referenced)
 	}
-	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 {
-		t.Fatalf("probe changed stats: %+v", s)
-	}
 	if _, ok := c.Probe(6); ok {
 		t.Fatal("probe hit missing key")
+	}
+	// The probe did not refresh 5's recency, so it is still the victim.
+	if ev, was := c.Insert(5+16, 2100); !was || ev.Key != 5 || ev.Referenced {
+		t.Fatalf("evicted %+v (was=%v), want unreferenced key 5", ev, was)
 	}
 }
 
@@ -91,8 +93,9 @@ func TestInsertOverwritesInPlace(t *testing.T) {
 	if ln.Value != 501 {
 		t.Fatalf("overwrite lost: %d", ln.Value)
 	}
-	if s := c.Stats(); s.Evictions != 0 {
-		t.Fatalf("stats: %+v", s)
+	// The overwrite took no way: a second key fits in the set's free way.
+	if ev, was := c.Insert(5+8, 0); was {
+		t.Fatalf("insert into free way evicted %+v", ev)
 	}
 }
 
@@ -117,18 +120,14 @@ func TestEvictionUnreferencedAccounting(t *testing.T) {
 	c := MustNew(2, FullyAssociative, ReplLRU)
 	c.Insert(1, 0)
 	c.Insert(2, 0)
-	c.Lookup(1)    // reference line 1
-	c.Insert(3, 0) // evicts 2 (LRU, never referenced)
-	ev, _ := c.Probe(3)
-	_ = ev
-	s := c.Stats()
-	if s.Evictions != 1 || s.EvictionsUnreferenced != 1 {
-		t.Fatalf("stats: %+v", s)
+	c.Lookup(1) // reference line 1
+	// 2 is LRU and never referenced.
+	if ev, was := c.Insert(3, 0); !was || ev.Key != 2 || ev.Referenced {
+		t.Fatalf("first eviction %+v (was=%v), want unreferenced key 2", ev, was)
 	}
-	c.Insert(4, 0) // evicts 1 (referenced) — LRU after 3's insert
-	s = c.Stats()
-	if s.Evictions != 2 || s.EvictionsUnreferenced != 1 {
-		t.Fatalf("stats after 2nd evict: %+v", s)
+	// 1 is LRU after 3's insert and was referenced.
+	if ev, was := c.Insert(4, 0); !was || ev.Key != 1 || !ev.Referenced {
+		t.Fatalf("second eviction %+v (was=%v), want referenced key 1", ev, was)
 	}
 }
 
@@ -148,11 +147,10 @@ func TestDirectMappedConflicts(t *testing.T) {
 func TestSetIsolation(t *testing.T) {
 	c := MustNew(16, 1, ReplLRU)
 	for k := uint64(0); k < 16; k++ {
-		c.Insert(k, k)
-	}
-	// All 16 distinct sets: no evictions.
-	if s := c.Stats(); s.Evictions != 0 {
-		t.Fatalf("isolated sets evicted: %+v", s)
+		// All 16 distinct sets: no evictions.
+		if ev, was := c.Insert(k, k); was {
+			t.Fatalf("isolated sets evicted %+v", ev)
+		}
 	}
 	for k := uint64(0); k < 16; k++ {
 		if _, hit := c.Lookup(k); !hit {
@@ -190,6 +188,7 @@ func TestCheckedLRUFallsBackToLRU(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := MustNew(16, 2, ReplLRU)
 	c.Insert(7, 70)
+	c.Insert(7+8, 150)
 	if !c.Invalidate(7) {
 		t.Fatal("invalidate missed resident key")
 	}
@@ -199,9 +198,10 @@ func TestInvalidate(t *testing.T) {
 	if c.Invalidate(7) {
 		t.Fatal("double invalidate succeeded")
 	}
-	// Invalidations are not evictions.
-	if s := c.Stats(); s.Evictions != 0 {
-		t.Fatalf("stats: %+v", s)
+	// Invalidations free their way: the set takes a new key without
+	// evicting 7+8.
+	if ev, was := c.Insert(7+16, 230); was {
+		t.Fatalf("insert after invalidate evicted %+v", ev)
 	}
 }
 
@@ -226,9 +226,6 @@ func TestVisitAndCounts(t *testing.T) {
 	})
 	if unchecked != 5 {
 		t.Fatalf("unchecked = %d", unchecked)
-	}
-	if got := c.ResidentUnreferenced(); got != 5 {
-		t.Fatalf("unreferenced = %d", got)
 	}
 }
 
@@ -288,30 +285,6 @@ func TestPropertyInsertedKeysHitUntilEvicted(t *testing.T) {
 	}
 }
 
-// Property: total inserts == hits' complement — every lookup is either a hit
-// or a miss, and evictions never exceed inserts.
-func TestPropertyStatsConsistency(t *testing.T) {
-	if err := quick.Check(func(ops []uint16) bool {
-		c := MustNew(32, 2, ReplLRU)
-		lookups := int64(0)
-		for _, op := range ops {
-			k := uint64(op % 100)
-			if op%2 == 0 {
-				c.Lookup(k)
-				lookups++
-			} else {
-				c.Insert(k, 0)
-			}
-		}
-		s := c.Stats()
-		return s.Hits+s.Misses == lookups &&
-			s.Evictions <= s.Inserts &&
-			s.EvictionsUnreferenced <= s.Evictions
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: occupancy never exceeds capacity and only grows via inserts.
 func TestPropertyOccupancyBounded(t *testing.T) {
 	if err := quick.Check(func(keys []uint16, assocSel uint8) bool {
@@ -358,13 +331,15 @@ func randomOps(rng *rand.Rand, n int, keySpace uint64) []cacheOp {
 	return ops
 }
 
-// applyOps runs ops on c and returns the lines it evicted, in order.
-func applyOps(c *Cache, ops []cacheOp) []Line {
-	var evicted []Line
+// applyOps runs ops on c and returns the lines it evicted and every
+// lookup's hit bit, in order.
+func applyOps(c *Cache, ops []cacheOp) (evicted []Line, hits []bool) {
 	for i, op := range ops {
 		switch op.kind {
 		case 0:
-			if ln, hit := c.Lookup(op.key); hit && op.check {
+			ln, hit := c.Lookup(op.key)
+			hits = append(hits, hit)
+			if hit && op.check {
 				ln.Checked = true
 			}
 		case 1:
@@ -378,7 +353,7 @@ func applyOps(c *Cache, ops []cacheOp) []Line {
 			c.Invalidate(op.key)
 		}
 	}
-	return evicted
+	return evicted, hits
 }
 
 func visitLines(c *Cache) []Line {
@@ -390,9 +365,9 @@ func visitLines(c *Cache) []Line {
 // TestRestoreStateReplaysLikeUncapturedTwin captures a cache mid-run,
 // mutates it, restores the capture, and then replays one operation sequence
 // on the restored cache and on a twin that never left the captured point:
-// both must agree on statistics, on every evicted line in order, and on
-// their resident contents — for a fully associative and for the paper's
-// 2-way geometry, under both replacement policies.
+// both must agree on every lookup's hit or miss, on every evicted line in
+// order, and on their resident contents — for a fully associative and for
+// the paper's 2-way geometry, under both replacement policies.
 func TestRestoreStateReplaysLikeUncapturedTwin(t *testing.T) {
 	geoms := []struct {
 		name           string
@@ -415,19 +390,20 @@ func TestRestoreStateReplaysLikeUncapturedTwin(t *testing.T) {
 				applyOps(c, prefix)
 				applyOps(twin, prefix)
 				st := c.CaptureState()
-				if len(applyOps(c, mutate)) == 0 {
+				if ev, _ := applyOps(c, mutate); len(ev) == 0 {
 					t.Fatal("mutation phase evicted nothing; the test would not exercise victim order")
 				}
 				if err := c.RestoreState(st); err != nil {
 					t.Fatal(err)
 				}
 
-				gotEv, wantEv := applyOps(c, replay), applyOps(twin, replay)
+				gotEv, gotHits := applyOps(c, replay)
+				wantEv, wantHits := applyOps(twin, replay)
 				if len(wantEv) == 0 {
 					t.Fatal("replay evicted nothing")
 				}
-				if c.Stats() != twin.Stats() {
-					t.Fatalf("stats: restored %+v, twin %+v", c.Stats(), twin.Stats())
+				if !slices.Equal(gotHits, wantHits) {
+					t.Fatal("lookup hits and misses diverge after replay")
 				}
 				if !reflect.DeepEqual(gotEv, wantEv) {
 					t.Fatalf("evictions diverge: restored %d lines, twin %d", len(gotEv), len(wantEv))

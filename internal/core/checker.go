@@ -111,11 +111,11 @@ func (c *Checker) Cache() *cache.Cache { return c.cache }
 // performs the dispatch-time ITR cache access (read). It returns the entry's
 // sequence number for branch checkpoints. ok is false when the ITR ROB is
 // full and dispatch must stall.
-func (c *Checker) DispatchTrace(ev trace.Event, wrongPath bool) (seq uint64, ok bool) {
+func (c *Checker) DispatchTrace(ev trace.Event) (seq uint64, ok bool) {
 	if c.Full() {
 		return 0, false
 	}
-	entry := ROBEntry{StartPC: ev.StartPC, Sig: ev.Sig, Len: ev.Len, WrongPath: wrongPath}
+	entry := ROBEntry{StartPC: ev.StartPC, Sig: ev.Sig, Len: ev.Len}
 	if ln, hit := c.cache.Lookup(ev.StartPC); hit {
 		entry.CachedSig = ln.Value
 		if ln.Value == ev.Sig {

@@ -19,7 +19,7 @@ func newChecker(t *testing.T, mode Mode) *Checker {
 
 func dispatch(t *testing.T, c *Checker, e trace.Event) uint64 {
 	t.Helper()
-	seq, ok := c.DispatchTrace(e, false)
+	seq, ok := c.DispatchTrace(e)
 	if !ok {
 		t.Fatal("ITR ROB full")
 	}
@@ -257,18 +257,18 @@ func TestCheckerBranchRollback(t *testing.T) {
 func TestCheckerROBCapacityStallsDispatch(t *testing.T) {
 	c := newChecker(t, ModeFull)
 	for i := 0; i < 64; i++ {
-		if _, ok := c.DispatchTrace(trace.Event{StartPC: uint64(i), Len: 1, Sig: 1}, false); !ok {
+		if _, ok := c.DispatchTrace(trace.Event{StartPC: uint64(i), Len: 1, Sig: 1}); !ok {
 			t.Fatalf("dispatch %d failed early", i)
 		}
 	}
 	if !c.Full() {
 		t.Fatal("ROB should be full at 64")
 	}
-	if _, ok := c.DispatchTrace(trace.Event{StartPC: 99, Len: 1}, false); ok {
+	if _, ok := c.DispatchTrace(trace.Event{StartPC: 99, Len: 1}); ok {
 		t.Fatal("dispatch into full ROB succeeded")
 	}
 	pollCommit(c) // free head
-	if _, ok := c.DispatchTrace(trace.Event{StartPC: 99, Len: 1}, false); !ok {
+	if _, ok := c.DispatchTrace(trace.Event{StartPC: 99, Len: 1}); !ok {
 		t.Fatal("dispatch after free failed")
 	}
 }

@@ -26,7 +26,7 @@ type CoverageSim struct {
 	totalInsts       int64
 	missInsts        int64 // instructions in trace instances that missed
 	evictedLossInsts int64 // instructions of unreferenced evicted instances
-	traceEvents      int64
+	reads            int64 // ITR cache reads (one per measured instance)
 	fallbackInsts    int64 // extra fetch/decode work done by MissFallback
 	writes           int64 // ITR cache writes (installs)
 }
@@ -62,7 +62,7 @@ func (s *CoverageSim) Warm(ev trace.Event) {
 
 // Access processes one dynamic trace instance (fault-free stream).
 func (s *CoverageSim) Access(ev trace.Event) {
-	s.traceEvents++
+	s.reads++
 	s.totalInsts += int64(ev.Len)
 
 	if ln, hit := s.cache.Lookup(ev.StartPC); hit {
@@ -103,18 +103,14 @@ func (s *CoverageSim) Access(ev trace.Event) {
 type Result struct {
 	Config        Config
 	TotalInsts    int64
-	TraceEvents   int64
 	DetectionLoss float64 // % of dynamic instructions (Figure 6)
 	RecoveryLoss  float64 // % of dynamic instructions (Figure 7)
-	CacheStats    cache.Stats
-	// ResidentUnreferenced counts still-unreferenced lines at end of run
-	// (truncation artifact; the paper charges only evictions).
-	ResidentUnreferenced int
 	// FallbackInsts is the extra frontend work (instructions redundantly
 	// fetched+decoded) performed when MissFallback is enabled.
 	FallbackInsts int64
 	// Reads and Writes are ITR cache access counts for the energy model
-	// (Figure 9): one read per dispatched trace, one write per install.
+	// (Figure 9): one read per measured trace instance, one write per
+	// measured install.
 	Reads  int64
 	Writes int64
 }
@@ -122,14 +118,11 @@ type Result struct {
 // Result returns the accumulated coverage result.
 func (s *CoverageSim) Result() Result {
 	r := Result{
-		Config:               s.cfg,
-		TotalInsts:           s.totalInsts,
-		TraceEvents:          s.traceEvents,
-		CacheStats:           s.cache.Stats(),
-		ResidentUnreferenced: s.cache.ResidentUnreferenced(),
-		FallbackInsts:        s.fallbackInsts,
-		Reads:                s.traceEvents,
-		Writes:               s.writes,
+		Config:        s.cfg,
+		TotalInsts:    s.totalInsts,
+		FallbackInsts: s.fallbackInsts,
+		Reads:         s.reads,
+		Writes:        s.writes,
 	}
 	if s.totalInsts > 0 {
 		r.DetectionLoss = 100 * float64(s.evictedLossInsts) / float64(s.totalInsts)
@@ -137,10 +130,6 @@ func (s *CoverageSim) Result() Result {
 	}
 	return r
 }
-
-// Cache exposes the underlying ITR cache (for the checkpointing extension
-// and for tests).
-func (s *CoverageSim) Cache() *cache.Cache { return s.cache }
 
 func (r Result) String() string {
 	return fmt.Sprintf("%s: detection loss %.2f%%, recovery loss %.2f%% over %d insts",

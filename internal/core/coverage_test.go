@@ -62,7 +62,7 @@ func TestCoverageAllHitsNoLoss(t *testing.T) {
 		s.Access(ev(1, 8))
 	}
 	r := s.Result()
-	if r.TotalInsts != 800 || r.TraceEvents != 100 {
+	if r.TotalInsts != 800 || r.Reads != 100 || r.Writes != 1 {
 		t.Fatalf("totals: %+v", r)
 	}
 	if r.RecoveryLoss != 1.0 { // 8/800 from the compulsory miss
@@ -88,12 +88,10 @@ func TestCoverageEvictionUnreferencedChargesDetection(t *testing.T) {
 		t.Fatalf("recovery loss = %v, want 100", r.RecoveryLoss)
 	}
 	// All evictions are unreferenced; 28 of 30 instances' lines get
-	// evicted (2 remain resident), so detection loss = 280/300.
-	if r.DetectionLoss < 90 || r.DetectionLoss > 95 {
-		t.Fatalf("detection loss = %v", r.DetectionLoss)
-	}
-	if r.ResidentUnreferenced != 2 {
-		t.Fatalf("resident unreferenced = %d", r.ResidentUnreferenced)
+	// evicted (2 remain resident and uncharged), so detection loss =
+	// 280/300.
+	if want := 100 * float64(280) / float64(300); r.DetectionLoss != want {
+		t.Fatalf("detection loss = %v, want %v", r.DetectionLoss, want)
 	}
 }
 

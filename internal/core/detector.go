@@ -30,7 +30,7 @@ type Detector interface {
 	// in-flight window is full and dispatch must stall. The backend picks
 	// the reference the trace is compared against: the ITR cache, the
 	// static trace signature, or none before commit.
-	DispatchTrace(ev trace.Event, wrongPath bool) (seq uint64, ok bool)
+	DispatchTrace(ev trace.Event) (seq uint64, ok bool)
 	// Poll is the per-commit verdict for the instruction at the head of the
 	// machine's commit stream (the frame's rule, plus ITR's parity repair).
 	Poll() Action

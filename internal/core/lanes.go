@@ -1,9 +1,6 @@
 package core
 
-import (
-	"itr/internal/cache"
-	"itr/internal/trace"
-)
+import "itr/internal/trace"
 
 // This file implements the shared replay engine behind SimBank: one LRU
 // recency stack per (set count) serving every LRU configuration that shares
@@ -112,23 +109,23 @@ const metaRefBits = 8
 
 // groupTallies is the accounting shared by both layouts.
 //
-// Hit/miss counting never loops over lanes: an event touching band b (the
-// index of the first lane wide enough to hold the key's depth; lane count
-// for a cold miss) hits every lane from b up and misses every lane below, so
-// one tally of band b records the outcome for all lanes at once, and
-// per-lane totals fall out as prefix/suffix sums at result time. Only
-// eviction bookkeeping — inherently per missing lane — runs per event.
-// Both tally families are interleaved triples to keep the hot loops on one
-// slice header and one cache line.
+// Miss counting never loops over lanes: an event touching band b (the index
+// of the first lane wide enough to hold the key's depth; lane count for a
+// cold miss) hits every lane from b up and misses every lane below, so one
+// tally per event, keyed by the widest lane it misses (b-1), records the
+// outcome for all lanes at once, and a lane's misses fall out as a suffix
+// sum at result time. Band 0 misses no lane and charges nothing, so it is
+// not tallied. Only detection-loss bookkeeping — inherently per missing
+// lane — runs per event.
 type groupTallies struct {
 	ways []int32 // ascending distinct associativities (lanes)
 
-	// bands[3b] counts events touching band b; bands[3b+1] those that were
-	// measured (post-warm-up); bands[3b+2] their instruction weight.
+	// bands[2l] counts measured (post-warm-up) events whose widest missing
+	// lane is l; bands[2l+1] sums their instruction weight. The pairs are
+	// interleaved to keep the hot loops on one slice header and cache line.
 	bands []int64
-	// evs[3l] counts lane l's evictions; evs[3l+1] those of never-referenced
-	// lines; evs[3l+2] sums the installing weights of never-referenced lines
-	// evicted by measured events — the paper's detection loss.
+	// evs[l] sums the installing weights of never-referenced lines lane l
+	// evicted on measured events — the paper's detection loss.
 	evs []int64
 
 	// Group-level measured totals, identical for every lane, accumulated by
@@ -143,8 +140,8 @@ func (t *groupTallies) addMeasured(events, insts int64) {
 }
 
 func newGroupTallies(ways []int32) groupTallies {
-	nb := 3 * (len(ways) + 1)
-	buf := make([]int64, nb+3*len(ways))
+	nb := 2 * len(ways)
+	buf := make([]int64, nb+len(ways))
 	return groupTallies{
 		ways:  ways,
 		bands: buf[:nb:nb],
@@ -152,51 +149,37 @@ func newGroupTallies(ways []int32) groupTallies {
 	}
 }
 
-// tally records one event of evLen instructions touching band b.
+// tally records one event of evLen instructions touching band b >= 1, so
+// missing lanes [0, b).
 func (t *groupTallies) tally(b int, evLen int64, warm bool) {
-	i := 3 * b
-	t.bands[i]++
 	if !warm {
-		t.bands[i+1]++
-		t.bands[i+2] += evLen
+		i := 2 * (b - 1)
+		t.bands[i]++
+		t.bands[i+1] += evLen
 	}
 }
 
-// assemble builds the lane's coverage Result for one member configuration,
+// result builds the lane's coverage Result for one member configuration,
 // field for field what a standalone CoverageSim fed the same event sequence
 // computes. MissFallback only reroutes the miss accounting: missed instances
 // are covered by the redundant fetch, so they charge FallbackInsts instead
 // of recovery loss and their evictions stop charging detection loss.
-func (t *groupTallies) assemble(lane int, cfg Config, residentUnref int) Result {
-	var hits, misses, measuredMisses, measuredMissInsts int64
-	for b := 0; b <= len(t.ways); b++ {
-		if b <= lane {
-			hits += t.bands[3*b]
-		} else {
-			misses += t.bands[3*b]
-			measuredMisses += t.bands[3*b+1]
-			measuredMissInsts += t.bands[3*b+2]
-		}
+func (t *groupTallies) result(lane int, cfg Config) Result {
+	var measuredMisses, measuredMissInsts int64
+	for l := lane; l < len(t.ways); l++ {
+		measuredMisses += t.bands[2*l]
+		measuredMissInsts += t.bands[2*l+1]
 	}
-	missInsts, fallbackInsts, evictedLoss := measuredMissInsts, int64(0), t.evs[3*lane+2]
+	missInsts, fallbackInsts, evictedLoss := measuredMissInsts, int64(0), t.evs[lane]
 	if cfg.MissFallback {
 		missInsts, fallbackInsts, evictedLoss = 0, measuredMissInsts, 0
 	}
 	r := Result{
-		Config:      cfg,
-		TotalInsts:  t.measuredInsts,
-		TraceEvents: t.measuredEvents,
-		CacheStats: cache.Stats{
-			Hits:                  hits,
-			Misses:                misses,
-			Inserts:               misses, // the replay installs on every miss
-			Evictions:             t.evs[3*lane],
-			EvictionsUnreferenced: t.evs[3*lane+1],
-		},
-		ResidentUnreferenced: residentUnref,
-		FallbackInsts:        fallbackInsts,
-		Reads:                t.measuredEvents,
-		Writes:               measuredMisses,
+		Config:        cfg,
+		TotalInsts:    t.measuredInsts,
+		FallbackInsts: fallbackInsts,
+		Reads:         t.measuredEvents, // one read per measured instance
+		Writes:        measuredMisses,   // the replay installs on every miss
 	}
 	if t.measuredInsts > 0 {
 		r.DetectionLoss = 100 * float64(evictedLoss) / float64(t.measuredInsts)
@@ -244,8 +227,8 @@ func newArrayGroup(numSets int, ways []int32) *arrayGroup {
 
 // accessBlock replays one buffered block. The loop body inlines only the
 // dominant case — a re-touch of the most recent key, which hits every lane
-// and moves nothing — with its tallies batched in registers; anything that
-// reorders the stack drops to accessSlow.
+// and moves nothing — and anything that reorders the stack drops to
+// accessSlow.
 func (g *arrayGroup) accessBlock(packed []uint64) {
 	if g.cap == 1 {
 		g.accessBlockDM(packed)
@@ -253,86 +236,58 @@ func (g *arrayGroup) accessBlock(packed []uint64) {
 	}
 	kv, length := g.kv, g.length
 	setMask, depth, laneMaskAll := g.setMask, g.cap, g.laneMaskAll
-	var e0, m0, i0 int64 // band-0 (all-lanes-hit) tallies
 	for _, p := range packed {
 		pc := p & packPCMask
 		set := int(pc & setMask)
 		base := set * depth
 		if kv[2*base] == pc {
 			// Already most recent: every lane hits and references the line.
-			e0++
-			if int64(p) >= 0 { // measured (warm flag is the sign bit)
-				m0++
-				i0 += int64(p<<1) >> (packPCBits + 1)
-			}
 			kv[2*base+1] |= laneMaskAll
 			continue
 		}
 		g.accessSlow(pc, int64(p<<1)>>(packPCBits+1), int64(p) < 0, set, base, int(length[set]))
 	}
-	g.bands[0] += e0
-	g.bands[1] += m0
-	g.bands[2] += i0
 }
 
 // accessBlockDM is the depth-1 specialization (a single direct-mapped lane,
 // the group with the most sets): every touch is either a top hit or an
-// evict-and-replace, so the whole replay inlines here with the tallies and
-// eviction counters batched in registers — no accessSlow call per miss.
+// evict-and-replace, so the whole replay inlines here with the miss and
+// detection-loss tallies batched in registers — no accessSlow call per miss.
 func (g *arrayGroup) accessBlockDM(packed []uint64) {
 	kv, length := g.kv, g.length
 	setMask := g.setMask
-	var e0, m0, i0 int64    // band 0: the line hit
-	var e1, m1, i1 int64    // band 1: the line missed
-	var ev0, un0, ax0 int64 // lane-0 eviction tallies
+	var misses, missInsts, loss int64 // measured misses, their weight, detection loss
 	for _, p := range packed {
 		pc := p & packPCMask
 		set := int(pc & setMask)
 		k := kv[2*set]
 		if k == pc {
-			e0++
-			if int64(p) >= 0 {
-				m0++
-				i0 += int64(p<<1) >> (packPCBits + 1)
-			}
 			kv[2*set+1] |= 1
 			continue
 		}
 		warm := int64(p) < 0
 		if k != noKey {
-			m := kv[2*set+1]
-			ev0++
-			if m&1 == 0 {
-				un0++
-				if !warm {
-					ax0 += int64(m >> metaRefBits)
-				}
+			if m := kv[2*set+1]; m&1 == 0 && !warm {
+				loss += int64(m >> metaRefBits)
 			}
 		} else {
 			length[set] = 1
 		}
-		e1++
 		var meta uint64
 		if warm {
 			meta = 1 // born referenced, zero weight
 		} else {
 			evLen := int64(p<<1) >> (packPCBits + 1)
-			m1++
-			i1 += evLen
+			misses++
+			missInsts += evLen
 			meta = uint64(evLen) << metaRefBits
 		}
 		kv[2*set] = pc
 		kv[2*set+1] = meta
 	}
-	g.bands[0] += e0
-	g.bands[1] += m0
-	g.bands[2] += i0
-	g.bands[3] += e1
-	g.bands[4] += m1
-	g.bands[5] += i1
-	g.evs[0] += ev0
-	g.evs[1] += un0
-	g.evs[2] += ax0
+	g.bands[0] += misses
+	g.bands[1] += missInsts
+	g.evs[0] += loss
 }
 
 // accessSlow handles every touch that reorders the stack: a hit below the
@@ -383,11 +338,8 @@ func (g *arrayGroup) accessSlow(pc uint64, evLen int64, warm bool, set, base, n 
 			kv[p], kv[p+1] = kv[p-2], kv[p-1]
 		}
 	}
-	i := 3 * b
-	g.bands[i]++
-	if !warm {
-		g.bands[i+1]++
-		g.bands[i+2] += evLen
+	if b > 0 {
+		g.tally(b, evLen, warm)
 	}
 
 	// Install at the front: lanes that hit (>= b) are referenced by this
@@ -403,40 +355,13 @@ func (g *arrayGroup) accessSlow(pc uint64, evLen int64, warm bool, set, base, n 
 	}
 }
 
-// evict charges lane li for evicting the line whose meta word is m.
+// evict charges lane li for evicting the line whose meta word is m: its
+// installing weight is detection loss when the line was never referenced
+// and a measured event evicts it.
 func (g *arrayGroup) evict(li int, m uint64, warm bool) {
-	g.evs[3*li]++
-	if m&(uint64(1)<<li) == 0 {
-		g.evs[3*li+1]++
-		if !warm {
-			g.evs[3*li+2] += int64(m >> metaRefBits)
-		}
+	if m&(uint64(1)<<li) == 0 && !warm {
+		g.evs[li] += int64(m >> metaRefBits)
 	}
-}
-
-// residentUnreferenced counts lines resident in the lane at end of replay
-// that were never referenced — the truncation artifact CoverageSim reports.
-func (g *arrayGroup) residentUnreferenced(lane int) int {
-	w := int(g.ways[lane])
-	bit := uint64(1) << lane
-	n := 0
-	for set := range g.length {
-		depth := int(g.length[set])
-		if depth > w {
-			depth = w
-		}
-		base := set * g.cap
-		for p := base; p < base+depth; p++ {
-			if g.kv[2*p+1]&bit == 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-func (g *arrayGroup) result(lane int, cfg Config) Result {
-	return g.assemble(lane, cfg, g.residentUnreferenced(lane))
 }
 
 // ---- linked-list layout (the fully associative group, depth >= 32) ----
@@ -623,12 +548,8 @@ func (g *listGroup) missLanes(x int32, set, b int, warm bool) {
 	mbase := set * lanes
 	for l := 0; l < b; l++ {
 		if m := g.marker[mbase+l]; m >= 0 { // lane full: its boundary line is evicted
-			g.evs[3*l]++
-			if g.ref[m]&(uint64(1)<<l) == 0 {
-				g.evs[3*l+1]++
-				if !warm {
-					g.evs[3*l+2] += int64(g.aux[m])
-				}
+			if g.ref[m]&(uint64(1)<<l) == 0 && !warm {
+				g.evs[l] += int64(g.aux[m])
 			}
 			// The evicted node slides one deeper; the node above it becomes
 			// the lane's new boundary. When the boundary was the head, the
@@ -647,15 +568,14 @@ func (g *listGroup) missLanes(x int32, set, b int, warm bool) {
 // accessBlock replays one buffered block. The key probe is inlined, and the
 // dominant case — a re-touch of the current head, which hits every lane and
 // moves nothing (the head's band is always 0, and a marker pointing at the
-// head has no node above it to inherit the boundary) — short-circuits with
-// its tallies batched in registers; anything else takes hitSlow or coldMiss
-// with the probe result passed down, never re-probing.
+// head has no node above it to inherit the boundary) — short-circuits;
+// anything else takes hitSlow or coldMiss with the probe result passed down,
+// never re-probing.
 func (g *listGroup) accessBlock(packed []uint64) {
 	tabKey, tabVal := g.tabKey, g.tabVal
 	tabMask, tabShift := g.tabMask, g.tabShift
 	ref, aux, head := g.ref, g.aux, g.head
 	setMask := g.setMask
-	var e0, m0, i0 int64 // band-0 (all-lanes-hit) tallies
 	for _, p := range packed {
 		pc := p & packPCMask
 		j := (pc * tabHashMul) >> tabShift
@@ -684,13 +604,10 @@ func (g *listGroup) accessBlock(packed []uint64) {
 		warm := int64(p) < 0
 		if node >= 0 {
 			if head[set] == node {
-				e0++
 				ref[node] = ^uint64(0)
 				if warm {
 					aux[node] = 0
 				} else {
-					m0++
-					i0 += evLen
 					aux[node] = int32(evLen)
 				}
 				continue
@@ -699,13 +616,10 @@ func (g *listGroup) accessBlock(packed []uint64) {
 				// Band 0 below the head: every lane hits, so the touch is
 				// pure move-to-front. The node is not the head, so it has a
 				// predecessor to inherit lane 0's boundary if it held it.
-				e0++
 				ref[node] = ^uint64(0)
 				if warm {
 					aux[node] = 0
 				} else {
-					m0++
-					i0 += evLen
 					aux[node] = int32(evLen)
 				}
 				if mi := set * len(g.ways); g.marker[mi] == node {
@@ -720,20 +634,15 @@ func (g *listGroup) accessBlock(packed []uint64) {
 			g.coldMiss(pc, evLen, warm, set, ins)
 		}
 	}
-	g.bands[0] += e0
-	g.bands[1] += m0
-	g.bands[2] += i0
 }
 
-// hitSlow handles a hit anywhere below the head: node is the live entry the
-// block loop's probe found.
+// hitSlow handles a hit below band 0: node is the live entry the block
+// loop's probe found.
 func (g *listGroup) hitSlow(evLen int64, warm bool, set int, node int32) {
 	lanes := len(g.ways)
 	b := int(g.band[node])
 	g.tally(b, evLen, warm)
-	if b > 0 {
-		g.missLanes(node, set, b, warm)
-	}
+	g.missLanes(node, set, b, warm)
 	// Lanes wider than the node's depth hit and reference the line; the
 	// missed lanes reinstall it with this event's weight (zero and
 	// referenced when warming).
@@ -792,26 +701,6 @@ func (g *listGroup) coldMiss(pc uint64, evLen int64, warm bool, set int, ins uin
 			g.marker[mbase+l] = g.tail[set]
 		}
 	}
-}
-
-// residentUnreferenced counts lines resident in the lane at end of replay
-// that were never referenced. A node is resident in lane l exactly when its
-// band is at most l.
-func (g *listGroup) residentUnreferenced(lane int) int {
-	bit := uint64(1) << lane
-	n := 0
-	for set := range g.head {
-		for nd := g.head[set]; nd >= 0; nd = g.next[nd] {
-			if int(g.band[nd]) <= lane && g.ref[nd]&bit == 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-func (g *listGroup) result(lane int, cfg Config) Result {
-	return g.assemble(lane, cfg, g.residentUnreferenced(lane))
 }
 
 // newReplayGroup picks the stack layout for the group's depth.

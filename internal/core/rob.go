@@ -15,7 +15,6 @@ type ROBEntry struct {
 	CachedSig uint64 // signature read from the ITR cache on a hit
 	Len       int    // instructions in this instance
 	State     sig.ControlState
-	WrongPath bool // dispatched down a mispredicted path
 
 	detRecorded bool // detection already reported for this entry
 }

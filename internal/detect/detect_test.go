@@ -170,7 +170,7 @@ func driveBackend(d core.Detector, p *program.Program, sigs []uint64, skip, n, b
 				ev.Sig ^= 1 << 7
 			}
 			d.Base().SetNow(int64(i))
-			d.DispatchTrace(ev, false)
+			d.DispatchTrace(ev)
 			d.Poll()
 			d.CommitTraceEnd()
 		}

@@ -83,13 +83,13 @@ func NewDME(prog *program.Program, mode core.Mode, opts Options) (*DME, error) {
 
 // DispatchTrace performs the pre-commit compare: the trace's signature
 // against the independent second decode of the same static trace.
-func (d *DME) DispatchTrace(ev trace.Event, wrongPath bool) (seq uint64, ok bool) {
+func (d *DME) DispatchTrace(ev trace.Event) (seq uint64, ok bool) {
 	if d.Full() {
 		return 0, false
 	}
 	ref := d.tab.TraceSig(ev.StartPC)
 	entry := core.ROBEntry{
-		StartPC: ev.StartPC, Sig: ev.Sig, CachedSig: ref, Len: ev.Len, WrongPath: wrongPath,
+		StartPC: ev.StartPC, Sig: ev.Sig, CachedSig: ref, Len: ev.Len,
 	}
 	if ev.Sig == ref {
 		entry.State = sig.CtrlChk

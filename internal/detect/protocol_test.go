@@ -51,7 +51,7 @@ func (r *protoRig) dispatch(i int, bad bool) uint64 {
 	if bad {
 		ev.Sig ^= 1 << 7
 	}
-	seq, ok := r.d.DispatchTrace(ev, false)
+	seq, ok := r.d.DispatchTrace(ev)
 	if !ok {
 		r.t.Fatal("in-flight window full")
 	}

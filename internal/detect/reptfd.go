@@ -69,10 +69,9 @@ func NewRepTFD(prog *program.Program, mode core.Mode, opts Options) (*RepTFD, er
 
 // DispatchTrace enqueues the trace in dispatch order. RepTFD does no
 // dispatch-time checking; the entry only carries the signature to commit.
-func (d *RepTFD) DispatchTrace(ev trace.Event, wrongPath bool) (seq uint64, ok bool) {
+func (d *RepTFD) DispatchTrace(ev trace.Event) (seq uint64, ok bool) {
 	return d.Dispatch(core.ROBEntry{
-		StartPC: ev.StartPC, Sig: ev.Sig, Len: ev.Len,
-		State: sig.CtrlChk, WrongPath: wrongPath,
+		StartPC: ev.StartPC, Sig: ev.Sig, Len: ev.Len, State: sig.CtrlChk,
 	})
 }
 

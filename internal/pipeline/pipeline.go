@@ -9,6 +9,7 @@ import (
 	"itr/internal/isa"
 	"itr/internal/obs"
 	"itr/internal/program"
+	"itr/internal/sig"
 	"itr/internal/trace"
 )
 
@@ -243,7 +244,6 @@ func (r Result) IPC() float64 {
 type fetchedInst struct {
 	pc       uint64
 	predNext uint64
-	taken    bool
 }
 
 type producer struct {
@@ -320,7 +320,9 @@ type CPU struct {
 // The snapshot tests compare a restored machine with the captured one using
 // ==, so a slice field added here fails to compile.
 type machine struct {
-	renameSig renameState
+	// renameSig accumulates the rename-index signature of the trace being
+	// formed, aligned with former.
+	renameSig sig.Accumulator
 	former    trace.Former
 
 	// ckpt is the coarse-grain checkpoint (Section 2.3 extension) taken at
@@ -344,7 +346,6 @@ type machine struct {
 	lastCommitCycle int64
 	ckptTaken       int64
 	ckptRollbacks   int64
-	redundancy      RedundancyStats
 	decodeEvents    int64
 	committedCount  int64
 	expectedPC      uint64
@@ -379,6 +380,9 @@ func (c *CPU) DetectionStamps() []DetectionStamp { return c.detStamps }
 // New builds a CPU over prog with the given configuration.
 func New(prog *program.Program, cfg Config) (*CPU, error) {
 	cfg = cfg.normalize()
+	if err := checkPredictorGeometry(cfg.BTBEntries, cfg.BTBAssoc, cfg.GshareBits); err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
+	}
 	c := &CPU{
 		cfg:     cfg,
 		prog:    prog,
@@ -500,10 +504,6 @@ func (c *CPU) Checker() *core.Checker {
 
 // Detector exposes the attached detection backend (nil when disabled).
 func (c *CPU) Detector() core.Detector { return c.det }
-
-// Redundancy returns the baseline-comparator statistics (zero when
-// RedundancyNone).
-func (c *CPU) Redundancy() RedundancyStats { return c.redundancy }
 
 // RenameChecker exposes the rename-protection checker (nil when disabled).
 func (c *CPU) RenameChecker() *core.Checker { return c.renameChecker }
@@ -768,7 +768,7 @@ func (c *CPU) itrFlush(restartPC uint64) {
 	}
 	c.fqReset()
 	c.former.Reset()
-	c.renameSig.reset()
+	c.renameSig.Reset()
 	// Both detectors' in-flight windows are squashed. The detector whose
 	// retry caused this flush has already cleared itself (and armed its
 	// retry state); FlushAll on an empty window is a no-op, so flushing
@@ -891,7 +891,7 @@ func (c *CPU) repairMispredict(seq uint64, target uint64) {
 			c.renameChecker.RollbackTo(c.slots.renameSeq[idx])
 		}
 	}
-	c.renameSig.reset()
+	c.renameSig.Reset()
 }
 
 // ---- issue ----
@@ -1006,16 +1006,13 @@ func (c *CPU) dispatchStage() {
 			// the signal vectors. Both copies are independently exposed to
 			// faults.
 			c.decodeEvents++
-			c.redundancy.ExtraDecodes++
 			d2 := c.decode.Signals(fi.pc)
 			if c.faultHook != nil {
 				d2 = c.faultHook(c.decodeEvents, fi.pc, c.wrongPathArmed, d2)
 			}
-			c.redundancy.Comparisons++
 			if d != d2 {
 				// Mismatch: a transient hit one copy. Recovery is a clean
 				// re-decode before anything propagates.
-				c.redundancy.Detections++
 				d = c.decode.Signals(fi.pc)
 				w = c.decode.Word(fi.pc)
 				clean = true
@@ -1064,7 +1061,7 @@ func (c *CPU) dispatchStage() {
 			exe = applyRenameIndexes(d, ri)
 			clean = clean && exe == d
 			if c.renameChecker != nil {
-				c.renameSig.add(ri)
+				c.renameSig.Add(ri.pack())
 			}
 		}
 
@@ -1100,13 +1097,14 @@ func (c *CPU) dispatchStage() {
 			ev := c.former.Take()
 			flags |= slotTraceEnd
 			if c.det != nil {
-				itrSeq, _ := c.det.DispatchTrace(ev, wrongPath)
+				itrSeq, _ := c.det.DispatchTrace(ev)
 				c.slots.itrSeq[idx] = itrSeq
 			}
 			if c.renameChecker != nil {
 				rev := ev
-				rev.Sig = c.renameSig.takeSig()
-				renameSeq, _ := c.renameChecker.DispatchTrace(rev, wrongPath)
+				rev.Sig = c.renameSig.Value()
+				c.renameSig.Reset()
+				renameSeq, _ := c.renameChecker.DispatchTrace(rev)
 				c.slots.renameSeq[idx] = renameSeq
 			}
 		}
@@ -1213,7 +1211,7 @@ func (c *CPU) fetchStage() {
 	}
 	for n := 0; n < c.cfg.FetchWidth && c.fqLen() < c.cfg.FetchQueue; n++ {
 		next, taken := c.pred.Predict(c.fetchPC)
-		c.fq[c.fqTail&c.fqMask] = fetchedInst{pc: c.fetchPC, predNext: next, taken: taken}
+		c.fq[c.fqTail&c.fqMask] = fetchedInst{pc: c.fetchPC, predNext: next}
 		c.fqTail++
 		c.fetchPC = next
 		if taken {

@@ -467,6 +467,50 @@ func TestPredictorUnconditionalAlwaysTaken(t *testing.T) {
 	}
 }
 
+// TestNewRejectsPredictorGeometry: New refuses, before allocating, any
+// BTB whose set count is not a power of two and any gshare table past
+// maxGshareBits, and builds (and runs) the odd-sized but valid geometries.
+func TestNewRejectsPredictorGeometry(t *testing.T) {
+	p := loopProgram(t, 2, 3)
+	cases := []struct {
+		name       string
+		btb, assoc int
+		gshare     uint
+		ok         bool
+	}{
+		{"default", 0, 0, 0, true},
+		{"btb-48x3", 48, 3, 0, true}, // 16 sets
+		{"btb-fully-assoc", 64, 64, 0, true},
+		{"gshare-bound", 0, 0, maxGshareBits - 4, true},
+		{"btb-1024x3", 1024, 3, 0, false}, // 341 sets, masked index aliases
+		{"btb-assoc-over-entries", 64, 128, 0, false},
+		{"btb-negative-entries", -4, 2, 0, false},
+		{"btb-negative-assoc", 1024, -2, 0, false},
+		{"gshare-over-bound", 0, 0, maxGshareBits + 1, false},
+		{"gshare-63", 0, 0, 63, false},
+		{"gshare-64", 0, 0, 64, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.BTBEntries, cfg.BTBAssoc, cfg.GshareBits = tc.btb, tc.assoc, tc.gshare
+			cpu, err := New(p, cfg)
+			if !tc.ok {
+				if err == nil {
+					t.Fatal("New accepted the geometry")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := cpu.Run(100_000); res.Termination != TermHalt {
+				t.Fatalf("termination %v", res.Termination)
+			}
+		})
+	}
+}
+
 func TestPredictorDirectionAdapts(t *testing.T) {
 	pr := NewPredictor(64, 2, 8)
 	pc, target := uint64(100), uint64(50)

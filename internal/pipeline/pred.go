@@ -18,6 +18,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"slices"
 
 	"itr/internal/cache"
@@ -30,13 +31,12 @@ type Predictor struct {
 	// btbLRU holds each BTB entry's recency stamp, parallel to btb: every
 	// hit rewrites one, and keeping them out of the entries lets snapshot
 	// captures share the BTB chunks that hits alone touched.
-	btbLRU     []uint64
-	btbSets    int
-	btbAssoc   int
-	gshare     []uint8 // 2-bit counters
-	historyLen uint
-	history    uint64
-	clock      uint64
+	btbLRU   []uint64
+	btbSets  int
+	btbAssoc int
+	gshare   []uint8 // 2-bit counters
+	history  uint64
+	clock    uint64
 	// synced is the BTB as last captured into or restored from: the base
 	// the next capture shares unchanged chunks with.
 	synced *cache.Chunks[btbEntry]
@@ -49,25 +49,37 @@ type btbEntry struct {
 	uncond bool
 }
 
-// NewPredictor builds a predictor. btbEntries must be a power of two and
-// divisible by btbAssoc; gshareBits sets the counter-table size (2^bits).
+// maxGshareBits bounds the gshare table at 2^24 two-bit counters (16 MiB),
+// far past the 4096-counter default; every snapshot copies the whole table.
+const maxGshareBits = 24
+
+// checkPredictorGeometry reports why NewPredictor cannot build a predictor
+// of this geometry, or nil: the BTB's set count (btbEntries/btbAssoc) must
+// be a power of two, since btbBase masks the PC with it, and gshareBits may
+// not exceed maxGshareBits. It allocates nothing.
+func checkPredictorGeometry(btbEntries, btbAssoc int, gshareBits uint) error {
+	if btbAssoc <= 0 || btbEntries < btbAssoc || btbEntries%btbAssoc != 0 {
+		return fmt.Errorf("BTB of %d entries cannot be %d-way", btbEntries, btbAssoc)
+	}
+	if sets := btbEntries / btbAssoc; sets&(sets-1) != 0 {
+		return fmt.Errorf("BTB of %d entries, %d-way, has %d sets, not a power of two", btbEntries, btbAssoc, sets)
+	}
+	if gshareBits > maxGshareBits {
+		return fmt.Errorf("gshare of %d index bits exceeds the %d-bit bound", gshareBits, maxGshareBits)
+	}
+	return nil
+}
+
+// NewPredictor builds a predictor of btbEntries entries in btbAssoc-way
+// sets and a 2^gshareBits-counter gshare table. The geometry must pass
+// checkPredictorGeometry, which New applies to its Config.
 func NewPredictor(btbEntries, btbAssoc int, gshareBits uint) *Predictor {
-	if btbEntries <= 0 {
-		btbEntries = 1024
-	}
-	if btbAssoc <= 0 {
-		btbAssoc = 2
-	}
-	if gshareBits == 0 {
-		gshareBits = 12
-	}
 	return &Predictor{
-		btb:        make([]btbEntry, btbEntries),
-		btbLRU:     make([]uint64, btbEntries),
-		btbSets:    btbEntries / btbAssoc,
-		btbAssoc:   btbAssoc,
-		gshare:     make([]uint8, 1<<gshareBits),
-		historyLen: gshareBits,
+		btb:      make([]btbEntry, btbEntries),
+		btbLRU:   make([]uint64, btbEntries),
+		btbSets:  btbEntries / btbAssoc,
+		btbAssoc: btbAssoc,
+		gshare:   make([]uint8, 1<<gshareBits),
 	}
 }
 

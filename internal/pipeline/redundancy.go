@@ -37,15 +37,3 @@ func (m RedundancyMode) String() string {
 		return fmt.Sprintf("redundancy(%d)", int(m))
 	}
 }
-
-// RedundancyStats counts baseline-comparator events.
-type RedundancyStats struct {
-	// Comparisons is the number of instruction decode-pairs compared.
-	Comparisons int64
-	// Detections is the number of decode-signal mismatches caught by the
-	// comparator (each implies a transient in one of the two copies).
-	Detections int64
-	// ExtraDecodes counts the redundant decode operations performed (the
-	// energy-relevant quantity).
-	ExtraDecodes int64
-}

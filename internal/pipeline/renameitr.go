@@ -3,7 +3,6 @@ package pipeline
 import (
 	"itr/internal/isa"
 	"itr/internal/program"
-	"itr/internal/sig"
 )
 
 // This file implements the rename-protection extension sketched in the
@@ -89,19 +88,3 @@ func applyRenameIndexes(d isa.DecodeSignals, ri RenameIndexes) isa.DecodeSignals
 	d.Rdst = ri.Dst & 0x1f
 	return d
 }
-
-// renameState is the per-CPU rename-signature machinery: a parallel XOR
-// accumulator aligned with the trace former.
-type renameState struct {
-	acc sig.Accumulator
-}
-
-func (r *renameState) add(ri RenameIndexes) { r.acc.Add(ri.pack()) }
-
-func (r *renameState) takeSig() uint64 {
-	v := r.acc.Value()
-	r.acc.Reset()
-	return v
-}
-
-func (r *renameState) reset() { r.acc.Reset() }

@@ -24,9 +24,6 @@ type Program struct {
 	Name  string
 	Insts []isa.Instruction
 	Entry uint64
-	// DataBase is the lowest data address the program's initialization
-	// assumes; purely informational.
-	DataBase uint64
 
 	// table is the lazily built, atomically published decode memoization.
 	table atomic.Pointer[DecodeTable]

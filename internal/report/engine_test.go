@@ -46,8 +46,8 @@ func TestReplayWarmBoundary(t *testing.T) {
 			sim := newSim(t)
 			replayWarm(sim, events, tc.warmup)
 			res := sim.Result()
-			if res.TraceEvents != tc.wantEvents {
-				t.Errorf("warmup %d: measured %d events, want %d", tc.warmup, res.TraceEvents, tc.wantEvents)
+			if res.Reads != tc.wantEvents {
+				t.Errorf("warmup %d: measured %d events, want %d", tc.warmup, res.Reads, tc.wantEvents)
 			}
 			if res.TotalInsts != tc.wantMeasure {
 				t.Errorf("warmup %d: measured %d insts, want %d", tc.warmup, res.TotalInsts, tc.wantMeasure)
@@ -67,8 +67,8 @@ func TestReplayWarmLatch(t *testing.T) {
 	sim := newSim(t)
 	replayWarm(sim, events, 15)
 	res := sim.Result()
-	if res.TraceEvents != 2 || res.TotalInsts != 13 {
-		t.Errorf("got %d events / %d insts measured, want 2 / 13", res.TraceEvents, res.TotalInsts)
+	if res.Reads != 2 || res.TotalInsts != 13 {
+		t.Errorf("got %d events / %d insts measured, want 2 / 13", res.Reads, res.TotalInsts)
 	}
 }
 

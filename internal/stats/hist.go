@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// Histogram counts occurrences of integer-valued samples with an optional
+// Histogram tallies integer-valued samples, each with an optional
 // per-sample weight. It is used for repeat-distance distributions
 // (Figures 3-4 of the paper) where the weight of a trace repetition is the
 // number of dynamic instructions it contributes.

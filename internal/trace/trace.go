@@ -77,9 +77,7 @@ func (f *Former) Reset() { f.acc.Reset() }
 // traceStat accumulates per-static-trace statistics.
 type traceStat struct {
 	dynInsts     int64 // dynamic instructions contributed by all instances
-	occurrences  int64
 	lastStartDyn int64 // dynamic-instruction index at which the last instance started
-	length       int   // static length (instructions)
 	sig          uint64
 	sigConflict  bool // a second instance produced a different signature
 }
@@ -107,10 +105,7 @@ func (c *Characterizer) Add(ev Event) {
 	c.dynInsts += int64(ev.Len)
 	st, ok := c.perTrace[ev.StartPC]
 	if !ok {
-		st = &traceStat{length: ev.Len, sig: ev.Sig, lastStartDyn: startDyn}
-		c.perTrace[ev.StartPC] = st
-		st.dynInsts = int64(ev.Len)
-		st.occurrences = 1
+		c.perTrace[ev.StartPC] = &traceStat{dynInsts: int64(ev.Len), sig: ev.Sig, lastStartDyn: startDyn}
 		return
 	}
 	if st.sig != ev.Sig && !ev.Partial {
@@ -121,7 +116,6 @@ func (c *Characterizer) Add(ev Event) {
 	c.distHist.AddWeighted(startDyn-st.lastStartDyn, float64(ev.Len))
 	st.lastStartDyn = startDyn
 	st.dynInsts += int64(ev.Len)
-	st.occurrences++
 }
 
 // DynamicInstructions returns the total dynamic instructions observed.

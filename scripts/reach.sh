@@ -79,6 +79,10 @@ for det in itr reptfd dme; do
 	itr sim -bench bzip -cycles 20000 -detector "$det" -inject 500
 done
 itr fault -bench vortex -faults 2 -window 20000 -pc 3 -cache 3 -rename 3
+# PC faults that settle past their first probe: three are caught by the
+# sequential-PC check once the flipped fetch's decode horizon is known, and
+# one is masked, which reads the study's fault-free reference run.
+itr fault -bench mgrid -faults 1 -window 20000 -pc 4
 itr fault -bench art -faults 4 -window 20000 -checkpoint -exact
 itr fault -bench art -faults 4 -window 20000 -snapshot-interval -1
 itr fault -bench art -faults 4 -window 20000 -trace-out trace.json -progress 2>/dev/null
